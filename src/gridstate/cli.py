@@ -71,7 +71,10 @@ def _resolve_text(path: str | None, bundled: str) -> tuple[str, str]:
 def prepare(case=None, partition=None, plan=None, config=None, overrides=None) -> Experiment:
     """Load case/partition/plan/config, run the truth load flow, and record
     redundancy warnings."""
-    cfg = caseio.parse_config(_read(config)) if config else caseio.default_config()
+    if config:
+        cfg = caseio.parse_config(_resolve_text(config, "ieee30.cfg")[0])
+    else:
+        cfg = caseio.default_config()
     if overrides:
         cfg = config_with(cfg, **overrides)
 

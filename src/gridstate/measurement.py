@@ -18,7 +18,9 @@ external] sub-model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +49,8 @@ class Measurement:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValidationError(f"unknown measurement kind {self.kind!r}")
-        if self.sigma <= 0.0:
-            raise ValidationError(f"measurement {self.id}: sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValidationError(f"measurement {self.id}: sigma must be positive and finite")
         needs_branch = self.kind in FLOW_KINDS + PMU_CURRENT_KINDS
         if needs_branch and self.branch is None:
             raise ValidationError(f"measurement {self.id}: {self.kind} requires a branch")
@@ -76,11 +78,6 @@ class MeasurementSet:
     @property
     def sigmas(self) -> np.ndarray:
         return np.array([m.sigma for m in self.items])
-
-    @property
-    def weight_matrix(self) -> np.ndarray:
-        """W = diag(sigma^2), the diagonal error covariance."""
-        return np.diag(self.sigmas**2)
 
     def __len__(self):
         return len(self.items)
@@ -162,6 +159,73 @@ class MeasurementPlan:
         return tuple(specs)
 
 
+class _BusRows(NamedTuple):
+    """Rows metering one bus: row indices, imaginary-part flags (``q_inj``,
+    ``pmu_vi``) and bus positions in the view."""
+
+    rows: np.ndarray
+    imag: np.ndarray
+    k: np.ndarray
+
+
+class _BranchRows(NamedTuple):
+    """Rows metering one branch end: row indices, imaginary-part flags
+    (``q_flow``, ``pmu_ii``), metered and far bus positions and the
+    metered-end admittances (I_m = ymm V_i + ymf V_j)."""
+
+    rows: np.ndarray
+    imag: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    ymm: np.ndarray
+    ymf: np.ndarray
+
+
+def _columns(entries, dtypes):
+    cols = tuple(zip(*entries)) or ((),) * len(dtypes)
+    return [np.array(c, dtype=d) for c, d in zip(cols, dtypes)]
+
+
+_BUS_DTYPES = (np.intp, bool, np.intp)
+_BRANCH_DTYPES = (np.intp, bool, np.intp, np.intp, complex, complex)
+_IMAG_KINDS = frozenset(("q_inj", "q_flow", "pmu_vi", "pmu_ii"))
+
+
+class CompiledSpecs:
+    """A spec list compiled against one view into flat index arrays.
+
+    Every check a row needs (bus inside the view, full neighborhood for
+    injections, branch present) runs here, once; evaluation is then pure
+    numpy over the row selections of each kind family.  Injection rows
+    keep the Ybus rows of their distinct buses (``inj_bus``), which
+    ``inj.k`` indexes.
+    """
+
+    def __init__(self, view: "ModelView", specs):
+        inj, volt, flow, cur = [], [], [], []
+        distinct: dict[int, int] = {}  # bus position -> index in inj_bus
+        for r, m in enumerate(specs):
+            imag = m.kind in _IMAG_KINDS
+            if m.kind in INJECTION_KINDS:
+                k = view.require(m.bus)
+                if m.bus not in view.injection_ok:
+                    raise ValidationError(
+                        f"injection at bus {m.bus} needs neighbors outside the view"
+                    )
+                inj.append((r, imag, distinct.setdefault(k, len(distinct))))
+            elif m.kind in PMU_VOLTAGE_KINDS:
+                volt.append((r, imag, view.require(m.bus)))
+            else:
+                (flow if m.kind in FLOW_KINDS else cur).append((r, imag) + view.branch_ends(m))
+        self.n_rows = len(specs)
+        self.inj_bus = np.array(list(distinct), dtype=np.intp)
+        self.inj = _BusRows(*_columns(inj, _BUS_DTYPES))
+        self.inj_y = view.adm.y[self.inj_bus]
+        self.volt = _BusRows(*_columns(volt, _BUS_DTYPES))
+        self.flow = _BranchRows(*_columns(flow, _BRANCH_DTYPES))
+        self.cur = _BranchRows(*_columns(cur, _BRANCH_DTYPES))
+
+
 class ModelView:
     """Evaluation context: a bus layout with its induced admittance data.
 
@@ -169,6 +233,9 @@ class ModelView:
     induced Ybus rows are exact for any bus whose whole neighborhood lies
     inside the layout (internal and boundary buses), which is the only
     place injections are evaluated.
+
+    A view keeps the compiled form of the last spec list it evaluated
+    (see :meth:`compile`), so repeated evaluation of one list compiles once.
     """
 
     def __init__(self, net: PowerNetwork, bus_ids, ref_bus):
@@ -183,6 +250,7 @@ class ModelView:
         self.injection_ok = frozenset(
             b for b in self.bus_ids if all(nb in inside for nb in adj[b])
         )
+        self._compiled = None  # (spec tuple, CompiledSpecs)
 
     @classmethod
     def full(cls, net: PowerNetwork, ref_bus=None) -> "ModelView":
@@ -211,50 +279,50 @@ class ModelView:
             return i, j, yff, yft
         return j, i, ytt, ytf
 
-    def validate(self, specs) -> None:
-        for m in specs:
-            if m.kind in INJECTION_KINDS:
-                k = self.require(m.bus)
-                if m.bus not in self.injection_ok:
-                    raise ValidationError(
-                        f"injection at bus {m.bus} needs neighbors outside the view"
-                    )
-                del k
-            elif m.kind in PMU_VOLTAGE_KINDS:
-                self.require(m.bus)
-            else:
-                self.require(m.branch[0])
-                self.require(m.branch[1])
+    def compile(self, specs) -> CompiledSpecs:
+        """Compiled form of ``specs``; raises ValidationError for a row the
+        view cannot evaluate.
+
+        Only the most recent spec list is kept, and it is reused only for
+        an equal list, so a list mutated in place is compiled again.
+        """
+        key = tuple(specs)
+        if self._compiled is None or self._compiled[0] != key:
+            self._compiled = (key, CompiledSpecs(self, key))
+        return self._compiled[1]
+
+    def polar(self, state: StateVector, caller: str):
+        """(vm, va) of a polar state in this view's bus order."""
+        if state.coord != "polar":
+            raise ValidationError(f"{caller} expects a polar state")
+        if state.bus_ids == self.bus_ids:
+            return state.v1, state.v2
+        order = [state.index(b) for b in self.bus_ids]
+        return state.v1[order], state.v2[order]
 
 
 def h_eval(view: ModelView, state: StateVector, specs) -> np.ndarray:
     """Evaluate the nonlinear measurement functions at a polar state."""
-    if state.coord != "polar":
-        raise ValidationError("h_eval expects a polar state")
-    order = [state.index(b) for b in view.bus_ids]
-    vm = state.v1[order]
-    va = state.v2[order]
+    vm, va = view.polar(state, "h_eval")
+    c = view.compile(specs)
     v = vm * np.exp(1j * va)
-    s_inj = v * np.conj(view.adm.y @ v)
+    out = np.empty(c.n_rows)
 
-    out = np.empty(len(specs))
-    for r, m in enumerate(specs):
-        if m.kind in INJECTION_KINDS:
-            k = view.require(m.bus)
-            if m.bus not in view.injection_ok:
-                raise ValidationError(f"injection at bus {m.bus} not evaluable in this view")
-            out[r] = s_inj[k].real if m.kind == "p_inj" else s_inj[k].imag
-        elif m.kind in FLOW_KINDS:
-            i, j, ymm, ymf = view.branch_ends(m)
-            s = v[i] * np.conj(ymm * v[i] + ymf * v[j])
-            out[r] = s.real if m.kind == "p_flow" else s.imag
-        elif m.kind in PMU_VOLTAGE_KINDS:
-            k = view.require(m.bus)
-            out[r] = vm[k] * np.cos(va[k]) if m.kind == "pmu_vr" else vm[k] * np.sin(va[k])
-        else:  # PMU current
-            i, j, ymm, ymf = view.branch_ends(m)
-            cur = ymm * v[i] + ymf * v[j]
-            out[r] = cur.real if m.kind == "pmu_ir" else cur.imag
+    s = (v[c.inj_bus] * np.conj(c.inj_y @ v))[c.inj.k]
+    out[c.inj.rows] = np.where(c.inj.imag, s.imag, s.real)
+
+    u = c.volt
+    vmk, vak = vm[u.k], va[u.k]
+    out[u.rows] = np.where(u.imag, vmk * np.sin(vak), vmk * np.cos(vak))
+
+    f = c.flow
+    vi = v[f.i]
+    s = vi * np.conj(f.ymm * vi + f.ymf * v[f.j])
+    out[f.rows] = np.where(f.imag, s.imag, s.real)
+
+    u = c.cur
+    cur = u.ymm * v[u.i] + u.ymf * v[u.j]
+    out[u.rows] = np.where(u.imag, cur.imag, cur.real)
     return out
 
 
@@ -264,79 +332,70 @@ def jacobian_polar(view: ModelView, state: StateVector, specs, pin_ref: bool = T
     With ``pin_ref`` the reference-bus angle column is removed ("will not
     be estimated"); pass False to keep all 2n columns.
     """
-    if state.coord != "polar":
-        raise ValidationError("jacobian_polar expects a polar state")
-    order = [state.index(bid) for bid in view.bus_ids]
-    vm = state.v1[order]
-    va = state.v2[order]
+    vm, va = view.polar(state, "jacobian_polar")
+    c = view.compile(specs)
     n = view.n_bus
-    g, b = view.adm.g, view.adm.b
-    v = vm * np.exp(1j * va)
-    s_inj = v * np.conj(view.adm.y @ v)
-    p_calc, q_calc = s_inj.real, s_inj.imag
+    d_va = np.zeros((c.n_rows, n))
+    d_vm = np.zeros((c.n_rows, n))
 
-    rows = len(specs)
-    d_va = np.zeros((rows, n))
-    d_vm = np.zeros((rows, n))
-    theta = va[:, None] - va[None, :]
+    # injections: only the metered buses' rows of the Ybus and of the
+    # angle-difference matrix theta_k - theta
+    k = c.inj_bus
+    at = np.arange(len(k))
+    y = c.inj_y
+    g, b = y.real, y.imag
+    v = vm * np.exp(1j * va)
+    s = v[k] * np.conj(y @ v)
+    p_calc, q_calc = s.real, s.imag
+    theta = va[k][:, None] - va[None, :]
     ct, st = np.cos(theta), np.sin(theta)
     a_mat = g * ct + b * st
     c_mat = g * st - b * ct
+    vmk = vm[k]
+    gkk, bkk = g[at, k], b[at, k]
+    dva_p = vmk[:, None] * vm * c_mat
+    dva_p[at, k] = -q_calc - bkk * vmk**2
+    dvm_p = vmk[:, None] * a_mat
+    dvm_p[at, k] = p_calc / vmk + gkk * vmk
+    dva_q = -vmk[:, None] * vm * a_mat
+    dva_q[at, k] = p_calc - gkk * vmk**2
+    dvm_q = vmk[:, None] * c_mat
+    dvm_q[at, k] = q_calc / vmk - bkk * vmk
+    u = c.inj
+    im = u.imag[:, None]
+    d_va[u.rows] = np.where(im, dva_q[u.k], dva_p[u.k])
+    d_vm[u.rows] = np.where(im, dvm_q[u.k], dvm_p[u.k])
 
-    for r, m in enumerate(specs):
-        if m.kind == "p_inj":
-            i = view.require(m.bus)
-            d_va[r] = vm[i] * vm * c_mat[i]
-            d_va[r, i] = -q_calc[i] - b[i, i] * vm[i] ** 2
-            d_vm[r] = vm[i] * a_mat[i]
-            d_vm[r, i] = p_calc[i] / vm[i] + g[i, i] * vm[i]
-        elif m.kind == "q_inj":
-            i = view.require(m.bus)
-            d_va[r] = -vm[i] * vm * a_mat[i]
-            d_va[r, i] = p_calc[i] - g[i, i] * vm[i] ** 2
-            d_vm[r] = vm[i] * c_mat[i]
-            d_vm[r, i] = q_calc[i] / vm[i] - b[i, i] * vm[i]
-        elif m.kind in FLOW_KINDS:
-            i, j, ymm, ymf = view.branch_ends(m)
-            g1, b1 = ymm.real, ymm.imag
-            g2, b2 = ymf.real, ymf.imag
-            th = va[i] - va[j]
-            cth, sth = np.cos(th), np.sin(th)
-            if m.kind == "p_flow":
-                dth = vm[i] * vm[j] * (-g2 * sth + b2 * cth)
-                d_va[r, i] = dth
-                d_va[r, j] = -dth
-                d_vm[r, i] = 2.0 * vm[i] * g1 + vm[j] * (g2 * cth + b2 * sth)
-                d_vm[r, j] = vm[i] * (g2 * cth + b2 * sth)
-            else:
-                dth = vm[i] * vm[j] * (g2 * cth + b2 * sth)
-                d_va[r, i] = dth
-                d_va[r, j] = -dth
-                d_vm[r, i] = -2.0 * vm[i] * b1 + vm[j] * (g2 * sth - b2 * cth)
-                d_vm[r, j] = vm[i] * (g2 * sth - b2 * cth)
-        elif m.kind in PMU_VOLTAGE_KINDS:
-            k = view.require(m.bus)
-            if m.kind == "pmu_vr":
-                d_vm[r, k] = np.cos(va[k])
-                d_va[r, k] = -vm[k] * np.sin(va[k])
-            else:
-                d_vm[r, k] = np.sin(va[k])
-                d_va[r, k] = vm[k] * np.cos(va[k])
-        else:  # PMU current
-            i, j, ymm, ymf = view.branch_ends(m)
-            for k, y in ((i, ymm), (j, ymf)):
-                gk, bk = y.real, y.imag
-                ck, sk = np.cos(va[k]), np.sin(va[k])
-                if m.kind == "pmu_ir":
-                    d_vm[r, k] += gk * ck - bk * sk
-                    d_va[r, k] += vm[k] * (-gk * sk - bk * ck)
-                else:
-                    d_vm[r, k] += gk * sk + bk * ck
-                    d_va[r, k] += vm[k] * (gk * ck - bk * sk)
+    f = c.flow
+    vi, vj = vm[f.i], vm[f.j]
+    g1, b1 = f.ymm.real, f.ymm.imag
+    g2, b2 = f.ymf.real, f.ymf.imag
+    th = va[f.i] - va[f.j]
+    cth, sth = np.cos(th), np.sin(th)
+    dth = vi * vj * np.where(f.imag, g2 * cth + b2 * sth, -g2 * sth + b2 * cth)
+    d_va[f.rows, f.i] = dth
+    d_va[f.rows, f.j] = -dth
+    d_vm[f.rows, f.i] = np.where(
+        f.imag,
+        -2.0 * vi * b1 + vj * (g2 * sth - b2 * cth),
+        2.0 * vi * g1 + vj * (g2 * cth + b2 * sth),
+    )
+    d_vm[f.rows, f.j] = vi * np.where(f.imag, g2 * sth - b2 * cth, g2 * cth + b2 * sth)
 
-    if pin_ref:
-        keep = [k for k, bid in enumerate(view.bus_ids) if bid != view.ref_bus]
-        d_va = d_va[:, keep]
+    u = c.volt
+    vmk, ck, sk = vm[u.k], np.cos(va[u.k]), np.sin(va[u.k])
+    d_vm[u.rows, u.k] = np.where(u.imag, sk, ck)
+    d_va[u.rows, u.k] = np.where(u.imag, vmk * ck, -vmk * sk)
+
+    u = c.cur
+    for k, y in ((u.i, u.ymm), (u.j, u.ymf)):
+        gk, bk = y.real, y.imag
+        ck, sk = np.cos(va[k]), np.sin(va[k])
+        d_vm[u.rows, k] = np.where(u.imag, gk * sk + bk * ck, gk * ck - bk * sk)
+        d_va[u.rows, k] = vm[k] * np.where(u.imag, gk * ck - bk * sk, -gk * sk - bk * ck)
+
+    if pin_ref and view.ref_bus in view.pos:
+        d_va = np.delete(d_va, view.pos[view.ref_bus], axis=1)
     return np.hstack([d_va, d_vm])
 
 
@@ -347,23 +406,18 @@ def jacobian_rect(view: ModelView, specs) -> np.ndarray:
     supported: PMU voltage rows are 0/1 selectors, PMU current rows carry
     branch-admittance coefficients.
     """
-    n = view.n_bus
-    h = np.zeros((len(specs), 2 * n))
-    for r, m in enumerate(specs):
-        if m.kind in PMU_VOLTAGE_KINDS:
-            k = view.require(m.bus)
-            h[r, k if m.kind == "pmu_vr" else n + k] = 1.0
-        elif m.kind in PMU_CURRENT_KINDS:
-            i, j, ymm, ymf = view.branch_ends(m)
-            for k, y in ((i, ymm), (j, ymf)):
-                if m.kind == "pmu_ir":
-                    h[r, k] += y.real
-                    h[r, n + k] += -y.imag
-                else:
-                    h[r, k] += y.imag
-                    h[r, n + k] += y.real
-        else:
+    for m in specs:
+        if m.kind not in PMU_KINDS:
             raise ValidationError(f"{m.kind} is not linear in rectangular coordinates")
+    c = view.compile(specs)
+    n = view.n_bus
+    h = np.zeros((c.n_rows, 2 * n))
+    u = c.volt
+    h[u.rows, u.k + n * u.imag] = 1.0
+    u = c.cur
+    for k, y in ((u.i, u.ymm), (u.j, u.ymf)):
+        h[u.rows, k] = np.where(u.imag, y.imag, y.real)
+        h[u.rows, n + k] = np.where(u.imag, y.real, -y.imag)
     return h
 
 
@@ -400,21 +454,13 @@ def _polar_rect_jacobian(vm, va):
     return j
 
 
-def expand_polar_cov(cov, n, free_angle_idx):
-    """Embed an estimate covariance over [va(free); vm(all)] into the full
-    [va(all); vm(all)] layout, zero variance at pinned angles."""
-    full = np.zeros((2 * n, 2 * n))
-    idx = list(free_angle_idx) + [n + k for k in range(n)]
-    full[np.ix_(idx, idx)] = cov
-    return full
-
-
 def polar_to_rect(state: StateVector, cov=None):
     """(V, theta) -> (V cos theta, V sin theta); covariance transported by
     first-order propagation C_rect = J C_polar J^T.
 
     ``cov``, when given, must be over the full [va; vm] layout (use
-    :func:`expand_polar_cov` for pinned-reference estimates).
+    :meth:`gridstate.wls.PolarModel.embed_cov` for pinned-reference
+    estimates).
     """
     if state.coord != "polar":
         raise ValidationError("polar_to_rect expects a polar state")

@@ -248,6 +248,7 @@ class _CoordinatorModel:
         self.part = part
         self.locals = {lr.area_index: lr for lr in locals_}
         self.prob = prob
+        self.physical = tuple(prob.physical)
         self.view = ModelView.full(net, ref_bus=part.global_ref)
         self.bus_ids = self.view.bus_ids
         self.n = len(self.bus_ids)
@@ -282,7 +283,7 @@ class _CoordinatorModel:
 
     def h(self, x):
         state, u = self.unpack(x)
-        out = [h_eval(self.view, state, tuple(self.prob.physical))] if len(self.prob.physical) else []
+        out = [h_eval(self.view, state, self.physical)] if self.physical else []
         for ai, buses in zip(self.prob.pseudo_area_order, self.prob.pseudo_bus_lists):
             pos = [self.prob.bnd_ids.index(b) for b in buses]
             nb = self.prob.n_bnd
@@ -295,8 +296,8 @@ class _CoordinatorModel:
         state, _ = self.unpack(x)
         nb = self.prob.n_bnd
         rows = []
-        if len(self.prob.physical):
-            jfull = jacobian_polar(self.view, state, tuple(self.prob.physical), pin_ref=False)
+        if self.physical:
+            jfull = jacobian_polar(self.view, state, self.physical, pin_ref=False)
             j_va, j_vm = jfull[:, : self.n], jfull[:, self.n :]
             block = np.zeros((jfull.shape[0], self.n_state))
             block[:, :nb] = j_va[:, self.bnd_pos]

@@ -102,6 +102,14 @@ class PowerNetwork:
                 raise StructureError(f"branch {br.f}-{br.t} references unknown bus")
         if self.buses and not self._connected():
             raise StructureError("bus-connectivity graph is not connected")
+        # lookup tables; a parallel branch keeps the first entry in
+        # ``branches`` order for either orientation
+        ends: dict[tuple[int, int], Branch] = {}
+        for br in self.branches:
+            ends.setdefault((br.f, br.t), br)
+            ends.setdefault((br.t, br.f), br)
+        object.__setattr__(self, "_by_id", {b.id: b for b in self.buses})
+        object.__setattr__(self, "_by_ends", ends)
 
     def _connected(self):
         adj = self.adjacency()
@@ -124,10 +132,10 @@ class PowerNetwork:
         return tuple(b.id for b in self.buses)
 
     def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise ValidationError(f"unknown bus id {bus_id}")
+        try:
+            return self._by_id[bus_id]
+        except KeyError:
+            raise ValidationError(f"unknown bus id {bus_id}") from None
 
     @property
     def slack_bus(self) -> Bus:
@@ -141,11 +149,12 @@ class PowerNetwork:
         return adj
 
     def branch(self, f: int, t: int) -> Branch:
-        """Branch between f and t, either orientation."""
-        for br in self.branches:
-            if (br.f, br.t) == (f, t) or (br.f, br.t) == (t, f):
-                return br
-        raise ValidationError(f"no branch between buses {f} and {t}")
+        """Branch between f and t, either orientation; the first in
+        ``branches`` order when several are parallel."""
+        try:
+            return self._by_ends[(f, t)]
+        except KeyError:
+            raise ValidationError(f"no branch between buses {f} and {t}") from None
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ class PolarModel:
         self.specs = tuple(specs)
         self.ref_angle = float(ref_angle)
         self.pin_angle = bool(pin_angle)
-        view.validate(self.specs)
+        view.compile(self.specs)
         self.n_bus = view.n_bus
         if view.ref_bus not in view.pos:
             raise ValidationError(f"reference bus {view.ref_bus} is not in the view")
@@ -42,6 +42,7 @@ class PolarModel:
         else:
             self.free_va = list(range(self.n_bus))
         self.n_state = len(self.free_va) + self.n_bus
+        self._cols = np.concatenate([self.free_va, self.n_bus + np.arange(self.n_bus)])
 
     def flat(self) -> np.ndarray:
         x = np.zeros(self.n_state)
@@ -65,16 +66,14 @@ class PolarModel:
 
     def jac(self, x) -> np.ndarray:
         full = jacobian_polar(self.view, self.unpack(x), self.specs, pin_ref=False)
-        cols = list(self.free_va) + [self.n_bus + k for k in range(self.n_bus)]
-        return full[:, cols]
+        return full[:, self._cols]
 
     def embed_cov(self, cov_est: np.ndarray) -> np.ndarray:
         """Estimate covariance embedded into the full [va(n); vm(n)] layout
         (zero variance at a pinned reference angle)."""
         n = self.n_bus
         full = np.zeros((2 * n, 2 * n))
-        idx = list(self.free_va) + [n + k for k in range(n)]
-        full[np.ix_(idx, idx)] = cov_est
+        full[np.ix_(self._cols, self._cols)] = cov_est
         return full
 
 
@@ -128,51 +127,57 @@ def wls_estimate(
     z = mset.z
     w_inv_sqrt = 1.0 / mset.sigmas
 
-    def cost(xv):
+    def trial(xv):
+        """(J(xv), z - h(xv)); (inf, the error) when xv left the state
+        domain (e.g. vm <= 0)."""
         try:
-            return float(np.sum(((z - model.h(xv)) * w_inv_sqrt) ** 2))
-        except ValidationError:
-            return np.inf  # step left the state domain (e.g. vm <= 0)
+            r = z - model.h(xv)
+        except ValidationError as exc:
+            return np.inf, exc
+        return float(np.sum((r * w_inv_sqrt) ** 2)), r
 
     x = model.flat() if init is None else model.pack(init)
-    j_here = cost(x)
+    r = z - model.h(x)
+    j_here = float(np.sum((r * w_inv_sqrt) ** 2))
     converged = False
     iterations = 0
     for k in range(1, k_limit + 1):
-        r = z - model.h(x)
         h = model.jac(x)
         h_w = h * w_inv_sqrt[:, None]
-        g = h_w.T @ (r * w_inv_sqrt)
-        dx, _ = _solve_gain(h_w, r * w_inv_sqrt)
+        r_w = r * w_inv_sqrt
+        g = h_w.T @ r_w
+        dx, gain = _solve_gain(h_w, r_w)
         # pure Gauss-Newton (Eq-9-style) step whenever it descends; under
         # weak redundancy the full step can overshoot the curved valley of
         # the P/Q-only objective, so fall back to Marquardt damping
-        if cost(x + dx) > j_here:
-            gain = h_w.T @ h_w
+        j_next, r_next = trial(x + dx)
+        if j_next > j_here:
             damp = np.diag(np.clip(np.diag(gain), 1e-8, None))
             mu = 1e-4
             for _ in range(24):
                 dx_mu = np.linalg.solve(gain + mu * damp, g)
-                if cost(x + dx_mu) <= j_here:
-                    dx = dx_mu
+                j_mu, r_mu = trial(x + dx_mu)
+                if j_mu <= j_here:
+                    dx, j_next, r_next = dx_mu, j_mu, r_mu
                     break
                 mu *= 8.0
+        if isinstance(r_next, ValidationError):
+            raise r_next  # the accepted step left the state domain
+        # the accepted trial's residual is the next iterate's
         x = x + dx
-        j_here = cost(x)
+        j_here, r = j_next, r_next
         iterations = k
         if np.max(np.abs(dx)) < tol:
             converged = True
             break
 
-    r = z - model.h(x)
     h = model.jac(x)
     gain = (h * w_inv_sqrt[:, None]).T @ (h * w_inv_sqrt[:, None])
     try:
         cov = np.linalg.inv(gain)
     except np.linalg.LinAlgError:
         raise UnobservableError("gain matrix singular at the solution") from None
-    obj = float(np.sum((r * w_inv_sqrt) ** 2))
-    return EstimationResult(model.unpack(x), cov, iterations, converged, obj, r, model)
+    return EstimationResult(model.unpack(x), cov, iterations, converged, j_here, r, model)
 
 
 def check_observable(model: PolarModel, state: StateVector | None = None) -> bool:

@@ -156,3 +156,22 @@ def test_mu_flag_switches_strategy():
     ov2 = _cfg_overrides(ns2)
     assert ov2["lambda_strategy"] == "exact"
     assert ov2["s0"] == 0.1 and ov2["e0"] == 0.2
+
+
+def test_estimate_accepts_bundled_config_name(tmp_path, monkeypatch):
+    from gridstate import cli
+    from gridstate.caseio import default_config, load_ieee30_config
+
+    seen = []
+    run_mode = cli.run_mode
+
+    def spy(exp, mode, parallel=False):
+        seen.append(exp.cfg)
+        return run_mode(exp, mode, parallel)
+
+    monkeypatch.setattr(cli, "run_mode", spy)
+    assert main(["estimate", "--config", "ieee30.cfg", "--out", str(tmp_path)]) == 0
+    (cfg,) = seen
+    assert (cfg.lambda_strategy, cfg.mu, cfg.s0) == ("approx", 100.0, 0.05)
+    assert cfg == load_ieee30_config() and cfg.s0 != default_config().s0
+    assert (tmp_path / "estimate_multiarea-robust.csv").exists()

@@ -3,6 +3,7 @@ import pytest
 
 from gridstate.errors import ValidationError
 from gridstate.measurement import (
+    ALL_KINDS,
     Measurement,
     ModelView,
     h_eval,
@@ -239,6 +240,12 @@ def test_measurement_validation():
     assert m.metered_bus() == 2
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_sigma_rejected(sigma):
+    with pytest.raises(ValidationError):
+        Measurement(0, "p_inj", 0.0, sigma, bus=1)
+
+
 def test_injection_needs_full_neighborhood(net30, part30, truth30):
     view = ModelView.for_area(net30, part30, 1)
     bad = (Measurement(0, "p_inj", 0.0, 1.0, bus=9),)  # external bus
@@ -251,3 +258,186 @@ def test_wrap_angle():
     assert wrap_angle(np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
     assert abs(wrap_angle(0.3) - 0.3) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# compiled measurement model
+
+
+def _evaluable(view, specs):
+    return [
+        m
+        for m in specs
+        if all(b in view.pos for b in (m.branch or (m.bus,)))
+        and (m.kind not in ("p_inj", "q_inj") or m.bus in view.injection_ok)
+    ]
+
+
+def _random_state(view, rng):
+    n = view.n_bus
+    vm = 1.0 + 0.05 * rng.standard_normal(n)
+    return StateVector("polar", view.bus_ids, vm, 0.2 * rng.standard_normal(n))
+
+
+def _all_views(net30, part30):
+    return [ModelView.full(net30)] + [ModelView.for_area(net30, part30, i) for i in (1, 2, 3)]
+
+
+def test_rows_follow_spec_permutation(net30, part30, specs30):
+    rng = np.random.default_rng(21)
+    for view in _all_views(net30, part30):
+        owned = _evaluable(view, specs30)
+        lists = [owned] + [[m for m in owned if m.kind == k] for k in ALL_KINDS]
+        st = _random_state(view, rng)
+        for specs in lists:
+            if not specs:
+                continue
+            perm = rng.permutation(len(specs))
+            shuffled = [specs[k] for k in perm]
+            fresh = ModelView(net30, view.bus_ids, view.ref_bus)
+            np.testing.assert_allclose(
+                h_eval(fresh, st, shuffled), h_eval(view, st, specs)[perm], rtol=1e-13, atol=1e-15
+            )
+            for pin_ref in (True, False):
+                np.testing.assert_allclose(
+                    jacobian_polar(fresh, st, shuffled, pin_ref=pin_ref),
+                    jacobian_polar(view, st, specs, pin_ref=pin_ref)[perm],
+                    rtol=1e-13,
+                    atol=1e-15,
+                )
+
+
+def test_jacobian_pin_ref_drops_reference_angle_column(net30, part30, specs30):
+    view = ModelView.for_area(net30, part30, 2)
+    specs = _evaluable(view, specs30)
+    st = _random_state(view, np.random.default_rng(4))
+    full = jacobian_polar(view, st, specs, pin_ref=False)
+    pinned = jacobian_polar(view, st, specs, pin_ref=True)
+    assert np.array_equal(pinned, np.delete(full, view.pos[view.ref_bus], axis=1))
+
+
+def test_alternating_spec_lists_match_fresh_views(net30, part30, specs30):
+    view = ModelView.for_area(net30, part30, 1)
+    owned = _evaluable(view, specs30)
+    a = tuple(m for m in owned if not m.kind.startswith("pmu"))
+    b = tuple(m for m in owned if m.kind.startswith("pmu"))
+    st = _random_state(view, np.random.default_rng(8))
+
+    def fresh():
+        return ModelView(net30, view.bus_ids, view.ref_bus)
+
+    for specs in (a, b, a):
+        assert np.array_equal(h_eval(view, st, specs), h_eval(fresh(), st, specs))
+        assert np.array_equal(jacobian_polar(view, st, specs), jacobian_polar(fresh(), st, specs))
+
+    # a list mutated in place between calls is compiled again
+    specs = list(a)
+    h_eval(view, st, specs)
+    specs.reverse()
+    specs.append(b[0])
+    assert np.array_equal(h_eval(view, st, specs), h_eval(fresh(), st, specs))
+    assert np.array_equal(jacobian_polar(view, st, specs), jacobian_polar(fresh(), st, specs))
+
+
+def test_view_keeps_one_compiled_form(net30, part30, specs30):
+    view = ModelView.for_area(net30, part30, 3)
+    owned = _evaluable(view, specs30)
+    a, b = tuple(owned[:10]), tuple(owned[10:])
+    ca = view.compile(a)
+    assert view.compile(a) is ca
+    assert view.compile(list(a)) is ca  # an equal list hits
+    cb = view.compile(b)
+    assert view.compile(b) is cb
+    assert view.compile(a) is not ca  # b evicted a
+
+
+def test_compile_rejects_rows_outside_the_view(net30, part30):
+    view = ModelView.for_area(net30, part30, 1)
+    outside = [b for b in net30.bus_ids if b not in view.pos][0]
+    for bad in (
+        Measurement(0, "pmu_vr", 0.0, 1.0, bus=outside),
+        Measurement(0, "p_flow", 0.0, 1.0, branch=(1, 30)),  # no such branch
+    ):
+        with pytest.raises(ValidationError):
+            view.compile((bad,))
+    good = (Measurement(0, "pmu_vr", 0.0, 1.0, bus=4),)
+    kept = view.compile(good)
+    with pytest.raises(ValidationError):
+        view.compile((Measurement(0, "p_inj", 0.0, 1.0, bus=9),))
+    assert view.compile(good) is kept  # a failed compile leaves the cache alone
+
+
+def _branch_ends(view, m):
+    br = view.net.branch(*m.branch)
+    yff, yft, ytf, ytt = br.admittances()
+    i, j = view.pos[br.f], view.pos[br.t]
+    return (i, j, yff, yft) if m.side == "from" else (j, i, ytt, ytf)
+
+
+def _reference_h_and_jacobian(view, state, specs):
+    """Row-by-row h(x) and H over [va (all); vm (all)], written directly
+    from the measurement equations; the oracle for the compiled model."""
+    vm, va = state.v1, state.v2
+    n = view.n_bus
+    g, b = view.adm.g, view.adm.b
+    v = vm * np.exp(1j * va)
+    s_inj = v * np.conj(view.adm.y @ v)
+    h = np.empty(len(specs))
+    jac = np.zeros((len(specs), 2 * n))
+    d_va, d_vm = jac[:, :n], jac[:, n:]
+    for r, m in enumerate(specs):
+        if m.kind in ("p_inj", "q_inj"):
+            i = view.pos[m.bus]
+            p, q = s_inj[i].real, s_inj[i].imag
+            a_row = g[i] * np.cos(va[i] - va) + b[i] * np.sin(va[i] - va)
+            c_row = g[i] * np.sin(va[i] - va) - b[i] * np.cos(va[i] - va)
+            if m.kind == "p_inj":
+                h[r] = p
+                d_va[r], d_vm[r] = vm[i] * vm * c_row, vm[i] * a_row
+                d_va[r, i] = -q - b[i, i] * vm[i] ** 2
+                d_vm[r, i] = p / vm[i] + g[i, i] * vm[i]
+            else:
+                h[r] = q
+                d_va[r], d_vm[r] = -vm[i] * vm * a_row, vm[i] * c_row
+                d_va[r, i] = p - g[i, i] * vm[i] ** 2
+                d_vm[r, i] = q / vm[i] - b[i, i] * vm[i]
+        elif m.kind in ("pmu_vr", "pmu_vi"):
+            k = view.pos[m.bus]
+            c, s = np.cos(va[k]), np.sin(va[k])
+            if m.kind == "pmu_vr":
+                h[r], d_vm[r, k], d_va[r, k] = vm[k] * c, c, -vm[k] * s
+            else:
+                h[r], d_vm[r, k], d_va[r, k] = vm[k] * s, s, vm[k] * c
+        else:
+            i, j, ymm, ymf = _branch_ends(view, m)
+            cur = ymm * v[i] + ymf * v[j]
+            # dI/dvm_k = y e^{j va_k}, dI/dva_k = j y v_k
+            di_dvm = {i: ymm * np.exp(1j * va[i]), j: ymf * np.exp(1j * va[j])}
+            di_dva = {i: 1j * ymm * v[i], j: 1j * ymf * v[j]}
+            if m.kind in ("pmu_ir", "pmu_ii"):
+                part = np.real if m.kind == "pmu_ir" else np.imag
+                h[r] = part(cur)
+                for k in (i, j):
+                    d_vm[r, k], d_va[r, k] = part(di_dvm[k]), part(di_dva[k])
+            else:
+                # S = v_i conj(I), so dS = dv_i conj(I) + v_i conj(dI)
+                part = np.real if m.kind == "p_flow" else np.imag
+                h[r] = part(v[i] * np.conj(cur))
+                for k in (i, j):
+                    dv_vm, dv_va = (np.exp(1j * va[i]), 1j * v[i]) if k == i else (0.0, 0.0)
+                    d_vm[r, k] = part(dv_vm * np.conj(cur) + v[i] * np.conj(di_dvm[k]))
+                    d_va[r, k] = part(dv_va * np.conj(cur) + v[i] * np.conj(di_dva[k]))
+    return h, jac
+
+
+def test_compiled_model_matches_row_by_row_reference(net30, part30, specs30):
+    rng = np.random.default_rng(13)
+    for view in _all_views(net30, part30):
+        specs = _evaluable(view, specs30)
+        for _ in range(3):
+            st = _random_state(view, rng)
+            h_ref, jac_ref = _reference_h_and_jacobian(view, st, specs)
+            np.testing.assert_allclose(h_eval(view, st, specs), h_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                jacobian_polar(view, st, specs, pin_ref=False), jac_ref, rtol=1e-12, atol=1e-12
+            )

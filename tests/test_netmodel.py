@@ -184,3 +184,25 @@ def test_measurement_ownership_rules(net30, part30, plan30):
     # every measurement in exactly one area
     seen = [i for v in owned.values() for i in v]
     assert len(seen) == len(set(seen)) == len(by_id)
+
+
+def test_branch_lookup_orientation_parallel_and_unknown():
+    buses = (Bus(1, "slack"), Bus(2, "load"), Bus(3, "load"))
+    first, second, other = Branch(2, 1, 0.01, 0.1), Branch(1, 2, 0.02, 0.2), Branch(2, 3, 0.0, 0.1)
+    net = PowerNetwork(buses, (first, second, other))
+    # either orientation finds the first of the two parallel branches
+    assert net.branch(2, 1) is first
+    assert net.branch(1, 2) is first
+    assert net.branch(3, 2) is other
+    swapped = PowerNetwork(buses, (second, first, other))
+    assert swapped.branch(2, 1) is second and swapped.branch(1, 2) is second
+    with pytest.raises(ValidationError):
+        net.branch(1, 3)
+    with pytest.raises(ValidationError):
+        net.branch(1, 99)
+
+
+def test_bus_lookup(net30):
+    assert all(net30.bus(b.id) is b for b in net30.buses)
+    with pytest.raises(ValidationError):
+        net30.bus(999)

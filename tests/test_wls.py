@@ -184,3 +184,57 @@ def test_argument_checks(net30, part30, specs30, truth30):
         wls_estimate(mset, model, tol=0.0)
     with pytest.raises(ValidationError):
         wls_estimate(MeasurementSet(mset.items[:3]), model)
+
+
+def test_one_h_evaluation_per_iteration(net30, part30, specs30, truth30, cfg30, monkeypatch):
+    # bundled experiment, trial 0 at seed 0, area 1 (as cli.synth_for_trial)
+    from gridstate import wls
+    from gridstate.measurement import synthesize
+
+    rng = np.random.default_rng([0, 0])
+    mset = synthesize(ModelView.full(net30), truth30, specs30, cfg30.sigma_for, rng)
+    scada, pmu = split_measurements(part30, mset)
+    anchor = _pmu_ref_anchor(pmu[1], part30.areas[0].ref_bus)
+    tse_set = MeasurementSet(tuple(scada[1]) + anchor)
+    model = PolarModel(ModelView.for_area(net30, part30, 1), tuple(tse_set), pin_angle=not anchor)
+
+    calls = []
+    h_eval = wls.h_eval
+
+    def counted(*args):
+        calls.append(1)
+        return h_eval(*args)
+
+    monkeypatch.setattr(wls, "h_eval", counted)
+    res = wls_estimate(tse_set, model, tol=cfg30.epsilon, k_limit=cfg30.k_limit)
+    assert res.converged
+    # the start point plus one trial step per iteration, no damping here
+    assert (len(calls), res.iterations) == (6, 5)
+    assert len(calls) < 2 * res.iterations
+
+
+class _DomainModel(_LinearModel):
+    """Linear model whose h leaves the state domain anywhere but at x0."""
+
+    def __init__(self, a, c, bus_ids, x0):
+        super().__init__(a, c, bus_ids)
+        self.x0 = x0
+
+    def flat(self):
+        return self.x0.copy()
+
+    def h(self, x):
+        if not np.array_equal(x, self.x0):
+            raise ValidationError("polar state requires positive magnitudes")
+        return super().h(x)
+
+
+def test_accepted_step_outside_domain_raises():
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((6, 4))
+    model = _DomainModel(a, np.zeros(6), (1, 2), np.array([0.0, 0.0, 1.0, 1.0]))
+    mset = MeasurementSet(
+        tuple(Measurement(k, "pmu_vr", float(rng.standard_normal()), 1.0, bus=1) for k in range(6))
+    )
+    with pytest.raises(ValidationError, match="positive magnitudes"):
+        wls_estimate(mset, model)
