@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
@@ -184,6 +185,10 @@ class ExperimentConfig:
     mode: str = "multiarea-robust"
 
     def __post_init__(self):
+        # NaN passes every ordered comparison below, and inf never converges
+        for name in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         for name in ("sigma_injection", "sigma_flow", "sigma_pmu"):
             if getattr(self, name) <= 0.0:
                 raise ValidationError(f"{name} must be positive")
@@ -215,6 +220,7 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _BOOL_KEYS = {"tse_cov_diagonal", "level2_reuse_boundary"}
 _INT_KEYS = {"trials", "seed", "k_limit"}
 _STR_KEYS = {"partition", "plan", "lambda_strategy", "mode"}
+_FLOAT_KEYS = tuple(k for k in _CONFIG_TYPES if k not in _BOOL_KEYS | _INT_KEYS | _STR_KEYS)
 
 
 def parse_config(text: str) -> ExperimentConfig:

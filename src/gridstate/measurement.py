@@ -51,6 +51,8 @@ class Measurement:
             raise ValidationError(f"unknown measurement kind {self.kind!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValidationError(f"measurement {self.id}: sigma must be positive and finite")
+        if not math.isfinite(self.value):
+            raise ValidationError(f"measurement {self.id}: value must be finite")
         needs_branch = self.kind in FLOW_KINDS + PMU_CURRENT_KINDS
         if needs_branch and self.branch is None:
             raise ValidationError(f"measurement {self.id}: {self.kind} requires a branch")

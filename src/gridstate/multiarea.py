@@ -48,7 +48,7 @@ from .measurement import (
 )
 from .netmodel import AreaPartition, PowerNetwork, boundary_measurement_ownership
 from .powerflow import StateVector
-from .wls import PolarModel, check_observable, wls_estimate
+from .wls import PolarModel, _solve_gain, check_observable, wls_estimate
 
 
 # deweighting of the reference PMU phasor when used as the traditional
@@ -218,8 +218,9 @@ class CoordinatorProblem:
 
     Unknowns x_c = [va(bnd, global frame); vm(bnd); u_2..u_r].  Rows:
     boundary SCADA, coordinator PMU rows, then per-area pseudo-measurement
-    rows [va(bnd_i); vm(bnd_i); va(ext_i); vm(ext_i)] carrying the level-1
-    covariance blocks as weights.
+    rows [va(bnd_i); vm(bnd_i); va(ext_i); vm(ext_i)].  The weight matrix
+    is block-diagonal and kept as its blocks: the variances of the
+    physical rows, then one level-1 covariance block per pseudo area.
     """
 
     bnd_ids: tuple[int, ...]
@@ -227,7 +228,8 @@ class CoordinatorProblem:
     pseudo_area_order: tuple[int, ...]
     pseudo_bus_lists: tuple[tuple[int, ...], ...]
     z: np.ndarray
-    w: np.ndarray
+    w_diag: np.ndarray
+    w_blocks: tuple[np.ndarray, ...]
 
     @property
     def n_bnd(self):
@@ -252,81 +254,69 @@ class _CoordinatorModel:
         self.view = ModelView.full(net, ref_bus=part.global_ref)
         self.bus_ids = self.view.bus_ids
         self.n = len(self.bus_ids)
-        self.bnd_pos = [self.view.pos[b] for b in prob.bnd_ids]
         self.r = part.area_count
-        self.n_state = 2 * prob.n_bnd + (self.r - 1)
-        # pinned (non-boundary) buses: owning area and local estimate
-        self.pinned = {}
+        nb = prob.n_bnd
+        self.n_state = 2 * nb + (self.r - 1)
+        self.bnd_pos = np.array([self.view.pos[b] for b in prob.bnd_ids], dtype=int)
+        # pinned (non-boundary) buses: view position, owning area, local estimate
+        pin_pos, pin_area, pin_vm, pin_va = [], [], [], []
         for area in part.areas:
             lr = self.locals[area.index]
             for b in area.internal:
                 vm, va = lr.state.at(b)
-                self.pinned[b] = (area.index, vm, va)
+                pin_pos.append(self.view.pos[b])
+                pin_area.append(area.index)
+                pin_vm.append(vm)
+                pin_va.append(va)
+        self.pin_pos = np.array(pin_pos, dtype=int)
+        self.pin_u = np.array(pin_area, dtype=int) - 1
+        self.pin_vm = np.array(pin_vm)
+        self.pin_va = np.array(pin_va)
+        # d(pinned angle)/d(u_2..u_r)
+        self.pin_to_u = np.eye(self.r)[self.pin_u, 1:]
+        # pseudo rows [va(buses) - u_ai; vm(buses)] are linear in x_c
+        bnd_at = {b: j for j, b in enumerate(prob.bnd_ids)}
+        col, u_rows, u_cols = [], [], []
+        for ai, buses in zip(prob.pseudo_area_order, prob.pseudo_bus_lists):
+            pos = [bnd_at[b] for b in buses]
+            if ai >= 2:
+                u_rows += range(len(col), len(col) + len(pos))
+                u_cols += [2 * nb + ai - 2] * len(pos)
+            col += pos + [nb + p for p in pos]
+        self.pseudo_col = np.array(col, dtype=int)
+        self.pseudo_jac = np.zeros((len(col), self.n_state))
+        self.pseudo_jac[np.arange(len(col)), self.pseudo_col] = 1.0
+        self.pseudo_jac[u_rows, u_cols] = -1.0
 
     def unpack(self, x):
         nb = self.prob.n_bnd
-        va_b = x[:nb]
-        vm_b = x[nb : 2 * nb]
         u = np.concatenate([[0.0], x[2 * nb :]])
         vm = np.empty(self.n)
         va = np.empty(self.n)
-        for k, bid in enumerate(self.bus_ids):
-            if bid in self.pinned:
-                ai, pvm, pva = self.pinned[bid]
-                vm[k] = pvm
-                va[k] = pva + u[ai - 1]
-            else:
-                j = self.prob.bnd_ids.index(bid)
-                vm[k] = vm_b[j]
-                va[k] = va_b[j]
-        return StateVector("polar", self.bus_ids, vm, va, ref_bus=self.part.global_ref), u
+        vm[self.bnd_pos] = x[nb : 2 * nb]
+        va[self.bnd_pos] = x[:nb]
+        vm[self.pin_pos] = self.pin_vm
+        va[self.pin_pos] = self.pin_va + u[self.pin_u]
+        return StateVector("polar", self.bus_ids, vm, va, ref_bus=self.part.global_ref)
 
     def h(self, x):
-        state, u = self.unpack(x)
-        out = [h_eval(self.view, state, self.physical)] if self.physical else []
-        for ai, buses in zip(self.prob.pseudo_area_order, self.prob.pseudo_bus_lists):
-            pos = [self.prob.bnd_ids.index(b) for b in buses]
-            nb = self.prob.n_bnd
-            va_rows = x[pos] - u[ai - 1]
-            vm_rows = x[[nb + p for p in pos]]
-            out.append(np.concatenate([va_rows, vm_rows]))
-        return np.concatenate(out) if out else np.zeros(0)
+        physical = h_eval(self.view, self.unpack(x), self.physical)
+        return np.concatenate([physical, self.pseudo_jac @ x])
 
     def jac(self, x):
-        state, _ = self.unpack(x)
-        nb = self.prob.n_bnd
-        rows = []
-        if self.physical:
-            jfull = jacobian_polar(self.view, state, self.physical, pin_ref=False)
-            j_va, j_vm = jfull[:, : self.n], jfull[:, self.n :]
-            block = np.zeros((jfull.shape[0], self.n_state))
-            block[:, :nb] = j_va[:, self.bnd_pos]
-            block[:, nb : 2 * nb] = j_vm[:, self.bnd_pos]
-            for k, bid in enumerate(self.bus_ids):
-                if bid in self.pinned:
-                    ai = self.pinned[bid][0]
-                    if ai >= 2:  # pinned angle = local + u_ai
-                        block[:, 2 * nb + ai - 2] += j_va[:, k]
-            rows.append(block)
-        for ai, buses in zip(self.prob.pseudo_area_order, self.prob.pseudo_bus_lists):
-            pos = [self.prob.bnd_ids.index(b) for b in buses]
-            nbus = len(buses)
-            block = np.zeros((2 * nbus, self.n_state))
-            for r_, p in enumerate(pos):
-                block[r_, p] = 1.0  # va row
-                if ai >= 2:
-                    block[r_, 2 * nb + ai - 2] = -1.0
-                block[nbus + r_, nb + p] = 1.0  # vm row
-            rows.append(block)
-        return np.vstack(rows)
+        jfull = jacobian_polar(self.view, self.unpack(x), self.physical, pin_ref=False)
+        j_va, j_vm = jfull[:, : self.n], jfull[:, self.n :]
+        physical = np.hstack(
+            [j_va[:, self.bnd_pos], j_vm[:, self.bnd_pos], j_va[:, self.pin_pos] @ self.pin_to_u]
+        )
+        return np.vstack([physical, self.pseudo_jac])
 
 
 def _assemble_coordinator(net, part, locals_, z_b, z_pmu, cfg) -> CoordinatorProblem:
     bnd_ids = part.boundary_buses()
     physical = MeasurementSet(tuple(z_b) + tuple(z_pmu))
-    z_parts = [physical.z] if len(physical) else []
-    w_blocks = [np.diag(physical.sigmas**2)] if len(physical) else []
-    area_order, bus_lists = [], []
+    z_parts = [physical.z]
+    w_blocks, area_order, bus_lists = [], [], []
     for area in part.areas:
         lr = next(l for l in locals_ if l.area_index == area.index)
         buses = tuple(area.boundary) + tuple(area.external)
@@ -337,15 +327,10 @@ def _assemble_coordinator(net, part, locals_, z_b, z_pmu, cfg) -> CoordinatorPro
         bus_lists.append(buses)
         z_parts.append(np.concatenate([va, vm]))
         w_blocks.append(cov + cfg.variance_floor * np.eye(2 * len(buses)))
-    z = np.concatenate(z_parts) if z_parts else np.zeros(0)
-    total = len(z)
-    w = np.zeros((total, total))
-    at = 0
-    for blk in w_blocks:
-        k = blk.shape[0]
-        w[at : at + k, at : at + k] = blk
-        at += k
-    return CoordinatorProblem(bnd_ids, physical, tuple(area_order), tuple(bus_lists), z, w)
+    return CoordinatorProblem(
+        bnd_ids, physical, tuple(area_order), tuple(bus_lists),
+        np.concatenate(z_parts), physical.sigmas**2, tuple(w_blocks),
+    )
 
 
 @dataclass(frozen=True)
@@ -367,53 +352,47 @@ class GlobalResult:
 
 
 def _coordinator_init(model: _CoordinatorModel, prob: CoordinatorProblem):
+    """Boundary states start at the mean of their level-1 pseudo values,
+    offsets at zero."""
     nb = prob.n_bnd
-    sums_va = np.zeros(nb)
-    sums_vm = np.zeros(nb)
-    counts = np.zeros(nb)
-    for ai, buses in zip(prob.pseudo_area_order, prob.pseudo_bus_lists):
-        lr = model.locals[ai]
-        for b in buses:
-            vm, va = lr.state.at(b)
-            j = prob.bnd_ids.index(b)
-            sums_va[j] += va
-            sums_vm[j] += vm
-            counts[j] += 1.0
-    if np.any(counts == 0.0):
-        missing = [prob.bnd_ids[j] for j in range(nb) if counts[j] == 0.0]
+    pseudo_z = prob.z[len(prob.w_diag) :]
+    sums = np.bincount(model.pseudo_col, weights=pseudo_z, minlength=2 * nb)
+    counts = np.bincount(model.pseudo_col, minlength=2 * nb)
+    if np.any(counts[:nb] == 0):
+        missing = [prob.bnd_ids[j] for j in range(nb) if counts[j] == 0]
         raise NumericalError(f"boundary buses {missing} have no level-1 pseudo-measurement")
-    x0 = np.concatenate([sums_va / counts, sums_vm / counts, np.zeros(model.r - 1)])
-    return x0
+    return np.concatenate([sums / counts, np.zeros(model.r - 1)])
 
 
-def _gauss_newton(model, z, w, x0, tol, k_limit, label):
-    sigma_inv = 1.0 / np.sqrt(np.diag(w))
-    # non-diagonal weight: whiten through a Cholesky factor instead
-    dense = np.any(w != np.diag(np.diag(w)))
-    if dense:
+def _gauss_newton(model, prob: CoordinatorProblem, x0, tol, k_limit, label):
+    """Gauss-Newton over the block-diagonal weight of ``prob``.
+
+    Each weight block is factored once (W_i = L_i L_i'); every iteration
+    whitens [r, J] block by block with L_i^-1 and steps through the
+    Cholesky of the normal equations.  Returns (x, inverse gain at x's
+    last step, iterations)."""
+    p = len(prob.w_diag)
+    sigma_inv = 1.0 / np.sqrt(prob.w_diag)
+    whiteners = []  # (rows, L_i^-1)
+    at = p
+    for w_blk in prob.w_blocks:
+        k = w_blk.shape[0]
         try:
-            l_fac = np.linalg.cholesky(w)
+            l_fac = np.linalg.cholesky(w_blk)
         except np.linalg.LinAlgError:
             raise NumericalError(f"{label}: weight matrix not positive definite") from None
+        whiteners.append((slice(at, at + k), np.linalg.inv(l_fac)))
+        at += k
     x = np.array(x0, dtype=float)
     for k in range(1, k_limit + 1):
-        r = z - model.h(x)
-        j = model.jac(x)
-        if dense:
-            r_w = np.linalg.solve(l_fac, r)
-            j_w = np.linalg.solve(l_fac, j)
-        else:
-            r_w = r * sigma_inv
-            j_w = j * sigma_inv[:, None]
-        try:
-            dx = np.linalg.lstsq(j_w, r_w, rcond=None)[0]
-            gain = j_w.T @ j_w
-            cov = np.linalg.inv(gain)
-        except np.linalg.LinAlgError:
-            raise UnobservableError(f"{label}: singular normal matrix") from None
+        rj = np.column_stack([prob.z - model.h(x), model.jac(x)])
+        rj[:p] *= sigma_inv[:, None]
+        for rows, l_inv in whiteners:
+            rj[rows] = l_inv @ rj[rows]
+        dx, gain = _solve_gain(rj[:, 1:], rj[:, 0])
         x = x + dx
         if np.max(np.abs(dx)) < tol:
-            return x, cov, k
+            return x, np.linalg.inv(gain), k
     raise NumericalError(f"{label}: no convergence in {k_limit} iterations")
 
 
@@ -440,7 +419,7 @@ def level2_run(
         model = _CoordinatorModel(net, part, locals_, prob, cfg)
         x0 = _coordinator_init(model, prob)
         x_hat, cov_c, iters = _gauss_newton(
-            model, prob.z, prob.w, x0, cfg.epsilon, cfg.k_limit, "coordinator"
+            model, prob, x0, cfg.epsilon, cfg.k_limit, "coordinator"
         )
         nb = len(bnd_ids)
         u = np.concatenate([[0.0], x_hat[2 * nb :]])

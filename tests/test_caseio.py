@@ -97,6 +97,15 @@ def test_config_validation():
     assert cfg.mu == 3.5 and cfg.tse_cov_diagonal
 
 
+@pytest.mark.parametrize("key", caseio._FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite(key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        ExperimentConfig(**{key: float(value)})
+    with pytest.raises(ValidationError, match=f"{key} must be finite"):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_low_redundancy_warning(net30, part30):
     plan = parse_plan("INJ 2\nPMU 4\n")
     _, warnings = redundancy(net30, part30, plan)

@@ -123,6 +123,21 @@ def test_bad_uncertainty_flag(capsys):
     assert main(["estimate", "--mode", "central-wls", "--uncertainty", "1"]) == 1
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--tol", "nan", "epsilon"),
+    ("--tol", "inf", "epsilon"),
+    ("--mu", "nan", "mu"),
+    ("--mu", "inf", "mu"),
+    ("--uncertainty", "nan,0.05", "s0"),
+    ("--uncertainty", "0.05,inf", "e0"),
+])
+def test_non_finite_flags_are_usage_errors(tmp_path, capsys, flag, value, key):
+    argv = ["estimate", "--config", "ieee30.cfg", flag, value, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_parallel_flag_matches_sequential(tmp_path):
     base = ["estimate", "--partition", "ieee30.areas", "--mode", "multiarea-robust",
             "--seed", "9", "--uncertainty", "0.05,0.05", "--format", "csv"]

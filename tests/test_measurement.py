@@ -5,6 +5,7 @@ from gridstate.errors import ValidationError
 from gridstate.measurement import (
     ALL_KINDS,
     Measurement,
+    MeasurementSet,
     ModelView,
     h_eval,
     jacobian_polar,
@@ -244,6 +245,15 @@ def test_measurement_validation():
 def test_non_finite_sigma_rejected(sigma):
     with pytest.raises(ValidationError):
         Measurement(0, "p_inj", 0.0, sigma, bus=1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_value_rejected(value):
+    with pytest.raises(ValidationError, match="value must be finite"):
+        Measurement(0, "p_inj", value, 1.0, bus=1)
+    mset = MeasurementSet((Measurement(0, "p_inj", 0.0, 1.0, bus=1),))
+    with pytest.raises(ValidationError, match="value must be finite"):
+        mset.with_values([value])
 
 
 def test_injection_needs_full_neighborhood(net30, part30, truth30):

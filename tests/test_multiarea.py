@@ -1,11 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from gridstate.caseio import config_with
-from gridstate.errors import NumericalError
-from gridstate.measurement import MeasurementSet, synthesize, wrap_angle
+from gridstate.errors import NumericalError, UnobservableError
+from gridstate.measurement import MeasurementSet, h_eval, jacobian_polar, synthesize, wrap_angle
 from gridstate.multiarea import (
     GlobalResult,
+    _assemble_coordinator,
+    _coordinator_init,
+    _CoordinatorModel,
+    _gauss_newton,
     compute_errors,
     coordinator_measurements,
     level1_run,
@@ -213,3 +220,136 @@ def test_boundary_injection_uses_pinned_internals(net30, part30, specs30, truth3
     z_b, _ = coordinator_measurements(net30, part30, mset)
     kinds = {(m.kind, m.bus) for m in z_b if m.kind in ("p_inj", "q_inj")}
     assert ("p_inj", 28) in kinds and ("p_inj", 12) in kinds
+
+
+# ---------------------------------------------------------------------------
+# the level-2 coordinator against reference implementations
+
+
+def _coordinator(net30, part30, specs30, truth30, view30, cfg, seed, robust):
+    """(problem, model, x0) of one coordinator solve on the 3-area fixture."""
+    from gridstate.cli import make_delta_sampler
+
+    mset = _noisy(view30, truth30, specs30, cfg, seed)
+    scada, pmu = split_measurements(part30, mset)
+    perturb = make_delta_sampler(seed, 0)
+    locals_ = level1_run(net30, part30, scada, pmu, cfg, robust=robust, perturb=perturb)
+    z_b, z_pmu = coordinator_measurements(net30, part30, mset)
+    prob = _assemble_coordinator(net30, part30, locals_, z_b, z_pmu, cfg)
+    model = _CoordinatorModel(net30, part30, locals_, prob, cfg)
+    return prob, model, _coordinator_init(model, prob)
+
+
+def _loop_h_jac(model, x):
+    """h and Jacobian of the coordinator model by per-bus loops."""
+    prob = model.prob
+    nb = prob.n_bnd
+    u = np.concatenate([[0.0], x[2 * nb :]])
+    pinned = {}
+    for area in model.part.areas:
+        for b in area.internal:
+            pinned[b] = (area.index, *model.locals[area.index].state.at(b))
+    vm, va = np.empty(model.n), np.empty(model.n)
+    for k, bid in enumerate(model.bus_ids):
+        if bid in pinned:
+            ai, pvm, pva = pinned[bid]
+            vm[k], va[k] = pvm, pva + u[ai - 1]
+        else:
+            j = prob.bnd_ids.index(bid)
+            vm[k], va[k] = x[nb + j], x[j]
+    state = StateVector("polar", model.bus_ids, vm, va, ref_bus=model.part.global_ref)
+    jfull = jacobian_polar(model.view, state, model.physical, pin_ref=False)
+    jp = np.zeros((jfull.shape[0], model.n_state))
+    for k, bid in enumerate(model.bus_ids):
+        if bid not in pinned:
+            j = prob.bnd_ids.index(bid)
+            jp[:, j] = jfull[:, k]
+            jp[:, nb + j] = jfull[:, model.n + k]
+        elif pinned[bid][0] >= 2:
+            jp[:, 2 * nb + pinned[bid][0] - 2] += jfull[:, k]
+    h, jac = [h_eval(model.view, state, model.physical)], [jp]
+    for ai, buses in zip(prob.pseudo_area_order, prob.pseudo_bus_lists):
+        pos = [prob.bnd_ids.index(b) for b in buses]
+        h.append(np.concatenate([x[pos] - u[ai - 1], x[[nb + p for p in pos]]]))
+        blk = np.zeros((2 * len(pos), model.n_state))
+        for r, p in enumerate(pos):
+            blk[r, p] = 1.0
+            blk[len(pos) + r, nb + p] = 1.0
+            if ai >= 2:
+                blk[r, 2 * nb + ai - 2] = -1.0
+        jac.append(blk)
+    return np.concatenate(h), np.vstack(jac)
+
+
+def _dense_gauss_newton(model, prob, x0, tol, k_limit):
+    """The coordinator's Gauss-Newton on the dense m x m weight matrix:
+    whole-matrix Cholesky whitening, SVD least squares, explicit inverse."""
+    w = block_diag(np.diag(prob.w_diag), *prob.w_blocks)
+    l_fac = np.linalg.cholesky(w)
+    x = np.array(x0, dtype=float)
+    for k in range(1, k_limit + 1):
+        r_w = np.linalg.solve(l_fac, prob.z - model.h(x))
+        j_w = np.linalg.solve(l_fac, model.jac(x))
+        dx = np.linalg.lstsq(j_w, r_w, rcond=None)[0]
+        cov = np.linalg.inv(j_w.T @ j_w)
+        x = x + dx
+        if np.max(np.abs(dx)) < tol:
+            return x, cov, k
+    raise AssertionError("dense oracle did not converge")
+
+
+@pytest.mark.parametrize("robust", [True, False])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_coordinator_model_matches_loop_reference(net30, part30, specs30, truth30, view30,
+                                                  cfg30, robust, seed):
+    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed, robust)
+    rng = np.random.default_rng(seed)
+    for x in (x0, x0 + 1e-2 * rng.standard_normal(x0.shape)):
+        h_ref, jac_ref = _loop_h_jac(model, x)
+        assert np.abs(model.h(x) - h_ref).max() <= 1e-14
+        assert np.abs(model.jac(x) - jac_ref).max() <= 1e-12 * np.abs(jac_ref).max()
+
+
+@pytest.mark.parametrize("robust", [True, False])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_coordinator_matches_dense_oracle(net30, part30, specs30, truth30, view30, cfg30,
+                                          robust, seed):
+    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed, robust)
+    assert len(prob.w_diag) + sum(b.shape[0] for b in prob.w_blocks) == len(prob.z)
+    tol, k_limit = cfg30.epsilon, cfg30.k_limit
+    x, cov, iters = _gauss_newton(model, prob, x0, tol, k_limit, "coordinator")
+    x_ref, cov_ref, iters_ref = _dense_gauss_newton(model, prob, x0, tol, k_limit)
+    assert iters == iters_ref >= 2
+    assert np.abs(x - x_ref).max() <= 1e-10
+    assert np.abs(cov - cov_ref).max() <= 1e-8 * np.abs(cov_ref).max()
+
+
+def test_coordinator_indefinite_weight_block(net30, part30, specs30, truth30, view30, cfg30):
+    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    blk = prob.w_blocks[1].copy()
+    blk[0, 0] = -blk[0, 0]
+    bad = replace(prob, w_blocks=(prob.w_blocks[0], blk, *prob.w_blocks[2:]))
+    with pytest.raises(NumericalError, match="coordinator: weight matrix not positive definite"):
+        _gauss_newton(model, bad, x0, cfg30.epsilon, cfg30.k_limit, "coordinator")
+
+
+def test_coordinator_rank_deficient(net30, part30, specs30, truth30, view30, cfg30):
+    # area 1's pseudo rows alone leave the other areas' offsets u and their
+    # own boundary states free
+    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    n1 = prob.w_blocks[0].shape[0]
+    p = len(prob.w_diag)
+    only1 = replace(
+        prob, physical=MeasurementSet(()), pseudo_area_order=prob.pseudo_area_order[:1],
+        pseudo_bus_lists=prob.pseudo_bus_lists[:1], z=prob.z[p : p + n1],
+        w_diag=np.zeros(0), w_blocks=prob.w_blocks[:1],
+    )
+    model1 = _CoordinatorModel(net30, part30, model.locals.values(), only1, cfg30)
+    with pytest.raises(UnobservableError):
+        _gauss_newton(model1, only1, x0, cfg30.epsilon, cfg30.k_limit, "coordinator")
+
+
+def test_coordinator_iteration_limit(net30, part30, specs30, truth30, view30, cfg30):
+    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    with pytest.raises(NumericalError, match="coordinator: no convergence in 1 iterations"):
+        _gauss_newton(model, prob, x0, 1e-30, 1, "coordinator")
