@@ -87,6 +87,7 @@ class RobustSolution:
     r_hat: np.ndarray
     worst_case: float
     strategy: str
+    cov: np.ndarray  # covariance of x when z has covariance R^-1
 
 
 def spectral_norm_strs(s, r) -> float:
@@ -98,49 +99,58 @@ def spectral_norm_strs(s, r) -> float:
 
 
 class _Evaluator:
-    """Shared factorizations for repeated G(lambda) / x(lambda) evaluation."""
+    """Shared factorizations for repeated G(lambda) evaluation; R S and H'R
+    are formed once and every product with R derives from them."""
 
     def __init__(self, p: RobustProblem):
         self.p = p
         u = p.uncertainty
-        strs = u.s.T @ p.r @ u.s
+        rs, htr = p.r @ u.s, p.h.T @ p.r
+        strs = u.s.T @ rs
         d, q = np.linalg.eigh(0.5 * (strs + strs.T)) if u.q else (np.zeros(0), np.zeros((0, 0)))
         self.d = np.clip(d, 0.0, None)
         self.lam0 = float(self.d[-1]) if len(self.d) else 0.0
-        self.b = p.r @ u.s @ q if u.q else np.zeros((p.h.shape[0], 0))  # R S Q
+        self.b, self.sq = rs @ q, u.s @ q  # R S Q, S Q
         self.htb = p.h.T @ self.b
-        self.htrh = p.h.T @ p.r @ p.h
-        self.htrz = p.h.T @ p.r @ p.z
+        self.btz = self.b.T @ p.z
+        self.htrh, self.htrz = htr @ p.h, htr @ p.z
         self.ehteh = u.e_h.T @ u.e_h
         self.ehtez = u.e_h.T @ u.e_z
         self._scale = max(1.0, self.lam0)
 
-    def _weights(self, lam: float) -> tuple[float, np.ndarray]:
-        """Effective lambda and the eigen-weights of (lam I - S'RS)^+."""
-        edge = self.lam0 + _EDGE_SHIFT * self._scale
-        lam_eff = max(float(lam), edge)
-        return lam_eff, 1.0 / (lam_eff - self.d)
-
-    def r_of(self, lam: float) -> np.ndarray:
-        lam_eff, w = self._weights(lam)
-        return self.p.r + (self.b * w) @ self.b.T
-
-    def x_of(self, lam: float) -> np.ndarray:
-        lam_eff, w = self._weights(lam)
-        lhs = lam_eff * self.ehteh + self.htrh + (self.htb * w) @ self.htb.T
-        rhs = self.htrz + (self.htb * w) @ (self.b.T @ self.p.z) + lam_eff * self.ehtez
+    def _solve(self, lam: float, with_cov: bool = False):
+        """(effective lambda, eigen-weights w of (lam I - S'RS)^+, x(lam)).
+        ``with_cov`` also solves for P = N^-1 (H' + H'RSQ w (SQ)'), N the
+        normal matrix, and returns [x P]: x = A z + const with
+        A = N^-1 H'R(lam) = P R, so A R^-1 A' = P R P'."""
+        lam_eff = max(float(lam), self.lam0 + _EDGE_SHIFT * self._scale)
+        w = 1.0 / (lam_eff - self.d)
+        hw = self.htb * w
+        lhs = lam_eff * self.ehteh + self.htrh + hw @ self.htb.T
+        rhs = self.htrz + hw @ self.btz + lam_eff * self.ehtez
+        if with_cov:
+            rhs = np.column_stack([rhs, self.p.h.T + hw @ self.sq.T])
         try:
-            return np.linalg.solve(lhs, rhs)
+            return lam_eff, w, np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
             raise NumericalError(f"singular robust normal matrix at lambda={lam!r}") from None
 
-    def g(self, lam: float) -> float:
-        lam_eff, w = self._weights(lam)
-        x = self.x_of(lam)
+    def _g(self, lam_eff, w, x) -> float:
         res = self.p.h @ x - self.p.z
         weighted = res @ self.p.r @ res + np.sum(w * (self.b.T @ res) ** 2)
         u = self.p.uncertainty
         return float(lam_eff * np.sum((u.e_h @ x - u.e_z) ** 2) + weighted)
+
+    def g(self, lam: float) -> float:
+        return self._g(*self._solve(lam))
+
+    def solution(self, lam: float, strategy: str) -> RobustSolution:
+        """x(lam), R(lam), G(lam) and the covariance of x for data of
+        covariance R^-1, from one solve of the normal equations."""
+        lam_eff, w, sol = self._solve(lam, with_cov=True)
+        x, pr = sol[:, 0], sol[:, 1:]
+        r_hat = self.p.r + (self.b * w) @ self.b.T
+        return RobustSolution(x, float(lam), r_hat, self._g(lam_eff, w, x), strategy, (pr @ self.p.r) @ pr.T)
 
 
 def g_of_lambda(lam: float, p: RobustProblem) -> float:
@@ -170,14 +180,15 @@ def _golden(f, lo, hi, tol_of):
     return 0.5 * (lo + hi)
 
 
-def min_g(p: RobustProblem, max_doublings: int = 80):
+def min_g(p: RobustProblem, max_doublings: int = 80, evaluator: _Evaluator | None = None):
     """lambda minimizing G over [||S'RS||, inf).
 
     Brackets by geometric expansion from the left endpoint until G rises,
     then refines by golden section to absolute tolerance 1e-8 (1 + lam).
     A flat G (degenerate structure) returns the left endpoint.
+    ``evaluator`` is p's own, when the caller already built it.
     """
-    ev = _Evaluator(p)
+    ev = evaluator or _Evaluator(p)
     lam0 = ev.lam0
     step = 0.01 * max(1.0, lam0)
     f0 = ev.g(lam0)
@@ -205,23 +216,20 @@ def min_g(p: RobustProblem, max_doublings: int = 80):
 
     lam_hat = float(max(_golden(ev.g, bracket[0], bracket[1], lambda mid: 1e-8 * (1.0 + mid)), lam0))
     # the minimum may sit exactly on the domain boundary
-    if ev.g(lam0) <= ev.g(lam_hat):
+    if f0 <= ev.g(lam_hat):
         return lam0
     return lam_hat
 
 
 def lambda_approx(mu: float, s, r) -> float:
     """Practical choice lambda = (1 + mu) ||S'RS||."""
+    return _scaled_lambda(mu, spectral_norm_strs(s, r))
+
+
+def _scaled_lambda(mu: float, lam0: float) -> float:
     if mu < 0.0:
         raise ValidationError("mu must be nonnegative")
-    return (1.0 + mu) * spectral_norm_strs(s, r)
-
-
-def _weighted_ls(h, r, z):
-    try:
-        return np.linalg.solve(h.T @ r @ h, h.T @ r @ z)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular normal matrix in weighted least squares") from None
+    return (1.0 + mu) * lam0
 
 
 def bdu_solve(p: RobustProblem, lam_strategy: str = "exact", mu: float = 1.0) -> RobustSolution:
@@ -229,20 +237,22 @@ def bdu_solve(p: RobustProblem, lam_strategy: str = "exact", mu: float = 1.0) ->
     to the plain weighted LS solution (no lambda machinery involved)."""
     u = p.uncertainty
     if u.is_null() or u.no_perturbation_bound():
-        x = _weighted_ls(p.h, p.r, p.z)
-        res = p.h @ x - p.z
-        return RobustSolution(x, 0.0, p.r.copy(), float(res @ p.r @ res), "reduced")
-
-    if lam_strategy == "exact":
-        lam = min_g(p)
-    elif lam_strategy == "approx":
-        lam = lambda_approx(mu, u.s, p.r)
-    else:
-        raise ValidationError(f"unknown lambda strategy {lam_strategy!r}")
+        htr = p.h.T @ p.r
+        try:
+            sol = np.linalg.solve(htr @ p.h, np.column_stack([htr @ p.z, np.eye(len(htr))]))
+        except np.linalg.LinAlgError:
+            raise NumericalError("singular normal matrix in weighted least squares") from None
+        res = p.h @ sol[:, 0] - p.z
+        return RobustSolution(sol[:, 0], 0.0, p.r.copy(), float(res @ p.r @ res), "reduced", sol[:, 1:])
 
     ev = _Evaluator(p)
-    x = ev.x_of(lam)
-    return RobustSolution(x, float(lam), ev.r_of(lam), ev.g(lam), lam_strategy)
+    if lam_strategy == "exact":
+        lam = min_g(p, evaluator=ev)
+    elif lam_strategy == "approx":
+        lam = _scaled_lambda(mu, ev.lam0)
+    else:
+        raise ValidationError(f"unknown lambda strategy {lam_strategy!r}")
+    return ev.solution(lam, lam_strategy)
 
 
 def worst_case_objective(x, p: RobustProblem, samples: int = 256, seed: int = 0) -> float:

@@ -163,8 +163,8 @@ def run_mode(exp: Experiment, mode: str, parallel: bool = False):
 
 def cmd_powerflow(args) -> int:
     net = caseio.parse_case(_resolve_text(args.case, "ieee30.case")[0])
-    if args.tol is not None and args.tol <= 0.0:
-        raise ValidationError("--tol must be positive")
+    if args.tol is not None and not 0.0 < args.tol < np.inf:
+        raise ValidationError("--tol must be positive and finite")
     sol = run_powerflow(net, tol=args.tol or 1e-8, max_iter=args.max_iter)
     check = masked_mismatch(net, sol.state)
     print(f"converged in {sol.iterations} iterations, max mismatch {sol.max_mismatch:.3e} "

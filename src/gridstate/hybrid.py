@@ -41,13 +41,14 @@ def _pmu_block_order(pmu: MeasurementSet):
 
 @dataclass(frozen=True)
 class HybridModel:
-    """Stacked linear measurement model z = H x + e over rectangular states."""
+    """Stacked linear measurement model z = H x + e over rectangular states;
+    the block-diagonal error covariance W is kept as its two blocks."""
 
     view: ModelView
     z: np.ndarray
     h: np.ndarray
-    w: np.ndarray  # block-diagonal covariance: TSE block + PMU sigma^2 diag
-    r: np.ndarray  # W^-1
+    w_pseudo: np.ndarray  # 2n x 2n pseudo-state covariance, floored
+    w_pmu: np.ndarray  # PMU variances sigma^2, one per PMU row
     pmu_specs: tuple
 
     @property
@@ -90,21 +91,11 @@ def stack_model(
         if m.kind not in PMU_VOLTAGE_KINDS + PMU_CURRENT_KINDS:
             raise ValidationError(f"non-PMU measurement {m.kind} in the hybrid stack")
     z = np.concatenate([rect_state.v1, rect_state.v2, [m.value for m in pmu_specs]])
-    h_top = np.eye(2 * n)
+    h = np.eye(2 * n)
     if pmu_specs:
-        h = np.vstack([h_top, jacobian_rect(view, pmu_specs)])
-        w_pmu = np.array([m.sigma**2 for m in pmu_specs])
-        w = np.zeros((len(z), len(z)))
-        w[: 2 * n, : 2 * n] = cov
-        w[2 * n :, 2 * n :] = np.diag(w_pmu)
-        r = np.zeros_like(w)
-        r[: 2 * n, : 2 * n] = np.linalg.inv(cov)
-        r[2 * n :, 2 * n :] = np.diag(1.0 / w_pmu)
-    else:
-        h = h_top
-        w = cov
-        r = np.linalg.inv(cov)
-    return HybridModel(view, z, h, w, r, pmu_specs)
+        h = np.vstack([h, jacobian_rect(view, pmu_specs)])
+    w_pmu = np.array([m.sigma**2 for m in pmu_specs])
+    return HybridModel(view, z, h, cov, w_pmu, pmu_specs)
 
 
 def build_hybrid_model(
@@ -145,17 +136,25 @@ def _as_state(m: HybridModel, x) -> StateVector:
     return StateVector("rect", m.view.bus_ids, np.array(x[:n]), np.array(x[n:]), ref_bus=m.view.ref_bus)
 
 
-def _whitener(w) -> np.ndarray:
-    """W^-1/2 by symmetric eigendecomposition; W spans many decades (the
-    floored reference-angle mode), so solves go through whitened least
-    squares rather than the raw normal equations.  Rounding-level negative
-    eigenvalues are clipped relative to the block scale."""
-    evals, vecs = np.linalg.eigh(0.5 * (w + w.T))
-    scale = max(float(evals[-1]), 1e-300)
+def _whitener(m: HybridModel):
+    """W^-1/2 as a function over the model's rows, block by block: the
+    symmetric root of the pseudo-state block from its own eigh, 1/sigma on
+    the PMU rows.  W spans many decades (the floored reference-angle mode),
+    so solves go through whitened least squares rather than the raw normal
+    equations.  Rounding-level negative eigenvalues are clipped relative
+    to the scale of the whole W."""
+    evals, vecs = np.linalg.eigh(0.5 * (m.w_pseudo + m.w_pseudo.T))
+    scale = max(float(evals[-1]), float(m.w_pmu.max(initial=0.0)), 1e-300)
     if evals[0] < -1e-8 * scale:
         raise NumericalError("hybrid covariance is not positive definite")
-    evals = np.clip(evals, 1e-14 * scale, None)
-    return (vecs / np.sqrt(evals)) @ vecs.T
+    pseudo = (vecs / np.sqrt(np.clip(evals, 1e-14 * scale, None))) @ vecs.T
+    pmu = 1.0 / np.sqrt(np.clip(m.w_pmu, 1e-14 * scale, None))
+    n2 = m.n_state
+
+    def whiten(a):
+        return np.concatenate([pseudo @ a[:n2], (pmu * a[n2:].T).T])
+
+    return whiten
 
 
 def _qr_solve(a, b):
@@ -171,8 +170,8 @@ def _qr_solve(a, b):
 
 def hybrid_solve(m: HybridModel) -> HybridResult:
     """One-shot weighted LS x = (H' W^-1 H)^-1 H' W^-1 z; non-iterative."""
-    w_isqrt = _whitener(m.w)
-    x, cov = _qr_solve(w_isqrt @ m.h, w_isqrt @ m.z)
+    whiten = _whitener(m)
+    x, cov = _qr_solve(whiten(m.h), whiten(m.z))
     return HybridResult(_as_state(m, x), cov)
 
 
@@ -215,31 +214,24 @@ def hybrid_solve_robust(
     lam_strategy: str = "exact",
     mu: float = 1.0,
 ) -> HybridResult:
-    """Robust variant of hybrid_solve; delegates the min-max solve to bdu
-    with R = W^-1.  Null uncertainty reduces exactly to hybrid_solve.
+    """Robust variant of hybrid_solve; delegates the min-max solve to bdu.
+    Null uncertainty reduces exactly to hybrid_solve.
 
     The problem is whitened first (z, H, S scaled by W^-1/2, R = I): the
     min-max cost and its minimizer are unchanged, the conditioning is not.
+    The solution's R_hat is therefore over the whitened rows, and the
+    estimate's covariance is bdu's for data of covariance R^-1 = I.
     """
+    whiten = _whitener(m)
+    h, z = whiten(m.h), whiten(m.z)
     if unc.is_null() or unc.no_perturbation_bound():
-        plain = hybrid_solve(m)
-        x = np.concatenate([plain.state.v1, plain.state.v2])
-        res = m.h @ x - m.z
-        sol = RobustSolution(x, 0.0, m.r.copy(), float(res @ m.r @ res), "reduced")
-        return HybridResult(plain.state, plain.covariance, sol)
-
-    w_isqrt = _whitener(m.w)
-    unc_w = UncertaintyStructure(w_isqrt @ unc.s, unc.e_h, unc.e_z)
-    prob = RobustProblem(w_isqrt @ m.z, w_isqrt @ m.h, np.eye(len(m.z)), unc_w)
-    sol = bdu_solve(prob, lam_strategy, mu)
-    # estimator is affine in the whitened data z' (cov(z') = I): cov = A A'
-    gain = sol.lam * (unc.e_h.T @ unc.e_h) + prob.h.T @ sol.r_hat @ prob.h
-    try:
-        a = np.linalg.solve(gain, prob.h.T @ sol.r_hat)
-    except np.linalg.LinAlgError:
-        raise NumericalError("robust hybrid normal matrix is singular") from None
-    cov = a @ a.T
-    return HybridResult(_as_state(m, sol.x), cov, sol)
+        x, cov = _qr_solve(h, z)
+        res = h @ x - z
+        sol = RobustSolution(x, 0.0, np.eye(len(z)), float(res @ res), "reduced", cov)
+    else:
+        unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
+        sol = bdu_solve(RobustProblem(z, h, np.eye(len(z)), unc_w), lam_strategy, mu)
+    return HybridResult(_as_state(m, sol.x), sol.cov, sol)
 
 
 def sample_delta(rng, q: int, p: int) -> np.ndarray:

@@ -432,28 +432,28 @@ def synthesize(view: ModelView, true_state: StateVector, specs, sigma_for, rng) 
     zero sigma reproduces h exactly under any seed).
     """
     truth = h_eval(view, true_state, specs)
-    out = []
-    for m, h0 in zip(specs, truth):
-        sig = float(sigma_for(m.kind)) if callable(sigma_for) else float(sigma_for[m.kind])
-        noise = sig * rng.standard_normal()
-        out.append(replace(m, value=float(h0 + noise), sigma=sig if sig > 0.0 else 1.0))
-    return MeasurementSet(tuple(out))
+    sig = {}
+    for m in specs:
+        if m.kind not in sig:
+            sig[m.kind] = float(sigma_for(m.kind)) if callable(sigma_for) else float(sigma_for[m.kind])
+    noise = rng.standard_normal(len(specs))
+    return MeasurementSet(tuple(
+        replace(m, value=float(h0 + sig[m.kind] * e), sigma=sig[m.kind] if sig[m.kind] > 0.0 else 1.0)
+        for m, h0, e in zip(specs, truth, noise)
+    ))
 
 
 # ---------------------------------------------------------------------------
 # polar <-> rectangular conversion with covariance transport
 
 
-def _polar_rect_jacobian(vm, va):
-    """d(vr, vi)/d(va, vm) as a dense 2n x 2n block matrix."""
-    n = len(vm)
-    j = np.zeros((2 * n, 2 * n))
-    c, s = np.cos(va), np.sin(va)
-    j[:n, :n] = np.diag(-vm * s)  # dvr/dva
-    j[:n, n:] = np.diag(c)  # dvr/dvm
-    j[n:, :n] = np.diag(vm * c)  # dvi/dva
-    j[n:, n:] = np.diag(s)  # dvi/dvm
-    return j
+def _transport(cov, j11, j12, j21, j22):
+    """J C J^T for J = [[diag(j11), diag(j12)], [diag(j21), diag(j22)]]:
+    each output block is a row- and column-scaled sum of C's blocks."""
+    n = len(j11)
+    jc = np.vstack([j11[:, None] * cov[:n] + j12[:, None] * cov[n:],
+                    j21[:, None] * cov[:n] + j22[:, None] * cov[n:]])
+    return np.hstack([jc[:, :n] * j11 + jc[:, n:] * j12, jc[:, :n] * j21 + jc[:, n:] * j22])
 
 
 def polar_to_rect(state: StateVector, cov=None):
@@ -472,8 +472,9 @@ def polar_to_rect(state: StateVector, cov=None):
     )
     if cov is None:
         return rect, None
-    j = _polar_rect_jacobian(vm, va)
-    return rect, j @ cov @ j.T
+    c, s = np.cos(va), np.sin(va)
+    # d(vr, vi)/d(va, vm)
+    return rect, _transport(cov, -vm * s, c, vm * c, s)
 
 
 def rect_to_polar(state: StateVector, cov=None):
@@ -489,13 +490,8 @@ def rect_to_polar(state: StateVector, cov=None):
     polar = StateVector("polar", state.bus_ids, vm, va, ref_bus=state.ref_bus)
     if cov is None:
         return polar, None
-    n = len(vm)
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, :n] = np.diag(-vi / vm**2)  # dva/dvr
-    j[:n, n:] = np.diag(vr / vm**2)  # dva/dvi
-    j[n:, :n] = np.diag(vr / vm)  # dvm/dvr
-    j[n:, n:] = np.diag(vi / vm)  # dvm/dvi
-    return polar, j @ cov @ j.T
+    # d(va, vm)/d(vr, vi)
+    return polar, _transport(cov, -vi / vm**2, vr / vm**2, vr / vm, vi / vm)
 
 
 def wrap_angle(delta):

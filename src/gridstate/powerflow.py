@@ -129,8 +129,8 @@ def run_powerflow(net: PowerNetwork, tol: float = 1e-8, max_iter: int = 20) -> P
     Raises ConvergenceError (carrying the final mismatch) if the mismatch
     does not fall below ``tol`` within ``max_iter`` iterations.
     """
-    if tol <= 0.0:
-        raise ValidationError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("tolerance must be positive and finite")
     if max_iter < 1:
         raise ValidationError("iteration cap must be at least 1")
 

@@ -119,8 +119,8 @@ def wls_estimate(
     Returns converged=False (never raises) when k_limit is reached; raises
     UnobservableError when the gain matrix is singular at an iterate.
     """
-    if tol <= 0.0:
-        raise ValidationError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("tolerance must be positive and finite")
     if len(mset) != len(model.specs):
         raise ValidationError("measurement set does not match the model's specs")
 

@@ -308,3 +308,57 @@ def test_dimension_validation():
         UncertaintyStructure(np.ones((4, 1)), np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValidationError):
         bdu_solve(_random_problem(np.random.default_rng(0)), "magic")
+
+
+def _dense_cov(p, lam):
+    """Oracle covariance of x(lam) for data of covariance R^-1: A R^-1 A'
+    with A = N^-1 H' R_hat, everything dense."""
+    u = p.uncertainty
+    strs = u.s.T @ p.r @ u.s
+    lam0 = float(np.linalg.eigvalsh(0.5 * (strs + strs.T))[-1])
+    lam = max(lam, lam0 + 1e-12 * max(1.0, lam0))
+    r_hat = p.r + p.r @ u.s @ np.linalg.inv(lam * np.eye(u.q) - strs) @ u.s.T @ p.r
+    a = np.linalg.solve(lam * u.e_h.T @ u.e_h + p.h.T @ r_hat @ p.h, p.h.T @ r_hat)
+    return a @ np.linalg.inv(p.r) @ a.T
+
+
+def test_solution_covariance_matches_dense_sandwich():
+    rng = np.random.default_rng(93)
+    for _ in range(10):
+        p = _random_problem(rng, m=7, n=3, q=2)
+        c = rng.standard_normal((7, 7))
+        p = RobustProblem(p.z, p.h, c @ c.T + np.eye(7), p.uncertainty)  # dense R
+        # approx lambda keeps off the domain edge, where both forms lose
+        # digits to the 1e12 weight of the top eigen-direction
+        for mu in (0.5, 3.0):
+            sol = bdu_solve(p, "approx", mu)
+            ref = _dense_cov(p, sol.lam)
+            assert np.abs(sol.cov - ref).max() <= 1e-9 * np.abs(ref).max()
+        reduced = bdu_solve(RobustProblem(p.z, p.h, p.r, null_uncertainty(7, 3)))
+        ref = np.linalg.inv(p.h.T @ p.r @ p.h)
+        assert np.abs(reduced.cov - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_exact_lambda_builds_one_evaluator(monkeypatch):
+    from gridstate import bdu
+
+    rng = np.random.default_rng(94)
+    problems = [_random_problem(rng) for _ in range(5)]
+    expected = [min_g(p) for p in problems]
+    built = []
+
+    class Counting(_Evaluator):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(bdu, "_Evaluator", Counting)
+    for p, lam in zip(problems, expected):
+        built.clear()
+        sol = bdu_solve(p, "exact")
+        assert len(built) == 1
+        assert sol.lam == lam  # sharing the evaluator leaves the search bit-identical
+        built.clear()
+        sol = bdu_solve(p, "approx", 2.0)
+        assert len(built) == 1
+        assert sol.lam == pytest.approx(lambda_approx(2.0, p.uncertainty.s, p.r), rel=1e-12)

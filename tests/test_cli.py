@@ -22,6 +22,13 @@ def test_powerflow_bad_tolerance(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_powerflow_non_finite_tolerance_is_usage_error(capsys, value):
+    # NaN used to pass the positivity check and end as "did not converge" (exit 2)
+    assert main(["powerflow", "--tol", value]) == 1
+    assert "--tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     case = tmp_path / "infeasible.case"
     case.write_text(

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from gridstate.bdu import null_uncertainty, worst_case_objective, RobustProblem, UncertaintyStructure
-from gridstate.errors import ValidationError
+from gridstate.bdu import (
+    RobustProblem,
+    UncertaintyStructure,
+    g_of_lambda,
+    lambda_approx,
+    min_g,
+    null_uncertainty,
+    worst_case_objective,
+)
+from gridstate.errors import NumericalError, ValidationError
 from gridstate.hybrid import (
     apply_perturbation,
     build_hybrid_model,
@@ -10,7 +18,6 @@ from gridstate.hybrid import (
     hybrid_solve_robust,
     sample_delta,
     uncertainty_for_model,
-    _whitener,
 )
 from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
@@ -32,6 +39,70 @@ def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None
     model = PolarModel(view, tuple(tse_set), pin_angle=not anchor)
     tse = wls_estimate(tse_set, model, tol=1e-9, k_limit=30)
     return view, tse, pmu[area_idx]
+
+
+def _dense_w(m):
+    """The model's whole W as one dense matrix."""
+    n2 = m.n_state
+    w = np.zeros((len(m.z), len(m.z)))
+    w[:n2, :n2] = m.w_pseudo
+    w[n2:, n2:] = np.diag(m.w_pmu)
+    return w
+
+
+def _dense_whitener(w):
+    """Oracle W^-1/2 from one eigh of the whole W, clipped at its scale."""
+    evals, vecs = np.linalg.eigh(0.5 * (w + w.T))
+    scale = max(float(evals[-1]), 1e-300)
+    if evals[0] < -1e-8 * scale:
+        raise NumericalError("hybrid covariance is not positive definite")
+    evals = np.clip(evals, 1e-14 * scale, None)
+    return (vecs / np.sqrt(evals)) @ vecs.T
+
+
+def _dense_problem(m, unc):
+    """The whitened robust problem built through the dense whitener."""
+    w_isqrt = _dense_whitener(_dense_w(m))
+    return RobustProblem(w_isqrt @ m.z, w_isqrt @ m.h, np.eye(len(m.z)),
+                         UncertaintyStructure(w_isqrt @ unc.s, unc.e_h, unc.e_z))
+
+
+def _oracle_plain(m):
+    """Dense WLS: x from lstsq on the dense-whitened stack, cov = inv(H' W^-1 H)."""
+    w = _dense_w(m)
+    w_isqrt = _dense_whitener(w)
+    x = np.linalg.lstsq(w_isqrt @ m.h, w_isqrt @ m.z, rcond=None)[0]
+    return x, np.linalg.inv(m.h.T @ np.linalg.inv(w) @ m.h)
+
+
+def _oracle_robust(m, unc, lam):
+    """Dense BDU at a given lambda on the dense-whitened problem: R_hat as
+    an m x m matrix (from the eigendecomposition of S'S), x and
+    A = N^-1 H' R_hat by solves, cov = A A'; also cond(N), N the normal
+    matrix."""
+    p = _dense_problem(m, unc)
+    s = p.uncertainty.s
+    d, q = np.linalg.eigh(s.T @ s)
+    lam = max(lam, d[-1] + 1e-12 * max(1.0, d[-1]))
+    sq = s @ q
+    r_hat = np.eye(len(p.z)) + (sq / (lam - d)) @ sq.T
+    ehe = unc.e_h.T @ unc.e_h
+    normal = lam * ehe + p.h.T @ r_hat @ p.h
+    x = np.linalg.solve(normal, p.h.T @ r_hat @ p.z + lam * unc.e_h.T @ unc.e_z)
+    a = np.linalg.solve(normal, p.h.T @ r_hat)
+    return x, a @ a.T, np.linalg.cond(normal)
+
+
+def _assert_matches(x, cov, x_ref, cov_ref, cond=1.0):
+    # x to 1e-10 and cov to 1e-8 relative; where the normal matrix is so
+    # ill-conditioned that two summation orders cannot agree that closely
+    # (lambda within ~1e-7 of ||S'RS||: cond ~ 1e12), to cond * 1e-16
+    assert np.abs(x - x_ref).max() <= max(1e-10, 1e-16 * cond) * np.abs(x_ref).max()
+    assert np.abs(cov - cov_ref).max() <= max(1e-8, 1e-16 * cond) * np.abs(cov_ref).max()
+
+
+def _flat(res):
+    return np.concatenate([res.state.v1, res.state.v2])
 
 
 def _rect_truth(truth30, view):
@@ -86,7 +157,7 @@ def test_hybrid_equals_generic_quadratic_minimizer(net30, part30, specs30, truth
     res = hybrid_solve(m)
     x_hat = np.concatenate([res.state.v1, res.state.v2])
 
-    w_inv = np.linalg.inv(m.w)
+    w_inv = np.linalg.inv(_dense_w(m))
 
     def j_fun(x):
         r = m.z - m.h @ x
@@ -129,8 +200,9 @@ def test_w_block_structure(net30, part30, specs30, truth30, cfg30):
     m = build_hybrid_model(tse, pmu, view)
     n2 = 2 * view.n_bus
     # PMU block diagonal with sigma^2, zero cross-block
-    assert np.all(m.w[:n2, n2:] == 0.0) and np.all(m.w[n2:, :n2] == 0.0)
-    pmu_block = m.w[n2:, n2:]
+    w = _dense_w(m)
+    assert np.all(w[:n2, n2:] == 0.0) and np.all(w[n2:, :n2] == 0.0)
+    pmu_block = w[n2:, n2:]
     assert np.array_equal(pmu_block, np.diag(np.diag(pmu_block)))
     assert np.allclose(np.diag(pmu_block), [ms.sigma**2 for ms in m.pmu_specs])
     # TSE block equals the transported polar covariance (plus the floor)
@@ -138,7 +210,7 @@ def test_w_block_structure(net30, part30, specs30, truth30, cfg30):
 
     cov_full = tse.model.embed_cov(tse.covariance)
     _, cov_rect = polar_to_rect(tse.state, cov_full)
-    assert np.abs(m.w[:n2, :n2] - cov_rect - 1e-12 * np.eye(n2)).max() < 1e-15
+    assert np.abs(w[:n2, :n2] - cov_rect - 1e-12 * np.eye(n2)).max() < 1e-15
 
 
 def test_diagonal_tse_cov_flag(net30, part30, specs30, truth30, cfg30):
@@ -146,7 +218,7 @@ def test_diagonal_tse_cov_flag(net30, part30, specs30, truth30, cfg30):
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
     m = build_hybrid_model(tse, pmu, view, diagonal_tse_cov=True)
     n2 = 2 * view.n_bus
-    block = m.w[:n2, :n2]
+    block = _dense_w(m)[:n2, :n2]
     assert np.array_equal(block, np.diag(np.diag(block)))
 
 
@@ -176,9 +248,7 @@ def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth3
         # the min-max (exact lambda) solution is the one carrying the
         # worst-case guarantee
         robust = hybrid_solve_robust(pert, unc, "exact")
-        w_isqrt = _whitener(pert.w)
-        prob = RobustProblem(w_isqrt @ pert.z, w_isqrt @ pert.h, np.eye(len(pert.z)),
-                             UncertaintyStructure(w_isqrt @ unc.s, unc.e_h, unc.e_z))
+        prob = _dense_problem(pert, unc)
         wc_p = worst_case_objective(np.concatenate([plain.state.v1, plain.state.v2]), prob, 200, seed)
         wc_r = worst_case_objective(np.concatenate([robust.state.v1, robust.state.v2]), prob, 200, seed)
         wins += wc_r <= wc_p * (1.0 + 1e-9)
@@ -200,8 +270,8 @@ def test_scalar_instance_embedded_as_one_bus_model():
         view=_FakeView(),
         z=np.array([1.0, 0.0]),
         h=np.eye(2),
-        w=np.eye(2),
-        r=np.eye(2),
+        w_pseudo=np.eye(2),
+        w_pmu=np.zeros(0),
         pmu_specs=(),
     )
     unc = UncertaintyStructure(
@@ -209,7 +279,7 @@ def test_scalar_instance_embedded_as_one_bus_model():
     )
     res = hybrid_solve_robust(hm, unc, "exact")
     assert abs(res.state.v1[0] - 1.0) < 1e-6 and abs(res.state.v2[0]) < 1e-9
-    direct = bdu_solve(RobustProblem(hm.z, hm.h, hm.r, unc), "exact")
+    direct = bdu_solve(RobustProblem(hm.z, hm.h, np.linalg.inv(_dense_w(hm)), unc), "exact")
     assert np.abs(direct.x - np.array([res.state.v1[0], res.state.v2[0]])).max() < 1e-9
 
 
@@ -236,3 +306,73 @@ def test_build_requires_converged_tse(net30, part30, specs30, truth30, cfg30):
     broken = replace(tse, converged=False)
     with pytest.raises(ValidationError):
         build_hybrid_model(broken, pmu, view)
+
+
+def _check_against_oracle(m, seed):
+    plain = hybrid_solve(m)
+    _assert_matches(_flat(plain), plain.covariance, *_oracle_plain(m))
+    sampling = uncertainty_for_model(m, 0.05, 0.05, anchored=False)
+    if not sampling.is_null():
+        delta = sample_delta(np.random.default_rng(seed), sampling.q, sampling.e_h.shape[0])
+        m = apply_perturbation(m, sampling, delta)
+    unc = uncertainty_for_model(m, 0.05, 0.05, anchored=True)
+    for strategy in ("approx", "exact"):
+        rob = hybrid_solve_robust(m, unc, strategy, 1.0)
+        if unc.is_null():
+            assert rob.robust.strategy == "reduced"
+            ref = _oracle_plain(m)
+        else:
+            p = _dense_problem(m, unc)
+            if strategy == "approx":
+                assert rob.robust.lam == pytest.approx(lambda_approx(1.0, p.uncertainty.s, p.r), rel=1e-12)
+            else:
+                # the golden-section search may stop elsewhere in a flat G:
+                # compare G values on the oracle's problem, not lambdas
+                g_hat = g_of_lambda(rob.robust.lam, p)
+                assert g_hat <= g_of_lambda(min_g(p), p) + 1e-9 * (1.0 + abs(g_hat))
+            ref = _oracle_robust(m, unc, rob.robust.lam)
+        _assert_matches(_flat(rob), rob.covariance, *ref)
+
+
+@pytest.mark.parametrize("with_pmu", [True, False])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_block_whitening_matches_dense_oracle(net30, part30, specs30, truth30, cfg30, with_pmu, diagonal):
+    rng = np.random.default_rng(31)
+    for area_idx in (1, 2, 3):
+        view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, area_idx, rng, cfg30)
+        m = build_hybrid_model(tse, pmu if with_pmu else MeasurementSet(()), view,
+                               diagonal_tse_cov=diagonal)
+        assert (len(m.w_pmu) > 0) == with_pmu
+        _check_against_oracle(m, area_idx)
+
+
+def test_level2_stack_matches_dense_oracle(net30, part30, specs30, truth30, cfg30, monkeypatch):
+    from gridstate import multiarea
+    from gridstate.measurement import synthesize
+
+    stacked = []
+    original = multiarea.stack_model
+
+    def spy(*args, **kwargs):
+        stacked.append(original(*args, **kwargs))
+        return stacked[-1]
+
+    monkeypatch.setattr(multiarea, "stack_model", spy)
+    mset = synthesize(ModelView.full(net30), truth30, specs30, cfg30.sigma_for, np.random.default_rng(12))
+    multiarea.run_two_level(net30, part30, mset, cfg30, robust=True)
+    (m,) = stacked
+    assert len(m.w_pmu) > 0
+    _check_against_oracle(m, 12)
+
+
+def test_indefinite_pseudo_block_raises(net30, part30, specs30, truth30, cfg30):
+    from dataclasses import replace
+
+    rng = np.random.default_rng(9)
+    view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
+    m = build_hybrid_model(tse, pmu, view)
+    bad = replace(m, w_pseudo=-m.w_pseudo)
+    with pytest.raises(NumericalError, match="hybrid covariance is not positive definite"):
+        hybrid_solve(bad)
+    with pytest.raises(NumericalError, match="hybrid covariance is not positive definite"):
+        hybrid_solve_robust(bad, uncertainty_for_model(bad, 0.05, 0.05))

@@ -119,9 +119,13 @@ def test_divergence_reports_residual():
     assert err.value.residual is not None
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+def test_tolerance_must_be_positive_and_finite(net30, tol):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        run_powerflow(net30, tol=tol)
+
+
 def test_argument_validation(net30):
-    with pytest.raises(ValidationError):
-        run_powerflow(net30, tol=0.0)
     with pytest.raises(ValidationError):
         run_powerflow(net30, max_iter=0)
     with pytest.raises(ValidationError):

@@ -186,6 +186,13 @@ def test_argument_checks(net30, part30, specs30, truth30):
         wls_estimate(MeasurementSet(mset.items[:3]), model)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_non_finite_tolerance_rejected(net30, part30, specs30, truth30, tol):
+    view, mset, model = _area_problem(net30, part30, specs30, truth30, 1)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        wls_estimate(mset, model, tol=tol)
+
+
 def test_one_h_evaluation_per_iteration(net30, part30, specs30, truth30, cfg30, monkeypatch):
     # bundled experiment, trial 0 at seed 0, area 1 (as cli.synth_for_trial)
     from gridstate import wls
