@@ -194,6 +194,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be positive")
         if self.trials < 1:
             raise ValidationError("trial count must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.epsilon <= 0.0:
             raise ValidationError("epsilon must be positive")
         if self.k_limit < 1:
@@ -265,16 +267,11 @@ def config_with(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # bundled fixtures
 
-_BUNDLED = {
-    "ieee30.case": parse_case,
-    "ieee30.areas": None,
-    "ieee30.plan": parse_plan,
-    "ieee30.cfg": parse_config,
-}
+BUNDLED = ("ieee30.case", "ieee30.areas", "ieee30.plan", "ieee30.cfg")
 
 
 def bundled_text(name: str) -> str:
-    if name not in _BUNDLED:
+    if name not in BUNDLED:
         raise ValidationError(f"no bundled fixture named {name!r}")
     return resources.files("gridstate.data").joinpath(name).read_text()
 

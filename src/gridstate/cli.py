@@ -63,7 +63,7 @@ def _resolve_text(path: str | None, bundled: str) -> tuple[str, str]:
         return caseio.bundled_text(bundled), bundled
     if os.path.exists(path):
         return _read(path), path
-    if path in ("ieee30.case", "ieee30.areas", "ieee30.plan", "ieee30.cfg"):
+    if path in caseio.BUNDLED:
         return caseio.bundled_text(path), path
     raise OSError(f"cannot read {path}: file not found")
 

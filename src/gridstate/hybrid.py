@@ -30,7 +30,7 @@ from .measurement import (
     polar_to_rect,
 )
 from .powerflow import StateVector
-from .wls import EstimationResult
+from .wls import EstimationResult, whitener
 
 
 def _pmu_block_order(pmu: MeasurementSet):
@@ -137,24 +137,9 @@ def _as_state(m: HybridModel, x) -> StateVector:
 
 
 def _whitener(m: HybridModel):
-    """W^-1/2 as a function over the model's rows, block by block: the
-    symmetric root of the pseudo-state block from its own eigh, 1/sigma on
-    the PMU rows.  W spans many decades (the floored reference-angle mode),
-    so solves go through whitened least squares rather than the raw normal
-    equations.  Rounding-level negative eigenvalues are clipped relative
-    to the scale of the whole W."""
-    evals, vecs = np.linalg.eigh(0.5 * (m.w_pseudo + m.w_pseudo.T))
-    scale = max(float(evals[-1]), float(m.w_pmu.max(initial=0.0)), 1e-300)
-    if evals[0] < -1e-8 * scale:
-        raise NumericalError("hybrid covariance is not positive definite")
-    pseudo = (vecs / np.sqrt(np.clip(evals, 1e-14 * scale, None))) @ vecs.T
-    pmu = 1.0 / np.sqrt(np.clip(m.w_pmu, 1e-14 * scale, None))
-    n2 = m.n_state
-
-    def whiten(a):
-        return np.concatenate([pseudo @ a[:n2], (pmu * a[n2:].T).T])
-
-    return whiten
+    """W^-1/2 over the model's rows.  W spans many decades (the floored
+    reference-angle mode), so solves use whitened least squares."""
+    return whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
 
 
 def _qr_solve(a, b):

@@ -48,7 +48,7 @@ from .measurement import (
 )
 from .netmodel import AreaPartition, PowerNetwork, boundary_measurement_ownership
 from .powerflow import StateVector
-from .wls import PolarModel, _solve_gain, check_observable, wls_estimate
+from .wls import PolarModel, check_observable, gauss_newton, whitener, wls_estimate
 
 
 # deweighting of the reference PMU phasor when used as the traditional
@@ -364,36 +364,15 @@ def _coordinator_init(model: _CoordinatorModel, prob: CoordinatorProblem):
     return np.concatenate([sums / counts, np.zeros(model.r - 1)])
 
 
-def _gauss_newton(model, prob: CoordinatorProblem, x0, tol, k_limit, label):
-    """Gauss-Newton over the block-diagonal weight of ``prob``.
-
-    Each weight block is factored once (W_i = L_i L_i'); every iteration
-    whitens [r, J] block by block with L_i^-1 and steps through the
-    Cholesky of the normal equations.  Returns (x, inverse gain at x's
-    last step, iterations)."""
-    p = len(prob.w_diag)
-    sigma_inv = 1.0 / np.sqrt(prob.w_diag)
-    whiteners = []  # (rows, L_i^-1)
-    at = p
-    for w_blk in prob.w_blocks:
-        k = w_blk.shape[0]
-        try:
-            l_fac = np.linalg.cholesky(w_blk)
-        except np.linalg.LinAlgError:
-            raise NumericalError(f"{label}: weight matrix not positive definite") from None
-        whiteners.append((slice(at, at + k), np.linalg.inv(l_fac)))
-        at += k
-    x = np.array(x0, dtype=float)
-    for k in range(1, k_limit + 1):
-        rj = np.column_stack([prob.z - model.h(x), model.jac(x)])
-        rj[:p] *= sigma_inv[:, None]
-        for rows, l_inv in whiteners:
-            rj[rows] = l_inv @ rj[rows]
-        dx, gain = _solve_gain(rj[:, 1:], rj[:, 0])
-        x = x + dx
-        if np.max(np.abs(dx)) < tol:
-            return x, np.linalg.inv(gain), k
-    raise NumericalError(f"{label}: no convergence in {k_limit} iterations")
+def _solve_coordinator(model, prob: CoordinatorProblem, x0, tol, k_limit):
+    """Gauss-Newton over the block-diagonal weight of ``prob``, whitened
+    block by block.  Returns (x, inverse gain at x, iterations)."""
+    whiten = whitener([prob.w_diag, *prob.w_blocks],
+                      "coordinator: weight matrix not positive definite")
+    x, cov, iterations, converged, _, _ = gauss_newton(model, prob.z, whiten, x0, tol, k_limit)
+    if not converged:
+        raise NumericalError(f"coordinator: no convergence in {k_limit} iterations")
+    return x, cov, iterations
 
 
 def level2_run(
@@ -418,9 +397,7 @@ def level2_run(
         prob = _assemble_coordinator(net, part, locals_, z_b, z_pmu, cfg)
         model = _CoordinatorModel(net, part, locals_, prob, cfg)
         x0 = _coordinator_init(model, prob)
-        x_hat, cov_c, iters = _gauss_newton(
-            model, prob, x0, cfg.epsilon, cfg.k_limit, "coordinator"
-        )
+        x_hat, cov_c, iters = _solve_coordinator(model, prob, x0, cfg.epsilon, cfg.k_limit)
         nb = len(bnd_ids)
         u = np.concatenate([[0.0], x_hat[2 * nb :]])
 

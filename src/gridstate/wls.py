@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnobservableError, ValidationError
+from .errors import NumericalError, UnobservableError, ValidationError
 from .measurement import MeasurementSet, ModelView, h_eval, jacobian_polar
 from .powerflow import StateVector
 
@@ -94,38 +94,48 @@ def objective(mset: MeasurementSet, model: PolarModel, state: StateVector) -> fl
     return float(np.sum((r / mset.sigmas) ** 2))
 
 
-def _solve_gain(h_w, rhs_w):
-    """Least-squares step via the whitened Jacobian; raises on rank loss."""
-    gain = h_w.T @ h_w
-    try:
-        c = np.linalg.cholesky(gain)
-    except np.linalg.LinAlgError:
-        raise UnobservableError(
-            "gain matrix H' W^-1 H is singular: system unobservable"
-        ) from None
-    y = np.linalg.solve(c, h_w.T @ rhs_w)
-    return np.linalg.solve(c.T, y), gain
+def whitener(parts, error: str):
+    """W^-1/2 of a block-diagonal W as a function over W's rows.
 
-
-def wls_estimate(
-    mset: MeasurementSet,
-    model: PolarModel,
-    init: StateVector | None = None,
-    tol: float = 1e-6,
-    k_limit: int = 20,
-) -> EstimationResult:
-    """Gauss-Newton WLS estimate for the given measurement set and model.
-
-    Returns converged=False (never raises) when k_limit is reached; raises
-    UnobservableError when the gain matrix is singular at an iterate.
+    ``parts`` are W's diagonal blocks in row order: a 1-D part is a run of
+    variances (scaled by 1/sigma), a 2-D part a dense block (whitened by
+    its symmetric inverse root, from its own eigh).  Rounding-level
+    negative eigenvalues are clipped relative to the scale of the whole W;
+    one below -1e-8 of that scale raises NumericalError(error).  The
+    function keeps its argument's memory layout, on which the BLAS path
+    (and so the rounding) of the gain product H_w' H_w depends.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError("tolerance must be positive and finite")
-    if len(mset) != len(model.specs):
-        raise ValidationError("measurement set does not match the model's specs")
+    spectra = [(p, None) if p.ndim == 1 else np.linalg.eigh(0.5 * (p + p.T)) for p in parts]
+    scale = max([1e-300] + [float(e.max(initial=0.0)) for e, _ in spectra])
+    if min(float(e.min(initial=0.0)) for e, _ in spectra) < -1e-8 * scale:
+        raise NumericalError(error)
+    roots, at = [], 0
+    for evals, vecs in spectra:
+        root_evals = np.sqrt(np.clip(evals, 1e-14 * scale, None))
+        root = 1.0 / root_evals if vecs is None else (vecs / root_evals) @ vecs.T
+        roots.append((slice(at, at + len(evals)), root))
+        at += len(evals)
 
-    z = mset.z
-    w_inv_sqrt = 1.0 / mset.sigmas
+    def whiten(a):
+        out = np.empty_like(a)
+        for rows, root in roots:
+            out[rows] = root @ a[rows] if root.ndim == 2 else (root * a[rows].T).T
+        return out
+
+    return whiten
+
+
+def gauss_newton(model, z, whiten, x0, tol, k_limit):
+    """Gauss-Newton WLS on ``model`` (``h(x)`` and ``jac(x)``) from x0,
+    with W^-1/2 applied by ``whiten`` (see :func:`whitener`).
+
+    Steps solve the whitened normal equations; a full step that raises
+    J(x) = ||W^-1/2 (z - h(x))||^2 falls back to Marquardt damping.
+    Stops when max |dx| < tol.  Returns (x, covariance, iterations,
+    converged, J(x), z - h(x)) with the covariance equal to the inverse
+    gain at the returned x; converged=False (no raise) when k_limit is
+    reached.  Raises UnobservableError when the gain matrix is singular.
+    """
 
     def trial(xv):
         """(J(xv), z - h(xv)); (inf, the error) when xv left the state
@@ -134,19 +144,24 @@ def wls_estimate(
             r = z - model.h(xv)
         except ValidationError as exc:
             return np.inf, exc
-        return float(np.sum((r * w_inv_sqrt) ** 2)), r
+        return float(np.sum(whiten(r) ** 2)), r
 
-    x = model.flat() if init is None else model.pack(init)
+    x = np.array(x0, dtype=float)
     r = z - model.h(x)
-    j_here = float(np.sum((r * w_inv_sqrt) ** 2))
+    j_here = float(np.sum(whiten(r) ** 2))
     converged = False
     iterations = 0
     for k in range(1, k_limit + 1):
-        h = model.jac(x)
-        h_w = h * w_inv_sqrt[:, None]
-        r_w = r * w_inv_sqrt
-        g = h_w.T @ r_w
-        dx, gain = _solve_gain(h_w, r_w)
+        h_w = whiten(model.jac(x))
+        g = h_w.T @ whiten(r)
+        gain = h_w.T @ h_w
+        try:
+            c = np.linalg.cholesky(gain)
+        except np.linalg.LinAlgError:
+            raise UnobservableError(
+                "gain matrix H' W^-1 H is singular: system unobservable"
+            ) from None
+        dx = np.linalg.solve(c.T, np.linalg.solve(c, g))
         # pure Gauss-Newton (Eq-9-style) step whenever it descends; under
         # weak redundancy the full step can overshoot the curved valley of
         # the P/Q-only objective, so fall back to Marquardt damping
@@ -172,12 +187,35 @@ def wls_estimate(
             break
 
     h = model.jac(x)
-    gain = (h * w_inv_sqrt[:, None]).T @ (h * w_inv_sqrt[:, None])
+    # two whitened copies: H_w' H_w on one array takes another BLAS path
+    gain = whiten(h).T @ whiten(h)
     try:
         cov = np.linalg.inv(gain)
     except np.linalg.LinAlgError:
         raise UnobservableError("gain matrix singular at the solution") from None
-    return EstimationResult(model.unpack(x), cov, iterations, converged, j_here, r, model)
+    return x, cov, iterations, converged, j_here, r
+
+
+def wls_estimate(
+    mset: MeasurementSet,
+    model: PolarModel,
+    init: StateVector | None = None,
+    tol: float = 1e-6,
+    k_limit: int = 20,
+) -> EstimationResult:
+    """Gauss-Newton WLS estimate for the given measurement set and model.
+
+    Returns converged=False (never raises) when k_limit is reached; raises
+    UnobservableError when the gain matrix is singular at an iterate.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError("tolerance must be positive and finite")
+    if len(mset) != len(model.specs):
+        raise ValidationError("measurement set does not match the model's specs")
+    whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
+    x0 = model.flat() if init is None else model.pack(init)
+    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, x0, tol, k_limit)
+    return EstimationResult(model.unpack(x), cov, iterations, converged, j, r, model)
 
 
 def check_observable(model: PolarModel, state: StateVector | None = None) -> bool:

@@ -106,6 +106,15 @@ def test_config_rejects_non_finite(key, value):
         parse_config(f"{key} = {value}\n")
 
 
+def test_config_rejects_negative_seed():
+    # default_rng([seed, trial]) raises a bare numpy ValueError on a negative seed
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        parse_config("seed = -1\n")
+    assert ExperimentConfig(seed=0).seed == 0
+
+
 def test_low_redundancy_warning(net30, part30):
     plan = parse_plan("INJ 2\nPMU 4\n")
     _, warnings = redundancy(net30, part30, plan)

@@ -145,6 +145,18 @@ def test_non_finite_flags_are_usage_errors(tmp_path, capsys, flag, value, key):
     assert not list(tmp_path.iterdir())
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["estimate", "--config", "ieee30.cfg", "--seed", "-1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("partition = ieee30.areas\nseed = -1\n")
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parallel_flag_matches_sequential(tmp_path):
     base = ["estimate", "--partition", "ieee30.areas", "--mode", "multiarea-robust",
             "--seed", "9", "--uncertainty", "0.05,0.05", "--format", "csv"]

@@ -12,7 +12,7 @@ from gridstate.multiarea import (
     _assemble_coordinator,
     _coordinator_init,
     _CoordinatorModel,
-    _gauss_newton,
+    _solve_coordinator,
     compute_errors,
     coordinator_measurements,
     level1_run,
@@ -282,8 +282,9 @@ def _loop_h_jac(model, x):
 
 
 def _dense_gauss_newton(model, prob, x0, tol, k_limit):
-    """The coordinator's Gauss-Newton on the dense m x m weight matrix:
-    whole-matrix Cholesky whitening, SVD least squares, explicit inverse."""
+    """The coordinator's undamped Gauss-Newton on the dense m x m weight
+    matrix: whole-matrix Cholesky whitening, SVD least squares, explicit
+    inverse of the gain at the returned x."""
     w = block_diag(np.diag(prob.w_diag), *prob.w_blocks)
     l_fac = np.linalg.cholesky(w)
     x = np.array(x0, dtype=float)
@@ -291,10 +292,10 @@ def _dense_gauss_newton(model, prob, x0, tol, k_limit):
         r_w = np.linalg.solve(l_fac, prob.z - model.h(x))
         j_w = np.linalg.solve(l_fac, model.jac(x))
         dx = np.linalg.lstsq(j_w, r_w, rcond=None)[0]
-        cov = np.linalg.inv(j_w.T @ j_w)
         x = x + dx
         if np.max(np.abs(dx)) < tol:
-            return x, cov, k
+            j_w = np.linalg.solve(l_fac, model.jac(x))
+            return x, np.linalg.inv(j_w.T @ j_w), k
     raise AssertionError("dense oracle did not converge")
 
 
@@ -317,7 +318,7 @@ def test_coordinator_matches_dense_oracle(net30, part30, specs30, truth30, view3
     prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed, robust)
     assert len(prob.w_diag) + sum(b.shape[0] for b in prob.w_blocks) == len(prob.z)
     tol, k_limit = cfg30.epsilon, cfg30.k_limit
-    x, cov, iters = _gauss_newton(model, prob, x0, tol, k_limit, "coordinator")
+    x, cov, iters = _solve_coordinator(model, prob, x0, tol, k_limit)
     x_ref, cov_ref, iters_ref = _dense_gauss_newton(model, prob, x0, tol, k_limit)
     assert iters == iters_ref >= 2
     assert np.abs(x - x_ref).max() <= 1e-10
@@ -330,7 +331,7 @@ def test_coordinator_indefinite_weight_block(net30, part30, specs30, truth30, vi
     blk[0, 0] = -blk[0, 0]
     bad = replace(prob, w_blocks=(prob.w_blocks[0], blk, *prob.w_blocks[2:]))
     with pytest.raises(NumericalError, match="coordinator: weight matrix not positive definite"):
-        _gauss_newton(model, bad, x0, cfg30.epsilon, cfg30.k_limit, "coordinator")
+        _solve_coordinator(model, bad, x0, cfg30.epsilon, cfg30.k_limit)
 
 
 def test_coordinator_rank_deficient(net30, part30, specs30, truth30, view30, cfg30):
@@ -346,10 +347,38 @@ def test_coordinator_rank_deficient(net30, part30, specs30, truth30, view30, cfg
     )
     model1 = _CoordinatorModel(net30, part30, model.locals.values(), only1, cfg30)
     with pytest.raises(UnobservableError):
-        _gauss_newton(model1, only1, x0, cfg30.epsilon, cfg30.k_limit, "coordinator")
+        _solve_coordinator(model1, only1, x0, cfg30.epsilon, cfg30.k_limit)
 
 
 def test_coordinator_iteration_limit(net30, part30, specs30, truth30, view30, cfg30):
     prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
     with pytest.raises(NumericalError, match="coordinator: no convergence in 1 iterations"):
-        _gauss_newton(model, prob, x0, 1e-30, 1, "coordinator")
+        _solve_coordinator(model, prob, x0, 1e-30, 1)
+
+
+def test_coordinator_damps_a_step_that_raises_the_objective(net30, part30, specs30, truth30,
+                                                            view30, cfg30, monkeypatch):
+    # with the level-1 pseudo rows deweighted the nonlinear physical rows
+    # dominate, and from shrunken boundary magnitudes the full Gauss-Newton
+    # step raises J, so the Marquardt fallback has to find the descent step
+    from gridstate import multiarea
+
+    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    prob = replace(prob, w_blocks=tuple(1e4 * b for b in prob.w_blocks))
+    nb = prob.n_bnd
+    x_ref, cov_ref, _ = _solve_coordinator(model, prob, x0, cfg30.epsilon, cfg30.k_limit)
+
+    calls = []
+    h_eval_ = multiarea.h_eval
+
+    def counted(*args):
+        calls.append(1)
+        return h_eval_(*args)
+
+    monkeypatch.setattr(multiarea, "h_eval", counted)
+    far = np.concatenate([x0[:nb], 0.55 * x0[nb : 2 * nb], x0[2 * nb :]])
+    x, cov, iters = _solve_coordinator(model, prob, far, cfg30.epsilon, cfg30.k_limit)
+    # undamped: the start point plus one trial step per iteration
+    assert len(calls) > iters + 1
+    assert np.abs(x - x_ref).max() <= 1e-8
+    assert np.abs(cov - cov_ref).max() <= 1e-8 * np.abs(cov_ref).max()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
-from gridstate.errors import UnobservableError, ValidationError
+from gridstate.errors import NumericalError, UnobservableError, ValidationError
 from gridstate.measurement import Measurement, MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
 from gridstate.powerflow import StateVector
-from gridstate.wls import PolarModel, check_observable, objective, wls_estimate
+from gridstate.wls import PolarModel, check_observable, objective, whitener, wls_estimate
 from tests.conftest import synth_zero
 
 
@@ -245,3 +248,51 @@ def test_accepted_step_outside_domain_raises():
     )
     with pytest.raises(ValidationError, match="positive magnitudes"):
         wls_estimate(mset, model)
+
+
+def _weight_parts(layout, seed):
+    """W's diagonal blocks for a drawn layout: variance runs (1-D) and SPD
+    blocks (2-D) whose scales span six decades."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for dense, k in layout:
+        evals = 10.0 ** rng.uniform(-6.0, 0.0, k)
+        if dense:
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            parts.append((q * evals) @ q.T)
+        else:
+            parts.append(evals)
+    return parts
+
+
+_layouts = st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=_layouts, seed=st.integers(0, 2**32 - 1))
+def test_whitener_is_inverse_root_of_block_diagonal_w(layout, seed):
+    parts = _weight_parts(layout, seed)
+    w = block_diag(*(np.diag(p) if p.ndim == 1 else p for p in parts))
+    m = w.shape[0]
+    whiten = whitener(parts, "not positive definite")
+    root = whiten(np.eye(m))
+    # W^-1 = root' root, checked through W so every block keeps its own scale
+    assert np.abs(root.T @ root @ w - np.eye(m)).max() <= 1e-9
+    a = np.random.default_rng(seed).standard_normal((m, 3))
+    assert np.allclose(whiten(a), root @ a, rtol=1e-12, atol=1e-12 * np.abs(root).max())
+    assert np.allclose(whiten(a[:, 0]), root @ a[:, 0], rtol=1e-12, atol=1e-12 * np.abs(root).max())
+    assert whiten(np.asfortranarray(a)).flags.f_contiguous
+    assert whiten(np.ascontiguousarray(a)).flags.c_contiguous
+
+
+@settings(max_examples=30, deadline=None)
+@given(layout=_layouts, seed=st.integers(0, 2**32 - 1), at=st.integers(0, 5), k=st.integers(1, 4))
+def test_whitener_rejects_a_clearly_negative_eigenvalue(layout, seed, at, k):
+    parts = _weight_parts(layout, seed)
+    scale = max(float(np.linalg.eigvalsh(p)[-1]) if p.ndim == 2 else float(p.max()) for p in parts)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((k, k)))
+    evals = np.full(k, scale)
+    evals[0] = -1e-6 * scale
+    parts.insert(min(at, len(parts)), (q * evals) @ q.T)
+    with pytest.raises(NumericalError, match="weight block rejected"):
+        whitener(parts, "weight block rejected")
