@@ -84,7 +84,6 @@ class RobustProblem:
 class RobustSolution:
     x: np.ndarray
     lam: float
-    r_hat: np.ndarray
     worst_case: float
     strategy: str
     cov: np.ndarray  # covariance of x when z has covariance R^-1
@@ -145,12 +144,11 @@ class _Evaluator:
         return self._g(*self._solve(lam))
 
     def solution(self, lam: float, strategy: str) -> RobustSolution:
-        """x(lam), R(lam), G(lam) and the covariance of x for data of
-        covariance R^-1, from one solve of the normal equations."""
+        """x(lam), G(lam) and the covariance of x for data of covariance
+        R^-1, from one solve of the normal equations."""
         lam_eff, w, sol = self._solve(lam, with_cov=True)
         x, pr = sol[:, 0], sol[:, 1:]
-        r_hat = self.p.r + (self.b * w) @ self.b.T
-        return RobustSolution(x, float(lam), r_hat, self._g(lam_eff, w, x), strategy, (pr @ self.p.r) @ pr.T)
+        return RobustSolution(x, float(lam), self._g(lam_eff, w, x), strategy, (pr @ self.p.r) @ pr.T)
 
 
 def g_of_lambda(lam: float, p: RobustProblem) -> float:
@@ -180,7 +178,10 @@ def _golden(f, lo, hi, tol_of):
     return 0.5 * (lo + hi)
 
 
-def min_g(p: RobustProblem, max_doublings: int = 80, evaluator: _Evaluator | None = None):
+_MAX_DOUBLINGS = 80
+
+
+def min_g(p: RobustProblem, evaluator: _Evaluator | None = None):
     """lambda minimizing G over [||S'RS||, inf).
 
     Brackets by geometric expansion from the left endpoint until G rises,
@@ -196,7 +197,7 @@ def min_g(p: RobustProblem, max_doublings: int = 80, evaluator: _Evaluator | Non
     seen = [(lam0, f0)]
     prev_lam, prev_f = lam0, f0
     bracket = None
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         lam = prev_lam + step
         f = ev.g(lam)
         seen.append((lam, f))
@@ -211,7 +212,7 @@ def min_g(p: RobustProblem, max_doublings: int = 80, evaluator: _Evaluator | Non
         return lam0  # degenerate: G flat, pick the endpoint deterministically
     if bracket is None:
         raise NumericalError(
-            f"no bracket for the lambda search within {max_doublings} expansions"
+            f"no bracket for the lambda search within {_MAX_DOUBLINGS} expansions"
         )
 
     lam_hat = float(max(_golden(ev.g, bracket[0], bracket[1], lambda mid: 1e-8 * (1.0 + mid)), lam0))
@@ -243,7 +244,7 @@ def bdu_solve(p: RobustProblem, lam_strategy: str = "exact", mu: float = 1.0) ->
         except np.linalg.LinAlgError:
             raise NumericalError("singular normal matrix in weighted least squares") from None
         res = p.h @ sol[:, 0] - p.z
-        return RobustSolution(sol[:, 0], 0.0, p.r.copy(), float(res @ p.r @ res), "reduced", sol[:, 1:])
+        return RobustSolution(sol[:, 0], 0.0, float(res @ p.r @ res), "reduced", sol[:, 1:])
 
     ev = _Evaluator(p)
     if lam_strategy == "exact":

@@ -179,7 +179,6 @@ class ExperimentConfig:
     seed: int = 0
     epsilon: float = 1e-6
     k_limit: int = 20
-    variance_floor: float = 1e-12
     tse_cov_diagonal: bool = False
     level2_reuse_boundary: bool = True
     mode: str = "multiarea-robust"
@@ -207,8 +206,6 @@ class ExperimentConfig:
             raise ValidationError(f"unknown lambda strategy {self.lambda_strategy!r}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.variance_floor <= 0.0:
-            raise ValidationError("variance_floor must be positive")
 
     def sigma_for(self, kind: str) -> float:
         if kind in ("p_inj", "q_inj"):
@@ -254,6 +251,20 @@ def parse_config(text: str) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except ValidationError as exc:
         raise ValidationError(f"invalid config: {exc}") from None
+
+
+def render_config(cfg: ExperimentConfig) -> str:
+    """Canonical ``key = value`` text of a config: every set key, in field
+    order; :func:`parse_config` reads it back to an equal config."""
+    lines = []
+    for name in _CONFIG_TYPES:
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            value = str(value).lower()
+        lines.append(f"{name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def default_config() -> ExperimentConfig:
@@ -318,8 +329,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def manifest_for(command: str, seed, config_text: str = "", fixtures: dict | None = None) -> dict:
-    """Reproducibility manifest.  No wall-clock fields: outputs must be
+def manifest_for(command: str, seed, config_text: str, fixtures: dict | None = None) -> dict:
+    """Reproducibility manifest; ``config_text`` is the effective config
+    (see :func:`render_config`).  No wall-clock fields: outputs must be
     byte-identical for identical inputs and seed."""
     man = {
         "command": command,

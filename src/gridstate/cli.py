@@ -217,7 +217,8 @@ def cmd_estimate(args) -> int:
     _summarize(exp, mode, mean_dvm, mean_dva, last)
 
     os.makedirs(args.out, exist_ok=True)
-    manifest = manifest_for(f"estimate --mode {mode}", exp.cfg.seed, fixtures=exp.texts)
+    manifest = manifest_for(f"estimate --mode {mode}", exp.cfg.seed,
+                            caseio.render_config(exp.cfg), fixtures=exp.texts)
     table = _error_table(exp, mode, mean_dvm, mean_dva, manifest)
     path = os.path.join(args.out, f"estimate_{mode}.{args.format}")
     write_results(table, path, args.format)
@@ -249,7 +250,9 @@ def cmd_compare(args) -> int:
     print(f"per-bus win rate of A (mean error <= B): {wins:.1%}")
 
     os.makedirs(args.out, exist_ok=True)
-    manifest = manifest_for("compare", exp_a.cfg.seed, fixtures=exp_a.texts)
+    config_text = caseio.render_config(exp_a.cfg) + caseio.render_config(exp_b.cfg)
+    manifest = manifest_for("compare", exp_a.cfg.seed, config_text,
+                            fixtures={**exp_a.texts, **exp_b.texts})
     table = ResultTable(
         ["bus", "mean_abs_err_vm_a", "mean_abs_err_va_deg_a",
          "mean_abs_err_vm_b", "mean_abs_err_va_deg_b"],
@@ -312,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--uncertainty", help="uncertainty scales 's0,e0'")
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--parallel", action="store_true", help="run level 1 areas concurrently")
 
     est = sub.add_parser("estimate", help="run an estimation pipeline")
     common(est)
+    est.add_argument("--parallel", action="store_true", help="run level 1 areas concurrently")
     est.add_argument("--config")
     est.add_argument("--mode", choices=caseio.MODES)
     est.set_defaults(func=cmd_estimate)

@@ -32,6 +32,10 @@ from .measurement import (
 from .powerflow import StateVector
 from .wls import EstimationResult, whitener
 
+# added to the pseudo-state covariance blocks of both levels: the
+# transported covariance carries a zero mode (the pinned reference angle)
+VARIANCE_FLOOR = 1e-12
+
 
 def _pmu_block_order(pmu: MeasurementSet):
     """Reorder PMU rows into the [vr..., vi..., ir..., ii...] block layout."""
@@ -47,7 +51,7 @@ class HybridModel:
     view: ModelView
     z: np.ndarray
     h: np.ndarray
-    w_pseudo: np.ndarray  # 2n x 2n pseudo-state covariance, floored
+    w_pseudo: np.ndarray  # 2n x 2n pseudo-state covariance, plus VARIANCE_FLOOR
     w_pmu: np.ndarray  # PMU variances sigma^2, one per PMU row
     pmu_specs: tuple
 
@@ -73,19 +77,16 @@ def stack_model(
     rect_state: StateVector,
     cov_rect: np.ndarray,
     pmu,
-    variance_floor: float = 1e-12,
 ) -> HybridModel:
     """Stack rectangular pseudo-state rows over PMU rows into one model.
 
     Shared by the per-area hybrid step and the coordinator's refinement.
-    ``variance_floor`` keeps the pseudo-state block invertible when the
-    transported covariance carries a zero mode (the pinned reference
-    angle).
+    ``VARIANCE_FLOOR`` keeps the pseudo-state block invertible.
     """
     n = view.n_bus
     if rect_state.bus_ids != view.bus_ids:
         raise ValidationError("pseudo-state layout does not match the view")
-    cov = cov_rect + variance_floor * np.eye(2 * n)
+    cov = cov_rect + VARIANCE_FLOOR * np.eye(2 * n)
     pmu_specs = _pmu_block_order(pmu)
     for m in pmu_specs:
         if m.kind not in PMU_VOLTAGE_KINDS + PMU_CURRENT_KINDS:
@@ -102,14 +103,13 @@ def build_hybrid_model(
     tse: EstimationResult,
     pmu: MeasurementSet,
     view: ModelView,
-    variance_floor: float = 1e-12,
     diagonal_tse_cov: bool = False,
 ) -> HybridModel:
     """Assemble (z, H, W) from a converged traditional estimate plus PMU rows.
 
     The TSE estimate and covariance are transported to rectangular
     coordinates; its pinned reference angle gives the covariance one zero
-    mode, which ``variance_floor`` lifts to keep W invertible.  With
+    mode, which ``VARIANCE_FLOOR`` lifts to keep W invertible.  With
     ``diagonal_tse_cov`` the transported block is thinned to its diagonal,
     reproducing the fully diagonal covariance layout literally.
     """
@@ -121,7 +121,7 @@ def build_hybrid_model(
     rect, cov_rect = polar_to_rect(tse.state, cov_full)
     if diagonal_tse_cov:
         cov_rect = np.diag(np.diag(cov_rect))
-    return stack_model(view, rect, cov_rect, pmu, variance_floor)
+    return stack_model(view, rect, cov_rect, pmu)
 
 
 @dataclass(frozen=True)
@@ -204,15 +204,15 @@ def hybrid_solve_robust(
 
     The problem is whitened first (z, H, S scaled by W^-1/2, R = I): the
     min-max cost and its minimizer are unchanged, the conditioning is not.
-    The solution's R_hat is therefore over the whitened rows, and the
-    estimate's covariance is bdu's for data of covariance R^-1 = I.
+    The estimate's covariance is therefore bdu's for data of covariance
+    R^-1 = I.
     """
     whiten = _whitener(m)
     h, z = whiten(m.h), whiten(m.z)
     if unc.is_null() or unc.no_perturbation_bound():
         x, cov = _qr_solve(h, z)
         res = h @ x - z
-        sol = RobustSolution(x, 0.0, np.eye(len(z)), float(res @ res), "reduced", cov)
+        sol = RobustSolution(x, 0.0, float(res @ res), "reduced", cov)
     else:
         unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
         sol = bdu_solve(RobustProblem(z, h, np.eye(len(z)), unc_w), lam_strategy, mu)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .netmodel import AreaPartition, PowerNetwork, build_ybus
-from .powerflow import StateVector
+from .powerflow import StateVector, injection_jacobian
 
 INJECTION_KINDS = ("p_inj", "q_inj")
 FLOW_KINDS = ("p_flow", "q_flow")
@@ -115,9 +115,6 @@ class PlanEntry:
 @dataclass(frozen=True)
 class MeasurementPlan:
     entries: tuple[PlanEntry, ...]
-
-    def injection_buses(self):
-        return tuple(e.bus for e in self.entries if e.kind == "inj")
 
     def pmu_buses(self):
         return tuple(e.bus for e in self.entries if e.kind == "pmu")
@@ -340,29 +337,11 @@ def jacobian_polar(view: ModelView, state: StateVector, specs, pin_ref: bool = T
     d_va = np.zeros((c.n_rows, n))
     d_vm = np.zeros((c.n_rows, n))
 
-    # injections: only the metered buses' rows of the Ybus and of the
-    # angle-difference matrix theta_k - theta
+    # injections: only the metered buses' rows of the Ybus
     k = c.inj_bus
-    at = np.arange(len(k))
-    y = c.inj_y
-    g, b = y.real, y.imag
     v = vm * np.exp(1j * va)
-    s = v[k] * np.conj(y @ v)
-    p_calc, q_calc = s.real, s.imag
-    theta = va[k][:, None] - va[None, :]
-    ct, st = np.cos(theta), np.sin(theta)
-    a_mat = g * ct + b * st
-    c_mat = g * st - b * ct
-    vmk = vm[k]
-    gkk, bkk = g[at, k], b[at, k]
-    dva_p = vmk[:, None] * vm * c_mat
-    dva_p[at, k] = -q_calc - bkk * vmk**2
-    dvm_p = vmk[:, None] * a_mat
-    dvm_p[at, k] = p_calc / vmk + gkk * vmk
-    dva_q = -vmk[:, None] * vm * a_mat
-    dva_q[at, k] = p_calc - gkk * vmk**2
-    dvm_q = vmk[:, None] * c_mat
-    dvm_q[at, k] = q_calc / vmk - bkk * vmk
+    s = v[k] * np.conj(c.inj_y @ v)
+    dva_p, dvm_p, dva_q, dvm_q = injection_jacobian(c.inj_y, k, vm, va, s.real, s.imag)
     u = c.inj
     im = u.imag[:, None]
     d_va[u.rows] = np.where(im, dva_q[u.k], dva_p[u.k])

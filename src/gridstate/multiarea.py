@@ -24,6 +24,7 @@ import numpy as np
 from .caseio import ExperimentConfig
 from .errors import NumericalError, UnobservableError, ValidationError
 from .hybrid import (
+    VARIANCE_FLOOR,
     HybridResult,
     apply_perturbation,
     build_hybrid_model,
@@ -133,6 +134,20 @@ class LocalResult:
         return self.state.v1[pos], self.state.v2[pos], self.cov[np.ix_(idx, idx)]
 
 
+def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key) -> HybridResult:
+    """The hybrid PMU step of both levels: sample the structured
+    uncertainty, perturb the model with ``perturb(key, q, p)`` when a
+    sampler is given, then solve plainly or robustly."""
+    sampling = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=False)
+    if perturb is not None and not sampling.is_null():
+        delta = perturb(key, sampling.q, sampling.e_h.shape[0])
+        hmodel = apply_perturbation(hmodel, sampling, delta)
+    if not robust:
+        return hybrid_solve(hmodel)
+    unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=True)
+    return hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu)
+
+
 def _estimate_area(net, part, area, scada, pmu, cfg: ExperimentConfig, robust, perturb):
     view = ModelView.for_area(net, part, area.index)
     anchor = _pmu_ref_anchor(pmu, area.ref_bus)
@@ -146,21 +161,8 @@ def _estimate_area(net, part, area, scada, pmu, cfg: ExperimentConfig, robust, p
     if not tse.converged:
         raise NumericalError(f"area {area.index}: traditional estimator did not converge")
 
-    hmodel = build_hybrid_model(
-        tse, pmu, view,
-        variance_floor=cfg.variance_floor,
-        diagonal_tse_cov=cfg.tse_cov_diagonal,
-    )
-    sampling = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=False)
-    if perturb is not None and not sampling.is_null():
-        delta = perturb(("level1", area.index), sampling.q, sampling.e_h.shape[0])
-        hmodel = apply_perturbation(hmodel, sampling, delta)
-    if robust:
-        unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=True)
-        hres = hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu)
-    else:
-        hres = hybrid_solve(hmodel)
-
+    hmodel = build_hybrid_model(tse, pmu, view, diagonal_tse_cov=cfg.tse_cov_diagonal)
+    hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level1", area.index))
     polar, cov_polar = rect_to_polar(hres.state, hres.covariance)
     return LocalResult(area.index, polar, cov_polar, tse.state, tse.iterations, hres)
 
@@ -245,7 +247,7 @@ class _CoordinatorModel:
     u-dependence into the u columns.
     """
 
-    def __init__(self, net, part, locals_, prob: CoordinatorProblem, cfg):
+    def __init__(self, net, part, locals_, prob: CoordinatorProblem):
         self.net = net
         self.part = part
         self.locals = {lr.area_index: lr for lr in locals_}
@@ -312,7 +314,7 @@ class _CoordinatorModel:
         return np.vstack([physical, self.pseudo_jac])
 
 
-def _assemble_coordinator(net, part, locals_, z_b, z_pmu, cfg) -> CoordinatorProblem:
+def _assemble_coordinator(part, locals_, z_b, z_pmu) -> CoordinatorProblem:
     bnd_ids = part.boundary_buses()
     physical = MeasurementSet(tuple(z_b) + tuple(z_pmu))
     z_parts = [physical.z]
@@ -326,7 +328,7 @@ def _assemble_coordinator(net, part, locals_, z_b, z_pmu, cfg) -> CoordinatorPro
         area_order.append(area.index)
         bus_lists.append(buses)
         z_parts.append(np.concatenate([va, vm]))
-        w_blocks.append(cov + cfg.variance_floor * np.eye(2 * len(buses)))
+        w_blocks.append(cov + VARIANCE_FLOOR * np.eye(2 * len(buses)))
     return CoordinatorProblem(
         bnd_ids, physical, tuple(area_order), tuple(bus_lists),
         np.concatenate(z_parts), physical.sigmas**2, tuple(w_blocks),
@@ -384,18 +386,16 @@ def level2_run(
     cfg: ExperimentConfig,
     robust: bool = True,
     perturb=None,
-    method_label: str | None = None,
 ) -> GlobalResult:
     """Central coordinator: nonlinear WLS over [boundary states; u], then
     the hybrid robust refinement of the boundary voltages."""
-    label = method_label or ("robust" if robust else "wls")
     bnd_ids = part.boundary_buses()
     u = np.zeros(part.area_count)
     iters = 0
 
     if bnd_ids:
-        prob = _assemble_coordinator(net, part, locals_, z_b, z_pmu, cfg)
-        model = _CoordinatorModel(net, part, locals_, prob, cfg)
+        prob = _assemble_coordinator(part, locals_, z_b, z_pmu)
+        model = _CoordinatorModel(net, part, locals_, prob)
         x0 = _coordinator_init(model, prob)
         x_hat, cov_c, iters = _solve_coordinator(model, prob, x0, cfg.epsilon, cfg.k_limit)
         nb = len(bnd_ids)
@@ -408,16 +408,8 @@ def level2_run(
         )
         rect, cov_rect = polar_to_rect(bnd_state, cov_c[: 2 * nb, : 2 * nb])
         bnd_view = ModelView(net, bnd_ids, ref_bus=part.global_ref)
-        hmodel = stack_model(bnd_view, rect, cov_rect, z_pmu, cfg.variance_floor)
-        sampling = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=False)
-        if perturb is not None and not sampling.is_null():
-            delta = perturb(("level2", 0), sampling.q, sampling.e_h.shape[0])
-            hmodel = apply_perturbation(hmodel, sampling, delta)
-        if robust:
-            unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=True)
-            hres = hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu)
-        else:
-            hres = hybrid_solve(hmodel)
+        hmodel = stack_model(bnd_view, rect, cov_rect, z_pmu)
+        hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level2", 0))
         bnd_polar, _ = rect_to_polar(hres.state)
     else:
         bnd_polar = None
@@ -442,7 +434,7 @@ def level2_run(
             va[k] = lva + u[ai - 1]
             source.append(f"area{ai}")
     return GlobalResult(
-        bus_ids, vm, va, tuple(source), u, label, tuple(locals_), iters
+        bus_ids, vm, va, tuple(source), u, "robust" if robust else "wls", tuple(locals_), iters
     )
 
 

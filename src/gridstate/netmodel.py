@@ -78,9 +78,6 @@ class Branch:
         ytt = ys + bc
         return yff, yft, ytf, ytt
 
-    def key(self):
-        return (self.f, self.t)
-
 
 @dataclass(frozen=True)
 class PowerNetwork:

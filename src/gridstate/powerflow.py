@@ -89,6 +89,28 @@ def calc_injections(ybus, vm, va):
     return s.real, s.imag
 
 
+def injection_jacobian(y, k, vm, va, p, q):
+    """(dP/dtheta, dP/dV, dQ/dtheta, dQ/dV) of the injections (p, q) at the
+    bus positions ``k``, over all n buses; ``y`` holds the Ybus rows of k."""
+    at = np.arange(len(k))
+    g, b = y.real, y.imag
+    theta = va[k][:, None] - va[None, :]
+    ct, st = np.cos(theta), np.sin(theta)
+    a = g * ct + b * st
+    c = g * st - b * ct
+    vmk = vm[k]
+    gkk, bkk = g[at, k], b[at, k]
+    dp_dth = vmk[:, None] * vm * c
+    dp_dth[at, k] = -q - bkk * vmk**2
+    dp_dv = vmk[:, None] * a
+    dp_dv[at, k] = p / vmk + gkk * vmk
+    dq_dth = -vmk[:, None] * vm * a
+    dq_dth[at, k] = p - gkk * vmk**2
+    dq_dv = vmk[:, None] * c
+    dq_dv[at, k] = q / vmk - bkk * vmk
+    return dp_dth, dp_dv, dq_dth, dq_dv
+
+
 def mismatch(net: PowerNetwork, state: StateVector):
     """Per-bus scheduled-minus-calculated (dP, dQ) at the given polar state.
 
@@ -137,7 +159,6 @@ def run_powerflow(net: PowerNetwork, tol: float = 1e-8, max_iter: int = 20) -> P
     adm = build_ybus(net)
     bus_ids = adm.bus_ids
     n = len(bus_ids)
-    g, b = adm.g, adm.b
     kinds = [net.bus(bid).kind for bid in bus_ids]
     p_sched = np.array([net.bus(bid).p for bid in bus_ids])
     q_sched = np.array([net.bus(bid).q for bid in bus_ids])
@@ -167,21 +188,7 @@ def run_powerflow(net: PowerNetwork, tol: float = 1e-8, max_iter: int = 20) -> P
         if it == max_iter:
             break
 
-        # Jacobian blocks dP/dtheta, dP/dV, dQ/dtheta, dQ/dV
-        theta = va[:, None] - va[None, :]
-        ct, st = np.cos(theta), np.sin(theta)
-        a = g * ct + b * st
-        c = g * st - b * ct
-        vv = vm[:, None] * vm[None, :]
-        dp_dth = vv * c
-        np.fill_diagonal(dp_dth, -q_calc - b.diagonal() * vm**2)
-        dp_dv = vm[:, None] * a
-        np.fill_diagonal(dp_dv, p_calc / vm + g.diagonal() * vm)
-        dq_dth = -vv * a
-        np.fill_diagonal(dq_dth, p_calc - g.diagonal() * vm**2)
-        dq_dv = vm[:, None] * c
-        np.fill_diagonal(dq_dv, q_calc / vm - b.diagonal() * vm)
-
+        dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(adm.y, np.arange(n), vm, va, p_calc, q_calc)
         jac = np.block(
             [
                 [dp_dth[np.ix_(pv_pq, pv_pq)], dp_dv[np.ix_(pv_pq, pq)]],

@@ -22,16 +22,14 @@ class PolarModel:
     model view and evaluates h and H on it.
 
     With ``pin_angle`` (the default) the reference-bus angle is pinned at
-    ``ref_angle`` and removed from the unknowns.  When the reference bus
+    zero and removed from the unknowns.  When the reference bus
     carries a PMU its angle is estimated instead: pass pin_angle=False and
     include anchor rows in the specs so the gain matrix keeps rank.
     """
 
-    def __init__(self, view: ModelView, specs, ref_angle: float = 0.0,
-                 pin_angle: bool = True):
+    def __init__(self, view: ModelView, specs, pin_angle: bool = True):
         self.view = view
         self.specs = tuple(specs)
-        self.ref_angle = float(ref_angle)
         self.pin_angle = bool(pin_angle)
         view.compile(self.specs)
         self.n_bus = view.n_bus
@@ -56,7 +54,7 @@ class PolarModel:
         return np.concatenate([va[self.free_va], vm])
 
     def unpack(self, x) -> StateVector:
-        va = np.full(self.n_bus, self.ref_angle)
+        va = np.zeros(self.n_bus)
         va[self.free_va] = x[: len(self.free_va)]
         vm = np.array(x[len(self.free_va) :])
         return StateVector("polar", self.view.bus_ids, vm, va, ref_bus=self.view.ref_bus)
@@ -199,11 +197,11 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit):
 def wls_estimate(
     mset: MeasurementSet,
     model: PolarModel,
-    init: StateVector | None = None,
     tol: float = 1e-6,
     k_limit: int = 20,
 ) -> EstimationResult:
-    """Gauss-Newton WLS estimate for the given measurement set and model.
+    """Gauss-Newton WLS estimate for the given measurement set and model,
+    from a flat start.
 
     Returns converged=False (never raises) when k_limit is reached; raises
     UnobservableError when the gain matrix is singular at an iterate.
@@ -213,15 +211,13 @@ def wls_estimate(
     if len(mset) != len(model.specs):
         raise ValidationError("measurement set does not match the model's specs")
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
-    x0 = model.flat() if init is None else model.pack(init)
-    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, x0, tol, k_limit)
+    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, model.flat(), tol, k_limit)
     return EstimationResult(model.unpack(x), cov, iterations, converged, j, r, model)
 
 
-def check_observable(model: PolarModel, state: StateVector | None = None) -> bool:
-    """Rank check of the Jacobian at a state (flat start by default)."""
-    x = model.flat() if state is None else model.pack(state)
-    h = model.jac(x)
+def check_observable(model: PolarModel) -> bool:
+    """Rank check of the Jacobian at the flat start."""
+    h = model.jac(model.flat())
     if h.shape[0] < model.n_state:
         return False
     return int(np.linalg.matrix_rank(h)) == model.n_state

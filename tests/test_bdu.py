@@ -295,8 +295,8 @@ def test_lambda_at_least_bound_always():
         for strat, mu in (("exact", 1.0), ("approx", 0.0), ("approx", 3.0)):
             sol = bdu_solve(p, strat, mu)
             assert sol.lam >= lam0 - 1e-12
-            scale = max(1.0, np.abs(sol.r_hat).max())
-            assert np.abs(sol.r_hat - sol.r_hat.T).max() < 1e-12 * scale
+            scale = max(1.0, np.abs(sol.cov).max())
+            assert np.abs(sol.cov - sol.cov.T).max() < 1e-12 * scale
 
 
 def test_dimension_validation():

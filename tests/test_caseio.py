@@ -106,6 +106,17 @@ def test_config_rejects_non_finite(key, value):
         parse_config(f"{key} = {value}\n")
 
 
+def test_render_config_round_trips():
+    cfgs = (
+        caseio.default_config(),
+        caseio.load_ieee30_config(),
+        ExperimentConfig(epsilon=1e-9, tse_cov_diagonal=True, mode="central-wls", mu=0.1),
+    )
+    for cfg in cfgs:
+        assert parse_config(caseio.render_config(cfg)) == cfg
+    assert len({caseio.render_config(c) for c in cfgs}) == len(cfgs)
+
+
 def test_config_rejects_negative_seed():
     # default_rng([seed, trial]) raises a bare numpy ValueError on a negative seed
     with pytest.raises(ValidationError, match="seed must be nonnegative"):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+from gridstate import caseio
 from gridstate.cli import main, prepare, run_trial
 
 
@@ -113,6 +115,46 @@ def test_compare_robust_vs_wls(tmp_path, capsys):
         "compare", "--config-a", str(a), "--config-b", str(b), "--out", str(tmp_path),
     ]) == 0
     assert os.path.exists(tmp_path / "compare.csv")
+
+
+def _config_hash(path):
+    return json.loads(path.read_text())["manifest"]["config_sha256"]
+
+
+def test_manifest_hashes_the_effective_config(tmp_path):
+    empty = hashlib.sha256(b"").hexdigest()
+    base = ["estimate", "--mode", "central-wls", "--seed", "3", "--format", "json"]
+    for tag, unc in (("a", "0.05,0.05"), ("a2", "0.05,0.05"), ("b", "0.05,0.1")):
+        assert main(base + ["--uncertainty", unc, "--out", str(tmp_path / tag)]) == 0
+    est = {tag: _config_hash(tmp_path / tag / "estimate_central-wls.json") for tag in ("a", "a2", "b")}
+    assert est["a"] == est["a2"] != est["b"]
+    assert empty not in est.values()
+
+    # config B's own plan file is hashed with the fixtures too
+    plan = tmp_path / "b.plan"
+    plan.write_text(caseio.bundled_text("ieee30.plan") + "INJ 12\n")
+    a = tmp_path / "a.cfg"
+    a.write_text("mode = central-wls\nseed = 5\n")
+    b = tmp_path / "b.cfg"
+    b.write_text(f"mode = central-robust\nseed = 5\nplan = {plan}\n")
+    cmp = {}
+    for tag, second in (("aa", a), ("ab", b)):
+        argv = ["compare", "--config-a", str(a), "--config-b", str(second),
+                "--out", str(tmp_path / tag), "--format", "json"]
+        assert main(argv) == 0
+        cmp[tag] = _config_hash(tmp_path / tag / "compare.json")
+    assert cmp["aa"] != cmp["ab"]
+    assert empty not in cmp.values()
+    fixtures = json.loads((tmp_path / "ab" / "compare.json").read_text())["manifest"]["fixtures"]
+    assert str(plan) in fixtures and "ieee30.plan" in fixtures
+
+
+def test_compare_rejects_parallel_flag(capsys):
+    # level 1's thread pool is an estimate-only option
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--config-a", "a.cfg", "--config-b", "b.cfg", "--parallel"])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
 
 
 def test_central_mode_without_partition(tmp_path):

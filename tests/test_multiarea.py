@@ -235,8 +235,8 @@ def _coordinator(net30, part30, specs30, truth30, view30, cfg, seed, robust):
     perturb = make_delta_sampler(seed, 0)
     locals_ = level1_run(net30, part30, scada, pmu, cfg, robust=robust, perturb=perturb)
     z_b, z_pmu = coordinator_measurements(net30, part30, mset)
-    prob = _assemble_coordinator(net30, part30, locals_, z_b, z_pmu, cfg)
-    model = _CoordinatorModel(net30, part30, locals_, prob, cfg)
+    prob = _assemble_coordinator(part30, locals_, z_b, z_pmu)
+    model = _CoordinatorModel(net30, part30, locals_, prob)
     return prob, model, _coordinator_init(model, prob)
 
 
@@ -345,7 +345,7 @@ def test_coordinator_rank_deficient(net30, part30, specs30, truth30, view30, cfg
         pseudo_bus_lists=prob.pseudo_bus_lists[:1], z=prob.z[p : p + n1],
         w_diag=np.zeros(0), w_blocks=prob.w_blocks[:1],
     )
-    model1 = _CoordinatorModel(net30, part30, model.locals.values(), only1, cfg30)
+    model1 = _CoordinatorModel(net30, part30, model.locals.values(), only1)
     with pytest.raises(UnobservableError):
         _solve_coordinator(model1, only1, x0, cfg30.epsilon, cfg30.k_limit)
 

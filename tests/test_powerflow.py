@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from gridstate.errors import ConvergenceError, ValidationError
-from gridstate.netmodel import Branch, Bus, PowerNetwork
+from gridstate.netmodel import Branch, Bus, PowerNetwork, build_ybus
 from gridstate.powerflow import (
     StateVector,
+    calc_injections,
+    injection_jacobian,
     masked_mismatch,
     mismatch,
     run_powerflow,
@@ -107,6 +109,33 @@ def test_mismatch_linearization_consistency(net30, truth30):
             slope_fine = (dp - dp2) / (2 * h)
     # central differences agree to O(h^2): 4x tighter at half step
     assert np.abs(slope_coarse - slope_fine).max() < 1e-3 * max(1.0, np.abs(slope_fine).max())
+
+
+def test_injection_jacobian_matches_finite_differences(net30, truth30):
+    adm = build_ybus(net30)
+    order = [truth30.index(b) for b in adm.bus_ids]
+    vm, va = truth30.v1[order], truth30.v2[order]
+    n = len(vm)
+    p, q = calc_injections(adm.y, vm, va)
+    dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(adm.y, np.arange(n), vm, va, p, q)
+    h = 1e-6
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = h
+        p_hi, q_hi = calc_injections(adm.y, vm, va + e)
+        p_lo, q_lo = calc_injections(adm.y, vm, va - e)
+        assert np.abs((p_hi - p_lo) / (2 * h) - dp_dth[:, j]).max() < 1e-6
+        assert np.abs((q_hi - q_lo) / (2 * h) - dq_dth[:, j]).max() < 1e-6
+        p_hi, q_hi = calc_injections(adm.y, vm + e, va)
+        p_lo, q_lo = calc_injections(adm.y, vm - e, va)
+        assert np.abs((p_hi - p_lo) / (2 * h) - dp_dv[:, j]).max() < 1e-6
+        assert np.abs((q_hi - q_lo) / (2 * h) - dq_dv[:, j]).max() < 1e-6
+
+    # the estimator's rows (a subset of metered buses) are the same numbers
+    k = np.array([17, 2, 29, 5])
+    rows = injection_jacobian(adm.y[k], k, vm, va, p[k], q[k])
+    for full, sub in zip((dp_dth, dp_dv, dq_dth, dq_dv), rows):
+        assert np.array_equal(full[k], sub)
 
 
 def test_divergence_reports_residual():
