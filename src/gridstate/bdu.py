@@ -2,8 +2,8 @@
 
 Solves  min_x max_{||y|| <= phi(x)} (Hx - z + Sy)' R (Hx - z + Sy)  with
 phi(x) = ||E_h x - E_z||, the min-max problem induced by the perturbation
-model [dH dz] = S Delta [E_h E_z], ||Delta|| <= 1.  The closed-form
-solution is
+model [dH dz] = S Delta [E_h E_z], ||Delta|| <= 1, and R = diag(r).  The
+closed-form solution is
 
     x_hat = (lam E_h'E_h + H' R_hat H)^-1 (H' R_hat z + lam E_h'E_z)
     R_hat = R + R S (lam I - S'RS)^+ S' R
@@ -60,19 +60,30 @@ def null_uncertainty(m: int, n: int) -> UncertaintyStructure:
     return UncertaintyStructure(np.zeros((m, 0)), np.zeros((n, n)), np.zeros(n))
 
 
+def lsq(a, b):
+    """Least squares min ||A x - b|| via QR; (x, inv(A'A)) with a rank guard."""
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        raise NumericalError("least-squares matrix is rank deficient")
+    x = np.linalg.solve(r, q.T @ b)
+    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
+    return x, r_inv @ r_inv.T
+
+
 @dataclass(frozen=True)
 class RobustProblem:
     z: np.ndarray
     h: np.ndarray
-    r: np.ndarray  # weighting matrix, R = W^-1, symmetric positive definite
+    r: np.ndarray  # weights, the diagonal of R = W^-1; positive and finite
     uncertainty: UncertaintyStructure
 
     def __post_init__(self):
         m, n = self.h.shape
         if len(self.z) != m:
             raise ValidationError("z length does not match H rows")
-        if self.r.shape != (m, m):
-            raise ValidationError("R must be m x m")
+        if self.r.shape != (m,) or not np.all(np.isfinite(self.r) & (self.r > 0.0)):
+            raise ValidationError("r must hold one positive, finite weight per row of H")
         u = self.uncertainty
         if u.q and u.s.shape[0] != m:
             raise ValidationError("S row dimension does not match H")
@@ -90,21 +101,22 @@ class RobustSolution:
 
 
 def spectral_norm_strs(s, r) -> float:
-    """||S' R S|| (largest eigenvalue; the matrix is symmetric PSD)."""
+    """||S' diag(r) S|| (largest eigenvalue; the matrix is symmetric PSD)."""
     if s.shape[1] == 0:
         return 0.0
-    u = s.T @ r @ s
+    u = s.T @ (s * r[:, None])
     return float(np.linalg.eigvalsh(0.5 * (u + u.T))[-1])
 
 
 class _Evaluator:
     """Shared factorizations for repeated G(lambda) evaluation; R S and H'R
-    are formed once and every product with R derives from them."""
+    are scaled once (H'R C-ordered: its layout picks the BLAS path, and so
+    the rounding, of H'R z) and every product with R derives from them."""
 
     def __init__(self, p: RobustProblem):
         self.p = p
         u = p.uncertainty
-        rs, htr = p.r @ u.s, p.h.T @ p.r
+        rs, htr = u.s * p.r[:, None], np.ascontiguousarray(p.h.T * p.r)
         strs = u.s.T @ rs
         d, q = np.linalg.eigh(0.5 * (strs + strs.T)) if u.q else (np.zeros(0), np.zeros((0, 0)))
         self.d = np.clip(d, 0.0, None)
@@ -136,7 +148,7 @@ class _Evaluator:
 
     def _g(self, lam_eff, w, x) -> float:
         res = self.p.h @ x - self.p.z
-        weighted = res @ self.p.r @ res + np.sum(w * (self.b.T @ res) ** 2)
+        weighted = (res * self.p.r) @ res + np.sum(w * (self.b.T @ res) ** 2)
         u = self.p.uncertainty
         return float(lam_eff * np.sum((u.e_h @ x - u.e_z) ** 2) + weighted)
 
@@ -148,7 +160,7 @@ class _Evaluator:
         R^-1, from one solve of the normal equations."""
         lam_eff, w, sol = self._solve(lam, with_cov=True)
         x, pr = sol[:, 0], sol[:, 1:]
-        return RobustSolution(x, float(lam), self._g(lam_eff, w, x), strategy, (pr @ self.p.r) @ pr.T)
+        return RobustSolution(x, float(lam), self._g(lam_eff, w, x), strategy, (pr * self.p.r) @ pr.T)
 
 
 def g_of_lambda(lam: float, p: RobustProblem) -> float:
@@ -235,16 +247,14 @@ def _scaled_lambda(mu: float, lam0: float) -> float:
 
 def bdu_solve(p: RobustProblem, lam_strategy: str = "exact", mu: float = 1.0) -> RobustSolution:
     """Solve the min-max problem; with null uncertainty this reduces exactly
-    to the plain weighted LS solution (no lambda machinery involved)."""
+    to weighted LS, ``lsq`` on the sqrt(r)-scaled rows."""
     u = p.uncertainty
     if u.is_null() or u.no_perturbation_bound():
-        htr = p.h.T @ p.r
-        try:
-            sol = np.linalg.solve(htr @ p.h, np.column_stack([htr @ p.z, np.eye(len(htr))]))
-        except np.linalg.LinAlgError:
-            raise NumericalError("singular normal matrix in weighted least squares") from None
-        res = p.h @ sol[:, 0] - p.z
-        return RobustSolution(sol[:, 0], 0.0, float(res @ p.r @ res), "reduced", sol[:, 1:])
+        root = np.sqrt(p.r)
+        a, b = p.h * root[:, None], p.z * root
+        x, cov = lsq(a, b)
+        res = a @ x - b
+        return RobustSolution(x, 0.0, float(res @ res), "reduced", cov)
 
     ev = _Evaluator(p)
     if lam_strategy == "exact":
@@ -267,7 +277,7 @@ def worst_case_objective(x, p: RobustProblem, samples: int = 256, seed: int = 0)
         raise ValidationError("samples must be at least 1")
     u = p.uncertainty
     v = p.h @ x - p.z
-    nominal = float(v @ p.r @ v)
+    nominal = float((v * p.r) @ v)
     if u.q == 0:
         return nominal
     phi = u.phi(x)
@@ -275,10 +285,10 @@ def worst_case_objective(x, p: RobustProblem, samples: int = 256, seed: int = 0)
         return nominal
 
     dirs = []
-    lin = u.s.T @ p.r @ v
+    lin = u.s.T @ (p.r * v)
     if np.linalg.norm(lin) > 0.0:
         dirs.append(lin / np.linalg.norm(lin))
-    strs = u.s.T @ p.r @ u.s
+    strs = u.s.T @ (u.s * p.r[:, None])
     _, vecs = np.linalg.eigh(0.5 * (strs + strs.T))
     dirs.extend([vecs[:, -1], -vecs[:, -1]])
     rng = np.random.default_rng(seed)
@@ -290,5 +300,5 @@ def worst_case_objective(x, p: RobustProblem, samples: int = 256, seed: int = 0)
     for d in dirs:
         y = phi * d
         t = v + u.s @ y
-        best = max(best, float(t @ p.r @ t))
+        best = max(best, float((t * p.r) @ t))
     return best

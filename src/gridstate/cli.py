@@ -292,9 +292,15 @@ def _cfg_overrides(args) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as a usage error (exit 1, not 2)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gridstate",
-                                 description="Two-level robust multi-area state estimation")
+    ap = _Parser(prog="gridstate", description="Two-level robust multi-area state estimation")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pf = sub.add_parser("powerflow", help="run the truth load flow")

@@ -18,9 +18,10 @@ from .bdu import (
     RobustSolution,
     UncertaintyStructure,
     bdu_solve,
+    lsq,
     null_uncertainty,
 )
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .measurement import (
     PMU_CURRENT_KINDS,
     PMU_VOLTAGE_KINDS,
@@ -66,10 +67,6 @@ class HybridModel:
     @property
     def pmu_rows(self):
         return np.arange(self.n_state, len(self.z))
-
-    def perturbed(self, dh, dz) -> "HybridModel":
-        """Model seen under a structured perturbation [dH dz]."""
-        return replace(self, h=self.h + dh, z=self.z + dz)
 
 
 def stack_model(
@@ -142,21 +139,10 @@ def _whitener(m: HybridModel):
     return whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
 
 
-def _qr_solve(a, b):
-    """Least squares via QR; (solution, inv(A'A)) with a rank guard."""
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise NumericalError("hybrid normal matrix is singular")
-    x = np.linalg.solve(r, q.T @ b)
-    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
-    return x, r_inv @ r_inv.T
-
-
 def hybrid_solve(m: HybridModel) -> HybridResult:
     """One-shot weighted LS x = (H' W^-1 H)^-1 H' W^-1 z; non-iterative."""
     whiten = _whitener(m)
-    x, cov = _qr_solve(whiten(m.h), whiten(m.z))
+    x, cov = lsq(whiten(m.h), whiten(m.z))
     return HybridResult(_as_state(m, x), cov)
 
 
@@ -202,20 +188,14 @@ def hybrid_solve_robust(
     """Robust variant of hybrid_solve; delegates the min-max solve to bdu.
     Null uncertainty reduces exactly to hybrid_solve.
 
-    The problem is whitened first (z, H, S scaled by W^-1/2, R = I): the
-    min-max cost and its minimizer are unchanged, the conditioning is not.
-    The estimate's covariance is therefore bdu's for data of covariance
-    R^-1 = I.
+    The problem is whitened first (z, H, S scaled by W^-1/2, unit
+    weights): the min-max cost and its minimizer are unchanged, the
+    conditioning is not, and bdu's covariance is for unit data covariance.
     """
     whiten = _whitener(m)
-    h, z = whiten(m.h), whiten(m.z)
-    if unc.is_null() or unc.no_perturbation_bound():
-        x, cov = _qr_solve(h, z)
-        res = h @ x - z
-        sol = RobustSolution(x, 0.0, float(res @ res), "reduced", cov)
-    else:
-        unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
-        sol = bdu_solve(RobustProblem(z, h, np.eye(len(z)), unc_w), lam_strategy, mu)
+    unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
+    p = RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)), unc_w)
+    sol = bdu_solve(p, lam_strategy, mu)
     return HybridResult(_as_state(m, sol.x), sol.cov, sol)
 
 
@@ -233,6 +213,5 @@ def apply_perturbation(m: HybridModel, unc: UncertaintyStructure, delta) -> Hybr
         return m
     if delta.shape != (unc.q, unc.e_h.shape[0]):
         raise ValidationError("delta dimensions do not match the uncertainty structure")
-    dh = unc.s @ delta @ unc.e_h
-    dz = unc.s @ delta @ unc.e_z
-    return m.perturbed(dh, dz)
+    s_delta = unc.s @ delta
+    return replace(m, h=m.h + s_delta @ unc.e_h, z=m.z + s_delta @ unc.e_z)

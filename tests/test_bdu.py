@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstate.bdu import (
     RobustProblem,
@@ -8,6 +12,7 @@ from gridstate.bdu import (
     bdu_solve,
     g_of_lambda,
     lambda_approx,
+    lsq,
     min_g,
     null_uncertainty,
     spectral_norm_strs,
@@ -23,7 +28,7 @@ def _random_problem(rng, m=None, n=None, q=None, s_scale=0.5, e_scale=0.4, ez_sc
     h = rng.standard_normal((m, n))
     x_true = rng.standard_normal(n)
     z = h @ x_true + 0.1 * rng.standard_normal(m)
-    r = np.diag(rng.uniform(0.5, 2.0, m))
+    r = rng.uniform(0.5, 2.0, m)
     s = s_scale * rng.standard_normal((m, q))
     e_h = e_scale * rng.standard_normal((q, n))
     e_z = ez_scale * rng.standard_normal(q)
@@ -31,7 +36,8 @@ def _random_problem(rng, m=None, n=None, q=None, s_scale=0.5, e_scale=0.4, ez_sc
 
 
 def _weighted_ls(p):
-    return np.linalg.solve(p.h.T @ p.r @ p.h, p.h.T @ p.r @ p.z)
+    r = np.diag(p.r)
+    return np.linalg.solve(p.h.T @ r @ p.h, p.h.T @ r @ p.z)
 
 
 # --- brute-force min-max oracle (n <= 2, q <= 2) ---------------------------
@@ -40,22 +46,22 @@ def _weighted_ls(p):
 def _inner_max_grid(x_grid, p, n_dirs=2048):
     """Vectorized inner maximum over the boundary of the y-ball for a batch
     of x points, with the analytic linear-term direction included."""
-    u = p.uncertainty
+    u, r = p.uncertainty, np.diag(p.r)
     v = x_grid @ p.h.T - p.z  # (N, m)
-    nominal = np.einsum("im,mk,ik->i", v, p.r, v)
+    nominal = np.einsum("im,mk,ik->i", v, r, v)
     phi = np.linalg.norm(x_grid @ u.e_h.T - u.e_z, axis=1)
     if u.q == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
         ang = np.linspace(0.0, 2.0 * np.pi, n_dirs, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    su = p.r @ u.s @ dirs.T  # (m, K)
+    su = r @ u.s @ dirs.T  # (m, K)
     lin = v @ su  # (N, K)
-    quad = np.einsum("mk,mn,nk->k", u.s @ dirs.T, p.r, u.s @ dirs.T)
+    quad = np.einsum("mk,mn,nk->k", u.s @ dirs.T, r, u.s @ dirs.T)
     vals = nominal[:, None] + 2.0 * phi[:, None] * lin + (phi**2)[:, None] * quad[None, :]
     best = vals.max(axis=1)
     # analytic candidate: y aligned with S' R v
-    lin_dir = v @ (p.r @ u.s)  # (N, q)
+    lin_dir = v @ (r @ u.s)  # (N, q)
     norms = np.linalg.norm(lin_dir, axis=1)
     ok = norms > 0
     if ok.any():
@@ -63,7 +69,7 @@ def _inner_max_grid(x_grid, p, n_dirs=2048):
         d[ok] = lin_dir[ok] / norms[ok, None]
         y = phi[:, None] * d
         t = v + y @ u.s.T
-        cand = np.einsum("im,mk,ik->i", t, p.r, t)
+        cand = np.einsum("im,mk,ik->i", t, r, t)
         best = np.maximum(best, cand)
     return best
 
@@ -107,7 +113,7 @@ def test_scalar_instance_matches_grid_oracle():
     p = RobustProblem(
         np.array([1.0]),
         np.array([[1.0]]),
-        np.array([[1.0]]),
+        np.array([1.0]),
         UncertaintyStructure(np.array([[1.0]]), np.array([[0.5]]), np.array([0.0])),
     )
     sol = bdu_solve(p, "exact")
@@ -139,8 +145,9 @@ def test_g_recomposition_oracle():
     for lam in (lam0 * 1.1, lam0 * 2.0, lam0 + 5.0):
         got = g_of_lambda(lam, p)
         # independent recomposition with generic pinv/solve calls
-        strs = u.s.T @ p.r @ u.s
-        r_lam = p.r + p.r @ u.s @ np.linalg.pinv(lam * np.eye(u.q) - strs) @ u.s.T @ p.r
+        r = np.diag(p.r)
+        strs = u.s.T @ r @ u.s
+        r_lam = r + r @ u.s @ np.linalg.pinv(lam * np.eye(u.q) - strs) @ u.s.T @ r
         lhs = lam * u.e_h.T @ u.e_h + p.h.T @ r_lam @ p.h
         x_lam = np.linalg.solve(lhs, p.h.T @ r_lam @ p.z + lam * u.e_h.T @ u.e_z)
         res = p.h @ x_lam - p.z
@@ -201,8 +208,8 @@ def test_min_g_degenerate_returns_left_endpoint():
 
 
 def test_lambda_approx():
-    assert lambda_approx(0.0, np.eye(3), np.eye(3)) == pytest.approx(1.0)
-    assert lambda_approx(1.0, np.eye(3), np.eye(3)) == pytest.approx(2.0)
+    assert lambda_approx(0.0, np.eye(3), np.ones(3)) == pytest.approx(1.0)
+    assert lambda_approx(1.0, np.eye(3), np.ones(3)) == pytest.approx(2.0)
     rng = np.random.default_rng(6)
     p = _random_problem(rng)
     lam0 = spectral_norm_strs(p.uncertainty.s, p.r)
@@ -231,14 +238,14 @@ def test_worst_case_zero_radius_is_nominal():
     p = _random_problem(rng, e_scale=0.0, ez_scale=0.0)
     x = _weighted_ls(p)
     res = p.h @ x - p.z
-    assert worst_case_objective(x, p, 64, 0) == pytest.approx(res @ p.r @ res)
+    assert worst_case_objective(x, p, 64, 0) == pytest.approx(res @ np.diag(p.r) @ res)
 
 
 def test_worst_case_scalar_closed_form():
     p = RobustProblem(
         np.array([2.0]),
         np.array([[1.0]]),
-        np.array([[1.5]]),
+        np.array([1.5]),
         UncertaintyStructure(np.array([[0.7]]), np.array([[0.5]]), np.array([0.3])),
     )
     x = np.array([1.2])
@@ -267,7 +274,7 @@ def test_robust_worst_case_beats_ls():
 def test_pseudoinverse_is_plain_inverse_above_bound():
     rng = np.random.default_rng(60)
     p = _random_problem(rng, q=3)
-    u = p.uncertainty.s.T @ p.r @ p.uncertainty.s
+    u = p.uncertainty.s.T @ np.diag(p.r) @ p.uncertainty.s
     lam = spectral_norm_strs(p.uncertainty.s, p.r) * 1.7
     m = lam * np.eye(3) - u
     assert np.abs(m @ np.linalg.pinv(m) - np.eye(3)).max() < 1e-10
@@ -301,25 +308,38 @@ def test_lambda_at_least_bound_always():
 
 def test_dimension_validation():
     with pytest.raises(ValidationError):
-        RobustProblem(np.ones(3), np.ones((4, 2)), np.eye(4), null_uncertainty(4, 2))
+        RobustProblem(np.ones(3), np.ones((4, 2)), np.ones(4), null_uncertainty(4, 2))
     with pytest.raises(ValidationError):
-        RobustProblem(np.ones(4), np.ones((4, 2)), np.eye(3), null_uncertainty(4, 2))
+        RobustProblem(np.ones(4), np.ones((4, 2)), np.ones(3), null_uncertainty(4, 2))
     with pytest.raises(ValidationError):
         UncertaintyStructure(np.ones((4, 1)), np.ones((2, 2)), np.ones(3))
     with pytest.raises(ValidationError):
         bdu_solve(_random_problem(np.random.default_rng(0)), "magic")
 
 
-def _dense_cov(p, lam):
+@pytest.mark.parametrize("r", [
+    np.eye(4),  # a matrix, not its diagonal
+    np.array([1.0, 1.0, 0.0, 1.0]),
+    np.array([1.0, -2.0, 1.0, 1.0]),
+    np.array([1.0, np.nan, 1.0, 1.0]),
+    np.array([1.0, 1.0, np.inf, 1.0]),
+], ids=["matrix", "zero", "negative", "nan", "inf"])
+def test_weights_must_be_a_positive_finite_vector(r):
+    with pytest.raises(ValidationError):
+        RobustProblem(np.ones(4), np.ones((4, 2)), r, null_uncertainty(4, 2))
+
+
+def _dense_cov(p, r, lam):
     """Oracle covariance of x(lam) for data of covariance R^-1: A R^-1 A'
-    with A = N^-1 H' R_hat, everything dense."""
+    with A = N^-1 H' R_hat, everything dense; ``r`` is the dense R that
+    replaces p's weights."""
     u = p.uncertainty
-    strs = u.s.T @ p.r @ u.s
+    strs = u.s.T @ r @ u.s
     lam0 = float(np.linalg.eigvalsh(0.5 * (strs + strs.T))[-1])
     lam = max(lam, lam0 + 1e-12 * max(1.0, lam0))
-    r_hat = p.r + p.r @ u.s @ np.linalg.inv(lam * np.eye(u.q) - strs) @ u.s.T @ p.r
+    r_hat = r + r @ u.s @ np.linalg.inv(lam * np.eye(u.q) - strs) @ u.s.T @ r
     a = np.linalg.solve(lam * u.e_h.T @ u.e_h + p.h.T @ r_hat @ p.h, p.h.T @ r_hat)
-    return a @ np.linalg.inv(p.r) @ a.T
+    return a @ np.linalg.inv(r) @ a.T
 
 
 def test_solution_covariance_matches_dense_sandwich():
@@ -327,15 +347,20 @@ def test_solution_covariance_matches_dense_sandwich():
     for _ in range(10):
         p = _random_problem(rng, m=7, n=3, q=2)
         c = rng.standard_normal((7, 7))
-        p = RobustProblem(p.z, p.h, c @ c.T + np.eye(7), p.uncertainty)  # dense R
+        r = c @ c.T + np.eye(7)  # dense R
+        # the solver sees the problem whitened by R's Cholesky factor
+        # (R = L L', unit weights): the same cost, and data of covariance I
+        lt = np.linalg.cholesky(r).T
+        u = p.uncertainty
+        pw = RobustProblem(lt @ p.z, lt @ p.h, np.ones(7), UncertaintyStructure(lt @ u.s, u.e_h, u.e_z))
         # approx lambda keeps off the domain edge, where both forms lose
         # digits to the 1e12 weight of the top eigen-direction
         for mu in (0.5, 3.0):
-            sol = bdu_solve(p, "approx", mu)
-            ref = _dense_cov(p, sol.lam)
+            sol = bdu_solve(pw, "approx", mu)
+            ref = _dense_cov(p, r, sol.lam)
             assert np.abs(sol.cov - ref).max() <= 1e-9 * np.abs(ref).max()
-        reduced = bdu_solve(RobustProblem(p.z, p.h, p.r, null_uncertainty(7, 3)))
-        ref = np.linalg.inv(p.h.T @ p.r @ p.h)
+        reduced = bdu_solve(RobustProblem(pw.z, pw.h, pw.r, null_uncertainty(7, 3)))
+        ref = np.linalg.inv(p.h.T @ r @ p.h)
         assert np.abs(reduced.cov - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -362,3 +387,79 @@ def test_exact_lambda_builds_one_evaluator(monkeypatch):
         sol = bdu_solve(p, "approx", 2.0)
         assert len(built) == 1
         assert sol.lam == pytest.approx(lambda_approx(2.0, p.uncertainty.s, p.r), rel=1e-12)
+
+
+# --- properties over generated problems (approx lambda) ---------------------
+
+_specs = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "n": st.integers(1, 4),
+    "q": st.integers(1, 4),
+    "extra": st.integers(0, 3),
+    "degenerate": st.booleans(),
+})
+_mus = st.floats(0.25, 100.0)
+
+
+def _generated_problem(seed, n, q, extra, degenerate, s_scale=1.0, e_scale=0.5):
+    """Random problem with weights over two decades; ``degenerate`` makes
+    S'RS = d I, every eigenvalue on the domain edge at once."""
+    rng = np.random.default_rng(seed)
+    m = max(n + 2, q) + extra
+    h = rng.standard_normal((m, n))
+    z = h @ rng.standard_normal(n) + 0.1 * rng.standard_normal(m)
+    r = np.exp(rng.uniform(-2.3, 2.3, m))
+    if degenerate:
+        basis = np.linalg.qr(rng.standard_normal((m, q)))[0]
+        s = np.sqrt(rng.uniform(0.1, 2.0)) * basis / np.sqrt(r)[:, None]
+    else:
+        s = rng.standard_normal((m, q))
+    e_h = e_scale * rng.standard_normal((q, n))
+    e_z = e_scale * rng.standard_normal(q)
+    return RobustProblem(z, h, r, UncertaintyStructure(s_scale * s, e_h, e_z))
+
+
+def _close(got, ref, rel):
+    return np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_specs, which=st.sampled_from(["null", "zero-S", "zero-bound"]), mu=_mus)
+def test_property_unperturbed_problem_is_weighted_ls(spec, which, mu):
+    p = _generated_problem(**spec, s_scale=float(which != "zero-S"), e_scale=0.5 * (which != "zero-bound"))
+    if which == "null":
+        p = replace(p, uncertainty=null_uncertainty(*p.h.shape))
+    if spec["degenerate"] and which == "zero-bound":
+        strs = p.uncertainty.s.T @ np.diag(p.r) @ p.uncertainty.s
+        assert np.abs(strs - strs[0, 0] * np.eye(spec["q"])).max() <= 1e-12 * strs[0, 0]
+    root = np.sqrt(p.r)
+    x_ls, cov_ls = lsq(p.h * root[:, None], p.z * root)
+    sol = bdu_solve(p, "approx", mu)
+    assert np.abs(sol.x - x_ls).max() <= 1e-10 * max(1.0, np.abs(x_ls).max())
+    assert np.abs(sol.cov - cov_ls).max() <= 1e-10 * max(1.0, np.abs(cov_ls).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_specs, mu=_mus)
+def test_property_weights_equal_scaled_rows(spec, mu):
+    # R = diag(r) on (z, H, S) is unit weights on sqrt(r)-scaled rows
+    p = _generated_problem(**spec)
+    root, u = np.sqrt(p.r), p.uncertainty
+    scaled = RobustProblem(p.z * root, p.h * root[:, None], np.ones(len(p.z)),
+                           UncertaintyStructure(u.s * root[:, None], u.e_h, u.e_z))
+    a, b = bdu_solve(p, "approx", mu), bdu_solve(scaled, "approx", mu)
+    assert a.lam == pytest.approx(b.lam, rel=1e-9)
+    assert a.worst_case == pytest.approx(b.worst_case, rel=1e-9)
+    assert _close(a.x, b.x, 1e-9)
+    assert _close(a.cov, b.cov, 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_specs, mu=_mus, data=st.data())
+def test_property_row_order_does_not_matter(spec, mu, data):
+    p = _generated_problem(**spec)
+    perm = np.array(data.draw(st.permutations(range(len(p.z)))))
+    u = p.uncertainty
+    shuffled = RobustProblem(p.z[perm], p.h[perm], p.r[perm],
+                             UncertaintyStructure(u.s[perm], u.e_h, u.e_z))
+    assert _close(bdu_solve(shuffled, "approx", mu).x, bdu_solve(p, "approx", mu).x, 1e-9)

@@ -151,10 +151,29 @@ def test_manifest_hashes_the_effective_config(tmp_path):
 
 def test_compare_rejects_parallel_flag(capsys):
     # level 1's thread pool is an estimate-only option
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--config-a", "a.cfg", "--config-b", "b.cfg", "--parallel"])
-    assert exc.value.code == 2
+    assert main(["compare", "--config-a", "a.cfg", "--config-b", "b.cfg", "--parallel"]) == 1
     assert "--parallel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--bogus"],
+    ["estimate", "--mode", "central-magic"],
+    # argparse reads a leading '-' as a flag, not as the value of --uncertainty
+    ["estimate", "--uncertainty", "-0.1,0.05"],
+], ids=["unknown-flag", "bad-mode", "negative-uncertainty"])
+def test_argparse_rejections_are_usage_errors(tmp_path, capsys, argv):
+    # exit 2 means numerical failure; a rejected command line is a usage error
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--help"])
+    assert exc.value.code == 0
+    assert "--mode" in capsys.readouterr().out
 
 
 def test_central_mode_without_partition(tmp_path):

@@ -63,7 +63,7 @@ def _dense_whitener(w):
 def _dense_problem(m, unc):
     """The whitened robust problem built through the dense whitener."""
     w_isqrt = _dense_whitener(_dense_w(m))
-    return RobustProblem(w_isqrt @ m.z, w_isqrt @ m.h, np.eye(len(m.z)),
+    return RobustProblem(w_isqrt @ m.z, w_isqrt @ m.h, np.ones(len(m.z)),
                          UncertaintyStructure(w_isqrt @ unc.s, unc.e_h, unc.e_z))
 
 
@@ -279,7 +279,7 @@ def test_scalar_instance_embedded_as_one_bus_model():
     )
     res = hybrid_solve_robust(hm, unc, "exact")
     assert abs(res.state.v1[0] - 1.0) < 1e-6 and abs(res.state.v2[0]) < 1e-9
-    direct = bdu_solve(RobustProblem(hm.z, hm.h, np.linalg.inv(_dense_w(hm)), unc), "exact")
+    direct = bdu_solve(RobustProblem(hm.z, hm.h, np.diag(np.linalg.inv(_dense_w(hm))), unc), "exact")
     assert np.abs(direct.x - np.array([res.state.v1[0], res.state.v2[0]])).max() < 1e-9
 
 

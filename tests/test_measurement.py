@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridstate.errors import ValidationError
 from gridstate.measurement import (
     ALL_KINDS,
+    PMU_KINDS,
     Measurement,
     MeasurementSet,
     ModelView,
@@ -324,6 +328,62 @@ def test_jacobian_pin_ref_drops_reference_angle_column(net30, part30, specs30):
     full = jacobian_polar(view, st, specs, pin_ref=False)
     pinned = jacobian_polar(view, st, specs, pin_ref=True)
     assert np.array_equal(pinned, np.delete(full, view.pos[view.ref_bus], axis=1))
+
+
+def _central_differences(f, x, eps=1e-6):
+    cols = []
+    for k in range(len(x)):
+        up, dn = x.copy(), x.copy()
+        up[k] += eps
+        dn[k] -= eps
+        cols.append((f(up) - f(dn)) / (2 * eps))
+    return np.column_stack(cols)
+
+
+def _generated_state(data, view):
+    """(vm, va) drawn over the view's buses: vm in [0.9, 1.1], va in [-0.3, 0.3]."""
+    n = view.n_bus
+    vm = data.draw(arrays(np.float64, n, elements=st.floats(0.9, 1.1)))
+    va = data.draw(arrays(np.float64, n, elements=st.floats(-0.3, 0.3)))
+    return vm, va
+
+
+def _full_or_area_view(net30, part30, area):
+    return ModelView.full(net30) if area is None else ModelView.for_area(net30, part30, area)
+
+
+@settings(max_examples=20, deadline=None)
+@given(area=st.sampled_from([None, 2]), data=st.data())
+def test_polar_jacobian_matches_central_differences_at_generated_states(net30, part30, specs30, area, data):
+    view = _full_or_area_view(net30, part30, area)
+    specs = _evaluable(view, specs30)
+    vm, va = _generated_state(data, view)
+    n = view.n_bus
+
+    def h(x):  # x over [va; vm]
+        return h_eval(view, StateVector("polar", view.bus_ids, x[n:], x[:n]), specs)
+
+    fd = _central_differences(h, np.concatenate([va, vm]))
+    scale = max(1.0, np.abs(fd).max())
+    st_ = StateVector("polar", view.bus_ids, vm, va)
+    for pin_ref, ref in ((False, fd), (True, np.delete(fd, view.pos[view.ref_bus], axis=1))):
+        assert np.abs(jacobian_polar(view, st_, specs, pin_ref=pin_ref) - ref).max() < 1e-6 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(area=st.sampled_from([None, 2]), data=st.data())
+def test_rect_jacobian_matches_central_differences_at_generated_states(net30, part30, specs30, area, data):
+    view = _full_or_area_view(net30, part30, area)
+    specs = [m for m in _evaluable(view, specs30) if m.kind in PMU_KINDS]
+    vm, va = _generated_state(data, view)
+    n = view.n_bus
+
+    def h(x):  # x over [vr; vi]
+        vr, vi = x[:n], x[n:]
+        return h_eval(view, StateVector("polar", view.bus_ids, np.hypot(vr, vi), np.arctan2(vi, vr)), specs)
+
+    fd = _central_differences(h, np.concatenate([vm * np.cos(va), vm * np.sin(va)]))
+    assert np.abs(jacobian_rect(view, specs) - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_alternating_spec_lists_match_fresh_views(net30, part30, specs30):
