@@ -14,7 +14,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from . import caseio
 from .caseio import ExperimentConfig, ResultTable, config_with, manifest_for, write_results
 from .errors import NumericalError, ValidationError
 from .measurement import MeasurementSet, ModelView, redundancy, synthesize
-from .multiarea import GlobalResult, compute_errors, run_centralized, run_two_level
-from .netmodel import AreaPartition, PowerNetwork
+from .multiarea import GlobalResult, Structure, compute_errors
+# the one-set pipelines stay in cli's namespace, where perfbench's tracer wraps them
+from .multiarea import run_centralized, run_two_level  # noqa: F401
+from .netmodel import AreaPartition, PowerNetwork, single_area
 from .powerflow import StateVector, masked_mismatch, run_powerflow
 
 log = logging.getLogger("gridstate")
@@ -37,7 +39,11 @@ def _setup_logging():
 
 @dataclass
 class Experiment:
-    """Loaded and cross-validated inputs for one experiment."""
+    """Loaded and cross-validated inputs for one experiment.
+
+    ``structures`` holds one estimation structure per partition, built on
+    first use by :func:`run_trial`; a ``dataclasses.replace`` copy shares it.
+    """
 
     net: PowerNetwork
     part: AreaPartition | None
@@ -47,6 +53,7 @@ class Experiment:
     view: ModelView
     warnings: list[str]
     texts: dict[str, str]
+    structures: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _read(path: str) -> str:
@@ -84,6 +91,8 @@ def prepare(case=None, partition=None, plan=None, config=None, overrides=None) -
 
     part = None
     part_path = partition or cfg.partition
+    if part_path is None and case_text == caseio.bundled_text("ieee30.case"):
+        part_path = "ieee30.areas"
     if part_path:
         part_text, part_label = _resolve_text(part_path, "ieee30.areas")
         part = caseio.parse_partition(part_text, net)
@@ -129,15 +138,22 @@ def make_delta_sampler(seed: int, trial: int):
 def run_trial(exp: Experiment, trial: int, robust: bool, central: bool = False,
               parallel: bool = False) -> GlobalResult:
     """One full pipeline run; perturbations are sampled whenever the config
-    carries a nonzero uncertainty scale, for robust and plain runs alike."""
+    carries a nonzero uncertainty scale, for robust and plain runs alike.
+
+    The central (single-area) or multi-area structure is rebuilt when the
+    network, partition, specs or coordinator rows it was built for changed."""
     mset = synth_for_trial(exp, trial)
     perturb = None
     if exp.cfg.s0 > 0.0 and (exp.cfg.e0 > 0.0 or exp.cfg.ez0 > 0.0):
         perturb = make_delta_sampler(exp.cfg.seed, trial)
-    if central or exp.part is None:
-        ref = exp.part.global_ref if exp.part is not None else None
-        return run_centralized(exp.net, mset, exp.cfg, robust, ref_bus=ref, perturb=perturb)
-    return run_two_level(exp.net, exp.part, mset, exp.cfg, robust, perturb, parallel)
+    central = central or exp.part is None
+    ref = exp.part.global_ref if exp.part is not None else None
+    key = (exp.net, ref if central else exp.part, exp.specs, exp.cfg.level2_reuse_boundary)
+    held = exp.structures.get(central)
+    if held is None or held[0] != key:
+        part = single_area(exp.net, ref) if central else exp.part
+        held = exp.structures[central] = (key, Structure(exp.net, part, exp.specs, key[3]))
+    return held[1].run(mset, exp.cfg, robust, perturb, parallel)
 
 
 def run_mode(exp: Experiment, mode: str, parallel: bool = False):

@@ -22,47 +22,62 @@ from .bdu import (
     null_uncertainty,
 )
 from .errors import ValidationError
-from .measurement import (
-    PMU_CURRENT_KINDS,
-    PMU_VOLTAGE_KINDS,
-    MeasurementSet,
-    ModelView,
-    jacobian_rect,
-    polar_to_rect,
-)
+from .measurement import MeasurementSet, ModelView, jacobian_rect, polar_to_rect
 from .powerflow import StateVector
 from .wls import EstimationResult, whitener
 
 # added to the pseudo-state covariance blocks of both levels: the
 # transported covariance carries a zero mode (the pinned reference angle)
 VARIANCE_FLOOR = 1e-12
+_BLOCK_RANK = {"pmu_vr": 0, "pmu_vi": 1, "pmu_ir": 2, "pmu_ii": 3}
 
 
-def _pmu_block_order(pmu: MeasurementSet):
-    """Reorder PMU rows into the [vr..., vi..., ir..., ii...] block layout."""
-    blocks = [[m for m in pmu if m.kind == kind] for kind in ("pmu_vr", "pmu_vi", "pmu_ir", "pmu_ii")]
-    return tuple(m for block in blocks for m in block)
+@dataclass(frozen=True)
+class PmuBlock:
+    """The value-free rows of a hybrid model: PMU rows (``specs``, at
+    positions ``rows`` of a spec tuple) in the [vr..., vi..., ir..., ii...]
+    block layout, the stacked H = [I; H_PMU] over ``view``, and the
+    spectral norm of H_PMU."""
+
+    view: ModelView
+    specs: tuple
+    rows: np.ndarray
+    h: np.ndarray
+    scale: float
+
+
+def pmu_block(view: ModelView, specs, rows) -> PmuBlock:
+    """The PMU rows at positions ``rows`` of ``specs`` as a :class:`PmuBlock`;
+    ValidationError for a row that is not a PMU row."""
+    order = sorted(rows, key=lambda k: _BLOCK_RANK.get(specs[k].kind, len(_BLOCK_RANK)))
+    block_specs = tuple(specs[k] for k in order)
+    n = view.n_bus
+    h, scale = np.eye(2 * n), 0.0
+    if block_specs:
+        h = np.vstack([h, jacobian_rect(view, block_specs)])
+        scale = float(np.linalg.norm(h[2 * n :], 2))
+    return PmuBlock(view, block_specs, np.array(order, dtype=np.intp), h, scale)
 
 
 @dataclass(frozen=True)
 class HybridModel:
     """Stacked linear measurement model z = H x + e over rectangular states;
-    the block-diagonal error covariance W is kept as its two blocks."""
+    the block-diagonal error covariance W is kept as its two blocks.
+    ``block`` holds the rows' structure; ``h`` is its H, perturbed or not."""
 
-    view: ModelView
+    block: PmuBlock
     z: np.ndarray
     h: np.ndarray
     w_pseudo: np.ndarray  # 2n x 2n pseudo-state covariance, plus VARIANCE_FLOOR
     w_pmu: np.ndarray  # PMU variances sigma^2, one per PMU row
-    pmu_specs: tuple
 
     @property
     def n_bus(self):
-        return self.view.n_bus
+        return self.block.view.n_bus
 
     @property
     def n_state(self):
-        return 2 * self.view.n_bus
+        return 2 * self.n_bus
 
     @property
     def pmu_rows(self):
@@ -70,39 +85,32 @@ class HybridModel:
 
 
 def stack_model(
-    view: ModelView,
+    block: PmuBlock,
     rect_state: StateVector,
     cov_rect: np.ndarray,
-    pmu,
+    mset: MeasurementSet,
 ) -> HybridModel:
-    """Stack rectangular pseudo-state rows over PMU rows into one model.
+    """Stack rectangular pseudo-state rows over the PMU rows of ``block``,
+    valued from ``mset`` (the set the block's positions index).
 
     Shared by the per-area hybrid step and the coordinator's refinement.
     ``VARIANCE_FLOOR`` keeps the pseudo-state block invertible.
     """
-    n = view.n_bus
-    if rect_state.bus_ids != view.bus_ids:
+    if rect_state.bus_ids != block.view.bus_ids:
         raise ValidationError("pseudo-state layout does not match the view")
-    cov = cov_rect + VARIANCE_FLOOR * np.eye(2 * n)
-    pmu_specs = _pmu_block_order(pmu)
-    for m in pmu_specs:
-        if m.kind not in PMU_VOLTAGE_KINDS + PMU_CURRENT_KINDS:
-            raise ValidationError(f"non-PMU measurement {m.kind} in the hybrid stack")
-    z = np.concatenate([rect_state.v1, rect_state.v2, [m.value for m in pmu_specs]])
-    h = np.eye(2 * n)
-    if pmu_specs:
-        h = np.vstack([h, jacobian_rect(view, pmu_specs)])
-    w_pmu = np.array([m.sigma**2 for m in pmu_specs])
-    return HybridModel(view, z, h, cov, w_pmu, pmu_specs)
+    cov = cov_rect + VARIANCE_FLOOR * np.eye(len(cov_rect))
+    z = np.concatenate([rect_state.v1, rect_state.v2, mset.z[block.rows]])
+    return HybridModel(block, z, block.h, cov, mset.sigmas[block.rows] ** 2)
 
 
 def build_hybrid_model(
     tse: EstimationResult,
-    pmu: MeasurementSet,
-    view: ModelView,
+    block: PmuBlock,
+    mset: MeasurementSet,
     diagonal_tse_cov: bool = False,
 ) -> HybridModel:
-    """Assemble (z, H, W) from a converged traditional estimate plus PMU rows.
+    """Assemble (z, H, W) from a converged traditional estimate plus the
+    PMU rows of ``block``, valued from ``mset``.
 
     The TSE estimate and covariance are transported to rectangular
     coordinates; its pinned reference angle gives the covariance one zero
@@ -112,13 +120,13 @@ def build_hybrid_model(
     """
     if not tse.converged:
         raise ValidationError("hybrid step requires a converged traditional estimate")
-    if tse.state.bus_ids != view.bus_ids:
+    if tse.state.bus_ids != block.view.bus_ids:
         raise ValidationError("traditional estimate layout does not match the view")
     cov_full = tse.model.embed_cov(tse.covariance)
     rect, cov_rect = polar_to_rect(tse.state, cov_full)
     if diagonal_tse_cov:
         cov_rect = np.diag(np.diag(cov_rect))
-    return stack_model(view, rect, cov_rect, pmu)
+    return stack_model(block, rect, cov_rect, mset)
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,8 @@ class HybridResult:
 
 def _as_state(m: HybridModel, x) -> StateVector:
     n = m.n_bus
-    return StateVector("rect", m.view.bus_ids, np.array(x[:n]), np.array(x[n:]), ref_bus=m.view.ref_bus)
+    view = m.block.view
+    return StateVector("rect", view.bus_ids, np.array(x[:n]), np.array(x[n:]), ref_bus=view.ref_bus)
 
 
 def _whitener(m: HybridModel):
@@ -171,7 +180,7 @@ def uncertainty_for_model(
         return null_uncertainty(rows, n)
     s = np.zeros((rows, len(pmu_rows)))
     s[pmu_rows, np.arange(len(pmu_rows))] = s0
-    block_scale = float(np.linalg.norm(m.h[pmu_rows], 2))
+    block_scale = float(np.linalg.norm(m.h[pmu_rows], 2)) if anchored else m.block.scale
     e_h = e0 * block_scale * np.eye(n)
     e_z = ez0 * np.ones(n)
     if anchored:

@@ -67,39 +67,50 @@ class Measurement:
         return self.bus
 
 
-@dataclass(frozen=True)
 class MeasurementSet:
-    """Ordered measurements; the order fixes the rows of z, W and H."""
+    """Ordered measurements; the order fixes the rows of z, W and H.
 
-    items: tuple[Measurement, ...]
+    The set keeps its specs and holds the values (finite, with positive
+    finite sigmas) as the arrays ``z`` and ``sigmas``, taken from the specs
+    when none are given; iterating builds :class:`Measurement` objects."""
+
+    def __init__(self, specs=(), z=None, sigmas=None):
+        self.specs = tuple(specs)
+        self._items = None
+        if z is None:
+            self._items = self.specs
+            z, sigmas = [m.value for m in self.specs], [m.sigma for m in self.specs]
+        self.z = np.asarray(z, dtype=float)
+        self.sigmas = np.asarray(sigmas, dtype=float)
+        if self.z.shape != (len(self.specs),) or self.sigmas.shape != self.z.shape:
+            raise ValidationError("value vector length mismatch")
+        bad_sigma = ~(np.isfinite(self.sigmas) & (self.sigmas > 0.0))
+        bad = np.flatnonzero(bad_sigma | ~np.isfinite(self.z))
+        if len(bad):
+            k = bad[0]
+            what = "sigma must be positive and finite" if bad_sigma[k] else "value must be finite"
+            raise ValidationError(f"measurement {self.specs[k].id}: {what}")
 
     @property
-    def z(self) -> np.ndarray:
-        return np.array([m.value for m in self.items])
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.array([m.sigma for m in self.items])
+    def items(self) -> tuple[Measurement, ...]:
+        if self._items is None:
+            rows = zip(self.specs, self.z.tolist(), self.sigmas.tolist())
+            self._items = tuple(replace(m, value=v, sigma=s) for m, v, s in rows)
+        return self._items
 
     def __len__(self):
-        return len(self.items)
+        return len(self.specs)
 
     def __iter__(self):
         return iter(self.items)
 
-    def subset(self, ids) -> "MeasurementSet":
-        wanted = set(ids)
-        return MeasurementSet(tuple(m for m in self.items if m.id in wanted))
-
-    def of_kind(self, *kinds) -> "MeasurementSet":
-        return MeasurementSet(tuple(m for m in self.items if m.kind in kinds))
+    def take(self, rows) -> "MeasurementSet":
+        """The rows at positions ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return MeasurementSet(tuple(self.specs[k] for k in rows), self.z[rows], self.sigmas[rows])
 
     def with_values(self, values) -> "MeasurementSet":
-        if len(values) != len(self.items):
-            raise ValidationError("value vector length mismatch")
-        return MeasurementSet(
-            tuple(replace(m, value=float(v)) for m, v in zip(self.items, values))
-        )
+        return MeasurementSet(self.specs, values, self.sigmas)
 
 
 @dataclass(frozen=True)
@@ -408,18 +419,18 @@ def synthesize(view: ModelView, true_state: StateVector, specs, sigma_for, rng) 
     ``sigma_for`` maps a measurement kind to its standard deviation; the
     generator is owned by the caller (pass sigma 0 values via a zeroed
     table to get exact h values -- noise is drawn as sigma * N(0,1), so a
-    zero sigma reproduces h exactly under any seed).
+    zero sigma reproduces h exactly under any seed).  One h evaluation and
+    one noise vector fill the set's value arrays.
     """
+    specs = tuple(specs)
     truth = h_eval(view, true_state, specs)
     sig = {}
     for m in specs:
         if m.kind not in sig:
             sig[m.kind] = float(sigma_for(m.kind)) if callable(sigma_for) else float(sigma_for[m.kind])
-    noise = rng.standard_normal(len(specs))
-    return MeasurementSet(tuple(
-        replace(m, value=float(h0 + sig[m.kind] * e), sigma=sig[m.kind] if sig[m.kind] > 0.0 else 1.0)
-        for m, h0, e in zip(specs, truth, noise)
-    ))
+    scale = np.array([sig[m.kind] for m in specs])
+    z = truth + scale * rng.standard_normal(len(specs))
+    return MeasurementSet(specs, z, np.where(scale > 0.0, scale, 1.0))
 
 
 # ---------------------------------------------------------------------------

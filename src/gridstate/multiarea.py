@@ -12,11 +12,17 @@ angle to the PMU-measured angle when the reference carries a PMU (all
 fixture areas do), so local frames are already aligned to the
 synchronized one up to measurement noise; the offsets u (u_1 = 0) absorb
 what remains.  Final angles are reported in area 1's frame.
+
+A :class:`Structure` holds all that depends only on the network, the
+partition and the spec tuple (views, models, observability, row
+positions); :meth:`Structure.run` solves one trial from a measurement
+set's ``z`` and ``sigmas``.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from copy import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +36,7 @@ from .hybrid import (
     build_hybrid_model,
     hybrid_solve,
     hybrid_solve_robust,
+    pmu_block,
     stack_model,
     uncertainty_for_model,
 )
@@ -47,7 +54,7 @@ from .measurement import (
     rect_to_polar,
     wrap_angle,
 )
-from .netmodel import AreaPartition, PowerNetwork, boundary_measurement_ownership
+from .netmodel import AreaPartition, PowerNetwork, boundary_measurement_ownership, single_area
 from .powerflow import StateVector
 from .wls import PolarModel, check_observable, gauss_newton, whitener, wls_estimate
 
@@ -57,6 +64,14 @@ from .wls import PolarModel, check_observable, gauss_newton, whitener, wls_estim
 # hybrid stage, the anchor only has to make frame and voltage scale
 # observable from SCADA data
 ANCHOR_SIGMA_FACTOR = 10.0
+SCADA_KINDS = INJECTION_KINDS + FLOW_KINDS
+
+
+def _anchor_rows(specs, rows, ref_bus):
+    """The positions among ``rows`` of ``specs`` of the reference-bus PMU
+    voltage phasor, or [] when the reference carries no PMU."""
+    found = [k for k in rows if specs[k].kind in PMU_VOLTAGE_KINDS and specs[k].bus == ref_bus]
+    return found if len(found) == 2 else []
 
 
 def _pmu_ref_anchor(pmu: MeasurementSet, ref_bus: int):
@@ -67,24 +82,44 @@ def _pmu_ref_anchor(pmu: MeasurementSet, ref_bus: int):
     only relatively; the anchor rows make both observable while leaving
     essentially all PMU precision to the hybrid stage.  With an anchor the
     reference angle is estimated, not pinned."""
-    rows = []
-    for m in pmu:
-        if m.kind in ("pmu_vr", "pmu_vi") and m.bus == ref_bus:
-            rows.append(replace(m, sigma=m.sigma * ANCHOR_SIGMA_FACTOR))
-    if len(rows) != 2:
-        return ()
-    return tuple(rows)
+    rows = _anchor_rows(pmu.specs, range(len(pmu)), ref_bus)
+    return tuple(replace(pmu.items[k], sigma=pmu.items[k].sigma * ANCHOR_SIGMA_FACTOR) for k in rows)
+
+
+def _split_rows(part: AreaPartition, specs):
+    """Per area, the positions in ``specs`` of the SCADA and the PMU rows
+    it owns (metered side)."""
+    owned = boundary_measurement_ownership(part, specs)
+    scada, pmu = {}, {}
+    for area in part.areas:
+        wanted = set(owned[area.index])
+        rows = [k for k, m in enumerate(specs) if m.id in wanted]
+        scada[area.index] = [k for k in rows if specs[k].kind in SCADA_KINDS]
+        pmu[area.index] = [k for k in rows if specs[k].kind in PMU_KINDS]
+    return scada, pmu
 
 
 def split_measurements(part: AreaPartition, mset: MeasurementSet):
     """Per-area SCADA and PMU subsets by ownership (metered side)."""
-    owned = boundary_measurement_ownership(part, mset)
-    scada, pmu = {}, {}
-    for area in part.areas:
-        sub = mset.subset(owned[area.index])
-        scada[area.index] = sub.of_kind(*INJECTION_KINDS, *FLOW_KINDS)
-        pmu[area.index] = sub.of_kind(*PMU_KINDS)
-    return scada, pmu
+    by_kind = _split_rows(part, mset.specs)
+    return tuple({i: mset.take(rows) for i, rows in by_area.items()} for by_area in by_kind)
+
+
+def _coordinator_rows(net: PowerNetwork, part: AreaPartition, specs):
+    """The positions in ``specs`` of z_b and z_PMU (see
+    :func:`coordinator_measurements`)."""
+    bnd = set(part.boundary_buses())
+    zb, zpmu = [], []
+    for k, m in enumerate(specs):
+        if m.kind in INJECTION_KINDS and m.bus in bnd:
+            zb.append(k)
+        elif m.kind in FLOW_KINDS and part.is_tie(net.branch(*m.branch)):
+            zb.append(k)
+        elif m.kind in PMU_VOLTAGE_KINDS and m.bus in bnd:
+            zpmu.append(k)
+        elif m.kind in PMU_CURRENT_KINDS and m.branch[0] in bnd and m.branch[1] in bnd:
+            zpmu.append(k)
+    return zb, zpmu
 
 
 def coordinator_measurements(net: PowerNetwork, part: AreaPartition, mset: MeasurementSet,
@@ -97,20 +132,8 @@ def coordinator_measurements(net: PowerNetwork, part: AreaPartition, mset: Measu
     touching internal buses would leak unweighted level-1 error into the
     coordinator).
     """
-    bnd = set(part.boundary_buses())
-    zb, zpmu = [], []
-    for m in mset:
-        if m.kind in INJECTION_KINDS and m.bus in bnd:
-            zb.append(m)
-        elif m.kind in FLOW_KINDS and part.is_tie(net.branch(*m.branch)):
-            zb.append(m)
-        elif m.kind in PMU_VOLTAGE_KINDS and m.bus in bnd:
-            zpmu.append(m)
-        elif m.kind in PMU_CURRENT_KINDS and m.branch[0] in bnd and m.branch[1] in bnd:
-            zpmu.append(m)
-    if not reuse_boundary:
-        zb = []
-    return MeasurementSet(tuple(zb)), MeasurementSet(tuple(zpmu))
+    zb, zpmu = _coordinator_rows(net, part, mset.specs)
+    return mset.take(zb if reuse_boundary else []), mset.take(zpmu)
 
 
 @dataclass(frozen=True)
@@ -124,14 +147,6 @@ class LocalResult:
     tse_state: StateVector
     tse_iterations: int
     hybrid: HybridResult
-
-    def block(self, bus_ids):
-        """(vm, va, joint covariance) for a subset of buses, rows ordered
-        [va(bus_ids); vm(bus_ids)]."""
-        n = len(self.state.bus_ids)
-        pos = [self.state.bus_ids.index(b) for b in bus_ids]
-        idx = list(pos) + [n + k for k in pos]
-        return self.state.v1[pos], self.state.v2[pos], self.cov[np.ix_(idx, idx)]
 
 
 def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key) -> HybridResult:
@@ -148,66 +163,74 @@ def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key) -> Hybrid
     return hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu)
 
 
-def _estimate_area(net, part, area, scada, pmu, cfg: ExperimentConfig, robust, perturb):
-    view = ModelView.for_area(net, part, area.index)
-    anchor = _pmu_ref_anchor(pmu, area.ref_bus)
-    tse_set = MeasurementSet(tuple(scada) + anchor)
-    model = PolarModel(view, tuple(tse_set), pin_angle=not anchor)
-    if not check_observable(model):
-        raise UnobservableError(
-            f"area {area.index}: SCADA measurement set does not observe the local state"
-        )
-    tse = wls_estimate(tse_set, model, tol=cfg.epsilon, k_limit=cfg.k_limit)
-    if not tse.converged:
-        raise NumericalError(f"area {area.index}: traditional estimator did not converge")
+class _AreaStructure:
+    """Level 1 of one area without values: the TSE model over its SCADA
+    rows plus the reference anchor (``tse_rows`` in the spec tuple, with
+    sigma factors ``tse_scale``), its observability verdict, and the PMU
+    block of its hybrid stage."""
 
-    hmodel = build_hybrid_model(tse, pmu, view, diagonal_tse_cov=cfg.tse_cov_diagonal)
-    hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level1", area.index))
+    def __init__(self, net, part, area, specs, scada_rows, pmu_rows):
+        self.area = area
+        view = ModelView.for_area(net, part, area.index)
+        self.block = pmu_block(view, specs, pmu_rows)
+        anchor = _anchor_rows(specs, pmu_rows, area.ref_bus)
+        self.tse_rows = np.array(scada_rows + anchor, dtype=np.intp)
+        self.tse_scale = np.repeat([1.0, ANCHOR_SIGMA_FACTOR], [len(scada_rows), len(anchor)])
+        self.model = PolarModel(view, tuple(specs[k] for k in self.tse_rows), pin_angle=not anchor)
+        self.observable = check_observable(self.model)
+
+
+def _estimate_area(a: _AreaStructure, mset: MeasurementSet, cfg: ExperimentConfig, robust, perturb):
+    index = a.area.index
+    if not a.observable:
+        raise UnobservableError(f"area {index}: SCADA measurement set does not observe the local state")
+    tse_set = MeasurementSet(a.model.specs, mset.z[a.tse_rows], mset.sigmas[a.tse_rows] * a.tse_scale)
+    tse = wls_estimate(tse_set, a.model, tol=cfg.epsilon, k_limit=cfg.k_limit)
+    if not tse.converged:
+        raise NumericalError(f"area {index}: traditional estimator did not converge")
+
+    hmodel = build_hybrid_model(tse, a.block, mset, diagonal_tse_cov=cfg.tse_cov_diagonal)
+    hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level1", index))
     polar, cov_polar = rect_to_polar(hres.state, hres.covariance)
-    return LocalResult(area.index, polar, cov_polar, tse.state, tse.iterations, hres)
+    return LocalResult(index, polar, cov_polar, tse.state, tse.iterations, hres)
 
 
 def level1_run(
-    net: PowerNetwork,
-    part: AreaPartition,
-    scada_by_area: dict,
-    pmu_by_area: dict,
+    structure: "Structure",
+    mset: MeasurementSet,
     cfg: ExperimentConfig,
     robust: bool = True,
     perturb=None,
     parallel: bool = False,
 ) -> list[LocalResult]:
-    """Run every area's robust hybrid estimator; areas never exchange data.
+    """Run every area's robust hybrid estimator on the values of ``mset``;
+    areas never exchange data.
 
     Results are gathered in area-index order regardless of completion
     order.  Raises NumericalError listing every failing area.
     """
-    def job(area):
-        return _estimate_area(
-            net, part, area,
-            scada_by_area[area.index], pmu_by_area[area.index],
-            cfg, robust, perturb,
-        )
+    def job(a):
+        return _estimate_area(a, mset, cfg, robust, perturb)
 
     results: dict[int, LocalResult] = {}
     failures: list[str] = []
     if parallel:
-        with ThreadPoolExecutor(max_workers=len(part.areas)) as pool:
-            futures = {area.index: pool.submit(job, area) for area in part.areas}
+        with ThreadPoolExecutor(max_workers=len(structure.areas)) as pool:
+            futures = {a.area.index: pool.submit(job, a) for a in structure.areas}
         for idx in sorted(futures):
             try:
                 results[idx] = futures[idx].result()
             except (NumericalError, ValidationError) as exc:
                 failures.append(str(exc))
     else:
-        for area in part.areas:
+        for a in structure.areas:
             try:
-                results[area.index] = job(area)
+                results[a.area.index] = job(a)
             except (NumericalError, ValidationError) as exc:
                 failures.append(str(exc))
     if failures:
         raise NumericalError("level 1 failed: " + "; ".join(failures))
-    return [results[a.index] for a in part.areas]
+    return [results[a.area.index] for a in structure.areas]
 
 
 # ---------------------------------------------------------------------------
@@ -216,82 +239,83 @@ def level1_run(
 
 @dataclass(frozen=True)
 class CoordinatorProblem:
-    """Assembled level-2 estimation problem.
-
-    Unknowns x_c = [va(bnd, global frame); vm(bnd); u_2..u_r].  Rows:
-    boundary SCADA, coordinator PMU rows, then per-area pseudo-measurement
-    rows [va(bnd_i); vm(bnd_i); va(ext_i); vm(ext_i)].  The weight matrix
-    is block-diagonal and kept as its blocks: the variances of the
-    physical rows, then one level-1 covariance block per pseudo area.
+    """One trial's level-2 values over the rows of a
+    :class:`_CoordinatorModel`: z, and the block-diagonal weight matrix
+    kept as its blocks: the variances of the physical rows, then one
+    level-1 covariance block per pseudo area.
     """
 
-    bnd_ids: tuple[int, ...]
-    physical: MeasurementSet
-    pseudo_area_order: tuple[int, ...]
-    pseudo_bus_lists: tuple[tuple[int, ...], ...]
     z: np.ndarray
     w_diag: np.ndarray
     w_blocks: tuple[np.ndarray, ...]
-
-    @property
-    def n_bnd(self):
-        return len(self.bnd_ids)
 
 
 class _CoordinatorModel:
     """h and Jacobian of the coordinator problem.
 
+    Unknowns x_c = [va(bnd, global frame); vm(bnd); u_2..u_r].  Rows: the
+    physical rows (boundary SCADA, coordinator PMU rows) at positions
+    ``rows`` of the spec tuple, then per pseudo area (one with boundary or
+    external buses) [va(bnd_i); vm(bnd_i); va(ext_i); vm(ext_i)], taken
+    from its level-1 [va; vm] at positions ``pseudo_idx``.
+
     Physical rows are evaluated on the full network with every
     non-boundary bus pinned to its owning area's level-1 estimate, rotated
     by that area's offset u; the chain rule folds the pinned angles'
-    u-dependence into the u columns.
+    u-dependence into the u columns.  The index maps are built once;
+    :meth:`pinned` binds one trial's level-1 estimates.
     """
 
-    def __init__(self, net, part, locals_, prob: CoordinatorProblem):
-        self.net = net
+    def __init__(self, net, part, specs, rows):
         self.part = part
-        self.locals = {lr.area_index: lr for lr in locals_}
-        self.prob = prob
-        self.physical = tuple(prob.physical)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.physical = tuple(specs[k] for k in self.rows)
         self.view = ModelView.full(net, ref_bus=part.global_ref)
         self.bus_ids = self.view.bus_ids
         self.n = len(self.bus_ids)
         self.r = part.area_count
-        nb = prob.n_bnd
+        self.bnd_ids = part.boundary_buses()
+        nb = self.n_bnd = len(self.bnd_ids)
         self.n_state = 2 * nb + (self.r - 1)
-        self.bnd_pos = np.array([self.view.pos[b] for b in prob.bnd_ids], dtype=int)
-        # pinned (non-boundary) buses: view position, owning area, local estimate
-        pin_pos, pin_area, pin_vm, pin_va = [], [], [], []
-        for area in part.areas:
-            lr = self.locals[area.index]
-            for b in area.internal:
-                vm, va = lr.state.at(b)
-                pin_pos.append(self.view.pos[b])
-                pin_area.append(area.index)
-                pin_vm.append(vm)
-                pin_va.append(va)
-        self.pin_pos = np.array(pin_pos, dtype=int)
-        self.pin_u = np.array(pin_area, dtype=int) - 1
-        self.pin_vm = np.array(pin_vm)
-        self.pin_va = np.array(pin_va)
+        self.bnd_pos = np.array([self.view.pos[b] for b in self.bnd_ids], dtype=int)
+        # pinned (non-boundary) buses: view position and owning area; an
+        # area's internal buses lead its level-1 layout
+        self.n_int = [len(area.internal) for area in part.areas]
+        self.pin_pos = np.array([self.view.pos[b] for a in part.areas for b in a.internal], dtype=int)
+        self.pin_u = np.array([a.index - 1 for a in part.areas for _ in a.internal], dtype=int)
         # d(pinned angle)/d(u_2..u_r)
         self.pin_to_u = np.eye(self.r)[self.pin_u, 1:]
         # pseudo rows [va(buses) - u_ai; vm(buses)] are linear in x_c
-        bnd_at = {b: j for j, b in enumerate(prob.bnd_ids)}
+        bnd_at = {b: j for j, b in enumerate(self.bnd_ids)}
         col, u_rows, u_cols = [], [], []
-        for ai, buses in zip(prob.pseudo_area_order, prob.pseudo_bus_lists):
+        self.pseudo_areas, self.pseudo_idx = [], []
+        for area in part.areas:
+            buses = area.boundary + area.external
+            if not buses:
+                continue
+            at = np.arange(len(area.internal), len(area.layout))
+            self.pseudo_areas.append(area.index)
+            self.pseudo_idx.append(np.concatenate([at, len(area.layout) + at]))
             pos = [bnd_at[b] for b in buses]
-            if ai >= 2:
+            if area.index >= 2:
                 u_rows += range(len(col), len(col) + len(pos))
-                u_cols += [2 * nb + ai - 2] * len(pos)
+                u_cols += [2 * nb + area.index - 2] * len(pos)
             col += pos + [nb + p for p in pos]
         self.pseudo_col = np.array(col, dtype=int)
         self.pseudo_jac = np.zeros((len(col), self.n_state))
         self.pseudo_jac[np.arange(len(col)), self.pseudo_col] = 1.0
         self.pseudo_jac[u_rows, u_cols] = -1.0
 
+    def pinned(self, locals_):
+        """This model with the non-boundary buses pinned at the level-1
+        estimates ``locals_`` (in area order)."""
+        model = copy(self)
+        model.pin_vm = np.concatenate([lr.state.v1[:k] for lr, k in zip(locals_, self.n_int)])
+        model.pin_va = np.concatenate([lr.state.v2[:k] for lr, k in zip(locals_, self.n_int)])
+        return model
+
     def unpack(self, x):
-        nb = self.prob.n_bnd
+        nb = self.n_bnd
         u = np.concatenate([[0.0], x[2 * nb :]])
         vm = np.empty(self.n)
         va = np.empty(self.n)
@@ -314,25 +338,14 @@ class _CoordinatorModel:
         return np.vstack([physical, self.pseudo_jac])
 
 
-def _assemble_coordinator(part, locals_, z_b, z_pmu) -> CoordinatorProblem:
-    bnd_ids = part.boundary_buses()
-    physical = MeasurementSet(tuple(z_b) + tuple(z_pmu))
-    z_parts = [physical.z]
-    w_blocks, area_order, bus_lists = [], [], []
-    for area in part.areas:
-        lr = next(l for l in locals_ if l.area_index == area.index)
-        buses = tuple(area.boundary) + tuple(area.external)
-        if not buses:
-            continue
-        vm, va, cov = lr.block(buses)
-        area_order.append(area.index)
-        bus_lists.append(buses)
-        z_parts.append(np.concatenate([va, vm]))
-        w_blocks.append(cov + VARIANCE_FLOOR * np.eye(2 * len(buses)))
-    return CoordinatorProblem(
-        bnd_ids, physical, tuple(area_order), tuple(bus_lists),
-        np.concatenate(z_parts), physical.sigmas**2, tuple(w_blocks),
-    )
+def _assemble_coordinator(model: _CoordinatorModel, locals_, mset: MeasurementSet) -> CoordinatorProblem:
+    z_parts = [mset.z[model.rows]]
+    w_blocks = []
+    for ai, idx in zip(model.pseudo_areas, model.pseudo_idx):
+        lr = locals_[ai - 1]
+        z_parts.append(np.concatenate([lr.state.v2, lr.state.v1])[idx])
+        w_blocks.append(lr.cov[np.ix_(idx, idx)] + VARIANCE_FLOOR * np.eye(len(idx)))
+    return CoordinatorProblem(np.concatenate(z_parts), mset.sigmas[model.rows] ** 2, tuple(w_blocks))
 
 
 @dataclass(frozen=True)
@@ -356,12 +369,12 @@ class GlobalResult:
 def _coordinator_init(model: _CoordinatorModel, prob: CoordinatorProblem):
     """Boundary states start at the mean of their level-1 pseudo values,
     offsets at zero."""
-    nb = prob.n_bnd
+    nb = model.n_bnd
     pseudo_z = prob.z[len(prob.w_diag) :]
     sums = np.bincount(model.pseudo_col, weights=pseudo_z, minlength=2 * nb)
     counts = np.bincount(model.pseudo_col, minlength=2 * nb)
     if np.any(counts[:nb] == 0):
-        missing = [prob.bnd_ids[j] for j in range(nb) if counts[j] == 0]
+        missing = [model.bnd_ids[j] for j in range(nb) if counts[j] == 0]
         raise NumericalError(f"boundary buses {missing} have no level-1 pseudo-measurement")
     return np.concatenate([sums / counts, np.zeros(model.r - 1)])
 
@@ -378,64 +391,86 @@ def _solve_coordinator(model, prob: CoordinatorProblem, x0, tol, k_limit):
 
 
 def level2_run(
-    net: PowerNetwork,
-    part: AreaPartition,
+    structure: "Structure",
     locals_: list[LocalResult],
-    z_b: MeasurementSet,
-    z_pmu: MeasurementSet,
+    mset: MeasurementSet,
     cfg: ExperimentConfig,
     robust: bool = True,
     perturb=None,
 ) -> GlobalResult:
     """Central coordinator: nonlinear WLS over [boundary states; u], then
     the hybrid robust refinement of the boundary voltages."""
-    bnd_ids = part.boundary_buses()
-    u = np.zeros(part.area_count)
+    s = structure
+    u = np.zeros(s.part.area_count)
     iters = 0
+    vm = np.empty(len(s.bus_ids))
+    va = np.empty(len(s.bus_ids))
 
-    if bnd_ids:
-        prob = _assemble_coordinator(part, locals_, z_b, z_pmu)
-        model = _CoordinatorModel(net, part, locals_, prob)
+    if s.coordinator is not None:
+        prob = _assemble_coordinator(s.coordinator, locals_, mset)
+        model = s.coordinator.pinned(locals_)
         x0 = _coordinator_init(model, prob)
         x_hat, cov_c, iters = _solve_coordinator(model, prob, x0, cfg.epsilon, cfg.k_limit)
-        nb = len(bnd_ids)
+        nb = model.n_bnd
         u = np.concatenate([[0.0], x_hat[2 * nb :]])
 
         # hybrid refinement of the boundary voltages (rectangular, linear);
         # u passes through with its step-4 estimate
         bnd_state = StateVector(
-            "polar", bnd_ids, np.array(x_hat[nb : 2 * nb]), np.array(x_hat[:nb])
+            "polar", model.bnd_ids, np.array(x_hat[nb : 2 * nb]), np.array(x_hat[:nb])
         )
         rect, cov_rect = polar_to_rect(bnd_state, cov_c[: 2 * nb, : 2 * nb])
-        bnd_view = ModelView(net, bnd_ids, ref_bus=part.global_ref)
-        hmodel = stack_model(bnd_view, rect, cov_rect, z_pmu)
+        hmodel = stack_model(s.bnd_block, rect, cov_rect, mset)
         hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level2", 0))
         bnd_polar, _ = rect_to_polar(hres.state)
-    else:
-        bnd_polar = None
+        vm[s.bnd_out] = bnd_polar.v1
+        va[s.bnd_out] = bnd_polar.v2
 
-    # assemble the global estimate: internal from level 1 (+u), boundary
-    # from the coordinator
-    by_area = {lr.area_index: lr for lr in locals_}
-    bus_ids = tuple(sorted(b.id for b in net.buses))
-    vm = np.empty(len(bus_ids))
-    va = np.empty(len(bus_ids))
-    source = []
-    bnd_set = set(bnd_ids)
-    for k, bid in enumerate(bus_ids):
-        if bid in bnd_set:
-            bvm, bva = bnd_polar.at(bid)
-            vm[k], va[k] = bvm, bva
-            source.append("coordinator")
-        else:
-            ai = part.area_of(bid)
-            lvm, lva = by_area[ai].state.at(bid)
-            vm[k] = lvm
-            va[k] = lva + u[ai - 1]
-            source.append(f"area{ai}")
+    # the global estimate: internal from level 1 (+u), boundary from the
+    # coordinator
+    for lr, out in zip(locals_, s.internal_out):
+        vm[out] = lr.state.v1[: len(out)]
+        va[out] = lr.state.v2[: len(out)] + u[lr.area_index - 1]
     return GlobalResult(
-        bus_ids, vm, va, tuple(source), u, "robust" if robust else "wls", tuple(locals_), iters
+        s.bus_ids, vm, va, s.source, u, "robust" if robust else "wls", tuple(locals_), iters
     )
+
+
+class Structure:
+    """The value-free part of a two-level run over one network, partition
+    and spec tuple, run once per trial by :meth:`run`: each area's level 1,
+    the coordinator model (None without boundary buses) and its PMU block,
+    and the positions that assemble the global estimate.  ``reuse_boundary``
+    as in :func:`coordinator_measurements`."""
+
+    def __init__(self, net: PowerNetwork, part: AreaPartition, specs, reuse_boundary: bool = True):
+        self.part = part
+        self.specs = tuple(specs)
+        scada, pmu = _split_rows(part, self.specs)
+        self.areas = [
+            _AreaStructure(net, part, a, self.specs, scada[a.index], pmu[a.index]) for a in part.areas
+        ]
+        self.bus_ids = tuple(sorted(b.id for b in net.buses))
+        out = {b: k for k, b in enumerate(self.bus_ids)}
+        bnd_ids = part.boundary_buses()
+        self.bnd_out = np.array([out[b] for b in bnd_ids], dtype=np.intp)
+        self.internal_out = [np.array([out[b] for b in a.internal], dtype=np.intp) for a in part.areas]
+        source = dict.fromkeys(bnd_ids, "coordinator")
+        source.update((b, f"area{a.index}") for a in part.areas for b in a.internal)
+        self.source = tuple(source[b] for b in self.bus_ids)
+        self.coordinator = self.bnd_block = None
+        if bnd_ids:
+            zb, zpmu = _coordinator_rows(net, part, self.specs)
+            self.coordinator = _CoordinatorModel(net, part, self.specs, (zb if reuse_boundary else []) + zpmu)
+            self.bnd_block = pmu_block(ModelView(net, bnd_ids, ref_bus=part.global_ref), self.specs, zpmu)
+
+    def run(self, mset: MeasurementSet, cfg: ExperimentConfig, robust: bool = True,
+            perturb=None, parallel: bool = False) -> GlobalResult:
+        """One trial on the values of ``mset``, a set over this structure's specs."""
+        if mset.specs is not self.specs and mset.specs != self.specs:
+            raise ValidationError("measurement set does not match the structure's specs")
+        locals_ = level1_run(self, mset, cfg, robust, perturb, parallel)
+        return level2_run(self, locals_, mset, cfg, robust, perturb)
 
 
 def run_two_level(
@@ -447,11 +482,9 @@ def run_two_level(
     perturb=None,
     parallel: bool = False,
 ) -> GlobalResult:
-    """Full pipeline: ownership split, level 1 in all areas, level 2."""
-    scada, pmu = split_measurements(part, mset)
-    locals_ = level1_run(net, part, scada, pmu, cfg, robust, perturb, parallel)
-    z_b, z_pmu = coordinator_measurements(net, part, mset, cfg.level2_reuse_boundary)
-    return level2_run(net, part, locals_, z_b, z_pmu, cfg, robust, perturb)
+    """Full pipeline on one measurement set: build the structure, run it once."""
+    structure = Structure(net, part, mset.specs, cfg.level2_reuse_boundary)
+    return structure.run(mset, cfg, robust, perturb, parallel)
 
 
 def run_centralized(
@@ -463,10 +496,7 @@ def run_centralized(
     perturb=None,
 ) -> GlobalResult:
     """Single-estimator reference pipeline over the whole network."""
-    from .netmodel import single_area
-
-    part = single_area(net, ref_bus)
-    return run_two_level(net, part, mset, cfg, robust, perturb)
+    return run_two_level(net, single_area(net, ref_bus), mset, cfg, robust, perturb)
 
 
 def compute_errors(result: GlobalResult, truth: StateVector):

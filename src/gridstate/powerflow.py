@@ -8,6 +8,7 @@ bus holds magnitude and angle.  Reactive-power limits are not enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +58,12 @@ class StateVector:
         assert self.coord == "rect"
         return self.v2
 
+    @cached_property
+    def _pos(self) -> dict[int, int]:
+        return {b: k for k, b in enumerate(self.bus_ids)}
+
     def index(self, bus_id: int) -> int:
-        return self.bus_ids.index(bus_id)
+        return self._pos[bus_id]
 
     def at(self, bus_id: int) -> tuple[float, float]:
         k = self.index(bus_id)

@@ -18,6 +18,7 @@ from gridstate.measurement import (
     wrap_angle,
 )
 from gridstate.multiarea import (
+    Structure,
     compute_errors,
     level1_run,
     run_centralized,
@@ -189,11 +190,11 @@ def test_c09_lambda_optimizer():
 def test_c10_hybrid_improvement(net30, part30, specs30, truth30, view30, cfg30):
     cfg = config_with(cfg30, s0=0.0, e0=0.0)
     tse_err, hyb_err = [], []
+    structure = Structure(net30, part30, specs30)
     for trial in range(100):
         mset = synthesize(view30, truth30, specs30, cfg.sigma_for,
                           np.random.default_rng([4242, trial]))
-        scada, pmu = split_measurements(part30, mset)
-        locals_ = level1_run(net30, part30, scada, pmu, cfg, robust=False)
+        locals_ = level1_run(structure, mset, cfg, robust=False)
         for lr in locals_:
             b = part30.areas[lr.area_index - 1].ref_bus
             tvm, tva = truth30.at(b)

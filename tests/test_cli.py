@@ -74,9 +74,19 @@ def test_estimate_json_output(tmp_path):
     assert data["manifest"]["seed"] == 1
 
 
-def test_estimate_multiarea_needs_partition(capsys):
-    assert main(["estimate", "--mode", "multiarea-wls"]) == 1
-    assert "partition" in capsys.readouterr().err
+def test_estimate_multiarea_needs_partition(tmp_path, capsys):
+    # the bundled IEEE-30 case gets its bundled partition; any other case
+    # has none unless a flag or the config names one
+    case = tmp_path / "copy.case"
+    case.write_text(caseio.bundled_text("ieee30.case") + "# a custom case\n")
+    argv = ["estimate", "--case", str(case), "--mode", "multiarea-wls", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "multi-area modes need a partition" in capsys.readouterr().err
+
+
+def test_bare_estimate_uses_the_bundled_partition(tmp_path):
+    assert main(["estimate", "--trials", "2", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "estimate_multiarea-robust.csv").exists()
 
 
 def test_zero_uncertainty_modes_agree(tmp_path):

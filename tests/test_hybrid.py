@@ -12,10 +12,12 @@ from gridstate.bdu import (
 )
 from gridstate.errors import NumericalError, ValidationError
 from gridstate.hybrid import (
+    PmuBlock,
     apply_perturbation,
     build_hybrid_model,
     hybrid_solve,
     hybrid_solve_robust,
+    pmu_block,
     sample_delta,
     uncertainty_for_model,
 )
@@ -39,6 +41,11 @@ def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None
     model = PolarModel(view, tuple(tse_set), pin_angle=not anchor)
     tse = wls_estimate(tse_set, model, tol=1e-9, k_limit=30)
     return view, tse, pmu[area_idx]
+
+
+def _build(tse, pmu, view, **kwargs):
+    """The hybrid model of a traditional estimate plus every row of ``pmu``."""
+    return build_hybrid_model(tse, pmu_block(view, pmu.specs, range(len(pmu))), pmu, **kwargs)
 
 
 def _dense_w(m):
@@ -112,7 +119,7 @@ def _rect_truth(truth30, view):
 
 def test_no_pmu_degenerates_to_tse_passthrough(net30, part30, specs30, truth30):
     view, tse, _ = _level1_inputs(net30, part30, specs30, truth30, 1)
-    m = build_hybrid_model(tse, MeasurementSet(()), view)
+    m = _build(tse, MeasurementSet(()), view)
     assert m.h.shape == (2 * view.n_bus, 2 * view.n_bus)
     assert np.array_equal(m.h, np.eye(2 * view.n_bus))
     res = hybrid_solve(m)
@@ -122,7 +129,7 @@ def test_no_pmu_degenerates_to_tse_passthrough(net30, part30, specs30, truth30):
 
 def test_pmu_voltage_selector_rows(net30, part30, specs30, truth30):
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     n = view.n_bus
     k = view.pos[4]
     vr_row = m.h[2 * n]
@@ -134,7 +141,7 @@ def test_pmu_voltage_selector_rows(net30, part30, specs30, truth30):
 def test_model_row_count_from_topology(net30, part30, specs30, truth30):
     # PMU at the area slack: rows = 2n (pseudo) + 2 (phasor) + 2 * incident
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     incident = [br for br in net30.branches if 4 in (br.f, br.t)]
     assert len(m.z) == 2 * view.n_bus + 2 + 2 * len(incident)
 
@@ -142,7 +149,7 @@ def test_model_row_count_from_topology(net30, part30, specs30, truth30):
 def test_zero_noise_hybrid_recovers_truth(net30, part30, specs30, truth30):
     for area_idx in (1, 2, 3):
         view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, area_idx)
-        m = build_hybrid_model(tse, pmu, view)
+        m = _build(tse, pmu, view)
         res = hybrid_solve(m)
         rect = np.concatenate([res.state.v1, res.state.v2])
         assert np.abs(rect - _rect_truth(truth30, view)).max() < 1e-10
@@ -153,7 +160,7 @@ def test_hybrid_equals_generic_quadratic_minimizer(net30, part30, specs30, truth
 
     rng = np.random.default_rng(13)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     res = hybrid_solve(m)
     x_hat = np.concatenate([res.state.v1, res.state.v2])
 
@@ -174,7 +181,7 @@ def test_hybrid_equals_generic_quadratic_minimizer(net30, part30, specs30, truth
 
 def test_h_is_exact_derivative_of_linear_stack(net30, part30, specs30, truth30):
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 2)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     rng = np.random.default_rng(8)
     x0 = rng.standard_normal(m.n_state)
     dx = rng.standard_normal(m.n_state)
@@ -187,8 +194,8 @@ def test_h_is_exact_derivative_of_linear_stack(net30, part30, specs30, truth30):
 def test_adding_pmu_never_increases_cov_trace(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(3)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m_without = build_hybrid_model(tse, MeasurementSet(()), view)
-    m_with = build_hybrid_model(tse, pmu, view)
+    m_without = _build(tse, MeasurementSet(()), view)
+    m_with = _build(tse, pmu, view)
     t0 = np.trace(hybrid_solve(m_without).covariance)
     t1 = np.trace(hybrid_solve(m_with).covariance)
     assert t1 <= t0 + 1e-12
@@ -197,14 +204,14 @@ def test_adding_pmu_never_increases_cov_trace(net30, part30, specs30, truth30, c
 def test_w_block_structure(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(4)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     n2 = 2 * view.n_bus
     # PMU block diagonal with sigma^2, zero cross-block
     w = _dense_w(m)
     assert np.all(w[:n2, n2:] == 0.0) and np.all(w[n2:, :n2] == 0.0)
     pmu_block = w[n2:, n2:]
     assert np.array_equal(pmu_block, np.diag(np.diag(pmu_block)))
-    assert np.allclose(np.diag(pmu_block), [ms.sigma**2 for ms in m.pmu_specs])
+    assert np.allclose(np.diag(pmu_block), [pmu.items[k].sigma**2 for k in m.block.rows])
     # TSE block equals the transported polar covariance (plus the floor)
     from gridstate.measurement import polar_to_rect
 
@@ -216,7 +223,7 @@ def test_w_block_structure(net30, part30, specs30, truth30, cfg30):
 def test_diagonal_tse_cov_flag(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(5)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = build_hybrid_model(tse, pmu, view, diagonal_tse_cov=True)
+    m = _build(tse, pmu, view, diagonal_tse_cov=True)
     n2 = 2 * view.n_bus
     block = _dense_w(m)[:n2, :n2]
     assert np.array_equal(block, np.diag(np.diag(block)))
@@ -225,7 +232,7 @@ def test_diagonal_tse_cov_flag(net30, part30, specs30, truth30, cfg30):
 def test_robust_reduces_to_plain_without_uncertainty(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(6)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 2, rng, cfg30)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     plain = hybrid_solve(m)
     for unc in (null_uncertainty(len(m.z), m.n_state), uncertainty_for_model(m, 0.0, 0.5)):
         rob = hybrid_solve_robust(m, unc)
@@ -236,7 +243,7 @@ def test_robust_reduces_to_plain_without_uncertainty(net30, part30, specs30, tru
 def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(21)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     wins = 0
     total = 100
     for seed in range(total):
@@ -267,12 +274,11 @@ def test_scalar_instance_embedded_as_one_bus_model():
         ref_bus = 1
 
     hm = HybridModel(
-        view=_FakeView(),
+        block=PmuBlock(_FakeView(), (), np.zeros(0, dtype=int), np.eye(2), 0.0),
         z=np.array([1.0, 0.0]),
         h=np.eye(2),
         w_pseudo=np.eye(2),
         w_pmu=np.zeros(0),
-        pmu_specs=(),
     )
     unc = UncertaintyStructure(
         np.array([[1.0], [0.0]]), np.array([[0.5, 0.0]]), np.array([0.0])
@@ -286,7 +292,7 @@ def test_scalar_instance_embedded_as_one_bus_model():
 def test_perturbation_shapes_and_guards(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(7)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     unc = uncertainty_for_model(m, 0.1, 0.1, anchored=False)
     delta = sample_delta(rng, unc.q, unc.e_h.shape[0])
     assert abs(np.linalg.svd(delta, compute_uv=False)[0] - 1.0) < 1e-12
@@ -305,7 +311,7 @@ def test_build_requires_converged_tse(net30, part30, specs30, truth30, cfg30):
 
     broken = replace(tse, converged=False)
     with pytest.raises(ValidationError):
-        build_hybrid_model(broken, pmu, view)
+        _build(broken, pmu, view)
 
 
 def _check_against_oracle(m, seed):
@@ -340,7 +346,7 @@ def test_block_whitening_matches_dense_oracle(net30, part30, specs30, truth30, c
     rng = np.random.default_rng(31)
     for area_idx in (1, 2, 3):
         view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, area_idx, rng, cfg30)
-        m = build_hybrid_model(tse, pmu if with_pmu else MeasurementSet(()), view,
+        m = _build(tse, pmu if with_pmu else MeasurementSet(()), view,
                                diagonal_tse_cov=diagonal)
         assert (len(m.w_pmu) > 0) == with_pmu
         _check_against_oracle(m, area_idx)
@@ -370,7 +376,7 @@ def test_indefinite_pseudo_block_raises(net30, part30, specs30, truth30, cfg30):
 
     rng = np.random.default_rng(9)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = build_hybrid_model(tse, pmu, view)
+    m = _build(tse, pmu, view)
     bad = replace(m, w_pseudo=-m.w_pseudo)
     with pytest.raises(NumericalError, match="hybrid covariance is not positive definite"):
         hybrid_solve(bad)

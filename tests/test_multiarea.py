@@ -1,3 +1,4 @@
+from copy import copy
 from dataclasses import replace
 
 import numpy as np
@@ -8,18 +9,19 @@ from gridstate.caseio import config_with
 from gridstate.errors import NumericalError, UnobservableError
 from gridstate.measurement import MeasurementSet, h_eval, jacobian_polar, synthesize, wrap_angle
 from gridstate.multiarea import (
+    CoordinatorProblem,
     GlobalResult,
+    Structure,
     _assemble_coordinator,
     _coordinator_init,
-    _CoordinatorModel,
     _solve_coordinator,
+    _split_rows,
     compute_errors,
     coordinator_measurements,
     level1_run,
     level2_run,
     run_centralized,
     run_two_level,
-    split_measurements,
 )
 from gridstate.netmodel import single_area
 from gridstate.powerflow import StateVector
@@ -37,8 +39,7 @@ def _noisy(view30, truth30, specs30, cfg, seed):
 def test_zero_noise_every_area_recovers_truth(net30, part30, specs30, truth30, view30, cfg30):
     cfg = _zero_cfg(cfg30)
     mset = synth_zero(view30, truth30, specs30)
-    scada, pmu = split_measurements(part30, mset)
-    locals_ = level1_run(net30, part30, scada, pmu, cfg, robust=True)
+    locals_ = level1_run(Structure(net30, part30, specs30), mset, cfg, robust=True)
     assert len(locals_) == 3
     for lr in locals_:
         sub = truth30.subset(lr.state.bus_ids)
@@ -49,10 +50,10 @@ def test_zero_noise_every_area_recovers_truth(net30, part30, specs30, truth30, v
 def test_internal_buses_beat_boundary_and_external(net30, part30, specs30, truth30, view30, cfg30):
     cfg = _zero_cfg(cfg30)
     internal_err, outer_err = [], []
+    structure = Structure(net30, part30, specs30)
     for seed in range(30):
         mset = _noisy(view30, truth30, specs30, cfg, seed)
-        scada, pmu = split_measurements(part30, mset)
-        locals_ = level1_run(net30, part30, scada, pmu, cfg, robust=False)
+        locals_ = level1_run(structure, mset, cfg, robust=False)
         for lr in locals_:
             area = part30.areas[lr.area_index - 1]
             sub = truth30.subset(lr.state.bus_ids)
@@ -65,21 +66,20 @@ def test_internal_buses_beat_boundary_and_external(net30, part30, specs30, truth
 def test_level1_non_interaction(net30, part30, specs30, truth30, view30, cfg30):
     cfg = _zero_cfg(cfg30)
     mset = _noisy(view30, truth30, specs30, cfg, 3)
-    scada, pmu = split_measurements(part30, mset)
-    base = level1_run(net30, part30, scada, pmu, cfg, robust=True)
+    structure = Structure(net30, part30, specs30)
+    base = level1_run(structure, mset, cfg, robust=True)
 
     # concurrent run is bit-identical
-    par = level1_run(net30, part30, scada, pmu, cfg, robust=True, parallel=True)
+    par = level1_run(structure, mset, cfg, robust=True, parallel=True)
     for a, b in zip(base, par):
         assert np.array_equal(a.state.v1, b.state.v1)
         assert np.array_equal(a.state.v2, b.state.v2)
         assert np.array_equal(a.cov, b.cov)
 
     # corrupting another area's data leaves this area's result untouched
-    scada2 = dict(scada)
-    corrupted = scada[1].with_values(scada[1].z + 0.3)
-    scada2[1] = corrupted
-    alt = level1_run(net30, part30, scada2, pmu, cfg, robust=True)
+    z = mset.z.copy()
+    z[_split_rows(part30, specs30)[0][1]] += 0.3
+    alt = level1_run(structure, mset.with_values(z), cfg, robust=True)
     assert np.array_equal(alt[1].state.v1, base[1].state.v1)
     assert np.array_equal(alt[2].state.v2, base[2].state.v2)
     assert not np.array_equal(alt[0].state.v1, base[0].state.v1)
@@ -88,10 +88,9 @@ def test_level1_non_interaction(net30, part30, specs30, truth30, view30, cfg30):
 def test_level2_exact_with_noiseless_inputs(net30, part30, specs30, truth30, view30, cfg30):
     cfg = _zero_cfg(cfg30)
     mset = synth_zero(view30, truth30, specs30)
-    scada, pmu = split_measurements(part30, mset)
-    locals_ = level1_run(net30, part30, scada, pmu, cfg, robust=True)
-    z_b, z_pmu = coordinator_measurements(net30, part30, mset)
-    g = level2_run(net30, part30, locals_, z_b, z_pmu, cfg, robust=True)
+    structure = Structure(net30, part30, specs30)
+    locals_ = level1_run(structure, mset, cfg, robust=True)
+    g = level2_run(structure, locals_, mset, cfg, robust=True)
     dvm, dva = compute_errors(g, truth30)
     assert dvm.max() < 1e-6 and dva.max() < 1e-6
     assert np.abs(g.u).max() < 1e-6
@@ -204,11 +203,8 @@ def test_estimate_equals_truth_gives_zero_errors(truth30):
 
 def test_unobservable_area_reported(net30, part30, cfg30):
     cfg = _zero_cfg(cfg30)
-    empty = MeasurementSet(())
-    scada = {1: empty, 2: empty, 3: empty}
-    pmu = {1: empty, 2: empty, 3: empty}
     with pytest.raises(NumericalError) as err:
-        level1_run(net30, part30, scada, pmu, cfg, robust=False)
+        run_two_level(net30, part30, MeasurementSet(()), cfg, robust=False)
     assert "area" in str(err.value)
 
 
@@ -227,49 +223,49 @@ def test_boundary_injection_uses_pinned_internals(net30, part30, specs30, truth3
 
 
 def _coordinator(net30, part30, specs30, truth30, view30, cfg, seed, robust):
-    """(problem, model, x0) of one coordinator solve on the 3-area fixture."""
+    """(problem, model, x0, level-1 results) of one coordinator solve on
+    the 3-area fixture."""
     from gridstate.cli import make_delta_sampler
 
     mset = _noisy(view30, truth30, specs30, cfg, seed)
-    scada, pmu = split_measurements(part30, mset)
+    structure = Structure(net30, part30, specs30)
     perturb = make_delta_sampler(seed, 0)
-    locals_ = level1_run(net30, part30, scada, pmu, cfg, robust=robust, perturb=perturb)
-    z_b, z_pmu = coordinator_measurements(net30, part30, mset)
-    prob = _assemble_coordinator(part30, locals_, z_b, z_pmu)
-    model = _CoordinatorModel(net30, part30, locals_, prob)
-    return prob, model, _coordinator_init(model, prob)
+    locals_ = level1_run(structure, mset, cfg, robust=robust, perturb=perturb)
+    prob = _assemble_coordinator(structure.coordinator, locals_, mset)
+    model = structure.coordinator.pinned(locals_)
+    return prob, model, _coordinator_init(model, prob), locals_
 
 
-def _loop_h_jac(model, x):
+def _loop_h_jac(model, locals_, x):
     """h and Jacobian of the coordinator model by per-bus loops."""
-    prob = model.prob
-    nb = prob.n_bnd
+    nb = model.n_bnd
     u = np.concatenate([[0.0], x[2 * nb :]])
     pinned = {}
-    for area in model.part.areas:
+    for area, lr in zip(model.part.areas, locals_):
         for b in area.internal:
-            pinned[b] = (area.index, *model.locals[area.index].state.at(b))
+            pinned[b] = (area.index, *lr.state.at(b))
     vm, va = np.empty(model.n), np.empty(model.n)
     for k, bid in enumerate(model.bus_ids):
         if bid in pinned:
             ai, pvm, pva = pinned[bid]
             vm[k], va[k] = pvm, pva + u[ai - 1]
         else:
-            j = prob.bnd_ids.index(bid)
+            j = model.bnd_ids.index(bid)
             vm[k], va[k] = x[nb + j], x[j]
     state = StateVector("polar", model.bus_ids, vm, va, ref_bus=model.part.global_ref)
     jfull = jacobian_polar(model.view, state, model.physical, pin_ref=False)
     jp = np.zeros((jfull.shape[0], model.n_state))
     for k, bid in enumerate(model.bus_ids):
         if bid not in pinned:
-            j = prob.bnd_ids.index(bid)
+            j = model.bnd_ids.index(bid)
             jp[:, j] = jfull[:, k]
             jp[:, nb + j] = jfull[:, model.n + k]
         elif pinned[bid][0] >= 2:
             jp[:, 2 * nb + pinned[bid][0] - 2] += jfull[:, k]
     h, jac = [h_eval(model.view, state, model.physical)], [jp]
-    for ai, buses in zip(prob.pseudo_area_order, prob.pseudo_bus_lists):
-        pos = [prob.bnd_ids.index(b) for b in buses]
+    for ai in model.pseudo_areas:
+        area = model.part.areas[ai - 1]
+        pos = [model.bnd_ids.index(b) for b in area.boundary + area.external]
         h.append(np.concatenate([x[pos] - u[ai - 1], x[[nb + p for p in pos]]]))
         blk = np.zeros((2 * len(pos), model.n_state))
         for r, p in enumerate(pos):
@@ -303,10 +299,11 @@ def _dense_gauss_newton(model, prob, x0, tol, k_limit):
 @pytest.mark.parametrize("seed", [4, 11])
 def test_coordinator_model_matches_loop_reference(net30, part30, specs30, truth30, view30,
                                                   cfg30, robust, seed):
-    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed, robust)
+    prob, model, x0, locals_ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed,
+                                            robust)
     rng = np.random.default_rng(seed)
     for x in (x0, x0 + 1e-2 * rng.standard_normal(x0.shape)):
-        h_ref, jac_ref = _loop_h_jac(model, x)
+        h_ref, jac_ref = _loop_h_jac(model, locals_, x)
         assert np.abs(model.h(x) - h_ref).max() <= 1e-14
         assert np.abs(model.jac(x) - jac_ref).max() <= 1e-12 * np.abs(jac_ref).max()
 
@@ -315,7 +312,7 @@ def test_coordinator_model_matches_loop_reference(net30, part30, specs30, truth3
 @pytest.mark.parametrize("seed", [4, 11])
 def test_coordinator_matches_dense_oracle(net30, part30, specs30, truth30, view30, cfg30,
                                           robust, seed):
-    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed, robust)
+    prob, model, x0, _ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed, robust)
     assert len(prob.w_diag) + sum(b.shape[0] for b in prob.w_blocks) == len(prob.z)
     tol, k_limit = cfg30.epsilon, cfg30.k_limit
     x, cov, iters = _solve_coordinator(model, prob, x0, tol, k_limit)
@@ -326,7 +323,7 @@ def test_coordinator_matches_dense_oracle(net30, part30, specs30, truth30, view3
 
 
 def test_coordinator_indefinite_weight_block(net30, part30, specs30, truth30, view30, cfg30):
-    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    prob, model, x0, _ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
     blk = prob.w_blocks[1].copy()
     blk[0, 0] = -blk[0, 0]
     bad = replace(prob, w_blocks=(prob.w_blocks[0], blk, *prob.w_blocks[2:]))
@@ -337,21 +334,18 @@ def test_coordinator_indefinite_weight_block(net30, part30, specs30, truth30, vi
 def test_coordinator_rank_deficient(net30, part30, specs30, truth30, view30, cfg30):
     # area 1's pseudo rows alone leave the other areas' offsets u and their
     # own boundary states free
-    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    prob, model, x0, _ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
     n1 = prob.w_blocks[0].shape[0]
     p = len(prob.w_diag)
-    only1 = replace(
-        prob, physical=MeasurementSet(()), pseudo_area_order=prob.pseudo_area_order[:1],
-        pseudo_bus_lists=prob.pseudo_bus_lists[:1], z=prob.z[p : p + n1],
-        w_diag=np.zeros(0), w_blocks=prob.w_blocks[:1],
-    )
-    model1 = _CoordinatorModel(net30, part30, model.locals.values(), only1)
+    only1 = CoordinatorProblem(prob.z[p : p + n1], np.zeros(0), prob.w_blocks[:1])
+    model1 = copy(model)
+    model1.physical, model1.pseudo_jac = (), model.pseudo_jac[:n1]
     with pytest.raises(UnobservableError):
         _solve_coordinator(model1, only1, x0, cfg30.epsilon, cfg30.k_limit)
 
 
 def test_coordinator_iteration_limit(net30, part30, specs30, truth30, view30, cfg30):
-    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    prob, model, x0, _ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
     with pytest.raises(NumericalError, match="coordinator: no convergence in 1 iterations"):
         _solve_coordinator(model, prob, x0, 1e-30, 1)
 
@@ -363,9 +357,9 @@ def test_coordinator_damps_a_step_that_raises_the_objective(net30, part30, specs
     # step raises J, so the Marquardt fallback has to find the descent step
     from gridstate import multiarea
 
-    prob, model, x0 = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    prob, model, x0, _ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
     prob = replace(prob, w_blocks=tuple(1e4 * b for b in prob.w_blocks))
-    nb = prob.n_bnd
+    nb = model.n_bnd
     x_ref, cov_ref, _ = _solve_coordinator(model, prob, x0, cfg30.epsilon, cfg30.k_limit)
 
     calls = []

@@ -1,0 +1,143 @@
+"""The structure/solve split: one estimation structure per experiment and
+partition, measurement sets carried as value arrays."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridstate import multiarea
+from gridstate.cli import make_delta_sampler, prepare, run_trial, synth_for_trial
+from gridstate.errors import NumericalError, ValidationError
+from gridstate.measurement import ALL_KINDS, FLOW_KINDS, MeasurementSet, h_eval, synthesize
+from gridstate.multiarea import run_centralized, run_two_level
+from gridstate.netmodel import boundary_measurement_ownership
+
+MODES = ("central-wls", "central-robust", "multiarea-wls", "multiarea-robust")
+
+
+@pytest.fixture()
+def exp():
+    return prepare(config="ieee30.cfg")
+
+
+def _fresh(exp, trial, central, robust):
+    """One trial through a structure built for this call alone."""
+    mset = synth_for_trial(exp, trial)
+    perturb = make_delta_sampler(exp.cfg.seed, trial)
+    if central:
+        return run_centralized(exp.net, mset, exp.cfg, robust, ref_bus=exp.part.global_ref,
+                               perturb=perturb)
+    return run_two_level(exp.net, exp.part, mset, exp.cfg, robust, perturb)
+
+
+def _assert_same(a, b):
+    assert np.array_equal(a.vm, b.vm) and np.array_equal(a.va, b.va)
+    assert np.array_equal(a.u, b.u)
+    assert [lr.tse_iterations for lr in a.locals] == [lr.tse_iterations for lr in b.locals]
+    assert a.coordinator_iterations == b.coordinator_iterations
+
+
+def _drop_flow_pair(specs, part, net):
+    """The specs without the first non-tie FLOW pair."""
+    first = next(m for m in specs if m.kind in FLOW_KINDS and not part.is_tie(net.branch(*m.branch)))
+    return tuple(m for m in specs
+                 if not (m.kind in FLOW_KINDS and (m.branch, m.side) == (first.branch, first.side)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_held_structure_matches_fresh_runs(exp, mode):
+    central, robust = mode.startswith("central"), mode.endswith("robust")
+    for trial in range(3):
+        _assert_same(run_trial(exp, trial, robust, central), _fresh(exp, trial, central, robust))
+    assert len(exp.structures) == 1
+
+
+def test_changed_specs_replace_the_held_structure(exp):
+    for central in (False, True):
+        run_trial(exp, 0, robust=False, central=central)
+    held = {k: v[1] for k, v in exp.structures.items()}
+    dropped = replace(exp, specs=_drop_flow_pair(exp.specs, exp.part, exp.net))
+    assert len(dropped.specs) == len(exp.specs) - 2
+    for central in (False, True):
+        for trial in (0, 1):
+            _assert_same(run_trial(dropped, trial, True, central), _fresh(dropped, trial, central, True))
+    # the copy shares the holder: one structure per partition, now the new specs'
+    assert dropped.structures is exp.structures and len(exp.structures) == 2
+    for central, (_, structure) in exp.structures.items():
+        assert structure is not held[central] and structure.specs is dropped.specs
+
+
+def test_prepare_builds_no_structure(monkeypatch):
+    built = []
+    init = multiarea.Structure.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiarea.Structure, "__init__", spy)
+    exp = prepare(config="ieee30.cfg")
+    assert not built and not exp.structures
+    for trial in range(3):
+        run_trial(exp, trial, robust=True)
+    assert len(built) == 1
+
+
+def test_unobservable_area_raises_on_every_trial(exp):
+    owned = set(boundary_measurement_ownership(exp.part, exp.specs)[3])
+    blind = replace(exp, specs=tuple(m for m in exp.specs
+                                     if m.id not in owned or m.kind.startswith("pmu")))
+    messages = []
+    for trial in range(3):
+        with pytest.raises(NumericalError) as err:
+            run_trial(blind, trial, robust=True)
+        messages.append(str(err.value))
+    assert "area 3: SCADA measurement set does not observe the local state" in messages[0]
+    assert messages == [messages[0]] * 3
+    with pytest.raises(NumericalError) as err:
+        _fresh(blind, 0, False, True)
+    assert str(err.value) == messages[0]
+
+
+def test_structure_rejects_a_set_over_other_specs(exp):
+    mset = synth_for_trial(exp, 0)
+    structure = multiarea.Structure(exp.net, exp.part, exp.specs[:-2])
+    with pytest.raises(ValidationError, match="does not match the structure's specs"):
+        structure.run(mset, exp.cfg)
+
+
+_sigmas = st.one_of(st.just(0.0), st.floats(1e-6, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=st.fixed_dictionaries({k: _sigmas for k in ALL_KINDS}),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_array_synthesis_matches_per_row_reference(view30, truth30, specs30, table, seed, data):
+    keep = data.draw(st.lists(st.booleans(), min_size=len(specs30), max_size=len(specs30)))
+    specs = tuple(m for m, k in zip(specs30, keep) if k)
+    mset = synthesize(view30, truth30, specs, table, np.random.default_rng(seed))
+
+    # the per-row construction: h + sigma * e, one Measurement per row
+    truth = h_eval(view30, truth30, specs)
+    noise = np.random.default_rng(seed).standard_normal(len(specs))
+    ref = tuple(
+        replace(m, value=float(h0 + table[m.kind] * e), sigma=table[m.kind] if table[m.kind] > 0.0 else 1.0)
+        for m, h0, e in zip(specs, truth, noise)
+    )
+    assert np.array_equal(mset.z, [m.value for m in ref])
+    assert np.array_equal(mset.sigmas, [m.sigma for m in ref])
+    assert tuple(mset) == ref
+    assert MeasurementSet(ref).z.tobytes() == mset.z.tobytes()
+
+
+@pytest.mark.parametrize("sigma, message", [
+    (float("nan"), "value must be finite"),
+    (float("inf"), "sigma must be positive and finite"),
+])
+def test_synthesis_rejects_non_finite_values(view30, truth30, specs30, sigma, message):
+    table = {k: sigma if k == "p_flow" else 0.01 for k in ALL_KINDS}
+    with pytest.raises(ValidationError, match=message):
+        synthesize(view30, truth30, specs30, table, np.random.default_rng(0))
