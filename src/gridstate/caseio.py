@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .errors import ParseError, ValidationError
@@ -179,8 +179,6 @@ class ExperimentConfig:
     seed: int = 0
     epsilon: float = 1e-6
     k_limit: int = 20
-    tse_cov_diagonal: bool = False
-    level2_reuse_boundary: bool = True
     mode: str = "multiarea-robust"
 
     def __post_init__(self):
@@ -216,10 +214,9 @@ class ExperimentConfig:
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_BOOL_KEYS = {"tse_cov_diagonal", "level2_reuse_boundary"}
 _INT_KEYS = {"trials", "seed", "k_limit"}
 _STR_KEYS = {"partition", "plan", "lambda_strategy", "mode"}
-_FLOAT_KEYS = tuple(k for k in _CONFIG_TYPES if k not in _BOOL_KEYS | _INT_KEYS | _STR_KEYS)
+_FLOAT_KEYS = tuple(k for k in _CONFIG_TYPES if k not in _INT_KEYS | _STR_KEYS)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -235,11 +232,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in values:
             raise ParseError(f"duplicate config key {key!r}", line=ln)
         try:
-            if key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {val!r}")
-                values[key] = val.lower() == "true"
-            elif key in _INT_KEYS:
+            if key in _INT_KEYS:
                 values[key] = int(val)
             elif key in _STR_KEYS:
                 values[key] = val
@@ -261,18 +254,12 @@ def render_config(cfg: ExperimentConfig) -> str:
         value = getattr(cfg, name)
         if value is None:
             continue
-        if isinstance(value, bool):
-            value = str(value).lower()
         lines.append(f"{name} = {value}")
     return "\n".join(lines) + "\n"
 
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
-
-
-def config_with(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    return replace(cfg, **overrides)
 
 
 # ---------------------------------------------------------------------------

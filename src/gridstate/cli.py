@@ -14,12 +14,12 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import caseio
-from .caseio import ExperimentConfig, ResultTable, config_with, manifest_for, write_results
+from .caseio import ExperimentConfig, ResultTable, manifest_for, write_results
 from .errors import NumericalError, ValidationError
 from .measurement import MeasurementSet, ModelView, redundancy, synthesize
 from .multiarea import GlobalResult, Structure, compute_errors
@@ -83,7 +83,7 @@ def prepare(case=None, partition=None, plan=None, config=None, overrides=None) -
     else:
         cfg = caseio.default_config()
     if overrides:
-        cfg = config_with(cfg, **overrides)
+        cfg = replace(cfg, **overrides)
 
     case_text, case_label = _resolve_text(case, "ieee30.case")
     net = caseio.parse_case(case_text)
@@ -141,18 +141,18 @@ def run_trial(exp: Experiment, trial: int, robust: bool, central: bool = False,
     carries a nonzero uncertainty scale, for robust and plain runs alike.
 
     The central (single-area) or multi-area structure is rebuilt when the
-    network, partition, specs or coordinator rows it was built for changed."""
+    network, partition or specs it was built for changed."""
     mset = synth_for_trial(exp, trial)
     perturb = None
     if exp.cfg.s0 > 0.0 and (exp.cfg.e0 > 0.0 or exp.cfg.ez0 > 0.0):
         perturb = make_delta_sampler(exp.cfg.seed, trial)
     central = central or exp.part is None
     ref = exp.part.global_ref if exp.part is not None else None
-    key = (exp.net, ref if central else exp.part, exp.specs, exp.cfg.level2_reuse_boundary)
+    key = (exp.net, ref if central else exp.part, exp.specs)
     held = exp.structures.get(central)
     if held is None or held[0] != key:
         part = single_area(exp.net, ref) if central else exp.part
-        held = exp.structures[central] = (key, Structure(exp.net, part, exp.specs, key[3]))
+        held = exp.structures[central] = (key, Structure(exp.net, part, exp.specs))
     return held[1].run(mset, exp.cfg, robust, perturb, parallel)
 
 
@@ -216,8 +216,9 @@ def _summarize(exp, mode, mean_dvm, mean_dva, result):
                 print(f"  area {area.index} internal: mean|dV|={mean_dvm[idx].mean():.3e} "
                       f"mean|dth|={mean_dva[idx].mean():.3e} rad")
         idx = [bus_ids.index(b) for b in exp.part.boundary_buses()]
-        print(f"  coordinator boundary: mean|dV|={mean_dvm[idx].mean():.3e} "
-              f"mean|dth|={mean_dva[idx].mean():.3e} rad")
+        if idx:
+            print(f"  coordinator boundary: mean|dV|={mean_dvm[idx].mean():.3e} "
+                  f"mean|dth|={mean_dva[idx].mean():.3e} rad")
     print(f"  overall: mean|dV|={mean_dvm.mean():.3e} mean|dth|={mean_dva.mean():.3e} rad")
 
 
@@ -332,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--tol", type=float, help="Gauss-Newton epsilon")
-        p.add_argument("--mu", type=float, help="use approximate lambda = (1+mu)||S'RS||")
-        p.add_argument("--lambda-exact", action="store_true", dest="lambda_exact")
+        lam = p.add_mutually_exclusive_group()
+        lam.add_argument("--mu", type=float, help="use approximate lambda = (1+mu)||S'RS||")
+        lam.add_argument("--lambda-exact", action="store_true", dest="lambda_exact")
         p.add_argument("--uncertainty", help="uncertainty scales 's0,e0'")
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

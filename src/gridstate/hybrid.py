@@ -107,16 +107,13 @@ def build_hybrid_model(
     tse: EstimationResult,
     block: PmuBlock,
     mset: MeasurementSet,
-    diagonal_tse_cov: bool = False,
 ) -> HybridModel:
     """Assemble (z, H, W) from a converged traditional estimate plus the
     PMU rows of ``block``, valued from ``mset``.
 
     The TSE estimate and covariance are transported to rectangular
     coordinates; its pinned reference angle gives the covariance one zero
-    mode, which ``VARIANCE_FLOOR`` lifts to keep W invertible.  With
-    ``diagonal_tse_cov`` the transported block is thinned to its diagonal,
-    reproducing the fully diagonal covariance layout literally.
+    mode, which ``VARIANCE_FLOOR`` lifts to keep W invertible.
     """
     if not tse.converged:
         raise ValidationError("hybrid step requires a converged traditional estimate")
@@ -124,8 +121,6 @@ def build_hybrid_model(
         raise ValidationError("traditional estimate layout does not match the view")
     cov_full = tse.model.embed_cov(tse.covariance)
     rect, cov_rect = polar_to_rect(tse.state, cov_full)
-    if diagonal_tse_cov:
-        cov_rect = np.diag(np.diag(cov_rect))
     return stack_model(block, rect, cov_rect, mset)
 
 

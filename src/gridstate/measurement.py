@@ -336,12 +336,8 @@ def h_eval(view: ModelView, state: StateVector, specs) -> np.ndarray:
     return out
 
 
-def jacobian_polar(view: ModelView, state: StateVector, specs, pin_ref: bool = True) -> np.ndarray:
-    """Analytic H = dh/dx for the polar layout [va (free); vm (all)].
-
-    With ``pin_ref`` the reference-bus angle column is removed ("will not
-    be estimated"); pass False to keep all 2n columns.
-    """
+def jacobian_polar(view: ModelView, state: StateVector, specs) -> np.ndarray:
+    """Analytic H = dh/dx for the polar layout [va (all); vm (all)]."""
     vm, va = view.polar(state, "jacobian_polar")
     c = view.compile(specs)
     n = view.n_bus
@@ -386,8 +382,6 @@ def jacobian_polar(view: ModelView, state: StateVector, specs, pin_ref: bool = T
         d_vm[u.rows, k] = np.where(u.imag, gk * sk + bk * ck, gk * ck - bk * sk)
         d_va[u.rows, k] = vm[k] * np.where(u.imag, gk * ck - bk * sk, -gk * sk - bk * ck)
 
-    if pin_ref and view.ref_bus in view.pos:
-        d_va = np.delete(d_va, view.pos[view.ref_bus], axis=1)
     return np.hstack([d_va, d_vm])
 
 
@@ -416,18 +410,18 @@ def jacobian_rect(view: ModelView, specs) -> np.ndarray:
 def synthesize(view: ModelView, true_state: StateVector, specs, sigma_for, rng) -> MeasurementSet:
     """True values plus independent Gaussian noise, deterministic under rng.
 
-    ``sigma_for`` maps a measurement kind to its standard deviation; the
-    generator is owned by the caller (pass sigma 0 values via a zeroed
-    table to get exact h values -- noise is drawn as sigma * N(0,1), so a
-    zero sigma reproduces h exactly under any seed).  One h evaluation and
-    one noise vector fill the set's value arrays.
+    ``sigma_for(kind)`` gives a measurement kind's standard deviation; the
+    generator is owned by the caller (a ``sigma_for`` returning 0 gives
+    exact h values -- noise is drawn as sigma * N(0,1), so a zero sigma
+    reproduces h exactly under any seed).  One h evaluation and one noise
+    vector fill the set's value arrays.
     """
     specs = tuple(specs)
     truth = h_eval(view, true_state, specs)
     sig = {}
     for m in specs:
         if m.kind not in sig:
-            sig[m.kind] = float(sigma_for(m.kind)) if callable(sigma_for) else float(sigma_for[m.kind])
+            sig[m.kind] = float(sigma_for(m.kind))
     scale = np.array([sig[m.kind] for m in specs])
     z = truth + scale * rng.standard_normal(len(specs))
     return MeasurementSet(specs, z, np.where(scale > 0.0, scale, 1.0))

@@ -122,8 +122,7 @@ def _coordinator_rows(net: PowerNetwork, part: AreaPartition, specs):
     return zb, zpmu
 
 
-def coordinator_measurements(net: PowerNetwork, part: AreaPartition, mset: MeasurementSet,
-                             reuse_boundary: bool = True):
+def coordinator_measurements(net: PowerNetwork, part: AreaPartition, mset: MeasurementSet):
     """(z_b, z_PMU) for level 2.
 
     z_b re-uses the raw boundary measurements: injections at boundary buses
@@ -133,7 +132,7 @@ def coordinator_measurements(net: PowerNetwork, part: AreaPartition, mset: Measu
     coordinator).
     """
     zb, zpmu = _coordinator_rows(net, part, mset.specs)
-    return mset.take(zb if reuse_boundary else []), mset.take(zpmu)
+    return mset.take(zb), mset.take(zpmu)
 
 
 @dataclass(frozen=True)
@@ -189,7 +188,7 @@ def _estimate_area(a: _AreaStructure, mset: MeasurementSet, cfg: ExperimentConfi
     if not tse.converged:
         raise NumericalError(f"area {index}: traditional estimator did not converge")
 
-    hmodel = build_hybrid_model(tse, a.block, mset, diagonal_tse_cov=cfg.tse_cov_diagonal)
+    hmodel = build_hybrid_model(tse, a.block, mset)
     hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level1", index))
     polar, cov_polar = rect_to_polar(hres.state, hres.covariance)
     return LocalResult(index, polar, cov_polar, tse.state, tse.iterations, hres)
@@ -330,7 +329,7 @@ class _CoordinatorModel:
         return np.concatenate([physical, self.pseudo_jac @ x])
 
     def jac(self, x):
-        jfull = jacobian_polar(self.view, self.unpack(x), self.physical, pin_ref=False)
+        jfull = jacobian_polar(self.view, self.unpack(x), self.physical)
         j_va, j_vm = jfull[:, : self.n], jfull[:, self.n :]
         physical = np.hstack(
             [j_va[:, self.bnd_pos], j_vm[:, self.bnd_pos], j_va[:, self.pin_pos] @ self.pin_to_u]
@@ -358,12 +357,8 @@ class GlobalResult:
     va: np.ndarray
     source: tuple[str, ...]
     u: np.ndarray
-    method: str
     locals: tuple[LocalResult, ...] = ()
     coordinator_iterations: int = 0
-
-    def state(self) -> StateVector:
-        return StateVector("polar", self.bus_ids, self.vm.copy(), self.va.copy())
 
 
 def _coordinator_init(model: _CoordinatorModel, prob: CoordinatorProblem):
@@ -431,19 +426,16 @@ def level2_run(
     for lr, out in zip(locals_, s.internal_out):
         vm[out] = lr.state.v1[: len(out)]
         va[out] = lr.state.v2[: len(out)] + u[lr.area_index - 1]
-    return GlobalResult(
-        s.bus_ids, vm, va, s.source, u, "robust" if robust else "wls", tuple(locals_), iters
-    )
+    return GlobalResult(s.bus_ids, vm, va, s.source, u, tuple(locals_), iters)
 
 
 class Structure:
     """The value-free part of a two-level run over one network, partition
     and spec tuple, run once per trial by :meth:`run`: each area's level 1,
     the coordinator model (None without boundary buses) and its PMU block,
-    and the positions that assemble the global estimate.  ``reuse_boundary``
-    as in :func:`coordinator_measurements`."""
+    and the positions that assemble the global estimate."""
 
-    def __init__(self, net: PowerNetwork, part: AreaPartition, specs, reuse_boundary: bool = True):
+    def __init__(self, net: PowerNetwork, part: AreaPartition, specs):
         self.part = part
         self.specs = tuple(specs)
         scada, pmu = _split_rows(part, self.specs)
@@ -461,7 +453,7 @@ class Structure:
         self.coordinator = self.bnd_block = None
         if bnd_ids:
             zb, zpmu = _coordinator_rows(net, part, self.specs)
-            self.coordinator = _CoordinatorModel(net, part, self.specs, (zb if reuse_boundary else []) + zpmu)
+            self.coordinator = _CoordinatorModel(net, part, self.specs, zb + zpmu)
             self.bnd_block = pmu_block(ModelView(net, bnd_ids, ref_bus=part.global_ref), self.specs, zpmu)
 
     def run(self, mset: MeasurementSet, cfg: ExperimentConfig, robust: bool = True,
@@ -483,7 +475,7 @@ def run_two_level(
     parallel: bool = False,
 ) -> GlobalResult:
     """Full pipeline on one measurement set: build the structure, run it once."""
-    structure = Structure(net, part, mset.specs, cfg.level2_reuse_boundary)
+    structure = Structure(net, part, mset.specs)
     return structure.run(mset, cfg, robust, perturb, parallel)
 
 

@@ -48,22 +48,15 @@ class StateVector:
         assert self.coord == "polar"
         return self.v2
 
-    @property
-    def vr(self):
-        assert self.coord == "rect"
-        return self.v1
-
-    @property
-    def vi(self):
-        assert self.coord == "rect"
-        return self.v2
-
     @cached_property
     def _pos(self) -> dict[int, int]:
         return {b: k for k, b in enumerate(self.bus_ids)}
 
     def index(self, bus_id: int) -> int:
-        return self._pos[bus_id]
+        try:
+            return self._pos[bus_id]
+        except KeyError:
+            raise ValidationError(f"bus {bus_id} is not in the state") from None
 
     def at(self, bus_id: int) -> tuple[float, float]:
         k = self.index(bus_id)

@@ -63,7 +63,7 @@ class PolarModel:
         return h_eval(self.view, self.unpack(x), self.specs)
 
     def jac(self, x) -> np.ndarray:
-        full = jacobian_polar(self.view, self.unpack(x), self.specs, pin_ref=False)
+        full = jacobian_polar(self.view, self.unpack(x), self.specs)
         return full[:, self._cols]
 
     def embed_cov(self, cov_est: np.ndarray) -> np.ndarray:

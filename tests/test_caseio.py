@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -93,8 +94,8 @@ def test_config_validation():
         parse_config("sigma_flow 0.01\n")
     with pytest.raises(ParseError):
         parse_config("seed = 1\nseed = 2\n")
-    cfg = parse_config("mu = 3.5\nlambda_strategy = exact\ntse_cov_diagonal = true\n")
-    assert cfg.mu == 3.5 and cfg.tse_cov_diagonal
+    cfg = parse_config("mu = 3.5\nlambda_strategy = exact\n")
+    assert cfg.mu == 3.5 and cfg.lambda_strategy == "exact"
 
 
 @pytest.mark.parametrize("key", caseio._FLOAT_KEYS)
@@ -110,7 +111,7 @@ def test_render_config_round_trips():
     cfgs = (
         caseio.default_config(),
         caseio.load_ieee30_config(),
-        ExperimentConfig(epsilon=1e-9, tse_cov_diagonal=True, mode="central-wls", mu=0.1),
+        ExperimentConfig(epsilon=1e-9, mode="central-wls", mu=0.1),
     )
     for cfg in cfgs:
         assert parse_config(caseio.render_config(cfg)) == cfg
@@ -169,7 +170,7 @@ def test_write_results_empty_and_errors(tmp_path):
 
 
 def test_config_with_override(cfg30):
-    cfg = caseio.config_with(cfg30, seed=99)
+    cfg = replace(cfg30, seed=99)
     assert cfg.seed == 99 and cfg.sigma_pmu == cfg30.sigma_pmu
     with pytest.raises(ValidationError):
         ExperimentConfig(epsilon=0.0)

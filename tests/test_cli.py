@@ -280,3 +280,41 @@ def test_estimate_accepts_bundled_config_name(tmp_path, monkeypatch):
     assert (cfg.lambda_strategy, cfg.mu, cfg.s0) == ("approx", 100.0, 0.05)
     assert cfg == load_ieee30_config() and cfg.s0 != default_config().s0
     assert (tmp_path / "estimate_multiarea-robust.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_partition_without_boundary_skips_the_coordinator_line(tmp_path, capsys):
+    # one area over the whole case has no boundary bus: a coordinator line
+    # would print the mean of an empty slice (nan, with a RuntimeWarning)
+    areas = tmp_path / "one.areas"
+    areas.write_text("AREA 1 REF 4 : " + ",".join(map(str, range(1, 31))) + "\n")
+    argv = ["estimate", "--partition", str(areas), "--mode", "multiarea-wls", "--trials", "1",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "area 1 internal" in out and "overall" in out
+    assert "coordinator boundary" not in out and "nan" not in out
+    assert (tmp_path / "out" / "estimate_multiarea-wls.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--config", "ieee30.cfg"],
+    ["compare", "--config-a", "ieee30.cfg", "--config-b", "ieee30.cfg"],
+], ids=["estimate", "compare"])
+def test_mu_and_lambda_exact_exclude_each_other(tmp_path, capsys, command):
+    # either flag sets the lambda strategy; given both, one would be ignored
+    out = tmp_path / "out"
+    assert main(command + ["--mu", "2", "--lambda-exact", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not allowed with argument --mu" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["tse_cov_diagonal", "level2_reuse_boundary"])
+def test_retired_config_keys_are_unknown(tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"partition = ieee30.areas\n{key} = false\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"line 2: unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()

@@ -43,9 +43,9 @@ def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None
     return view, tse, pmu[area_idx]
 
 
-def _build(tse, pmu, view, **kwargs):
+def _build(tse, pmu, view):
     """The hybrid model of a traditional estimate plus every row of ``pmu``."""
-    return build_hybrid_model(tse, pmu_block(view, pmu.specs, range(len(pmu))), pmu, **kwargs)
+    return build_hybrid_model(tse, pmu_block(view, pmu.specs, range(len(pmu))), pmu)
 
 
 def _dense_w(m):
@@ -220,15 +220,6 @@ def test_w_block_structure(net30, part30, specs30, truth30, cfg30):
     assert np.abs(w[:n2, :n2] - cov_rect - 1e-12 * np.eye(n2)).max() < 1e-15
 
 
-def test_diagonal_tse_cov_flag(net30, part30, specs30, truth30, cfg30):
-    rng = np.random.default_rng(5)
-    view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = _build(tse, pmu, view, diagonal_tse_cov=True)
-    n2 = 2 * view.n_bus
-    block = _dense_w(m)[:n2, :n2]
-    assert np.array_equal(block, np.diag(np.diag(block)))
-
-
 def test_robust_reduces_to_plain_without_uncertainty(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(6)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 2, rng, cfg30)
@@ -341,13 +332,11 @@ def _check_against_oracle(m, seed):
 
 
 @pytest.mark.parametrize("with_pmu", [True, False])
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_block_whitening_matches_dense_oracle(net30, part30, specs30, truth30, cfg30, with_pmu, diagonal):
+def test_block_whitening_matches_dense_oracle(net30, part30, specs30, truth30, cfg30, with_pmu):
     rng = np.random.default_rng(31)
     for area_idx in (1, 2, 3):
         view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, area_idx, rng, cfg30)
-        m = _build(tse, pmu if with_pmu else MeasurementSet(()), view,
-                               diagonal_tse_cov=diagonal)
+        m = _build(tse, pmu if with_pmu else MeasurementSet(()), view)
         assert (len(m.w_pmu) > 0) == with_pmu
         _check_against_oracle(m, area_idx)
 

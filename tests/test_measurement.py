@@ -94,7 +94,7 @@ def test_jacobian_matches_finite_differences(net30, part30, specs30):
             vm = 1.0 + 0.05 * rng.standard_normal(n)
             va = 0.1 * rng.standard_normal(n)
             st = StateVector("polar", view.bus_ids, np.abs(vm) + 0.5, va)
-            jac = jacobian_polar(view, st, owned, pin_ref=False)
+            jac = jacobian_polar(view, st, owned)
             eps = 1e-6
             for col in range(2 * n):
                 dvm = st.v1.copy()
@@ -148,7 +148,7 @@ def test_untouched_bus_has_zero_column(net30, part30):
     view = ModelView.for_area(net30, part30, 1)
     specs = (Measurement(0, "p_flow", 0.0, 1.0, branch=(1, 2)),)
     st = flat_state(view.bus_ids)
-    jac = jacobian_polar(view, st, specs, pin_ref=False)
+    jac = jacobian_polar(view, st, specs)
     n = view.n_bus
     col = view.pos[7]  # bus 7 not on branch 1-2
     assert np.all(jac[:, col] == 0.0) and np.all(jac[:, n + col] == 0.0)
@@ -312,22 +312,12 @@ def test_rows_follow_spec_permutation(net30, part30, specs30):
             np.testing.assert_allclose(
                 h_eval(fresh, st, shuffled), h_eval(view, st, specs)[perm], rtol=1e-13, atol=1e-15
             )
-            for pin_ref in (True, False):
-                np.testing.assert_allclose(
-                    jacobian_polar(fresh, st, shuffled, pin_ref=pin_ref),
-                    jacobian_polar(view, st, specs, pin_ref=pin_ref)[perm],
-                    rtol=1e-13,
-                    atol=1e-15,
-                )
-
-
-def test_jacobian_pin_ref_drops_reference_angle_column(net30, part30, specs30):
-    view = ModelView.for_area(net30, part30, 2)
-    specs = _evaluable(view, specs30)
-    st = _random_state(view, np.random.default_rng(4))
-    full = jacobian_polar(view, st, specs, pin_ref=False)
-    pinned = jacobian_polar(view, st, specs, pin_ref=True)
-    assert np.array_equal(pinned, np.delete(full, view.pos[view.ref_bus], axis=1))
+            np.testing.assert_allclose(
+                jacobian_polar(fresh, st, shuffled),
+                jacobian_polar(view, st, specs)[perm],
+                rtol=1e-13,
+                atol=1e-15,
+            )
 
 
 def _central_differences(f, x, eps=1e-6):
@@ -366,8 +356,7 @@ def test_polar_jacobian_matches_central_differences_at_generated_states(net30, p
     fd = _central_differences(h, np.concatenate([va, vm]))
     scale = max(1.0, np.abs(fd).max())
     st_ = StateVector("polar", view.bus_ids, vm, va)
-    for pin_ref, ref in ((False, fd), (True, np.delete(fd, view.pos[view.ref_bus], axis=1))):
-        assert np.abs(jacobian_polar(view, st_, specs, pin_ref=pin_ref) - ref).max() < 1e-6 * scale
+    assert np.abs(jacobian_polar(view, st_, specs) - fd).max() < 1e-6 * scale
 
 
 @settings(max_examples=20, deadline=None)
@@ -509,5 +498,5 @@ def test_compiled_model_matches_row_by_row_reference(net30, part30, specs30):
             h_ref, jac_ref = _reference_h_and_jacobian(view, st, specs)
             np.testing.assert_allclose(h_eval(view, st, specs), h_ref, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
-                jacobian_polar(view, st, specs, pin_ref=False), jac_ref, rtol=1e-12, atol=1e-12
+                jacobian_polar(view, st, specs), jac_ref, rtol=1e-12, atol=1e-12
             )
