@@ -5,6 +5,14 @@ linear model, then solve non-robustly (one-shot weighted LS) or robustly
 
 Row order of the stacked model: [V_R,TSE; V_I,TSE; V_R,PMU; V_I,PMU;
 I_R,PMU; I_I,PMU].  The state is rectangular, [vr (n); vi (n)].
+
+The plain step is in covariance form: the pseudo rows are I, so it is a
+linear update of the pseudo-state by the p PMU rows (a p x p Cholesky,
+no inverse root of the 2n x 2n pseudo block), and its covariance is
+skipped where nothing reads it (central runs, level 2).  The robust step
+whitens the stack by :func:`gridstate.wls.whitener` (an eigh of that
+block) for bdu; its rounding also rests on the TSE gain's, which the
+Fortran-ordered pattern Jacobian of :mod:`gridstate.measurement` fixes.
 """
 
 from __future__ import annotations
@@ -18,10 +26,9 @@ from .bdu import (
     RobustSolution,
     UncertaintyStructure,
     bdu_solve,
-    lsq,
     null_uncertainty,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .measurement import MeasurementSet, ModelView, jacobian_rect, polar_to_rect
 from .powerflow import StateVector
 from .wls import EstimationResult, whitener
@@ -127,7 +134,7 @@ def build_hybrid_model(
 @dataclass(frozen=True)
 class HybridResult:
     state: StateVector  # rectangular
-    covariance: np.ndarray  # over [vr; vi]
+    covariance: np.ndarray | None  # over [vr; vi]; None where not asked for
     robust: RobustSolution | None = None
 
 
@@ -137,17 +144,31 @@ def _as_state(m: HybridModel, x) -> StateVector:
     return StateVector("rect", view.bus_ids, np.array(x[:n]), np.array(x[n:]), ref_bus=view.ref_bus)
 
 
-def _whitener(m: HybridModel):
-    """W^-1/2 over the model's rows.  W spans many decades (the floored
-    reference-angle mode), so solves use whitened least squares."""
-    return whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
+def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
+    """One-shot weighted LS in covariance form.  The pseudo rows of H are
+    exactly I (a perturbation moves PMU rows only), so the estimate is
 
+        x = x_p + K (z_p - H_p x_p),  K = W_p H_p' S^-1,
+        S = H_p W_p H_p' + diag(sigma^2),
 
-def hybrid_solve(m: HybridModel) -> HybridResult:
-    """One-shot weighted LS x = (H' W^-1 H)^-1 H' W^-1 z; non-iterative."""
-    whiten = _whitener(m)
-    x, cov = lsq(whiten(m.h), whiten(m.z))
-    return HybridResult(_as_state(m, x), cov)
+    by a Cholesky of S.  The covariance W_p - K H_p W_p is formed only
+    with ``cov`` (else None); x does not depend on it.  NumericalError
+    when S is not positive definite.
+    """
+    n = m.n_state
+    x, w, h = m.z[:n], m.w_pseudo, m.h[n:]
+    wh = w @ h.T
+    s = h @ wh
+    s[np.diag_indices_from(s)] += m.w_pmu
+    try:
+        c = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        raise NumericalError("hybrid covariance is not positive definite") from None
+    x = x + wh @ np.linalg.solve(c.T, np.linalg.solve(c, m.z[n:] - h @ x))
+    if not cov:
+        return HybridResult(_as_state(m, x), None)
+    b = np.linalg.solve(c, wh.T)  # L^-1 H_p W_p
+    return HybridResult(_as_state(m, x), w - b.T @ b)
 
 
 def uncertainty_for_model(
@@ -196,7 +217,9 @@ def hybrid_solve_robust(
     weights): the min-max cost and its minimizer are unchanged, the
     conditioning is not, and bdu's covariance is for unit data covariance.
     """
-    whiten = _whitener(m)
+    # W spans many decades (the floored reference-angle mode), so the
+    # solve runs on whitened data
+    whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
     unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
     p = RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)), unc_w)
     sol = bdu_solve(p, lam_strategy, mu)

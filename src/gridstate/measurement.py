@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .netmodel import AreaPartition, PowerNetwork, build_ybus
-from .powerflow import StateVector, injection_jacobian
+from .powerflow import StateVector, injection_jacobian, ybus_pattern
 
 INJECTION_KINDS = ("p_inj", "q_inj")
 FLOW_KINDS = ("p_flow", "q_flow")
@@ -235,6 +235,26 @@ class CompiledSpecs:
         self.flow = _BranchRows(*_columns(flow, _BRANCH_DTYPES))
         self.cur = _BranchRows(*_columns(cur, _BRANCH_DTYPES))
 
+        # the Jacobian's nonzeros: each injection row takes every Ybus
+        # pattern entry of its bus (``inj_entry``, real or imaginary part
+        # by ``inj_imag``); ``jac_at`` holds, in the order jacobian_polar
+        # lists its values, their flat Fortran-order places in [va | vm]
+        self.inj_pat = pat = ybus_pattern(self.inj_y, self.inj_bus)
+        per_row = pat.count[self.inj.k]
+        skip = np.repeat(np.cumsum(pat.count)[self.inj.k] - np.cumsum(per_row), per_row)
+        self.inj_entry = skip + np.arange(len(skip), dtype=np.intp)
+        self.inj_imag = np.repeat(self.inj.imag, per_row)
+        inj_rows, inj_col = np.repeat(self.inj.rows, per_row), pat.col[self.inj_entry]
+        m, n = self.n_rows, view.n_bus
+        f, u, cu = self.flow, self.volt, self.cur
+        places = (
+            (inj_rows, inj_col), (inj_rows, n + inj_col),
+            (f.rows, f.i), (f.rows, f.j), (f.rows, n + f.i), (f.rows, n + f.j),
+            (u.rows, n + u.k), (u.rows, u.k),
+            (cu.rows, n + cu.i), (cu.rows, cu.i), (cu.rows, n + cu.j), (cu.rows, cu.j),
+        )
+        self.jac_at = np.concatenate([rows + m * cols for rows, cols in places])
+
 
 class ModelView:
     """Evaluation context: a bus layout with its induced admittance data.
@@ -337,22 +357,22 @@ def h_eval(view: ModelView, state: StateVector, specs) -> np.ndarray:
 
 
 def jacobian_polar(view: ModelView, state: StateVector, specs) -> np.ndarray:
-    """Analytic H = dh/dx for the polar layout [va (all); vm (all)]."""
+    """Analytic H = dh/dx for the polar layout [va (all); vm (all)].
+
+    Only the places the compiled specs record as structurally nonzero are
+    evaluated.  H is written in Fortran order: its layout picks the BLAS
+    path of the whitened gain H_w' H_w, and so its rounding.
+    """
     vm, va = view.polar(state, "jacobian_polar")
     c = view.compile(specs)
     n = view.n_bus
-    d_va = np.zeros((c.n_rows, n))
-    d_vm = np.zeros((c.n_rows, n))
 
     # injections: only the metered buses' rows of the Ybus
-    k = c.inj_bus
     v = vm * np.exp(1j * va)
-    s = v[k] * np.conj(c.inj_y @ v)
-    dva_p, dvm_p, dva_q, dvm_q = injection_jacobian(c.inj_y, k, vm, va, s.real, s.imag)
-    u = c.inj
-    im = u.imag[:, None]
-    d_va[u.rows] = np.where(im, dva_q[u.k], dva_p[u.k])
-    d_vm[u.rows] = np.where(im, dvm_q[u.k], dvm_p[u.k])
+    s = v[c.inj_bus] * np.conj(c.inj_y @ v)
+    dva_p, dvm_p, dva_q, dvm_q = injection_jacobian(c.inj_pat, vm, va, s.real, s.imag)
+    e, im = c.inj_entry, c.inj_imag
+    values = [np.where(im, dva_q[e], dva_p[e]), np.where(im, dvm_q[e], dvm_p[e])]
 
     f = c.flow
     vi, vj = vm[f.i], vm[f.j]
@@ -361,28 +381,33 @@ def jacobian_polar(view: ModelView, state: StateVector, specs) -> np.ndarray:
     th = va[f.i] - va[f.j]
     cth, sth = np.cos(th), np.sin(th)
     dth = vi * vj * np.where(f.imag, g2 * cth + b2 * sth, -g2 * sth + b2 * cth)
-    d_va[f.rows, f.i] = dth
-    d_va[f.rows, f.j] = -dth
-    d_vm[f.rows, f.i] = np.where(
-        f.imag,
-        -2.0 * vi * b1 + vj * (g2 * sth - b2 * cth),
-        2.0 * vi * g1 + vj * (g2 * cth + b2 * sth),
-    )
-    d_vm[f.rows, f.j] = vi * np.where(f.imag, g2 * sth - b2 * cth, g2 * cth + b2 * sth)
+    values += [
+        dth,
+        -dth,
+        np.where(
+            f.imag,
+            -2.0 * vi * b1 + vj * (g2 * sth - b2 * cth),
+            2.0 * vi * g1 + vj * (g2 * cth + b2 * sth),
+        ),
+        vi * np.where(f.imag, g2 * sth - b2 * cth, g2 * cth + b2 * sth),
+    ]
 
     u = c.volt
     vmk, ck, sk = vm[u.k], np.cos(va[u.k]), np.sin(va[u.k])
-    d_vm[u.rows, u.k] = np.where(u.imag, sk, ck)
-    d_va[u.rows, u.k] = np.where(u.imag, vmk * ck, -vmk * sk)
+    values += [np.where(u.imag, sk, ck), np.where(u.imag, vmk * ck, -vmk * sk)]
 
     u = c.cur
     for k, y in ((u.i, u.ymm), (u.j, u.ymf)):
         gk, bk = y.real, y.imag
         ck, sk = np.cos(va[k]), np.sin(va[k])
-        d_vm[u.rows, k] = np.where(u.imag, gk * sk + bk * ck, gk * ck - bk * sk)
-        d_va[u.rows, k] = vm[k] * np.where(u.imag, gk * ck - bk * sk, -gk * sk - bk * ck)
+        values += [
+            np.where(u.imag, gk * sk + bk * ck, gk * ck - bk * sk),
+            vm[k] * np.where(u.imag, gk * ck - bk * sk, -gk * sk - bk * ck),
+        ]
 
-    return np.hstack([d_va, d_vm])
+    out = np.zeros(c.n_rows * 2 * n)
+    out[c.jac_at] = np.concatenate(values)
+    return out.reshape((c.n_rows, 2 * n), order="F")
 
 
 def jacobian_rect(view: ModelView, specs) -> np.ndarray:

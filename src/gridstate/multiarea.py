@@ -138,26 +138,29 @@ def coordinator_measurements(net: PowerNetwork, part: AreaPartition, mset: Measu
 @dataclass(frozen=True)
 class LocalResult:
     """Level-1 output for one area: polar estimate over [int, bnd, ext]
-    with full covariance over the [va; vm] layout."""
+    with full covariance over the [va; vm] layout, or None when the
+    coordinator reads none of it (no boundary or external buses)."""
 
     area_index: int
     state: StateVector
-    cov: np.ndarray
+    cov: np.ndarray | None
     tse_state: StateVector
     tse_iterations: int
     hybrid: HybridResult
 
 
-def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key) -> HybridResult:
+def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> HybridResult:
     """The hybrid PMU step of both levels: sample the structured
     uncertainty, perturb the model with ``perturb(key, q, p)`` when a
-    sampler is given, then solve plainly or robustly."""
+    sampler is given, then solve plainly or robustly.  The plain solve
+    forms its covariance only with ``cov``; the robust one gets it from
+    the same solve as x."""
     sampling = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=False)
     if perturb is not None and not sampling.is_null():
         delta = perturb(key, sampling.q, sampling.e_h.shape[0])
         hmodel = apply_perturbation(hmodel, sampling, delta)
     if not robust:
-        return hybrid_solve(hmodel)
+        return hybrid_solve(hmodel, cov=cov)
     unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=True)
     return hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu)
 
@@ -165,11 +168,13 @@ def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key) -> Hybrid
 class _AreaStructure:
     """Level 1 of one area without values: the TSE model over its SCADA
     rows plus the reference anchor (``tse_rows`` in the spec tuple, with
-    sigma factors ``tse_scale``), its observability verdict, and the PMU
-    block of its hybrid stage."""
+    sigma factors ``tse_scale``), its observability verdict, the PMU
+    block of its hybrid stage, and whether level 2 reads its covariance
+    (``cov_read``)."""
 
-    def __init__(self, net, part, area, specs, scada_rows, pmu_rows):
+    def __init__(self, net, part, area, specs, scada_rows, pmu_rows, cov_read):
         self.area = area
+        self.cov_read = cov_read
         view = ModelView.for_area(net, part, area.index)
         self.block = pmu_block(view, specs, pmu_rows)
         anchor = _anchor_rows(specs, pmu_rows, area.ref_bus)
@@ -189,8 +194,8 @@ def _estimate_area(a: _AreaStructure, mset: MeasurementSet, cfg: ExperimentConfi
         raise NumericalError(f"area {index}: traditional estimator did not converge")
 
     hmodel = build_hybrid_model(tse, a.block, mset)
-    hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level1", index))
-    polar, cov_polar = rect_to_polar(hres.state, hres.covariance)
+    hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level1", index), a.cov_read)
+    polar, cov_polar = rect_to_polar(hres.state, hres.covariance if a.cov_read else None)
     return LocalResult(index, polar, cov_polar, tse.state, tse.iterations, hres)
 
 
@@ -416,7 +421,7 @@ def level2_run(
         )
         rect, cov_rect = polar_to_rect(bnd_state, cov_c[: 2 * nb, : 2 * nb])
         hmodel = stack_model(s.bnd_block, rect, cov_rect, mset)
-        hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level2", 0))
+        hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level2", 0), cov=False)
         bnd_polar, _ = rect_to_polar(hres.state)
         vm[s.bnd_out] = bnd_polar.v1
         va[s.bnd_out] = bnd_polar.v2
@@ -439,9 +444,6 @@ class Structure:
         self.part = part
         self.specs = tuple(specs)
         scada, pmu = _split_rows(part, self.specs)
-        self.areas = [
-            _AreaStructure(net, part, a, self.specs, scada[a.index], pmu[a.index]) for a in part.areas
-        ]
         self.bus_ids = tuple(sorted(b.id for b in net.buses))
         out = {b: k for k, b in enumerate(self.bus_ids)}
         bnd_ids = part.boundary_buses()
@@ -455,6 +457,12 @@ class Structure:
             zb, zpmu = _coordinator_rows(net, part, self.specs)
             self.coordinator = _CoordinatorModel(net, part, self.specs, zb + zpmu)
             self.bnd_block = pmu_block(ModelView(net, bnd_ids, ref_bus=part.global_ref), self.specs, zpmu)
+        # the coordinator reads the level-1 covariance of its pseudo areas only
+        read = set(self.coordinator.pseudo_areas) if self.coordinator is not None else set()
+        self.areas = [
+            _AreaStructure(net, part, a, self.specs, scada[a.index], pmu[a.index], a.index in read)
+            for a in part.areas
+        ]
 
     def run(self, mset: MeasurementSet, cfg: ExperimentConfig, robust: bool = True,
             perturb=None, parallel: bool = False) -> GlobalResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,25 +88,49 @@ def calc_injections(ybus, vm, va):
     return s.real, s.imag
 
 
-def injection_jacobian(y, k, vm, va, p, q):
+class YbusPattern(NamedTuple):
+    """Where some Ybus rows are nonzero, with every diagonal: entry e sits
+    at bus positions (``row[e]``, ``col[e]``) with admittance ``y[e]``, in
+    row-major order.  ``diag`` holds each row's diagonal entry and
+    ``count`` its number of entries, both in row order."""
+
+    row: np.ndarray
+    col: np.ndarray
+    y: np.ndarray
+    diag: np.ndarray
+    count: np.ndarray
+
+
+def ybus_pattern(y, k) -> YbusPattern:
+    """The pattern of ``y``, the Ybus rows of the buses at positions ``k``."""
+    mask = y != 0.0
+    mask[np.arange(len(k)), k] = True
+    at, col = np.nonzero(mask)
+    row = k[at]
+    return YbusPattern(row, col, y[at, col], np.flatnonzero(col == row), np.bincount(at, minlength=len(k)))
+
+
+def injection_jacobian(pat: YbusPattern, vm, va, p, q):
     """(dP/dtheta, dP/dV, dQ/dtheta, dQ/dV) of the injections (p, q) at the
-    bus positions ``k``, over all n buses; ``y`` holds the Ybus rows of k."""
-    at = np.arange(len(k))
-    g, b = y.real, y.imag
-    theta = va[k][:, None] - va[None, :]
+    buses of ``pat``, one value per pattern entry: dP_k/dtheta_j at the
+    entry (k, j).  Every other derivative is structurally zero."""
+    k, j, d = pat.row, pat.col, pat.diag
+    g, b = pat.y.real, pat.y.imag
+    theta = va[k] - va[j]
     ct, st = np.cos(theta), np.sin(theta)
     a = g * ct + b * st
     c = g * st - b * ct
     vmk = vm[k]
-    gkk, bkk = g[at, k], b[at, k]
-    dp_dth = vmk[:, None] * vm * c
-    dp_dth[at, k] = -q - bkk * vmk**2
-    dp_dv = vmk[:, None] * a
-    dp_dv[at, k] = p / vmk + gkk * vmk
-    dq_dth = -vmk[:, None] * vm * a
-    dq_dth[at, k] = p - gkk * vmk**2
-    dq_dv = vmk[:, None] * c
-    dq_dv[at, k] = q / vmk - bkk * vmk
+    vmd = vmk[d]
+    gkk, bkk = g[d], b[d]
+    dp_dth = vmk * vm[j] * c
+    dp_dth[d] = -q - bkk * vmd**2
+    dp_dv = vmk * a
+    dp_dv[d] = p / vmd + gkk * vmd
+    dq_dth = -vmk * vm[j] * a
+    dq_dth[d] = p - gkk * vmd**2
+    dq_dv = vmk * c
+    dq_dv[d] = q / vmd - bkk * vmd
     return dp_dth, dp_dv, dq_dth, dq_dv
 
 
@@ -173,6 +198,14 @@ def run_powerflow(net: PowerNetwork, tol: float = 1e-8, max_iter: int = 20) -> P
     pv_pq = [k for k in range(n) if kinds[k] != SLACK]
     pq = [k for k in range(n) if kinds[k] not in (SLACK, GENERATOR)]
 
+    # [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]] over all buses, filled at
+    # the Ybus pattern; the Newton matrix keeps the equations P at pv_pq,
+    # Q at pq and the unknowns theta at pv_pq, V at pq
+    pat = ybus_pattern(adm.y, np.arange(n))
+    rows = np.concatenate([pat.row, pat.row, n + pat.row, n + pat.row])
+    cols = np.concatenate([pat.col, n + pat.col, pat.col, n + pat.col])
+    keep = np.array(pv_pq + [n + k for k in pq], dtype=np.intp)
+
     last = np.inf
     for it in range(max_iter + 1):
         p_calc, q_calc = calc_injections(adm.y, vm, va)
@@ -186,13 +219,9 @@ def run_powerflow(net: PowerNetwork, tol: float = 1e-8, max_iter: int = 20) -> P
         if it == max_iter:
             break
 
-        dp_dth, dp_dv, dq_dth, dq_dv = injection_jacobian(adm.y, np.arange(n), vm, va, p_calc, q_calc)
-        jac = np.block(
-            [
-                [dp_dth[np.ix_(pv_pq, pv_pq)], dp_dv[np.ix_(pv_pq, pq)]],
-                [dq_dth[np.ix_(pq, pv_pq)], dq_dv[np.ix_(pq, pq)]],
-            ]
-        )
+        full = np.zeros((2 * n, 2 * n))
+        full[rows, cols] = np.concatenate(injection_jacobian(pat, vm, va, p_calc, q_calc))
+        jac = full[np.ix_(keep, keep)]
         try:
             dx = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:

@@ -63,8 +63,10 @@ class PolarModel:
         return h_eval(self.view, self.unpack(x), self.specs)
 
     def jac(self, x) -> np.ndarray:
+        """H over x, Fortran-ordered like :func:`jacobian_polar`'s (a column
+        selection keeps that order); copied only to drop a pinned angle."""
         full = jacobian_polar(self.view, self.unpack(x), self.specs)
-        return full[:, self._cols]
+        return full[:, self._cols] if self.pin_angle else full
 
     def embed_cov(self, cov_est: np.ndarray) -> np.ndarray:
         """Estimate covariance embedded into the full [va(n); vm(n)] layout
@@ -97,7 +99,8 @@ def whitener(parts, error: str):
 
     ``parts`` are W's diagonal blocks in row order: a 1-D part is a run of
     variances (scaled by 1/sigma), a 2-D part a dense block (whitened by
-    its symmetric inverse root, from its own eigh).  Rounding-level
+    its symmetric inverse root, from its own eigh); a W of variances
+    only is whitened in one pass.  Rounding-level
     negative eigenvalues are clipped relative to the scale of the whole W;
     one below -1e-8 of that scale raises NumericalError(error).  The
     function keeps its argument's memory layout, on which the BLAS path
@@ -113,6 +116,10 @@ def whitener(parts, error: str):
         root = 1.0 / root_evals if vecs is None else (vecs / root_evals) @ vecs.T
         roots.append((slice(at, at + len(evals)), root))
         at += len(evals)
+    if all(root.ndim == 1 for _, root in roots):
+        # variances only: one row scaling
+        root = np.concatenate([root for _, root in roots])
+        return lambda a: (root * a.T).T
 
     def whiten(a):
         out = np.empty_like(a)

@@ -371,3 +371,55 @@ def test_indefinite_pseudo_block_raises(net30, part30, specs30, truth30, cfg30):
         hybrid_solve(bad)
     with pytest.raises(NumericalError, match="hybrid covariance is not positive definite"):
         hybrid_solve_robust(bad, uncertainty_for_model(bad, 0.05, 0.05))
+
+
+def test_plain_step_without_pmu_rows_passes_the_pseudo_state_through(net30, part30, specs30, truth30, cfg30):
+    rng = np.random.default_rng(41)
+    view, tse, _ = _level1_inputs(net30, part30, specs30, truth30, 2, rng, cfg30)
+    m = _build(tse, MeasurementSet(()), view)
+    res = hybrid_solve(m)
+    assert np.array_equal(_flat(res), m.z)
+    assert np.array_equal(res.covariance, m.w_pseudo)
+
+
+def test_plain_step_with_pinned_reference_matches_dense_oracle(net30, part30, specs30, truth30, cfg30):
+    # the anchor rows observe the frame, but the reference angle is pinned:
+    # the pseudo-state covariance has the floored zero mode
+    from gridstate.measurement import synthesize
+
+    rng = np.random.default_rng(43)
+    mset = synthesize(ModelView.full(net30), truth30, specs30, cfg30.sigma_for, rng)
+    scada, pmu = split_measurements(part30, mset)
+    view = ModelView.for_area(net30, part30, 1)
+    tse_set = MeasurementSet(tuple(scada[1]) + _pmu_ref_anchor(pmu[1], part30.areas[0].ref_bus))
+    model = PolarModel(view, tuple(tse_set), pin_angle=True)
+    tse = wls_estimate(tse_set, model, tol=1e-9, k_limit=30)
+    m = _build(tse, pmu[1], view)
+    assert np.linalg.eigvalsh(m.w_pseudo)[0] < 1e-11
+    plain = hybrid_solve(m)
+    _assert_matches(_flat(plain), plain.covariance, *_oracle_plain(m))
+
+
+def test_skipping_the_covariance_leaves_the_estimate_bit_identical(net30, part30, specs30, truth30, cfg30):
+    from gridstate.measurement import synthesize
+    from gridstate.multiarea import Structure
+    from gridstate.netmodel import single_area
+
+    rng = np.random.default_rng(44)
+    view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
+    m = _build(tse, pmu, view)
+    full, bare = hybrid_solve(m), hybrid_solve(m, cov=False)
+    assert bare.covariance is None
+    assert np.array_equal(_flat(full), _flat(bare))
+
+    # a central trial reads no level-1 covariance; forcing it changes nothing
+    mset = synthesize(ModelView.full(net30), truth30, specs30, cfg30.sigma_for, rng)
+    structure = Structure(net30, single_area(net30), specs30)
+    (area,) = structure.areas
+    assert not area.cov_read
+    skipped = structure.run(mset, cfg30, robust=False)
+    area.cov_read = True
+    computed = structure.run(mset, cfg30, robust=False)
+    assert skipped.locals[0].cov is None and computed.locals[0].cov is not None
+    assert np.array_equal(skipped.vm, computed.vm)
+    assert np.array_equal(skipped.va, computed.va)
