@@ -117,7 +117,6 @@ def whitener(parts, error: str):
         roots.append((slice(at, at + len(evals)), root))
         at += len(evals)
     if all(root.ndim == 1 for _, root in roots):
-        # variances only: one row scaling
         root = np.concatenate([root for _, root in roots])
         return lambda a: (root * a.T).T
 

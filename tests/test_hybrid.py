@@ -122,9 +122,10 @@ def test_no_pmu_degenerates_to_tse_passthrough(net30, part30, specs30, truth30):
     m = _build(tse, MeasurementSet(()), view)
     assert m.h.shape == (2 * view.n_bus, 2 * view.n_bus)
     assert np.array_equal(m.h, np.eye(2 * view.n_bus))
+    # the covariance-form step passes x_p and W_p through exactly
     res = hybrid_solve(m)
-    rect = np.concatenate([res.state.v1, res.state.v2])
-    assert np.abs(rect - m.z).max() < 1e-9
+    assert np.array_equal(_flat(res), m.z)
+    assert np.array_equal(res.covariance, m.w_pseudo)
 
 
 def test_pmu_voltage_selector_rows(net30, part30, specs30, truth30):
@@ -371,15 +372,6 @@ def test_indefinite_pseudo_block_raises(net30, part30, specs30, truth30, cfg30):
         hybrid_solve(bad)
     with pytest.raises(NumericalError, match="hybrid covariance is not positive definite"):
         hybrid_solve_robust(bad, uncertainty_for_model(bad, 0.05, 0.05))
-
-
-def test_plain_step_without_pmu_rows_passes_the_pseudo_state_through(net30, part30, specs30, truth30, cfg30):
-    rng = np.random.default_rng(41)
-    view, tse, _ = _level1_inputs(net30, part30, specs30, truth30, 2, rng, cfg30)
-    m = _build(tse, MeasurementSet(()), view)
-    res = hybrid_solve(m)
-    assert np.array_equal(_flat(res), m.z)
-    assert np.array_equal(res.covariance, m.w_pseudo)
 
 
 def test_plain_step_with_pinned_reference_matches_dense_oracle(net30, part30, specs30, truth30, cfg30):
