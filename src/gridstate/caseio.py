@@ -172,7 +172,6 @@ class ExperimentConfig:
     sigma_pmu: float = 0.001
     s0: float = 0.0
     e0: float = 0.0
-    ez0: float = 0.0
     lambda_strategy: str = "approx"
     mu: float = 100.0
     trials: int = 1
@@ -197,7 +196,7 @@ class ExperimentConfig:
             raise ValidationError("epsilon must be positive")
         if self.k_limit < 1:
             raise ValidationError("k_limit must be at least 1")
-        for name in ("s0", "e0", "ez0", "mu"):
+        for name in ("s0", "e0", "mu"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be nonnegative")
         if self.lambda_strategy not in ("exact", "approx"):

@@ -21,6 +21,7 @@ import numpy as np
 from . import caseio
 from .caseio import ExperimentConfig, ResultTable, manifest_for, write_results
 from .errors import NumericalError, ValidationError
+from .hybrid import sample_delta
 from .measurement import MeasurementSet, ModelView, redundancy, synthesize
 from .multiarea import GlobalResult, Structure, compute_errors
 # the one-set pipelines stay in cli's namespace, where perfbench's tracer wraps them
@@ -122,15 +123,11 @@ def synth_for_trial(exp: Experiment, trial: int) -> MeasurementSet:
 
 
 def make_delta_sampler(seed: int, trial: int):
-    """Structured-perturbation sampler, deterministic in (seed, trial, key)
-    so paired method runs see identical perturbations."""
-    from .hybrid import sample_delta
-
-    levels = {"level1": 1, "level2": 2}
-
+    """Structured-perturbation sampler, deterministic in (seed, trial, key),
+    key (1, area) at level 1 and (2, 0) at level 2, so paired method runs
+    see identical perturbations."""
     def sampler(key, q, p):
-        rng = np.random.default_rng([seed, trial, levels[key[0]], key[1]])
-        return sample_delta(rng, q, p)
+        return sample_delta(np.random.default_rng([seed, trial, *key]), q, p)
 
     return sampler
 
@@ -138,13 +135,14 @@ def make_delta_sampler(seed: int, trial: int):
 def run_trial(exp: Experiment, trial: int, robust: bool, central: bool = False,
               parallel: bool = False) -> GlobalResult:
     """One full pipeline run; perturbations are sampled whenever the config
-    carries a nonzero uncertainty scale, for robust and plain runs alike.
+    sets both uncertainty scales (s0, e0) nonzero, for robust and plain
+    runs alike.
 
     The central (single-area) or multi-area structure is rebuilt when the
     network, partition or specs it was built for changed."""
     mset = synth_for_trial(exp, trial)
     perturb = None
-    if exp.cfg.s0 > 0.0 and (exp.cfg.e0 > 0.0 or exp.cfg.ez0 > 0.0):
+    if exp.cfg.s0 > 0.0 and exp.cfg.e0 > 0.0:
         perturb = make_delta_sampler(exp.cfg.seed, trial)
     central = central or exp.part is None
     ref = exp.part.global_ref if exp.part is not None else None

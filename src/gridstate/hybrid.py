@@ -13,6 +13,8 @@ skipped where nothing reads it (central runs, level 2).  The robust step
 whitens the stack by :func:`gridstate.wls.whitener` (an eigh of that
 block) for bdu; its rounding also rests on the TSE gain's, which the
 Fortran-ordered pattern Jacobian of :mod:`gridstate.measurement` fixes.
+An experiment's perturbation moves the PMU rows of H only
+(:func:`apply_perturbation`), which is what keeps the pseudo rows I.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class HybridModel:
     @property
     def n_state(self):
         return 2 * self.n_bus
-
-    @property
-    def pmu_rows(self):
-        return np.arange(self.n_state, len(self.z))
 
 
 def stack_model(
@@ -171,37 +169,25 @@ def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
     return HybridResult(_as_state(m, x), w - b.T @ b)
 
 
-def uncertainty_for_model(
-    m: HybridModel, s0: float, e0: float, ez0: float = 0.0, anchored: bool = True
-) -> UncertaintyStructure:
-    """Structured-uncertainty triple for a hybrid model.
+def uncertainty_for_model(m: HybridModel, s0: float, e0: float) -> UncertaintyStructure:
+    """Structured-uncertainty triple the robust solve hedges against.
 
     S = s0 I restricted to the PMU rows (pseudo-measurement rows are the
     estimator's own output, not uncertain inputs).  E_h = e0 c I with c
-    the spectral norm of the PMU row block, i.e. e0 is a fraction of the
-    block's own scale, the way network-parameter tolerances are quoted.
-
-    ``anchored`` selects E_z.  The sampling form (anchored=False,
-    E_z = ez0 ones) describes raw parameter error and is what experiments
-    draw perturbations from.  The solver form (anchored=True) adds
-    E_h @ x_pseudo, centering the perturbation ball on the traditional
-    estimate carried in the model's own pseudo-measurement rows; that is
-    the solver's best prior for where the truth manifold lies, and without
-    it the min-max hedge shrinks voltages toward zero.
+    the spectral norm of the model's PMU row block, i.e. e0 is a fraction
+    of the block's own scale, the way network-parameter tolerances are
+    quoted.  E_z = E_h x_pseudo centers the perturbation ball on the
+    traditional estimate carried in the model's own pseudo-measurement
+    rows; that is the solver's best prior for where the truth manifold
+    lies, and without it the min-max hedge shrinks voltages toward zero.
     """
-    rows = len(m.z)
-    n = m.n_state
-    pmu_rows = m.pmu_rows
-    if s0 == 0.0 or len(pmu_rows) == 0:
-        return null_uncertainty(rows, n)
-    s = np.zeros((rows, len(pmu_rows)))
-    s[pmu_rows, np.arange(len(pmu_rows))] = s0
-    block_scale = float(np.linalg.norm(m.h[pmu_rows], 2)) if anchored else m.block.scale
-    e_h = e0 * block_scale * np.eye(n)
-    e_z = ez0 * np.ones(n)
-    if anchored:
-        e_z = e_z + e_h @ m.z[:n]
-    return UncertaintyStructure(s, e_h, e_z)
+    n, p = m.n_state, len(m.w_pmu)
+    if s0 == 0.0 or p == 0:
+        return null_uncertainty(len(m.z), n)
+    s = np.zeros((len(m.z), p))
+    s[n + np.arange(p), np.arange(p)] = s0
+    e_h = e0 * float(np.linalg.norm(m.h[n:], 2)) * np.eye(n)
+    return UncertaintyStructure(s, e_h, e_h @ m.z[:n])
 
 
 def hybrid_solve_robust(
@@ -211,12 +197,16 @@ def hybrid_solve_robust(
     mu: float = 1.0,
 ) -> HybridResult:
     """Robust variant of hybrid_solve; delegates the min-max solve to bdu.
-    Null uncertainty reduces exactly to hybrid_solve.
+    Uncertainty that is null or bounds no perturbation (s0 = 0 or
+    e0 = 0) leaves plain WLS: that is :func:`hybrid_solve` itself, with
+    ``robust`` None.
 
     The problem is whitened first (z, H, S scaled by W^-1/2, unit
     weights): the min-max cost and its minimizer are unchanged, the
     conditioning is not, and bdu's covariance is for unit data covariance.
     """
+    if unc.is_null() or unc.no_perturbation_bound():
+        return hybrid_solve(m)
     # W spans many decades (the floored reference-angle mode), so the
     # solve runs on whitened data
     whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
@@ -234,11 +224,13 @@ def sample_delta(rng, q: int, p: int) -> np.ndarray:
     return a / norm
 
 
-def apply_perturbation(m: HybridModel, unc: UncertaintyStructure, delta) -> HybridModel:
-    """Perturbed model per [dH dz] = S Delta [E_h E_z]."""
-    if unc.is_null():
-        return m
-    if delta.shape != (unc.q, unc.e_h.shape[0]):
-        raise ValidationError("delta dimensions do not match the uncertainty structure")
-    s_delta = unc.s @ delta
-    return replace(m, h=m.h + s_delta @ unc.e_h, z=m.z + s_delta @ unc.e_z)
+def apply_perturbation(m: HybridModel, delta, s0: float, e0: float) -> HybridModel:
+    """The model under one draw Delta (p x 2n, p PMU rows) of the
+    experiment's perturbation [dH dz] = S Delta [E_h E_z], with S = s0 on
+    the PMU rows, E_h = e0 c I (c = ``block.scale``, the unperturbed
+    block's spectral norm) and E_z = 0: the PMU rows of H move by
+    (s0 Delta)(e0 c); the pseudo rows and z are untouched."""
+    n = m.n_state
+    if delta.shape != (len(m.w_pmu), n):
+        raise ValidationError("delta dimensions do not match the model's PMU block")
+    return replace(m, h=np.vstack([m.h[:n], m.h[n:] + (s0 * delta) * (e0 * m.block.scale)]))

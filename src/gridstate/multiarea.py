@@ -10,8 +10,10 @@ pseudo-measurements, then applies the same hybrid robust refinement.
 Angle frames: each area's traditional estimate pins its reference-bus
 angle to the PMU-measured angle when the reference carries a PMU (all
 fixture areas do), so local frames are already aligned to the
-synchronized one up to measurement noise; the offsets u (u_1 = 0) absorb
-what remains.  Final angles are reported in area 1's frame.
+synchronized one up to measurement noise and whole turns; level 2 takes
+every level-1 angle within pi of area 1's first, and the offsets u
+(u_1 = 0) absorb what remains.  Final angles are reported in area 1's
+frame.
 
 A :class:`Structure` holds all that depends only on the network, the
 partition and the spec tuple (views, models, observability, row
@@ -64,6 +66,10 @@ from .wls import PolarModel, check_observable, gauss_newton, whitener, wls_estim
 # hybrid stage, the anchor only has to make frame and voltage scale
 # observable from SCADA data
 ANCHOR_SIGMA_FACTOR = 10.0
+# the traditional estimator starts flat at the anchor's measured angle
+# rounded to this step: Gauss-Newton does not converge from about 1.3 rad
+# off the PMU frame, and frames within half a step of zero start at 0
+_START_STEP = np.pi / 4
 SCADA_KINDS = INJECTION_KINDS + FLOW_KINDS
 
 
@@ -150,18 +156,17 @@ class LocalResult:
 
 
 def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> HybridResult:
-    """The hybrid PMU step of both levels: sample the structured
-    uncertainty, perturb the model with ``perturb(key, q, p)`` when a
-    sampler is given, then solve plainly or robustly.  The plain solve
-    forms its covariance only with ``cov``; the robust one gets it from
-    the same solve as x."""
-    sampling = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=False)
-    if perturb is not None and not sampling.is_null():
-        delta = perturb(key, sampling.q, sampling.e_h.shape[0])
-        hmodel = apply_perturbation(hmodel, sampling, delta)
+    """The hybrid PMU step of both levels: when a sampler is given, draw
+    Delta = ``perturb(key, p, 2n)`` and move the model's p PMU rows by it
+    (:func:`apply_perturbation`), then solve plainly or robustly.  The
+    plain solve forms its covariance only with ``cov``; the robust one
+    gets it from the same solve as x."""
+    if perturb is not None and len(hmodel.w_pmu):
+        delta = perturb(key, len(hmodel.w_pmu), hmodel.n_state)
+        hmodel = apply_perturbation(hmodel, delta, cfg.s0, cfg.e0)
     if not robust:
         return hybrid_solve(hmodel, cov=cov)
-    unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0, cfg.ez0, anchored=True)
+    unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0)
     return hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu)
 
 
@@ -178,6 +183,7 @@ class _AreaStructure:
         view = ModelView.for_area(net, part, area.index)
         self.block = pmu_block(view, specs, pmu_rows)
         anchor = _anchor_rows(specs, pmu_rows, area.ref_bus)
+        self.anchor = sorted(anchor, key=lambda k: specs[k].kind)  # (vi, vr): atan2's order
         self.tse_rows = np.array(scada_rows + anchor, dtype=np.intp)
         self.tse_scale = np.repeat([1.0, ANCHOR_SIGMA_FACTOR], [len(scada_rows), len(anchor)])
         self.model = PolarModel(view, tuple(specs[k] for k in self.tse_rows), pin_angle=not anchor)
@@ -189,12 +195,13 @@ def _estimate_area(a: _AreaStructure, mset: MeasurementSet, cfg: ExperimentConfi
     if not a.observable:
         raise UnobservableError(f"area {index}: SCADA measurement set does not observe the local state")
     tse_set = MeasurementSet(a.model.specs, mset.z[a.tse_rows], mset.sigmas[a.tse_rows] * a.tse_scale)
-    tse = wls_estimate(tse_set, a.model, tol=cfg.epsilon, k_limit=cfg.k_limit)
+    va0 = _START_STEP * round(np.arctan2(*mset.z[a.anchor]) / _START_STEP) if a.anchor else 0.0
+    tse = wls_estimate(tse_set, a.model, tol=cfg.epsilon, k_limit=cfg.k_limit, x0=a.model.flat(va0))
     if not tse.converged:
         raise NumericalError(f"area {index}: traditional estimator did not converge")
 
     hmodel = build_hybrid_model(tse, a.block, mset)
-    hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level1", index), a.cov_read)
+    hres = _hybrid_stage(hmodel, cfg, robust, perturb, (1, index), a.cov_read)
     polar, cov_polar = rect_to_polar(hres.state, hres.covariance if a.cov_read else None)
     return LocalResult(index, polar, cov_polar, tse.state, tse.iterations, hres)
 
@@ -214,27 +221,20 @@ def level1_run(
     order.  Raises NumericalError listing every failing area.
     """
     def job(a):
-        return _estimate_area(a, mset, cfg, robust, perturb)
+        try:
+            return _estimate_area(a, mset, cfg, robust, perturb)
+        except (NumericalError, ValidationError) as exc:
+            return exc
 
-    results: dict[int, LocalResult] = {}
-    failures: list[str] = []
     if parallel:
         with ThreadPoolExecutor(max_workers=len(structure.areas)) as pool:
-            futures = {a.area.index: pool.submit(job, a) for a in structure.areas}
-        for idx in sorted(futures):
-            try:
-                results[idx] = futures[idx].result()
-            except (NumericalError, ValidationError) as exc:
-                failures.append(str(exc))
+            out = list(pool.map(job, structure.areas))
     else:
-        for a in structure.areas:
-            try:
-                results[a.area.index] = job(a)
-            except (NumericalError, ValidationError) as exc:
-                failures.append(str(exc))
+        out = [job(a) for a in structure.areas]
+    failures = [str(r) for r in out if isinstance(r, Exception)]
     if failures:
         raise NumericalError("level 1 failed: " + "; ".join(failures))
-    return [results[a.area.index] for a in structure.areas]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +401,11 @@ def level2_run(
     """Central coordinator: nonlinear WLS over [boundary states; u], then
     the hybrid robust refinement of the boundary voltages."""
     s = structure
+    # level-1 angles are known up to whole turns (areas start apart and the
+    # hybrid step wraps): take each within pi of area 1's first
+    ref = locals_[0].state.v2[0]
+    turns = [2.0 * np.pi * np.round((ref - lr.state.v2) / (2.0 * np.pi)) for lr in locals_]
+    locals_ = [replace(lr, state=replace(lr.state, v2=lr.state.v2 + t)) for lr, t in zip(locals_, turns)]
     u = np.zeros(s.part.area_count)
     iters = 0
     vm = np.empty(len(s.bus_ids))
@@ -421,7 +426,7 @@ def level2_run(
         )
         rect, cov_rect = polar_to_rect(bnd_state, cov_c[: 2 * nb, : 2 * nb])
         hmodel = stack_model(s.bnd_block, rect, cov_rect, mset)
-        hres = _hybrid_stage(hmodel, cfg, robust, perturb, ("level2", 0), cov=False)
+        hres = _hybrid_stage(hmodel, cfg, robust, perturb, (2, 0), cov=False)
         bnd_polar, _ = rect_to_polar(hres.state)
         vm[s.bnd_out] = bnd_polar.v1
         va[s.bnd_out] = bnd_polar.v2

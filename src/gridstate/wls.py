@@ -42,8 +42,9 @@ class PolarModel:
         self.n_state = len(self.free_va) + self.n_bus
         self._cols = np.concatenate([self.free_va, self.n_bus + np.arange(self.n_bus)])
 
-    def flat(self) -> np.ndarray:
-        x = np.zeros(self.n_state)
+    def flat(self, va0: float = 0.0) -> np.ndarray:
+        """Every free angle at ``va0``, every magnitude 1."""
+        x = np.full(self.n_state, float(va0))
         x[len(self.free_va) :] = 1.0
         return x
 
@@ -205,9 +206,10 @@ def wls_estimate(
     model: PolarModel,
     tol: float = 1e-6,
     k_limit: int = 20,
+    x0: np.ndarray | None = None,
 ) -> EstimationResult:
     """Gauss-Newton WLS estimate for the given measurement set and model,
-    from a flat start.
+    from ``x0`` (default: the model's flat start).
 
     Returns converged=False (never raises) when k_limit is reached; raises
     UnobservableError when the gain matrix is singular at an iterate.
@@ -217,7 +219,8 @@ def wls_estimate(
     if len(mset) != len(model.specs):
         raise ValidationError("measurement set does not match the model's specs")
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
-    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, model.flat(), tol, k_limit)
+    x0 = model.flat() if x0 is None else x0
+    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, x0, tol, k_limit)
     return EstimationResult(model.unpack(x), cov, iterations, converged, j, r, model)
 
 

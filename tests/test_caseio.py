@@ -98,6 +98,13 @@ def test_config_validation():
     assert cfg.mu == 3.5 and cfg.lambda_strategy == "exact"
 
 
+def test_config_rejects_retired_ez0_key():
+    # perturbations carry no E_z: the key is gone, not ignored
+    with pytest.raises(ParseError, match="unknown config key 'ez0'") as err:
+        parse_config("s0 = 0.05\ne0 = 0.05\nez0 = 0.0\n")
+    assert err.value.line == 3
+
+
 @pytest.mark.parametrize("key", caseio._FLOAT_KEYS)
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_config_rejects_non_finite(key, value):

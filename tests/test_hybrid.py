@@ -226,10 +226,13 @@ def test_robust_reduces_to_plain_without_uncertainty(net30, part30, specs30, tru
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 2, rng, cfg30)
     m = _build(tse, pmu, view)
     plain = hybrid_solve(m)
-    for unc in (null_uncertainty(len(m.z), m.n_state), uncertainty_for_model(m, 0.0, 0.5)):
+    # no S, or S with no perturbation bound (e0 = 0): plain WLS, exactly
+    for unc in (null_uncertainty(len(m.z), m.n_state), uncertainty_for_model(m, 0.0, 0.5),
+                uncertainty_for_model(m, 0.5, 0.0)):
         rob = hybrid_solve_robust(m, unc)
-        assert np.abs(np.concatenate([rob.state.v1, rob.state.v2])
-                      - np.concatenate([plain.state.v1, plain.state.v2])).max() < 1e-10
+        assert rob.robust is None
+        assert np.array_equal(_flat(rob), _flat(plain))
+        assert np.array_equal(rob.covariance, plain.covariance)
 
 
 def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth30, cfg30):
@@ -239,10 +242,9 @@ def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth3
     wins = 0
     total = 100
     for seed in range(total):
-        sampling = uncertainty_for_model(m, 0.05, 0.05, anchored=False)
-        delta = sample_delta(np.random.default_rng([seed, 2]), sampling.q, sampling.e_h.shape[0])
-        pert = apply_perturbation(m, sampling, delta)
-        unc = uncertainty_for_model(pert, 0.05, 0.05, anchored=True)
+        delta = sample_delta(np.random.default_rng([seed, 2]), len(m.w_pmu), m.n_state)
+        pert = apply_perturbation(m, delta, 0.05, 0.05)
+        unc = uncertainty_for_model(pert, 0.05, 0.05)
         plain = hybrid_solve(pert)
         # the min-max (exact lambda) solution is the one carrying the
         # worst-case guarantee
@@ -281,19 +283,71 @@ def test_scalar_instance_embedded_as_one_bus_model():
     assert np.abs(direct.x - np.array([res.state.v1[0], res.state.v2[0]])).max() < 1e-9
 
 
+def _dense_perturbation(m, delta, s0, e0):
+    """The perturbed H as the dense products m.h + (S Delta) E_h, S = s0 on
+    the PMU rows (m x p) and E_h = e0 c I (2n x 2n)."""
+    n, p = m.n_state, len(m.w_pmu)
+    s = np.zeros((len(m.z), p))
+    s[n + np.arange(p), np.arange(p)] = s0
+    return m.h + (s @ delta) @ (e0 * m.block.scale * np.eye(n))
+
+
+def _level2_stack(net30, part30, specs30, truth30, cfg30, monkeypatch, seed):
+    """The coordinator's hybrid model, captured from a two-level run."""
+    from gridstate import multiarea
+    from gridstate.measurement import synthesize
+
+    stacked = []
+    original = multiarea.stack_model
+
+    def spy(*args, **kwargs):
+        stacked.append(original(*args, **kwargs))
+        return stacked[-1]
+
+    monkeypatch.setattr(multiarea, "stack_model", spy)
+    mset = synthesize(ModelView.full(net30), truth30, specs30, cfg30.sigma_for, np.random.default_rng(seed))
+    multiarea.run_two_level(net30, part30, mset, cfg30, robust=True)
+    (m,) = stacked
+    return m
+
+
+def _assert_perturbation_matches_dense(m, rng):
+    n = m.n_state
+    for s0, e0 in ((0.05, 0.05), (0.1, 0.03), (0.5, 0.0)):
+        delta = sample_delta(rng, len(m.w_pmu), n)
+        pert = apply_perturbation(m, delta, s0, e0)
+        assert np.array_equal(pert.h, _dense_perturbation(m, delta, s0, e0))
+        assert np.array_equal(pert.h[:n], m.h[:n])  # pseudo rows untouched
+        assert np.array_equal(pert.z, m.z)
+        assert pert.block is m.block and pert.w_pmu is m.w_pmu and pert.w_pseudo is m.w_pseudo
+
+
+def test_perturbation_matches_dense_products(net30, part30, specs30, truth30, cfg30, monkeypatch):
+    rng = np.random.default_rng(17)
+    for area_idx in (1, 2, 3):
+        view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, area_idx, rng, cfg30)
+        m = _build(tse, pmu, view)
+        assert len(m.w_pmu) > 0
+        _assert_perturbation_matches_dense(m, rng)
+    m = _level2_stack(net30, part30, specs30, truth30, cfg30, monkeypatch, 12)
+    assert len(m.w_pmu) > 0
+    _assert_perturbation_matches_dense(m, rng)
+
+
 def test_perturbation_shapes_and_guards(net30, part30, specs30, truth30, cfg30):
     rng = np.random.default_rng(7)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
     m = _build(tse, pmu, view)
-    unc = uncertainty_for_model(m, 0.1, 0.1, anchored=False)
-    delta = sample_delta(rng, unc.q, unc.e_h.shape[0])
+    delta = sample_delta(rng, len(m.w_pmu), m.n_state)
     assert abs(np.linalg.svd(delta, compute_uv=False)[0] - 1.0) < 1e-12
-    pert = apply_perturbation(m, unc, delta)
+    pert = apply_perturbation(m, delta, 0.1, 0.1)
     assert pert.h.shape == m.h.shape
-    assert np.abs(pert.z - m.z).max() == 0.0  # ez0 = 0: measurements untouched
+    assert np.abs(pert.z - m.z).max() == 0.0  # E_z = 0: measurements untouched
     assert np.abs(pert.h - m.h)[: 2 * view.n_bus].max() == 0.0  # pseudo rows clean
-    with pytest.raises(ValidationError):
-        apply_perturbation(m, unc, delta[:, :-1])
+    assert np.abs(pert.h - m.h)[2 * view.n_bus :].max() > 0.0
+    for bad in (delta[:, :-1], delta[:-1], delta.T):
+        with pytest.raises(ValidationError, match="delta dimensions"):
+            apply_perturbation(m, bad, 0.1, 0.1)
 
 
 def test_build_requires_converged_tse(net30, part30, specs30, truth30, cfg30):
@@ -309,15 +363,14 @@ def test_build_requires_converged_tse(net30, part30, specs30, truth30, cfg30):
 def _check_against_oracle(m, seed):
     plain = hybrid_solve(m)
     _assert_matches(_flat(plain), plain.covariance, *_oracle_plain(m))
-    sampling = uncertainty_for_model(m, 0.05, 0.05, anchored=False)
-    if not sampling.is_null():
-        delta = sample_delta(np.random.default_rng(seed), sampling.q, sampling.e_h.shape[0])
-        m = apply_perturbation(m, sampling, delta)
-    unc = uncertainty_for_model(m, 0.05, 0.05, anchored=True)
+    if len(m.w_pmu):
+        delta = sample_delta(np.random.default_rng(seed), len(m.w_pmu), m.n_state)
+        m = apply_perturbation(m, delta, 0.05, 0.05)
+    unc = uncertainty_for_model(m, 0.05, 0.05)
     for strategy in ("approx", "exact"):
         rob = hybrid_solve_robust(m, unc, strategy, 1.0)
         if unc.is_null():
-            assert rob.robust.strategy == "reduced"
+            assert rob.robust is None
             ref = _oracle_plain(m)
         else:
             p = _dense_problem(m, unc)
@@ -343,20 +396,7 @@ def test_block_whitening_matches_dense_oracle(net30, part30, specs30, truth30, c
 
 
 def test_level2_stack_matches_dense_oracle(net30, part30, specs30, truth30, cfg30, monkeypatch):
-    from gridstate import multiarea
-    from gridstate.measurement import synthesize
-
-    stacked = []
-    original = multiarea.stack_model
-
-    def spy(*args, **kwargs):
-        stacked.append(original(*args, **kwargs))
-        return stacked[-1]
-
-    monkeypatch.setattr(multiarea, "stack_model", spy)
-    mset = synthesize(ModelView.full(net30), truth30, specs30, cfg30.sigma_for, np.random.default_rng(12))
-    multiarea.run_two_level(net30, part30, mset, cfg30, robust=True)
-    (m,) = stacked
+    m = _level2_stack(net30, part30, specs30, truth30, cfg30, monkeypatch, 12)
     assert len(m.w_pmu) > 0
     _check_against_oracle(m, 12)
 

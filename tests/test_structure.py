@@ -164,3 +164,47 @@ def test_estimate_does_not_depend_on_measurement_order(exp, mode, seed):
     assert a.bus_ids == b.bus_ids and a.source == b.source
     assert np.abs(a.vm - b.vm).max() <= ORDER_TOL
     assert np.abs(wrap_angle(a.va - b.va)).max() <= ORDER_TOL
+
+
+@pytest.mark.parametrize("s0, e0", [(0.0, 0.0), (0.05, 0.0)])
+def test_robust_modes_are_wls_without_a_perturbation_bound(s0, e0):
+    # s0 = 0 (no S) or e0 = 0 (no bound on Delta): the min-max problem is
+    # plain WLS, so the robust modes return the WLS estimates bit for bit
+    exp = prepare(config="ieee30.cfg", overrides={"s0": s0, "e0": e0})
+    for central in (True, False):
+        for trial in range(3):
+            _assert_same(run_trial(exp, trial, True, central), run_trial(exp, trial, False, central))
+
+
+def _phasor_pairs(specs):
+    """(real, imaginary) positions of every PMU phasor in ``specs``."""
+    at = {(m.kind, m.bus, m.branch, m.side): k for k, m in enumerate(specs)}
+    partner = {"pmu_vr": "pmu_vi", "pmu_ir": "pmu_ii"}
+    return np.array([(k, at[(partner[m.kind], m.bus, m.branch, m.side)])
+                     for k, m in enumerate(specs) if m.kind in partner]).T
+
+
+# Gauss-Newton stops on a 1e-6 step; the largest deviation seen over 1000
+# drawn (theta, seed) pairs per mode was 1.3e-9
+SHIFT_TOL = 1e-7
+
+
+@pytest.mark.parametrize("mode", ["central-wls", "multiarea-wls"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(theta=st.floats(-np.pi, np.pi, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+def test_estimate_follows_a_global_angle_shift(exp, mode, theta, seed):
+    # rotating every PMU phasor by theta moves the synchronized frame; SCADA
+    # rows do not see it, so angles shift by theta and magnitudes stay
+    cfg = replace(exp.cfg, s0=0.0, e0=0.0)
+    part = single_area(exp.net, exp.part.global_ref) if mode.startswith("central") else exp.part
+    structure = multiarea.Structure(exp.net, part, exp.specs)
+    assert all(a.anchor for a in structure.areas)  # every area's TSE is anchored to a PMU
+    mset = synthesize(exp.view, exp.truth, exp.specs, cfg.sigma_for, np.random.default_rng(seed))
+    re, im = _phasor_pairs(exp.specs)
+    z = mset.z.copy()
+    z[re] = np.cos(theta) * mset.z[re] - np.sin(theta) * mset.z[im]
+    z[im] = np.sin(theta) * mset.z[re] + np.cos(theta) * mset.z[im]
+    a = structure.run(mset, cfg, robust=False)
+    b = structure.run(MeasurementSet(exp.specs, z, mset.sigmas), cfg, robust=False)
+    assert np.abs(b.vm - a.vm).max() <= SHIFT_TOL
+    assert np.abs(wrap_angle(b.va - a.va - theta)).max() <= SHIFT_TOL
