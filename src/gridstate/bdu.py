@@ -60,14 +60,53 @@ def null_uncertainty(m: int, n: int) -> UncertaintyStructure:
     return UncertaintyStructure(np.zeros((m, 0)), np.zeros((n, n)), np.zeros(n))
 
 
+# Order at or below which the dense kernels are numpy's own LAPACK call
+# (the crossover with one BLAS thread); every system that small rounds
+# exactly as a plain np.linalg call would.
+_LEAF = 64
+
+
+def tri_solve(t, b, lower: bool):
+    """T^-1 b for a triangular T (``lower`` or upper) and a 1-D or 2-D b,
+    by blocked substitution: above ``_LEAF`` the lower case is
+    y1 = T11^-1 b1, y2 = T22^-1 (b2 - T21 y1), the upper case mirrored."""
+    n = t.shape[0]
+    if n <= _LEAF:
+        return np.linalg.solve(t, b)
+    k = n // 2
+    if lower:
+        y1 = tri_solve(t[:k, :k], b[:k], True)
+        y2 = tri_solve(t[k:, k:], b[k:] - t[k:, :k] @ y1, True)
+    else:
+        y2 = tri_solve(t[k:, k:], b[k:], False)
+        y1 = tri_solve(t[:k, :k], b[:k] - t[:k, k:] @ y2, False)
+    return np.concatenate([y1, y2])
+
+
+def spd_inv(g):
+    """G^-1 for a symmetric positive definite G.  Above ``_LEAF`` by Schur
+    complements of G = [[A, B], [B', D]]: X = A^-1 B, S = D - B'X and
+    G^-1 = [[A^-1 + X S^-1 X', -X S^-1], [-S^-1 X', S^-1]].  A singular
+    leaf raises LinAlgError, as np.linalg.inv does."""
+    n = g.shape[0]
+    if n <= _LEAF:
+        return np.linalg.inv(g)
+    k = n // 2
+    a_inv = spd_inv(g[:k, :k])
+    x = a_inv @ g[:k, k:]
+    s_inv = spd_inv(g[k:, k:] - g[:k, k:].T @ x)
+    xs = x @ s_inv
+    return np.block([[a_inv + xs @ x.T, -xs], [-xs.T, s_inv]])
+
+
 def lsq(a, b):
     """Least squares min ||A x - b|| via QR; (x, inv(A'A)) with a rank guard."""
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise NumericalError("least-squares matrix is rank deficient")
-    x = np.linalg.solve(r, q.T @ b)
-    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
+    x = tri_solve(r, q.T @ b, False)
+    r_inv = tri_solve(r, np.eye(r.shape[0]), False)
     return x, r_inv @ r_inv.T
 
 
@@ -98,14 +137,6 @@ class RobustSolution:
     worst_case: float
     strategy: str
     cov: np.ndarray  # covariance of x when z has covariance R^-1
-
-
-def spectral_norm_strs(s, r) -> float:
-    """||S' diag(r) S|| (largest eigenvalue; the matrix is symmetric PSD)."""
-    if s.shape[1] == 0:
-        return 0.0
-    u = s.T @ (s * r[:, None])
-    return float(np.linalg.eigvalsh(0.5 * (u + u.T))[-1])
 
 
 class _Evaluator:
@@ -161,14 +192,6 @@ class _Evaluator:
         lam_eff, w, sol = self._solve(lam, with_cov=True)
         x, pr = sol[:, 0], sol[:, 1:]
         return RobustSolution(x, float(lam), self._g(lam_eff, w, x), strategy, (pr * self.p.r) @ pr.T)
-
-
-def g_of_lambda(lam: float, p: RobustProblem) -> float:
-    """G(lambda); domain error below ||S'RS||."""
-    ev = _Evaluator(p)
-    if lam < ev.lam0 * (1.0 - 1e-9) - 1e-300:
-        raise ValidationError(f"lambda={lam!r} below the domain bound {ev.lam0!r}")
-    return ev.g(lam)
 
 
 _GOLD = (np.sqrt(5.0) - 1.0) / 2.0
@@ -232,11 +255,6 @@ def min_g(p: RobustProblem, evaluator: _Evaluator | None = None):
     if f0 <= ev.g(lam_hat):
         return lam0
     return lam_hat
-
-
-def lambda_approx(mu: float, s, r) -> float:
-    """Practical choice lambda = (1 + mu) ||S'RS||."""
-    return _scaled_lambda(mu, spectral_norm_strs(s, r))
 
 
 def _scaled_lambda(mu: float, lam0: float) -> float:

@@ -29,6 +29,7 @@ from .bdu import (
     UncertaintyStructure,
     bdu_solve,
     null_uncertainty,
+    tri_solve,
 )
 from .errors import NumericalError, ValidationError
 from .measurement import MeasurementSet, ModelView, jacobian_rect, polar_to_rect
@@ -162,10 +163,10 @@ def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
         c = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         raise NumericalError("hybrid covariance is not positive definite") from None
-    x = x + wh @ np.linalg.solve(c.T, np.linalg.solve(c, m.z[n:] - h @ x))
+    x = x + wh @ tri_solve(c.T, tri_solve(c, m.z[n:] - h @ x, True), False)
     if not cov:
         return HybridResult(_as_state(m, x), None)
-    b = np.linalg.solve(c, wh.T)  # L^-1 H_p W_p
+    b = tri_solve(c, wh.T, True)  # L^-1 H_p W_p
     return HybridResult(_as_state(m, x), w - b.T @ b)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bdu import spd_inv, tri_solve
 from .errors import NumericalError, UnobservableError, ValidationError
 from .measurement import MeasurementSet, ModelView, h_eval, jacobian_polar
 from .powerflow import StateVector
@@ -89,12 +90,6 @@ class EstimationResult:
     model: PolarModel
 
 
-def objective(mset: MeasurementSet, model: PolarModel, state: StateVector) -> float:
-    """J(x) = (z - h(x))' W^-1 (z - h(x))."""
-    r = mset.z - model.h(model.pack(state))
-    return float(np.sum((r / mset.sigmas) ** 2))
-
-
 def whitener(parts, error: str):
     """W^-1/2 of a block-diagonal W as a function over W's rows.
 
@@ -166,7 +161,7 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit):
             raise UnobservableError(
                 "gain matrix H' W^-1 H is singular: system unobservable"
             ) from None
-        dx = np.linalg.solve(c.T, np.linalg.solve(c, g))
+        dx = tri_solve(c.T, tri_solve(c, g, True), False)
         # pure Gauss-Newton (Eq-9-style) step whenever it descends; under
         # weak redundancy the full step can overshoot the curved valley of
         # the P/Q-only objective, so fall back to Marquardt damping
@@ -195,7 +190,7 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit):
     # two whitened copies: H_w' H_w on one array takes another BLAS path
     gain = whiten(h).T @ whiten(h)
     try:
-        cov = np.linalg.inv(gain)
+        cov = spd_inv(gain)
     except np.linalg.LinAlgError:
         raise UnobservableError("gain matrix singular at the solution") from None
     return x, cov, iterations, converged, j_here, r

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from gridstate.bdu import _Evaluator, bdu_solve, min_g, spectral_norm_strs
+from gridstate.bdu import _Evaluator, bdu_solve, min_g
 from gridstate.caseio import parse_config
 from gridstate.cli import main, make_delta_sampler, prepare, run_trial
 from gridstate.measurement import (
@@ -32,6 +32,7 @@ from gridstate.netmodel import boundary_measurement_ownership, single_area
 from gridstate.powerflow import StateVector, masked_mismatch, run_powerflow
 from gridstate.wls import PolarModel, wls_estimate
 from tests.conftest import synth_zero
+from tests.oracles import spectral_norm_strs
 from tests.test_bdu import _random_problem, grid_minmax
 
 

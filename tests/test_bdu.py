@@ -10,15 +10,13 @@ from gridstate.bdu import (
     UncertaintyStructure,
     _Evaluator,
     bdu_solve,
-    g_of_lambda,
-    lambda_approx,
     lsq,
     min_g,
     null_uncertainty,
-    spectral_norm_strs,
     worst_case_objective,
 )
 from gridstate.errors import ValidationError
+from tests.oracles import g_of_lambda, lambda_approx, spectral_norm_strs
 
 
 def _random_problem(rng, m=None, n=None, q=None, s_scale=0.5, e_scale=0.4, ez_scale=0.2):

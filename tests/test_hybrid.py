@@ -4,8 +4,6 @@ import pytest
 from gridstate.bdu import (
     RobustProblem,
     UncertaintyStructure,
-    g_of_lambda,
-    lambda_approx,
     min_g,
     null_uncertainty,
     worst_case_objective,
@@ -25,6 +23,7 @@ from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
 from gridstate.wls import PolarModel, wls_estimate
 from tests.conftest import synth_zero
+from tests.oracles import g_of_lambda, lambda_approx
 
 
 def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None):

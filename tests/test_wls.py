@@ -8,8 +8,9 @@ from gridstate.errors import NumericalError, UnobservableError, ValidationError
 from gridstate.measurement import Measurement, MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
 from gridstate.powerflow import StateVector
-from gridstate.wls import PolarModel, check_observable, objective, whitener, wls_estimate
+from gridstate.wls import PolarModel, check_observable, whitener, wls_estimate
 from tests.conftest import synth_zero
+from tests.oracles import objective
 
 
 def _area_problem(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None):
