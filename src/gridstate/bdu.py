@@ -84,19 +84,26 @@ def tri_solve(t, b, lower: bool):
 
 
 def spd_inv(g):
-    """G^-1 for a symmetric positive definite G.  Above ``_LEAF`` by Schur
-    complements of G = [[A, B], [B', D]]: X = A^-1 B, S = D - B'X and
-    G^-1 = [[A^-1 + X S^-1 X', -X S^-1], [-S^-1 X', S^-1]].  A singular
-    leaf raises LinAlgError, as np.linalg.inv does."""
-    n = g.shape[0]
-    if n <= _LEAF:
+    """G^-1 for a symmetric positive definite G.  Above ``_LEAF`` from its
+    Cholesky factor L: G^-1 = M'M with M = L^-1 inverted by halves,
+    M = [[M11, 0], [-M22 L21 M11, M22]] (Mii = Lii^-1).  The Schur-complement
+    form of G^-1 from an inverted leading block loses accuracy as
+    cond(A) cond(S); this form keeps LAPACK's.  LinAlgError when G is not
+    positive definite (np.linalg.inv, the leaf, raises it on a singular G)."""
+    if g.shape[0] <= _LEAF:
         return np.linalg.inv(g)
+    m = _tri_inv(np.linalg.cholesky(g))
+    return m.T @ m
+
+
+def _tri_inv(t):
+    """T^-1 for a lower-triangular T, by the halves of :func:`spd_inv`."""
+    n = t.shape[0]
+    if n <= _LEAF:
+        return np.linalg.inv(t)
     k = n // 2
-    a_inv = spd_inv(g[:k, :k])
-    x = a_inv @ g[:k, k:]
-    s_inv = spd_inv(g[k:, k:] - g[:k, k:].T @ x)
-    xs = x @ s_inv
-    return np.block([[a_inv + xs @ x.T, -xs], [-xs.T, s_inv]])
+    m11, m22 = _tri_inv(t[:k, :k]), _tri_inv(t[k:, k:])
+    return np.block([[m11, np.zeros((k, n - k))], [-m22 @ (t[k:, :k] @ m11), m22]])
 
 
 def lsq(a, b):
