@@ -4,7 +4,6 @@ every IEEE-30 system on numpy's call."""
 
 import importlib.util
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,8 +89,7 @@ def _record_sizes(monkeypatch):
         return recorded
 
     for owner in (bdu, wls, hybrid):
-        if hasattr(owner, "tri_solve"):
-            monkeypatch.setattr(owner, "tri_solve", wrap(bdu.tri_solve))
+        monkeypatch.setattr(owner, "tri_solve", wrap(bdu.tri_solve))
     for owner in (bdu, wls):
         monkeypatch.setattr(owner, "spd_inv", wrap(bdu.spd_inv))
     return sizes
@@ -134,7 +132,7 @@ def test_blocked_kernels_match_the_leaf_call_on_a_tiled_grid(monkeypatch, tmp_pa
     def estimates():
         out = []
         for robust, central in MODES:
-            res = run_trial(replace(exp, structures={}), 0, robust, central)
+            res = run_trial(exp, 0, robust, central)
             out.append(np.concatenate([res.vm, res.va, res.u]))
         return out
 
