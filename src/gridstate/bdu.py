@@ -143,7 +143,7 @@ class RobustSolution:
     lam: float
     worst_case: float
     strategy: str
-    cov: np.ndarray  # covariance of x when z has covariance R^-1
+    cov: np.ndarray | None  # covariance of x when z has covariance R^-1; None where not asked for
 
 
 class _Evaluator:

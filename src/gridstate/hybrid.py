@@ -10,11 +10,15 @@ The plain step is in covariance form: the pseudo rows are I, so it is a
 linear update of the pseudo-state by the p PMU rows (a p x p Cholesky,
 no inverse root of the 2n x 2n pseudo block), and its covariance is
 skipped where nothing reads it (central runs, level 2).  The robust step
-whitens the stack by :func:`gridstate.wls.whitener` (an eigh of that
-block) for bdu; its rounding also rests on the TSE gain's, which the
-Fortran-ordered pattern Jacobian of :mod:`gridstate.measurement` fixes.
-An experiment's perturbation moves the PMU rows of H only
-(:func:`apply_perturbation`), which is what keeps the pseudo rows I.
+at the practical lambda is the same update, re-weighted: under
+:func:`uncertainty_for_model`'s structure the min-max solution at a given
+lambda is a regularized LS solution (El Ghaoui & Lebret, SIAM J. Matrix
+Anal. Appl. 18(4), 1997).  The exact-lambda step whitens the stack by
+:func:`gridstate.wls.whitener` (an eigh of that block) for bdu; its
+rounding also rests on the TSE gain's, which the Fortran-ordered pattern
+Jacobian of :mod:`gridstate.measurement` fixes.  An experiment's
+perturbation moves the PMU rows of H only (:func:`apply_perturbation`),
+which is what keeps the pseudo rows I.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from .bdu import (
     RobustProblem,
     RobustSolution,
     UncertaintyStructure,
+    _scaled_lambda,
     bdu_solve,
     null_uncertainty,
+    spd_inv,
     tri_solve,
 )
 from .errors import NumericalError, ValidationError
@@ -143,6 +149,13 @@ def _as_state(m: HybridModel, x) -> StateVector:
     return StateVector("rect", view.bus_ids, np.array(x[:n]), np.array(x[n:]), ref_bus=view.ref_bus)
 
 
+def _cholesky(a):
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise NumericalError("hybrid covariance is not positive definite") from None
+
+
 def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
     """One-shot weighted LS in covariance form.  The pseudo rows of H are
     exactly I (a perturbation moves PMU rows only), so the estimate is
@@ -159,10 +172,7 @@ def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
     wh = w @ h.T
     s = h @ wh
     s[np.diag_indices_from(s)] += m.w_pmu
-    try:
-        c = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise NumericalError("hybrid covariance is not positive definite") from None
+    c = _cholesky(s)
     x = x + wh @ tri_solve(c.T, tri_solve(c, m.z[n:] - h @ x, True), False)
     if not cov:
         return HybridResult(_as_state(m, x), None)
@@ -196,25 +206,89 @@ def hybrid_solve_robust(
     unc: UncertaintyStructure,
     lam_strategy: str = "exact",
     mu: float = 1.0,
+    cov: bool = True,
 ) -> HybridResult:
-    """Robust variant of hybrid_solve; delegates the min-max solve to bdu.
-    Uncertainty that is null or bounds no perturbation (s0 = 0 or
-    e0 = 0) leaves plain WLS: that is :func:`hybrid_solve` itself, with
-    ``robust`` None.
+    """Robust variant of hybrid_solve, its covariance formed only with
+    ``cov`` (else None).  Uncertainty that is null or bounds no
+    perturbation (s0 = 0 or e0 = 0) leaves plain WLS: that is
+    :func:`hybrid_solve` itself, with ``robust`` None.
 
-    The problem is whitened first (z, H, S scaled by W^-1/2, unit
-    weights): the min-max cost and its minimizer are unchanged, the
-    conditioning is not, and bdu's covariance is for unit data covariance.
+    Approximate lambda is :func:`_approx_step`.  Exact lambda delegates
+    the min-max solve to bdu on the whitened problem (z, H, S scaled by
+    W^-1/2, unit weights): the min-max cost and its minimizer are
+    unchanged, the conditioning is not, and bdu's covariance is for unit
+    data covariance.
     """
     if unc.is_null() or unc.no_perturbation_bound():
-        return hybrid_solve(m)
+        return hybrid_solve(m, cov=cov)
+    if lam_strategy == "approx":
+        return _approx_step(m, unc, mu, cov)
     # W spans many decades (the floored reference-angle mode), so the
     # solve runs on whitened data
     whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
     unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
     p = RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)), unc_w)
     sol = bdu_solve(p, lam_strategy, mu)
-    return HybridResult(_as_state(m, sol.x), sol.cov, sol)
+    return HybridResult(_as_state(m, sol.x), sol.cov if cov else None, sol)
+
+
+def _structure(m: HybridModel, unc: UncertaintyStructure):
+    """(s0, e) of an uncertainty in :func:`uncertainty_for_model`'s form,
+    S = s0 on the PMU rows, E_h = e I, E_z = e x_p; ValidationError for
+    any other structure."""
+    n, p = m.n_state, len(m.w_pmu)
+    if unc.s.shape == (len(m.z), p) and unc.e_h.shape == (n, n):
+        s0, e = unc.s[n, 0], unc.e_h[0, 0]
+        s = np.zeros_like(unc.s)
+        s[n + np.arange(p), np.arange(p)] = s0
+        if (np.array_equal(unc.s, s) and np.array_equal(unc.e_h, e * np.eye(n))
+                and np.array_equal(unc.e_z, e * m.z[:n])):
+            return float(s0), float(e)
+    raise ValidationError("approximate lambda needs the uncertainty structure of uncertainty_for_model")
+
+
+def _approx_step(m: HybridModel, unc: UncertaintyStructure, mu: float, cov: bool) -> HybridResult:
+    """The min-max step at lambda = (1 + mu) max d_i, d_i = s0^2 / sigma_i^2,
+    as :func:`hybrid_solve`'s update with a shrunk prior and re-weighted
+    PMU rows:
+
+        P = (W_p^-1 + lam e^2 I)^-1 = (I + lam e^2 W_p)^-1 W_p,
+        M = H_p P H_p' + diag(sigma^2 (lam - d) / lam),
+        x = x_p + K y,  K = P H_p' M^-1,  y = z_p - H_p x_p,
+
+    and G(lam) = y' M^-1 y.  At mu = 0 the top rows get variance 0, which
+    the update takes exactly.  The covariance holds E_z constant, as bdu's
+    does: (I - K H_p) P W_p^-1 P (I - K H_p)' + K diag(sigma^2) K', with
+    P W_p^-1 P = A^-1 W_p A^-1, A = I + lam e^2 W_p.  NumericalError when
+    A or M is not positive definite.
+    """
+    n = m.n_state
+    s0, e = _structure(m, unc)
+    d = s0**2 / m.w_pmu
+    lam = _scaled_lambda(mu, float(d.max()))
+    x, w, h = m.z[:n], m.w_pseudo, m.h[n:]
+    a = (lam * e**2) * w
+    a[np.diag_indices_from(a)] += 1.0
+    ca = _cholesky(a)
+
+    ph = tri_solve(ca.T, tri_solve(ca, w @ h.T, True), False)  # P H_p'
+    # H_p P H_p' is symmetric only up to ph's rounding, which is relative to
+    # its largest entries; M's smallest eigenvalues (rows near variance 0)
+    # need the symmetric part, not the lower triangle alone
+    inn = h @ ph
+    inn = 0.5 * (inn + inn.T)
+    inn[np.diag_indices_from(inn)] += m.w_pmu * ((lam - d) / lam)
+    c = _cholesky(inn)  # M = C C'
+    v = tri_solve(c, m.z[n:] - h @ x, True)
+    x = x + ph @ tri_solve(c.T, v, False)
+    covariance = None
+    if cov:
+        k = tri_solve(c.T, tri_solve(c, ph.T, True), False).T
+        ikh = np.eye(n) - k @ h
+        a_inv = spd_inv(a)
+        covariance = ikh @ (a_inv @ w @ a_inv) @ ikh.T + (k * m.w_pmu) @ k.T
+    sol = RobustSolution(x, lam, float(v @ v), "approx", covariance)
+    return HybridResult(_as_state(m, x), covariance, sol)
 
 
 def sample_delta(rng, q: int, p: int) -> np.ndarray:

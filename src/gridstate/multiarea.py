@@ -158,16 +158,15 @@ class LocalResult:
 def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> HybridResult:
     """The hybrid PMU step of both levels: when a sampler is given, draw
     Delta = ``perturb(key, p, 2n)`` and move the model's p PMU rows by it
-    (:func:`apply_perturbation`), then solve plainly or robustly.  The
-    plain solve forms its covariance only with ``cov``; the robust one
-    gets it from the same solve as x."""
+    (:func:`apply_perturbation`), then solve plainly or robustly; either
+    solve forms its covariance only with ``cov``."""
     if perturb is not None and len(hmodel.w_pmu):
         delta = perturb(key, len(hmodel.w_pmu), hmodel.n_state)
         hmodel = apply_perturbation(hmodel, delta, cfg.s0, cfg.e0)
     if not robust:
         return hybrid_solve(hmodel, cov=cov)
     unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0)
-    return hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu)
+    return hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu, cov=cov)
 
 
 class _AreaStructure:
@@ -202,7 +201,7 @@ def _estimate_area(a: _AreaStructure, mset: MeasurementSet, cfg: ExperimentConfi
 
     hmodel = build_hybrid_model(tse, a.block, mset)
     hres = _hybrid_stage(hmodel, cfg, robust, perturb, (1, index), a.cov_read)
-    polar, cov_polar = rect_to_polar(hres.state, hres.covariance if a.cov_read else None)
+    polar, cov_polar = rect_to_polar(hres.state, hres.covariance)
     return LocalResult(index, polar, cov_polar, tse.state, tse.iterations, hres)
 
 

@@ -1,6 +1,8 @@
 """Reference quantities that only the tests read: G(lambda) at a given
 lambda, the practical lambda choice, ||S'RS|| and the WLS objective at a
-given state, each from the package's own pieces."""
+given state, each from the package's own pieces; and the min-max
+solution at a given lambda from its saddle (KKT) system and from QR on
+its stacked least-squares rows."""
 
 import numpy as np
 
@@ -27,6 +29,52 @@ def g_of_lambda(lam: float, p: RobustProblem) -> float:
 def lambda_approx(mu: float, s, r) -> float:
     """Practical choice lambda = (1 + mu) ||S'RS||."""
     return _scaled_lambda(mu, spectral_norm_strs(s, r))
+
+
+def kkt_solution(p: RobustProblem, lam: float) -> np.ndarray:
+    """x of the min-max problem at lambda from the saddle system
+
+        [lam E_h'E_h + H'RH   H'B           ] [x ]   [H'Rz + lam E_h'E_z]
+        [B'H                  -diag(lam - d)] [nu] = [B'z               ]
+
+    with S'RS = Q diag(d) Q' and B = R S Q (nu = (lam - d)^-1 B'(Hx - z)
+    eliminated gives bdu's normal equations).  It stays nonsingular at
+    lambda = ||S'RS||, where those normal equations do not exist."""
+    u = p.uncertainty
+    rs = u.s * p.r[:, None]
+    d, q = np.linalg.eigh(u.s.T @ rs)
+    b, htr = rs @ q, p.h.T * p.r
+    k = np.block([[lam * (u.e_h.T @ u.e_h) + htr @ p.h, p.h.T @ b],
+                  [b.T @ p.h, -np.diag(lam - d)]])
+    rhs = np.concatenate([htr @ p.z + lam * (u.e_h.T @ u.e_z), b.T @ p.z])
+    return np.linalg.solve(k, rhs)[: p.h.shape[1]]
+
+
+def lsq_solution(p: RobustProblem, lam: float):
+    """(x, cov, G, cond N) of the min-max problem at lambda above ||S'RS||
+    from its least-squares form: x minimizes
+
+        lam ||E_h x - E_z||^2 + (H x - z)' R_hat (H x - z),
+        R_hat = R + R S (lam I - S'RS)^-1 S'R,
+
+    solved by QR on the rows [sqrt(lam) E_h; R_hat^1/2 H], so its error
+    grows as cond(N)^1/2, N = lam E_h'E_h + H'R_hat H the normal matrix
+    bdu solves.  cov is x's covariance for data of covariance R^-1 with
+    E_z held constant, G the squared residual."""
+    u = p.uncertainty
+    rs = u.s * p.r[:, None]
+    d, q = np.linalg.eigh(u.s.T @ rs)
+    r_hat = np.diag(p.r) + (rs @ q / (lam - d)) @ (rs @ q).T
+    evals, vecs = np.linalg.eigh(0.5 * (r_hat + r_hat.T))
+    root = (vecs * np.sqrt(evals)) @ vecs.T
+    k = len(u.e_z)
+    a = np.vstack([np.sqrt(lam) * u.e_h, root @ p.h])
+    b = np.concatenate([np.sqrt(lam) * u.e_z, root @ p.z])
+    qa, ra = np.linalg.qr(a)
+    x = np.linalg.solve(ra, qa.T @ b)
+    dx_dz = np.linalg.solve(ra, qa[k:].T @ root)
+    res = a @ x - b
+    return x, (dx_dz / p.r) @ dx_dz.T, float(res @ res), np.linalg.cond(ra) ** 2
 
 
 def objective(mset, model, state) -> float:

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridstate.bdu import (
     RobustProblem,
     UncertaintyStructure,
+    bdu_solve,
     min_g,
     null_uncertainty,
     worst_case_objective,
 )
 from gridstate.errors import NumericalError, ValidationError
 from gridstate.hybrid import (
+    VARIANCE_FLOOR,
+    HybridModel,
     PmuBlock,
     apply_perturbation,
     build_hybrid_model,
@@ -21,9 +26,9 @@ from gridstate.hybrid import (
 )
 from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
-from gridstate.wls import PolarModel, wls_estimate
+from gridstate.wls import PolarModel, whitener, wls_estimate
 from tests.conftest import synth_zero
-from tests.oracles import g_of_lambda, lambda_approx
+from tests.oracles import g_of_lambda, kkt_solution, lambda_approx, lsq_solution
 
 
 def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None):
@@ -451,6 +456,169 @@ def test_skipping_the_covariance_leaves_the_estimate_bit_identical(net30, part30
     skipped = structure.run(mset, cfg30, robust=False)
     area.cov_read = True
     computed = structure.run(mset, cfg30, robust=False)
+    assert skipped.locals[0].cov is None and computed.locals[0].cov is not None
+    assert np.array_equal(skipped.vm, computed.vm)
+    assert np.array_equal(skipped.va, computed.va)
+
+
+def _robust_models(monkeypatch, central, trials):
+    """(model, uncertainty) of every robust hybrid stage of the bundled
+    experiment (seed 0, s0 = e0 = 0.05) over ``trials``."""
+    from gridstate import multiarea
+    from gridstate.cli import prepare, run_trial
+
+    seen = []
+    original = multiarea.hybrid_solve_robust
+
+    def spy(m, unc, *args, **kwargs):
+        seen.append((m, unc))
+        return original(m, unc, *args, **kwargs)
+
+    monkeypatch.setattr(multiarea, "hybrid_solve_robust", spy)
+    exp = prepare(config="ieee30.cfg")
+    for trial in trials:
+        run_trial(exp, trial, robust=True, central=central)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-9])
+def test_approx_step_at_the_lambda_edge_matches_kkt_oracle(monkeypatch, mu):
+    # at lambda = ||S'RS|| (mu = 0) the PMU rows are equality constraints:
+    # bdu's normal equations there need the edge shift and reach cond ~1e12,
+    # the saddle system and the covariance-form step do not
+    central = _robust_models(monkeypatch, True, range(3))
+    # areas 1-3; level 2's dense-whitened problem alone is rounded at 4e-11
+    areas = _robust_models(monkeypatch, False, range(1))[:3]
+    assert len(central) == 3 and {m.n_bus for m, _ in central} == {30}
+    assert sorted(m.n_bus for m, _ in areas) == [12, 12, 18]
+    for m, unc in central + areas:
+        rob = hybrid_solve_robust(m, unc, "approx", mu, cov=False)
+        p = _dense_problem(m, unc)
+        assert rob.robust.lam == pytest.approx(lambda_approx(mu, p.uncertainty.s, p.r), rel=1e-12)
+        x_ref = kkt_solution(p, rob.robust.lam)
+        assert np.abs(_flat(rob) - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+
+class _View:
+    """The layout a hybrid model reads from its view, without a network."""
+
+    def __init__(self, n_bus):
+        self.bus_ids = tuple(range(1, n_bus + 1))
+        self.n_bus = n_bus
+        self.ref_bus = 1
+
+
+def _random_model(seed, n_bus, p):
+    """A hybrid model with a random SPD pseudo block (one zero mode, lifted by
+    the floor, as a pinned reference angle leaves it), a dense random PMU
+    block and unequal PMU sigmas, so the d_i = s0^2 / sigma_i^2 differ."""
+    rng = np.random.default_rng(seed)
+    n = 2 * n_bus
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    evals = 10.0 ** rng.uniform(-6.0, -2.0, n)
+    evals[0] = 0.0
+    w = (q * evals) @ q.T + VARIANCE_FLOOR * np.eye(n)
+    h_pmu = rng.standard_normal((p, n))
+    sigma = rng.uniform(5e-4, 5e-3, p)
+    x_p = 1.0 + 0.1 * rng.standard_normal(n)
+    truth = x_p + (q * np.sqrt(evals)) @ rng.standard_normal(n)
+    z = np.concatenate([x_p, h_pmu @ truth + sigma * rng.standard_normal(p)])
+    h = np.vstack([np.eye(n), h_pmu])
+    block = PmuBlock(_View(n_bus), (), np.arange(p), h, float(np.linalg.norm(h_pmu, 2)))
+    return HybridModel(block, z, h, w, sigma**2)
+
+
+def _whitened(m, unc):
+    """The problem the exact-lambda branch hands bdu: z, H, S scaled by
+    W^-1/2 through the package's block whitener, unit weights."""
+    whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
+    return RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)),
+                         UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bus=st.integers(1, 8),
+    p=st.integers(1, 10),
+    s0=st.floats(0.01, 0.2),
+    e0=st.floats(0.01, 0.2),
+    mu=st.floats(1e-3, 200.0),
+)
+def test_property_structured_step_equals_bdu_solve(seed, n_bus, p, s0, e0, mu):
+    m = _random_model(seed, n_bus, p)
+    unc = uncertainty_for_model(m, s0, e0)
+    rob = hybrid_solve_robust(m, unc, "approx", mu)
+    x, cov = _flat(rob), rob.covariance
+    prob = _whitened(m, unc)
+    assert rob.robust.lam == pytest.approx(lambda_approx(mu, prob.uncertainty.s, prob.r), rel=1e-12)
+    x_ls, cov_ls, _, cond = lsq_solution(prob, rob.robust.lam)
+    assert np.abs(x - x_ls).max() <= 1e-10 * np.abs(x_ls).max()
+    assert np.abs(cov - cov_ls).max() <= 1e-8 * np.abs(cov_ls).max()
+    # bdu solves the normal equations, whose forward error grows as
+    # n eps cond(N): the floored zero mode puts cond(N) near 1e9 here
+    ref = bdu_solve(prob, "approx", mu)
+    bound = 4 * m.n_state * np.finfo(float).eps * cond
+    assert np.abs(x - ref.x).max() <= max(1e-10, bound) * np.abs(ref.x).max()
+    assert np.abs(cov - ref.cov).max() <= max(1e-8, bound) * np.abs(ref.cov).max()
+    # g_of_lambda sums squared residuals of whitened data as large as
+    # x_p / VARIANCE_FLOOR^1/2: an absolute error near 1e-11 where G is small
+    assert rob.robust.worst_case == pytest.approx(g_of_lambda(rob.robust.lam, prob), rel=1e-9, abs=1e-9)
+
+
+def test_approx_lambda_rejects_other_uncertainty_structures():
+    m = _random_model(5, 4, 6)
+    unc = uncertainty_for_model(m, 0.05, 0.05)
+    n = m.n_state
+    s_extra = unc.s.copy()
+    s_extra[0, 0] = 0.05  # a pseudo row perturbed too
+    s_unequal = unc.s.copy()
+    s_unequal[n + 1, 1] = 0.07  # two scales on the PMU rows
+    e_diag = unc.e_h * np.linspace(0.5, 1.5, n)  # E_h not a multiple of I
+    others = [
+        UncertaintyStructure(s_extra, unc.e_h, unc.e_z),
+        UncertaintyStructure(s_unequal, unc.e_h, unc.e_z),
+        UncertaintyStructure(unc.s[:, :-1], unc.e_h, unc.e_z),
+        UncertaintyStructure(unc.s, e_diag, e_diag @ m.z[:n]),
+        UncertaintyStructure(unc.s, unc.e_h, np.zeros(n)),  # not centred on x_p
+        UncertaintyStructure(unc.s, unc.e_h[:1], unc.e_z[:1]),
+        UncertaintyStructure(np.ones((len(m.z), 2)), unc.e_h, unc.e_z),
+    ]
+    for other in others:
+        with pytest.raises(ValidationError, match="uncertainty structure"):
+            hybrid_solve_robust(m, other, "approx", 1.0)
+        # exact lambda still solves any structure through bdu
+        assert hybrid_solve_robust(m, other, "exact").robust.strategy == "exact"
+
+
+def test_skipping_the_robust_covariance_leaves_the_estimate_bit_identical(net30, part30, specs30, truth30, cfg30):
+    from gridstate.cli import make_delta_sampler
+    from gridstate.measurement import synthesize
+    from gridstate.multiarea import Structure
+    from gridstate.netmodel import single_area
+
+    rng = np.random.default_rng(45)
+    view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
+    m = _build(tse, pmu, view)
+    unc = uncertainty_for_model(m, 0.05, 0.05)
+    for strategy in ("approx", "exact"):
+        full, bare = (hybrid_solve_robust(m, unc, strategy, 100.0, cov=cov) for cov in (True, False))
+        assert full.covariance is not None and bare.covariance is None
+        assert np.array_equal(_flat(full), _flat(bare))
+        assert (full.robust.lam, full.robust.worst_case) == (bare.robust.lam, bare.robust.worst_case)
+
+    # a central robust trial reads no level-1 covariance; forcing it changes nothing
+    assert cfg30.lambda_strategy == "approx" and cfg30.s0 > 0.0 and cfg30.e0 > 0.0
+    mset = synthesize(ModelView.full(net30), truth30, specs30, cfg30.sigma_for, rng)
+    structure = Structure(net30, single_area(net30), specs30)
+    (area,) = structure.areas
+    assert not area.cov_read
+    perturb = make_delta_sampler(cfg30.seed, 0)
+    skipped = structure.run(mset, cfg30, robust=True, perturb=perturb)
+    area.cov_read = True
+    computed = structure.run(mset, cfg30, robust=True, perturb=perturb)
+    assert skipped.locals[0].hybrid.robust is not None
     assert skipped.locals[0].cov is None and computed.locals[0].cov is not None
     assert np.array_equal(skipped.vm, computed.vm)
     assert np.array_equal(skipped.va, computed.va)
