@@ -51,7 +51,7 @@ def kkt_solution(p: RobustProblem, lam: float) -> np.ndarray:
 
 
 def lsq_solution(p: RobustProblem, lam: float):
-    """(x, cov, G, cond N) of the min-max problem at lambda above ||S'RS||
+    """(x, cov, cond N) of the min-max problem at lambda above ||S'RS||
     from its least-squares form: x minimizes
 
         lam ||E_h x - E_z||^2 + (H x - z)' R_hat (H x - z),
@@ -60,7 +60,7 @@ def lsq_solution(p: RobustProblem, lam: float):
     solved by QR on the rows [sqrt(lam) E_h; R_hat^1/2 H], so its error
     grows as cond(N)^1/2, N = lam E_h'E_h + H'R_hat H the normal matrix
     bdu solves.  cov is x's covariance for data of covariance R^-1 with
-    E_z held constant, G the squared residual."""
+    E_z held constant."""
     u = p.uncertainty
     rs = u.s * p.r[:, None]
     d, q = np.linalg.eigh(u.s.T @ rs)
@@ -73,8 +73,7 @@ def lsq_solution(p: RobustProblem, lam: float):
     qa, ra = np.linalg.qr(a)
     x = np.linalg.solve(ra, qa.T @ b)
     dx_dz = np.linalg.solve(ra, qa[k:].T @ root)
-    res = a @ x - b
-    return x, (dx_dz / p.r) @ dx_dz.T, float(res @ res), np.linalg.cond(ra) ** 2
+    return x, (dx_dz / p.r) @ dx_dz.T, np.linalg.cond(ra) ** 2
 
 
 def objective(mset, model, state) -> float:

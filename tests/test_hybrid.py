@@ -47,6 +47,15 @@ def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None
     return view, tse, pmu[area_idx]
 
 
+class _View:
+    """The layout a hybrid model reads from its view, without a network."""
+
+    def __init__(self, n_bus):
+        self.bus_ids = tuple(range(1, n_bus + 1))
+        self.n_bus = n_bus
+        self.ref_bus = 1
+
+
 def _build(tse, pmu, view):
     """The hybrid model of a traditional estimate plus every row of ``pmu``."""
     return build_hybrid_model(tse, pmu_block(view, pmu.specs, range(len(pmu))), pmu)
@@ -263,16 +272,8 @@ def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth3
 def test_scalar_instance_embedded_as_one_bus_model():
     # one rect bus; the vr component carries the scalar sanity instance
     # (H=1, z=1, R=1, S=1, E_h=0.5, E_z=0 -> x_hat = 1), vi decouples
-    from gridstate.bdu import bdu_solve
-    from gridstate.hybrid import HybridModel
-
-    class _FakeView:
-        bus_ids = (1,)
-        n_bus = 1
-        ref_bus = 1
-
     hm = HybridModel(
-        block=PmuBlock(_FakeView(), (), np.zeros(0, dtype=int), np.eye(2), 0.0),
+        block=PmuBlock(_View(1), (), np.zeros(0, dtype=int), np.eye(2), 0.0),
         z=np.array([1.0, 0.0]),
         h=np.eye(2),
         w_pseudo=np.eye(2),
@@ -500,15 +501,6 @@ def test_approx_step_at_the_lambda_edge_matches_kkt_oracle(monkeypatch, mu):
         assert np.abs(_flat(rob) - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
-class _View:
-    """The layout a hybrid model reads from its view, without a network."""
-
-    def __init__(self, n_bus):
-        self.bus_ids = tuple(range(1, n_bus + 1))
-        self.n_bus = n_bus
-        self.ref_bus = 1
-
-
 def _random_model(seed, n_bus, p):
     """A hybrid model with a random SPD pseudo block (one zero mode, lifted by
     the floor, as a pinned reference angle leaves it), a dense random PMU
@@ -553,7 +545,7 @@ def test_property_structured_step_equals_bdu_solve(seed, n_bus, p, s0, e0, mu):
     x, cov = _flat(rob), rob.covariance
     prob = _whitened(m, unc)
     assert rob.robust.lam == pytest.approx(lambda_approx(mu, prob.uncertainty.s, prob.r), rel=1e-12)
-    x_ls, cov_ls, _, cond = lsq_solution(prob, rob.robust.lam)
+    x_ls, cov_ls, cond = lsq_solution(prob, rob.robust.lam)
     assert np.abs(x - x_ls).max() <= 1e-10 * np.abs(x_ls).max()
     assert np.abs(cov - cov_ls).max() <= 1e-8 * np.abs(cov_ls).max()
     # bdu solves the normal equations, whose forward error grows as
