@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bdu
 from .bdu import spd_inv, tri_solve
 from .errors import NumericalError, UnobservableError, ValidationError
 from .measurement import MeasurementSet, ModelView, h_eval, jacobian_polar
@@ -42,6 +43,7 @@ class PolarModel:
             self.free_va = list(range(self.n_bus))
         self.n_state = len(self.free_va) + self.n_bus
         self._cols = np.concatenate([self.free_va, self.n_bus + np.arange(self.n_bus)])
+        self._pairs = None  # H's row-wise nonzero pairs, built by pattern_normal
 
     def flat(self, va0: float = 0.0) -> np.ndarray:
         """Every free angle at ``va0``, every magnitude 1."""
@@ -69,6 +71,40 @@ class PolarModel:
         selection keeps that order); copied only to drop a pinned angle."""
         full = jacobian_polar(self.view, self.unpack(x), self.specs)
         return full[:, self._cols] if self.pin_angle else full
+
+    def pattern_normal(self, root):
+        """``normal`` for :func:`gauss_newton` with W^-1/2 = diag(``root``),
+        built from H's nonzero pattern: the gain sums w_r h_r h_r' over the
+        pairs of nonzeros that share a row, and the gradient H' W^-1 r over
+        the nonzeros, each by one bincount; no whitened copy of H is formed.
+
+        The pattern comes from the compiled specs' Jacobian places, with a
+        pinned angle's column dropped; it is built on the first call.
+        """
+        n, m = self.n_state, len(self.specs)
+        if self._pairs is None:
+            col_of = np.full(2 * self.n_bus, -1)
+            col_of[self._cols] = np.arange(n)
+            full_col, row = np.divmod(self.view.compile(self.specs).jac_at, m)
+            col = col_of[full_col]
+            row, col = row[col >= 0], col[col >= 0]
+            order = np.argsort(row, kind="stable")
+            row, col = row[order], col[order]
+            # every ordered pair (a, b) of nonzeros in one row, rows ascending
+            per_nz = np.bincount(row, minlength=m)[row]
+            a = np.repeat(np.arange(len(row)), per_nz)
+            first = np.searchsorted(row, row)  # each row's first nonzero
+            b = np.arange(len(a)) - np.repeat(np.cumsum(per_nz) - per_nz - first, per_nz)
+            self._pairs = (row, col, row + m * col, a, b, col[a] * n + col[b])
+        row, col, at, a, b, ab = self._pairs
+        root_row = root[row]
+
+        def normal(h, r=None):
+            v = root_row * np.ravel(h, order="F")[at]
+            gain = np.bincount(ab, weights=v[a] * v[b], minlength=n * n).reshape(n, n)
+            return gain, None if r is None else np.bincount(col, weights=v * (root * r)[row], minlength=n)
+
+        return normal
 
     def embed_cov(self, cov_est: np.ndarray) -> np.ndarray:
         """Estimate covariance embedded into the full [va(n); vm(n)] layout
@@ -125,11 +161,27 @@ def whitener(parts, error: str):
     return whiten
 
 
-def gauss_newton(model, z, whiten, x0, tol, k_limit):
+def _dense_normal(whiten):
+    """``normal`` for :func:`gauss_newton` as dense products of the
+    whitened H: (H_w' H_w, H_w' r_w), or the gain alone without r, from
+    two whitened copies (H_w' H_w on one array takes another BLAS path)."""
+
+    def normal(h, r=None):
+        if r is None:
+            return whiten(h).T @ whiten(h), None
+        h_w = whiten(h)
+        return h_w.T @ h_w, h_w.T @ whiten(r)
+
+    return normal
+
+
+def gauss_newton(model, z, whiten, x0, tol, k_limit, normal=None):
     """Gauss-Newton WLS on ``model`` (``h(x)`` and ``jac(x)``) from x0,
     with W^-1/2 applied by ``whiten`` (see :func:`whitener`).
 
-    Steps solve the whitened normal equations; a full step that raises
+    ``normal(H, r)`` forms a step's gain H' W^-1 H and gradient
+    H' W^-1 r, ``normal(H)`` the gain alone (default: :func:`_dense_normal`).
+    Steps solve these normal equations; a full step that raises
     J(x) = ||W^-1/2 (z - h(x))||^2 falls back to Marquardt damping.
     Stops when max |dx| < tol.  Returns (x, covariance, iterations,
     converged, J(x), z - h(x)) with the covariance equal to the inverse
@@ -146,15 +198,14 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit):
             return np.inf, exc
         return float(np.sum(whiten(r) ** 2)), r
 
+    normal = _dense_normal(whiten) if normal is None else normal
     x = np.array(x0, dtype=float)
     r = z - model.h(x)
     j_here = float(np.sum(whiten(r) ** 2))
     converged = False
     iterations = 0
     for k in range(1, k_limit + 1):
-        h_w = whiten(model.jac(x))
-        g = h_w.T @ whiten(r)
-        gain = h_w.T @ h_w
+        gain, g = normal(model.jac(x), r)
         try:
             c = np.linalg.cholesky(gain)
         except np.linalg.LinAlgError:
@@ -186,9 +237,7 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit):
             converged = True
             break
 
-    h = model.jac(x)
-    # two whitened copies: H_w' H_w on one array takes another BLAS path
-    gain = whiten(h).T @ whiten(h)
+    gain, _ = normal(model.jac(x))
     try:
         cov = spd_inv(gain)
     except np.linalg.LinAlgError:
@@ -206,6 +255,10 @@ def wls_estimate(
     """Gauss-Newton WLS estimate for the given measurement set and model,
     from ``x0`` (default: the model's flat start).
 
+    Above ``bdu._LEAF`` unknowns the normal equations come from H's
+    nonzero pattern (:meth:`PolarModel.pattern_normal`); at or below it
+    they are dense products, so every such system rounds as it always did.
+
     Returns converged=False (never raises) when k_limit is reached; raises
     UnobservableError when the gain matrix is singular at an iterate.
     """
@@ -214,8 +267,9 @@ def wls_estimate(
     if len(mset) != len(model.specs):
         raise ValidationError("measurement set does not match the model's specs")
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
+    normal = model.pattern_normal(whiten(np.ones(len(mset)))) if model.n_state > bdu._LEAF else None
     x0 = model.flat() if x0 is None else x0
-    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, x0, tol, k_limit)
+    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, x0, tol, k_limit, normal)
     return EstimationResult(model.unpack(x), cov, iterations, converged, j, r, model)
 
 

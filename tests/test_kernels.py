@@ -1,6 +1,6 @@
 """The dense kernels ``bdu.tri_solve`` and ``bdu.spd_inv``: numpy's own call
 at or below the leaf, blocked above it, and the leaf contract that keeps
-every IEEE-30 system on numpy's call."""
+every IEEE-30 system on numpy's call and on the dense TSE gain."""
 
 import importlib.util
 import os
@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridstate import bdu, hybrid, wls
+from gridstate import bdu, hybrid, multiarea, wls
 from gridstate.cli import prepare, run_trial
 
 EPS = np.finfo(float).eps
@@ -95,20 +95,38 @@ def _record_sizes(monkeypatch):
     return sizes
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name``; returns the list its calls append to."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("lambda_strategy", ["approx", "exact"])
 def test_every_ieee30_system_stays_at_the_leaf(monkeypatch, lambda_strategy):
     """Every system the bundled experiment solves is at most the leaf's
     order, so it is numpy's own call and rounds as it always did; the
     exact-lambda search sits on a knife edge that any re-rounding moves.
     The largest is the anchored central TSE with 60 unknowns: a leaf below
-    60 would re-round it."""
+    60 would re-round it.  For the same reason no TSE takes its gain from
+    the Jacobian's pattern, and no model builds that pattern."""
     exp = prepare(config="ieee30.cfg", overrides={"lambda_strategy": lambda_strategy})
     sizes = _record_sizes(monkeypatch)
+    pattern = _count_calls(monkeypatch, wls.PolarModel, "pattern_normal")
     for trial in range(2):
         for robust, central in MODES:
             run_trial(exp, trial, robust, central)
     assert max(sizes) == 60
     assert max(sizes) <= bdu._LEAF
+    assert not pattern
+    models = [a.model for _, structure in exp.structures.values() for a in structure.areas]
+    assert len(models) == 4 and all(m._pairs is None for m in models)
 
 
 def _tiled_workload(k):
@@ -120,14 +138,19 @@ def _tiled_workload(k):
 
 
 def test_blocked_kernels_match_the_leaf_call_on_a_tiled_grid(monkeypatch, tmp_path):
-    """On IEEE-30 tiled twice (central TSE of 119 unknowns) the blocked
-    kernels and numpy's own calls give the same estimates to 1e-9."""
+    """On IEEE-30 tiled twice (central TSE of 120 unknowns) the blocked
+    kernels and the pattern gain give the same estimates as numpy's own
+    calls and the dense gain to 1e-9.  The TSE still goes through the
+    names the perfbench tracer patches."""
     paths = {}
     for role, text in _tiled_workload(2).items():
         paths[role] = tmp_path / f"input.{role}"
         paths[role].write_text(text)
     exp = prepare(str(paths["case"]), str(paths["partition"]), str(paths["plan"]), str(paths["config"]))
     sizes = _record_sizes(monkeypatch)
+    traced = {name: _count_calls(monkeypatch, owner, name)
+              for owner, name in ((multiarea, "wls_estimate"), (wls, "h_eval"), (wls, "jacobian_polar"))}
+    pattern = _count_calls(monkeypatch, wls.PolarModel, "pattern_normal")
 
     def estimates():
         out = []
@@ -138,6 +161,9 @@ def test_blocked_kernels_match_the_leaf_call_on_a_tiled_grid(monkeypatch, tmp_pa
 
     blocked = estimates()
     assert max(sizes) > bdu._LEAF
+    assert len(pattern) == 2  # the central TSE of each central mode
+    assert all(traced.values())
     monkeypatch.setattr(bdu, "_LEAF", 10**6)
     for got, want in zip(blocked, estimates()):
         assert np.max(np.abs(got - want)) <= 1e-9
+    assert len(pattern) == 2
