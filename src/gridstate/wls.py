@@ -102,7 +102,9 @@ class PolarModel:
         def normal(h, r=None):
             v = root_row * np.ravel(h, order="F")[at]
             gain = np.bincount(ab, weights=v[a] * v[b], minlength=n * n).reshape(n, n)
-            return gain, None if r is None else np.bincount(col, weights=v * (root * r)[row], minlength=n)
+            if r is None:
+                return gain, None
+            return gain, np.bincount(col, weights=v * (root * r)[row], minlength=n)
 
         return normal
 
@@ -267,9 +269,13 @@ def wls_estimate(
     if len(mset) != len(model.specs):
         raise ValidationError("measurement set does not match the model's specs")
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
-    normal = model.pattern_normal(whiten(np.ones(len(mset)))) if model.n_state > bdu._LEAF else None
+    normal = None
+    if model.n_state > bdu._LEAF:
+        normal = model.pattern_normal(whiten(np.ones(len(mset))))
     x0 = model.flat() if x0 is None else x0
-    x, cov, iterations, converged, j, r = gauss_newton(model, mset.z, whiten, x0, tol, k_limit, normal)
+    x, cov, iterations, converged, j, r = gauss_newton(
+        model, mset.z, whiten, x0, tol, k_limit, normal
+    )
     return EstimationResult(model.unpack(x), cov, iterations, converged, j, r, model)
 
 

@@ -33,7 +33,7 @@ def tiled2(tmp_path_factory):
     return area, tse_set, va0
 
 
-def _layouts(area, tse_set, _va0):
+def _layouts(area, tse_set):
     """{layout: (model, its measurement set)}: the central TSE as built
     (anchored at the reference PMU) and over its SCADA rows with the
     reference angle pinned."""
@@ -56,7 +56,7 @@ def _random_state(model, rng):
 
 @pytest.mark.parametrize("layout", ["anchored", "pinned"])
 def test_pattern_normal_equations_equal_the_dense_products(tiled2, layout):
-    model, mset = _layouts(*tiled2)[layout]
+    model, mset = _layouts(*tiled2[:2])[layout]
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
     normal = model.pattern_normal(whiten(np.ones(len(mset))))
     _, _, at, *_ = model._pairs
