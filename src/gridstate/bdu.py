@@ -265,8 +265,8 @@ def min_g(p: RobustProblem, evaluator: _Evaluator | None = None):
 
 
 def _scaled_lambda(mu: float, lam0: float) -> float:
-    if mu < 0.0:
-        raise ValidationError("mu must be nonnegative")
+    if not 0.0 <= mu < np.inf:
+        raise ValidationError("mu must be finite and nonnegative")
     return (1.0 + mu) * lam0
 
 

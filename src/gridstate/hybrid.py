@@ -11,7 +11,7 @@ linear update of the pseudo-state by the p PMU rows (a p x p Cholesky,
 no inverse root of the 2n x 2n pseudo block), and its covariance is
 skipped where nothing reads it (central runs, level 2).  The robust step
 at the practical lambda is the same update, re-weighted: under
-:func:`uncertainty_for_model`'s structure the min-max solution at a given
+:func:`uncertainty_for_model`'s (s0, e) the min-max solution at a given
 lambda is a regularized LS solution (El Ghaoui & Lebret, SIAM J. Matrix
 Anal. Appl. 18(4), 1997).  The exact-lambda step whitens the stack by
 :func:`gridstate.wls.whitener` (an eigh of that block) for bdu; its
@@ -33,7 +33,6 @@ from .bdu import (
     UncertaintyStructure,
     _scaled_lambda,
     bdu_solve,
-    null_uncertainty,
     spd_inv,
     tri_solve,
 )
@@ -180,38 +179,38 @@ def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
     return HybridResult(_as_state(m, x), w - b.T @ b)
 
 
-def uncertainty_for_model(m: HybridModel, s0: float, e0: float) -> UncertaintyStructure:
-    """Structured-uncertainty triple the robust solve hedges against.
+def uncertainty_for_model(m: HybridModel, s0: float, e0: float) -> tuple[float, float]:
+    """The two numbers (s0, e) of the structured uncertainty the robust
+    solve hedges against.
 
     S = s0 I restricted to the PMU rows (pseudo-measurement rows are the
-    estimator's own output, not uncertain inputs).  E_h = e0 c I with c
-    the spectral norm of the model's PMU row block, i.e. e0 is a fraction
-    of the block's own scale, the way network-parameter tolerances are
-    quoted.  E_z = E_h x_pseudo centers the perturbation ball on the
-    traditional estimate carried in the model's own pseudo-measurement
-    rows; that is the solver's best prior for where the truth manifold
-    lies, and without it the min-max hedge shrinks voltages toward zero.
+    estimator's own output, not uncertain inputs).  E_h = e I, e = e0 c
+    with c the spectral norm of the model's PMU row block (0 with no S):
+    e0 is a fraction of the block's own scale, the way network-parameter
+    tolerances are quoted.  E_z = E_h x_pseudo centers the perturbation
+    ball on the traditional estimate in the model's pseudo rows; that is
+    the solver's best prior for where the truth manifold lies, and
+    without it the min-max hedge shrinks voltages toward zero.
     """
-    n, p = m.n_state, len(m.w_pmu)
-    if s0 == 0.0 or p == 0:
-        return null_uncertainty(len(m.z), n)
-    s = np.zeros((len(m.z), p))
-    s[n + np.arange(p), np.arange(p)] = s0
-    e_h = e0 * float(np.linalg.norm(m.h[n:], 2)) * np.eye(n)
-    return UncertaintyStructure(s, e_h, e_h @ m.z[:n])
+    if s0 == 0.0 or len(m.w_pmu) == 0:
+        return s0, 0.0
+    return s0, e0 * float(np.linalg.norm(m.h[m.n_state :], 2))
 
 
 def hybrid_solve_robust(
     m: HybridModel,
-    unc: UncertaintyStructure,
+    s0: float,
+    e: float,
     lam_strategy: str = "exact",
     mu: float = 1.0,
     cov: bool = True,
 ) -> HybridResult:
-    """Robust variant of hybrid_solve, its covariance formed only with
-    ``cov`` (else None).  Uncertainty that is null or bounds no
-    perturbation (s0 = 0 or e0 = 0) leaves plain WLS: that is
-    :func:`hybrid_solve` itself, with ``robust`` None.
+    """Robust variant of hybrid_solve under the uncertainty (s0, e) of
+    :func:`uncertainty_for_model`, its covariance formed only with ``cov``
+    (else None).  Uncertainty that is null or bounds no perturbation
+    (s0 = 0, e = 0 or no PMU rows) leaves plain WLS: that is
+    :func:`hybrid_solve` itself, with ``robust`` None.  ValidationError
+    for a negative or non-finite s0 or e and an unknown ``lam_strategy``.
 
     Approximate lambda is :func:`_approx_step`.  Exact lambda delegates
     the min-max solve to bdu on the whitened problem (z, H, S scaled by
@@ -219,12 +218,17 @@ def hybrid_solve_robust(
     unchanged, the conditioning is not, and bdu's covariance is for unit
     data covariance.
     """
-    if unc.is_null() or unc.no_perturbation_bound():
+    if not (0.0 <= s0 < np.inf and 0.0 <= e < np.inf):
+        raise ValidationError("s0 and e must be finite and nonnegative")
+    if lam_strategy not in ("approx", "exact"):
+        raise ValidationError(f"unknown lambda strategy {lam_strategy!r}")
+    if s0 == 0.0 or e == 0.0 or len(m.w_pmu) == 0:
         return hybrid_solve(m, cov=cov)
     if lam_strategy == "approx":
-        return _approx_step(m, unc, mu, cov)
+        return _approx_step(m, s0, e, mu, cov)
     # W spans many decades (the floored reference-angle mode), so the
     # solve runs on whitened data
+    unc = _uncertainty_arrays(m, s0, e)
     whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
     unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
     p = RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)), unc_w)
@@ -232,22 +236,17 @@ def hybrid_solve_robust(
     return HybridResult(_as_state(m, sol.x), sol.cov if cov else None, sol)
 
 
-def _structure(m: HybridModel, unc: UncertaintyStructure):
-    """(s0, e) of an uncertainty in :func:`uncertainty_for_model`'s form,
-    S = s0 on the PMU rows, E_h = e I, E_z = e x_p; ValidationError for
-    any other structure."""
+def _uncertainty_arrays(m: HybridModel, s0: float, e: float) -> UncertaintyStructure:
+    """(S, E_h, E_z) of the pair (s0, e) as bdu takes them: S = s0 on the
+    PMU rows (m x p), E_h = e I (2n x 2n), E_z = E_h x_pseudo."""
     n, p = m.n_state, len(m.w_pmu)
-    if unc.s.shape == (len(m.z), p) and unc.e_h.shape == (n, n):
-        s0, e = unc.s[n, 0], unc.e_h[0, 0]
-        s = np.zeros_like(unc.s)
-        s[n + np.arange(p), np.arange(p)] = s0
-        if (np.array_equal(unc.s, s) and np.array_equal(unc.e_h, e * np.eye(n))
-                and np.array_equal(unc.e_z, e * m.z[:n])):
-            return float(s0), float(e)
-    raise ValidationError("approximate lambda needs the uncertainty structure of uncertainty_for_model")
+    s = np.zeros((len(m.z), p))
+    s[n + np.arange(p), np.arange(p)] = s0
+    e_h = e * np.eye(n)
+    return UncertaintyStructure(s, e_h, e_h @ m.z[:n])
 
 
-def _approx_step(m: HybridModel, unc: UncertaintyStructure, mu: float, cov: bool) -> HybridResult:
+def _approx_step(m: HybridModel, s0: float, e: float, mu: float, cov: bool) -> HybridResult:
     """The min-max step at lambda = (1 + mu) max d_i, d_i = s0^2 / sigma_i^2,
     as :func:`hybrid_solve`'s update with a shrunk prior and re-weighted
     PMU rows:
@@ -263,7 +262,6 @@ def _approx_step(m: HybridModel, unc: UncertaintyStructure, mu: float, cov: bool
     A or M is not positive definite.
     """
     n = m.n_state
-    s0, e = _structure(m, unc)
     d = s0**2 / m.w_pmu
     lam = _scaled_lambda(mu, float(d.max()))
     x, w, h = m.z[:n], m.w_pseudo, m.h[n:]

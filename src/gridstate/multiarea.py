@@ -165,8 +165,8 @@ def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> H
         hmodel = apply_perturbation(hmodel, delta, cfg.s0, cfg.e0)
     if not robust:
         return hybrid_solve(hmodel, cov=cov)
-    unc = uncertainty_for_model(hmodel, cfg.s0, cfg.e0)
-    return hybrid_solve_robust(hmodel, unc, cfg.lambda_strategy, cfg.mu, cov=cov)
+    s0, e = uncertainty_for_model(hmodel, cfg.s0, cfg.e0)
+    return hybrid_solve_robust(hmodel, s0, e, cfg.lambda_strategy, cfg.mu, cov=cov)
 
 
 class _AreaStructure:

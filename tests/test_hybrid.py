@@ -8,7 +8,6 @@ from gridstate.bdu import (
     UncertaintyStructure,
     bdu_solve,
     min_g,
-    null_uncertainty,
     worst_case_objective,
 )
 from gridstate.errors import NumericalError, ValidationError
@@ -16,6 +15,7 @@ from gridstate.hybrid import (
     VARIANCE_FLOOR,
     HybridModel,
     PmuBlock,
+    _uncertainty_arrays,
     apply_perturbation,
     build_hybrid_model,
     hybrid_solve,
@@ -80,8 +80,9 @@ def _dense_whitener(w):
     return (vecs / np.sqrt(evals)) @ vecs.T
 
 
-def _dense_problem(m, unc):
-    """The whitened robust problem built through the dense whitener."""
+def _dense_problem(m, s0, e):
+    """The whitened robust problem of (s0, e) built through the dense whitener."""
+    unc = _uncertainty_arrays(m, s0, e)
     w_isqrt = _dense_whitener(_dense_w(m))
     return RobustProblem(w_isqrt @ m.z, w_isqrt @ m.h, np.ones(len(m.z)),
                          UncertaintyStructure(w_isqrt @ unc.s, unc.e_h, unc.e_z))
@@ -95,13 +96,14 @@ def _oracle_plain(m):
     return x, np.linalg.inv(m.h.T @ np.linalg.inv(w) @ m.h)
 
 
-def _oracle_robust(m, unc, lam):
+def _oracle_robust(m, s0, e, lam):
     """Dense BDU at a given lambda on the dense-whitened problem: R_hat as
     an m x m matrix (from the eigendecomposition of S'S), x and
     A = N^-1 H' R_hat by solves, cov = A A'; also cond(N), N the normal
     matrix."""
-    p = _dense_problem(m, unc)
-    s = p.uncertainty.s
+    p = _dense_problem(m, s0, e)
+    unc = p.uncertainty
+    s = unc.s
     d, q = np.linalg.eigh(s.T @ s)
     lam = max(lam, d[-1] + 1e-12 * max(1.0, d[-1]))
     sq = s @ q
@@ -238,14 +240,20 @@ def test_robust_reduces_to_plain_without_uncertainty(net30, part30, specs30, tru
     rng = np.random.default_rng(6)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 2, rng, cfg30)
     m = _build(tse, pmu, view)
-    plain = hybrid_solve(m)
-    # no S, or S with no perturbation bound (e0 = 0): plain WLS, exactly
-    for unc in (null_uncertainty(len(m.z), m.n_state), uncertainty_for_model(m, 0.0, 0.5),
-                uncertainty_for_model(m, 0.5, 0.0)):
-        rob = hybrid_solve_robust(m, unc)
-        assert rob.robust is None
-        assert np.array_equal(_flat(rob), _flat(plain))
-        assert np.array_equal(rob.covariance, plain.covariance)
+    bare = _build(tse, MeasurementSet(()), view)
+    assert uncertainty_for_model(bare, 0.05, 0.05) == (0.05, 0.0)
+    # no S (s0 = 0 or no PMU rows), or S with no perturbation bound
+    # (e = 0): plain WLS, exactly
+    for model, pairs in ((m, [(0.0, 0.5), uncertainty_for_model(m, 0.0, 0.5),
+                              uncertainty_for_model(m, 0.5, 0.0)]),
+                         (bare, [uncertainty_for_model(bare, 0.05, 0.05), (0.05, 0.05)])):
+        plain = hybrid_solve(model)
+        for s0, e in pairs:
+            for strategy in ("approx", "exact"):
+                rob = hybrid_solve_robust(model, s0, e, strategy)
+                assert rob.robust is None
+                assert np.array_equal(_flat(rob), _flat(plain))
+                assert np.array_equal(rob.covariance, plain.covariance)
 
 
 def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth30, cfg30):
@@ -257,12 +265,12 @@ def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth3
     for seed in range(total):
         delta = sample_delta(np.random.default_rng([seed, 2]), len(m.w_pmu), m.n_state)
         pert = apply_perturbation(m, delta, 0.05, 0.05)
-        unc = uncertainty_for_model(pert, 0.05, 0.05)
+        s0, e = uncertainty_for_model(pert, 0.05, 0.05)
         plain = hybrid_solve(pert)
         # the min-max (exact lambda) solution is the one carrying the
         # worst-case guarantee
-        robust = hybrid_solve_robust(pert, unc, "exact")
-        prob = _dense_problem(pert, unc)
+        robust = hybrid_solve_robust(pert, s0, e, "exact")
+        prob = _dense_problem(pert, s0, e)
         wc_p = worst_case_objective(np.concatenate([plain.state.v1, plain.state.v2]), prob, 200, seed)
         wc_r = worst_case_objective(np.concatenate([robust.state.v1, robust.state.v2]), prob, 200, seed)
         wins += wc_r <= wc_p * (1.0 + 1e-9)
@@ -271,7 +279,9 @@ def test_robust_beats_plain_on_sampled_worst_case(net30, part30, specs30, truth3
 
 def test_scalar_instance_embedded_as_one_bus_model():
     # one rect bus; the vr component carries the scalar sanity instance
-    # (H=1, z=1, R=1, S=1, E_h=0.5, E_z=0 -> x_hat = 1), vi decouples
+    # (H=1, z=1, R=1, S=1, E_h=0.5, E_z=0 -> x_hat = 1), vi decouples.
+    # S sits on a pseudo row, outside the experiment's (s0, e) form, so
+    # bdu solves the model's problem directly
     hm = HybridModel(
         block=PmuBlock(_View(1), (), np.zeros(0, dtype=int), np.eye(2), 0.0),
         z=np.array([1.0, 0.0]),
@@ -282,10 +292,8 @@ def test_scalar_instance_embedded_as_one_bus_model():
     unc = UncertaintyStructure(
         np.array([[1.0], [0.0]]), np.array([[0.5, 0.0]]), np.array([0.0])
     )
-    res = hybrid_solve_robust(hm, unc, "exact")
-    assert abs(res.state.v1[0] - 1.0) < 1e-6 and abs(res.state.v2[0]) < 1e-9
     direct = bdu_solve(RobustProblem(hm.z, hm.h, np.diag(np.linalg.inv(_dense_w(hm))), unc), "exact")
-    assert np.abs(direct.x - np.array([res.state.v1[0], res.state.v2[0]])).max() < 1e-9
+    assert abs(direct.x[0] - 1.0) < 1e-6 and abs(direct.x[1]) < 1e-9
 
 
 def _dense_perturbation(m, delta, s0, e0):
@@ -371,14 +379,14 @@ def _check_against_oracle(m, seed):
     if len(m.w_pmu):
         delta = sample_delta(np.random.default_rng(seed), len(m.w_pmu), m.n_state)
         m = apply_perturbation(m, delta, 0.05, 0.05)
-    unc = uncertainty_for_model(m, 0.05, 0.05)
+    s0, e = uncertainty_for_model(m, 0.05, 0.05)
     for strategy in ("approx", "exact"):
-        rob = hybrid_solve_robust(m, unc, strategy, 1.0)
-        if unc.is_null():
+        rob = hybrid_solve_robust(m, s0, e, strategy, 1.0)
+        if e == 0.0:
             assert rob.robust is None
             ref = _oracle_plain(m)
         else:
-            p = _dense_problem(m, unc)
+            p = _dense_problem(m, s0, e)
             if strategy == "approx":
                 assert rob.robust.lam == pytest.approx(lambda_approx(1.0, p.uncertainty.s, p.r), rel=1e-12)
             else:
@@ -386,7 +394,7 @@ def _check_against_oracle(m, seed):
                 # compare G values on the oracle's problem, not lambdas
                 g_hat = g_of_lambda(rob.robust.lam, p)
                 assert g_hat <= g_of_lambda(min_g(p), p) + 1e-9 * (1.0 + abs(g_hat))
-            ref = _oracle_robust(m, unc, rob.robust.lam)
+            ref = _oracle_robust(m, s0, e, rob.robust.lam)
         _assert_matches(_flat(rob), rob.covariance, *ref)
 
 
@@ -416,7 +424,7 @@ def test_indefinite_pseudo_block_raises(net30, part30, specs30, truth30, cfg30):
     with pytest.raises(NumericalError, match="hybrid covariance is not positive definite"):
         hybrid_solve(bad)
     with pytest.raises(NumericalError, match="hybrid covariance is not positive definite"):
-        hybrid_solve_robust(bad, uncertainty_for_model(bad, 0.05, 0.05))
+        hybrid_solve_robust(bad, *uncertainty_for_model(bad, 0.05, 0.05))
 
 
 def test_plain_step_with_pinned_reference_matches_dense_oracle(net30, part30, specs30, truth30, cfg30):
@@ -463,7 +471,7 @@ def test_skipping_the_covariance_leaves_the_estimate_bit_identical(net30, part30
 
 
 def _robust_models(monkeypatch, central, trials):
-    """(model, uncertainty) of every robust hybrid stage of the bundled
+    """(model, s0, e) of every robust hybrid stage of the bundled
     experiment (seed 0, s0 = e0 = 0.05) over ``trials``."""
     from gridstate import multiarea
     from gridstate.cli import prepare, run_trial
@@ -471,9 +479,9 @@ def _robust_models(monkeypatch, central, trials):
     seen = []
     original = multiarea.hybrid_solve_robust
 
-    def spy(m, unc, *args, **kwargs):
-        seen.append((m, unc))
-        return original(m, unc, *args, **kwargs)
+    def spy(m, s0, e, *args, **kwargs):
+        seen.append((m, s0, e))
+        return original(m, s0, e, *args, **kwargs)
 
     monkeypatch.setattr(multiarea, "hybrid_solve_robust", spy)
     exp = prepare(config="ieee30.cfg")
@@ -491,11 +499,11 @@ def test_approx_step_at_the_lambda_edge_matches_kkt_oracle(monkeypatch, mu):
     central = _robust_models(monkeypatch, True, range(3))
     # areas 1-3; level 2's dense-whitened problem alone is rounded at 4e-11
     areas = _robust_models(monkeypatch, False, range(1))[:3]
-    assert len(central) == 3 and {m.n_bus for m, _ in central} == {30}
-    assert sorted(m.n_bus for m, _ in areas) == [12, 12, 18]
-    for m, unc in central + areas:
-        rob = hybrid_solve_robust(m, unc, "approx", mu, cov=False)
-        p = _dense_problem(m, unc)
+    assert len(central) == 3 and {m.n_bus for m, _, _ in central} == {30}
+    assert sorted(m.n_bus for m, _, _ in areas) == [12, 12, 18]
+    for m, s0, e in central + areas:
+        rob = hybrid_solve_robust(m, s0, e, "approx", mu, cov=False)
+        p = _dense_problem(m, s0, e)
         assert rob.robust.lam == pytest.approx(lambda_approx(mu, p.uncertainty.s, p.r), rel=1e-12)
         x_ref = kkt_solution(p, rob.robust.lam)
         assert np.abs(_flat(rob) - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
@@ -521,9 +529,10 @@ def _random_model(seed, n_bus, p):
     return HybridModel(block, z, h, w, sigma**2)
 
 
-def _whitened(m, unc):
+def _whitened(m, s0, e):
     """The problem the exact-lambda branch hands bdu: z, H, S scaled by
     W^-1/2 through the package's block whitener, unit weights."""
+    unc = _uncertainty_arrays(m, s0, e)
     whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
     return RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)),
                          UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z))
@@ -540,10 +549,10 @@ def _whitened(m, unc):
 )
 def test_property_structured_step_equals_bdu_solve(seed, n_bus, p, s0, e0, mu):
     m = _random_model(seed, n_bus, p)
-    unc = uncertainty_for_model(m, s0, e0)
-    rob = hybrid_solve_robust(m, unc, "approx", mu)
+    _, e = uncertainty_for_model(m, s0, e0)
+    rob = hybrid_solve_robust(m, s0, e, "approx", mu)
     x, cov = _flat(rob), rob.covariance
-    prob = _whitened(m, unc)
+    prob = _whitened(m, s0, e)
     assert rob.robust.lam == pytest.approx(lambda_approx(mu, prob.uncertainty.s, prob.r), rel=1e-12)
     x_ls, cov_ls, cond = lsq_solution(prob, rob.robust.lam)
     assert np.abs(x - x_ls).max() <= 1e-10 * np.abs(x_ls).max()
@@ -559,31 +568,6 @@ def test_property_structured_step_equals_bdu_solve(seed, n_bus, p, s0, e0, mu):
     assert rob.robust.worst_case == pytest.approx(g_of_lambda(rob.robust.lam, prob), rel=1e-9, abs=1e-9)
 
 
-def test_approx_lambda_rejects_other_uncertainty_structures():
-    m = _random_model(5, 4, 6)
-    unc = uncertainty_for_model(m, 0.05, 0.05)
-    n = m.n_state
-    s_extra = unc.s.copy()
-    s_extra[0, 0] = 0.05  # a pseudo row perturbed too
-    s_unequal = unc.s.copy()
-    s_unequal[n + 1, 1] = 0.07  # two scales on the PMU rows
-    e_diag = unc.e_h * np.linspace(0.5, 1.5, n)  # E_h not a multiple of I
-    others = [
-        UncertaintyStructure(s_extra, unc.e_h, unc.e_z),
-        UncertaintyStructure(s_unequal, unc.e_h, unc.e_z),
-        UncertaintyStructure(unc.s[:, :-1], unc.e_h, unc.e_z),
-        UncertaintyStructure(unc.s, e_diag, e_diag @ m.z[:n]),
-        UncertaintyStructure(unc.s, unc.e_h, np.zeros(n)),  # not centred on x_p
-        UncertaintyStructure(unc.s, unc.e_h[:1], unc.e_z[:1]),
-        UncertaintyStructure(np.ones((len(m.z), 2)), unc.e_h, unc.e_z),
-    ]
-    for other in others:
-        with pytest.raises(ValidationError, match="uncertainty structure"):
-            hybrid_solve_robust(m, other, "approx", 1.0)
-        # exact lambda still solves any structure through bdu
-        assert hybrid_solve_robust(m, other, "exact").robust.strategy == "exact"
-
-
 def test_skipping_the_robust_covariance_leaves_the_estimate_bit_identical(net30, part30, specs30, truth30, cfg30):
     from gridstate.cli import make_delta_sampler
     from gridstate.measurement import synthesize
@@ -593,9 +577,9 @@ def test_skipping_the_robust_covariance_leaves_the_estimate_bit_identical(net30,
     rng = np.random.default_rng(45)
     view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
     m = _build(tse, pmu, view)
-    unc = uncertainty_for_model(m, 0.05, 0.05)
+    s0, e = uncertainty_for_model(m, 0.05, 0.05)
     for strategy in ("approx", "exact"):
-        full, bare = (hybrid_solve_robust(m, unc, strategy, 100.0, cov=cov) for cov in (True, False))
+        full, bare = (hybrid_solve_robust(m, s0, e, strategy, 100.0, cov=cov) for cov in (True, False))
         assert full.covariance is not None and bare.covariance is None
         assert np.array_equal(_flat(full), _flat(bare))
         assert (full.robust.lam, full.robust.worst_case) == (bare.robust.lam, bare.robust.worst_case)
@@ -614,3 +598,69 @@ def test_skipping_the_robust_covariance_leaves_the_estimate_bit_identical(net30,
     assert skipped.locals[0].cov is None and computed.locals[0].cov is not None
     assert np.array_equal(skipped.vm, computed.vm)
     assert np.array_equal(skipped.va, computed.va)
+
+
+def _robust_test_models(net30, part30, specs30, truth30, cfg30):
+    """An area model of the bundled case, perturbed as a trial does, and
+    two random ones."""
+    rng = np.random.default_rng(46)
+    view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
+    m = _build(tse, pmu, view)
+    m = apply_perturbation(m, sample_delta(rng, len(m.w_pmu), m.n_state), 0.05, 0.05)
+    return [m, _random_model(5, 4, 6), _random_model(8, 1, 3)]
+
+
+def test_uncertainty_arrays_are_the_dense_triple(net30, part30, specs30, truth30, cfg30):
+    # the oracle is the triple as the robust step used to receive it:
+    # S = s0 on the PMU rows, E_h = e0 c I, E_z = E_h x_p
+    for m in _robust_test_models(net30, part30, specs30, truth30, cfg30):
+        n, p = m.n_state, len(m.w_pmu)
+        for s0, e0 in ((0.05, 0.05), (0.1, 0.03), (0.02, 0.2)):
+            s = np.zeros((len(m.z), p))
+            for k in range(p):
+                s[n + k, k] = s0
+            c = float(np.linalg.norm(m.h[n:], 2))
+            e_h = e0 * c * np.eye(n)
+            e_z = e_h @ m.z[:n]
+            pair = uncertainty_for_model(m, s0, e0)
+            assert pair == (s0, e0 * c)
+            unc = _uncertainty_arrays(m, *pair)
+            assert np.array_equal(unc.s, s)
+            assert np.array_equal(unc.e_h, e_h)
+            assert np.array_equal(unc.e_z, e_z)
+            assert np.array_equal(unc.e_z, pair[1] * m.z[:n])  # centred on x_p
+
+
+def test_exact_step_is_bdu_solve_on_the_whitened_problem(net30, part30, specs30, truth30, cfg30):
+    for m in _robust_test_models(net30, part30, specs30, truth30, cfg30):
+        s0, e = uncertainty_for_model(m, 0.05, 0.05)
+        rob = hybrid_solve_robust(m, s0, e, "exact")
+        ref = bdu_solve(_whitened(m, s0, e), "exact")
+        assert rob.robust.strategy == "exact"
+        assert np.array_equal(_flat(rob), ref.x)
+        assert np.array_equal(rob.covariance, ref.cov)
+        assert (rob.robust.lam, rob.robust.worst_case) == (ref.lam, ref.worst_case)
+
+
+def test_robust_step_validates_the_uncertainty_and_strategy():
+    m = _random_model(5, 4, 6)
+    bad = [(np.nan, 0.05), (0.05, np.nan), (np.inf, 0.05), (0.05, np.inf), (-0.05, 0.05), (0.05, -1e-3),
+           uncertainty_for_model(m, np.nan, 0.05), uncertainty_for_model(m, 0.05, np.nan)]
+    for s0, e in bad:
+        for strategy in ("approx", "exact"):
+            with pytest.raises(ValidationError, match="s0 and e must be finite and nonnegative"):
+                hybrid_solve_robust(m, s0, e, strategy)
+    # a bogus strategy is refused also where the step would reduce to plain WLS
+    for s0, e in ((0.0, 0.0), (0.05, 0.0), (0.05, 0.05)):
+        with pytest.raises(ValidationError, match="unknown lambda strategy 'bogus'"):
+            hybrid_solve_robust(m, s0, e, "bogus")
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+def test_approx_lambda_refuses_a_non_finite_or_negative_mu(mu):
+    m = _random_model(5, 4, 6)
+    s0, e = uncertainty_for_model(m, 0.05, 0.05)
+    with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
+        bdu_solve(_whitened(m, s0, e), "approx", mu)
+    with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
+        hybrid_solve_robust(m, s0, e, "approx", mu)

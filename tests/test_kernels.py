@@ -129,12 +129,38 @@ def test_every_ieee30_system_stays_at_the_leaf(monkeypatch, lambda_strategy):
     assert len(models) == 4 and all(m._pairs is None for m in models)
 
 
-def _tiled_workload(k):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path (perfbench is not a package)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.tiled_texts(k, seed=1)
+    return module
+
+
+def _tiled_workload(k):
+    return _perfbench_module("workloads").tiled_texts(k, seed=1)
+
+
+@pytest.mark.parametrize("lambda_strategy", ["approx", "exact"])
+def test_robust_trials_pass_through_the_traced_names(monkeypatch, lambda_strategy):
+    """The perfbench tracer patches each name it times where its caller
+    looks it up: every name it lists must exist there, and a robust trial
+    must still call the robust step's names, bdu only at exact lambda."""
+    spans = _perfbench_module("spans")
+    for owner, attr, *_ in spans.SPANS + spans.LEAVES:
+        assert attr in owner.__dict__, (owner, attr)
+    exp = prepare(config="ieee30.cfg", overrides={"lambda_strategy": lambda_strategy})
+    calls = {name: _count_calls(monkeypatch, owner, name)
+             for owner, name in ((multiarea, "uncertainty_for_model"), (multiarea, "hybrid_solve_robust"),
+                                 (hybrid, "bdu_solve"), (bdu, "min_g"))}
+    for central in (True, False):
+        run_trial(exp, 0, robust=True, central=central)
+    steps = len(calls["hybrid_solve_robust"])
+    assert steps == 5  # the central step, three areas and the coordinator
+    assert len(calls["uncertainty_for_model"]) == steps
+    solves = steps if lambda_strategy == "exact" else 0
+    assert len(calls["bdu_solve"]) == len(calls["min_g"]) == solves
 
 
 def test_blocked_kernels_match_the_leaf_call_on_a_tiled_grid(monkeypatch, tmp_path):
