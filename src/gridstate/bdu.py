@@ -272,7 +272,12 @@ def _scaled_lambda(mu: float, lam0: float) -> float:
 
 def bdu_solve(p: RobustProblem, lam_strategy: str = "exact", mu: float = 1.0) -> RobustSolution:
     """Solve the min-max problem; with null uncertainty this reduces exactly
-    to weighted LS, ``lsq`` on the sqrt(r)-scaled rows."""
+    to weighted LS, ``lsq`` on the sqrt(r)-scaled rows.  The strategy, and
+    mu at ``approx``, are checked first, whichever path solves."""
+    if lam_strategy not in ("exact", "approx"):
+        raise ValidationError(f"unknown lambda strategy {lam_strategy!r}")
+    if lam_strategy == "approx":
+        _scaled_lambda(mu, 0.0)  # raises for a mu outside [0, inf)
     u = p.uncertainty
     if u.is_null() or u.no_perturbation_bound():
         root = np.sqrt(p.r)
@@ -282,12 +287,7 @@ def bdu_solve(p: RobustProblem, lam_strategy: str = "exact", mu: float = 1.0) ->
         return RobustSolution(x, 0.0, float(res @ res), "reduced", cov)
 
     ev = _Evaluator(p)
-    if lam_strategy == "exact":
-        lam = min_g(p, evaluator=ev)
-    elif lam_strategy == "approx":
-        lam = _scaled_lambda(mu, ev.lam0)
-    else:
-        raise ValidationError(f"unknown lambda strategy {lam_strategy!r}")
+    lam = min_g(p, evaluator=ev) if lam_strategy == "exact" else _scaled_lambda(mu, ev.lam0)
     return ev.solution(lam, lam_strategy)
 
 

@@ -332,82 +332,97 @@ class ModelView:
 
 
 def h_eval(view: ModelView, state: StateVector, specs) -> np.ndarray:
-    """Evaluate the nonlinear measurement functions at a polar state."""
+    """Evaluate the nonlinear measurement functions at a polar state.
+
+    Only the measurement families the compiled specs hold are evaluated."""
     vm, va = view.polar(state, "h_eval")
     c = view.compile(specs)
     v = vm * np.exp(1j * va)
     out = np.empty(c.n_rows)
 
-    s = (v[c.inj_bus] * np.conj(c.inj_y @ v))[c.inj.k]
-    out[c.inj.rows] = np.where(c.inj.imag, s.imag, s.real)
+    if len(c.inj.rows):
+        s = (v[c.inj_bus] * np.conj(c.inj_y @ v))[c.inj.k]
+        out[c.inj.rows] = np.where(c.inj.imag, s.imag, s.real)
 
     u = c.volt
-    vmk, vak = vm[u.k], va[u.k]
-    out[u.rows] = np.where(u.imag, vmk * np.sin(vak), vmk * np.cos(vak))
+    if len(u.rows):
+        vmk, vak = vm[u.k], va[u.k]
+        out[u.rows] = np.where(u.imag, vmk * np.sin(vak), vmk * np.cos(vak))
 
     f = c.flow
-    vi = v[f.i]
-    s = vi * np.conj(f.ymm * vi + f.ymf * v[f.j])
-    out[f.rows] = np.where(f.imag, s.imag, s.real)
+    if len(f.rows):
+        vi = v[f.i]
+        s = vi * np.conj(f.ymm * vi + f.ymf * v[f.j])
+        out[f.rows] = np.where(f.imag, s.imag, s.real)
 
     u = c.cur
-    cur = u.ymm * v[u.i] + u.ymf * v[u.j]
-    out[u.rows] = np.where(u.imag, cur.imag, cur.real)
+    if len(u.rows):
+        cur = u.ymm * v[u.i] + u.ymf * v[u.j]
+        out[u.rows] = np.where(u.imag, cur.imag, cur.real)
     return out
 
 
-def jacobian_polar(view: ModelView, state: StateVector, specs) -> np.ndarray:
+def jacobian_polar(view: ModelView, state: StateVector, specs, dense: bool = True) -> np.ndarray:
     """Analytic H = dh/dx for the polar layout [va (all); vm (all)].
 
     Only the places the compiled specs record as structurally nonzero are
-    evaluated.  H is written in Fortran order: its layout picks the BLAS
-    path of the whitened gain H_w' H_w, and so its rounding.
+    evaluated, and only for the measurement families the specs hold.  H
+    is written in Fortran order: its layout picks the BLAS path of the
+    whitened gain H_w' H_w, and so its rounding.  With ``dense=False``
+    the nonzero values alone come back, in ``CompiledSpecs.jac_at`` order.
     """
     vm, va = view.polar(state, "jacobian_polar")
     c = view.compile(specs)
-    n = view.n_bus
+    values = []
 
-    # injections: only the metered buses' rows of the Ybus
-    v = vm * np.exp(1j * va)
-    s = v[c.inj_bus] * np.conj(c.inj_y @ v)
-    dva_p, dvm_p, dva_q, dvm_q = injection_jacobian(c.inj_pat, vm, va, s.real, s.imag)
-    e, im = c.inj_entry, c.inj_imag
-    values = [np.where(im, dva_q[e], dva_p[e]), np.where(im, dvm_q[e], dvm_p[e])]
+    if len(c.inj.rows):
+        # only the metered buses' rows of the Ybus
+        v = vm * np.exp(1j * va)
+        s = v[c.inj_bus] * np.conj(c.inj_y @ v)
+        dva_p, dvm_p, dva_q, dvm_q = injection_jacobian(c.inj_pat, vm, va, s.real, s.imag)
+        e, im = c.inj_entry, c.inj_imag
+        values += [np.where(im, dva_q[e], dva_p[e]), np.where(im, dvm_q[e], dvm_p[e])]
 
     f = c.flow
-    vi, vj = vm[f.i], vm[f.j]
-    g1, b1 = f.ymm.real, f.ymm.imag
-    g2, b2 = f.ymf.real, f.ymf.imag
-    th = va[f.i] - va[f.j]
-    cth, sth = np.cos(th), np.sin(th)
-    dth = vi * vj * np.where(f.imag, g2 * cth + b2 * sth, -g2 * sth + b2 * cth)
-    values += [
-        dth,
-        -dth,
-        np.where(
-            f.imag,
-            -2.0 * vi * b1 + vj * (g2 * sth - b2 * cth),
-            2.0 * vi * g1 + vj * (g2 * cth + b2 * sth),
-        ),
-        vi * np.where(f.imag, g2 * sth - b2 * cth, g2 * cth + b2 * sth),
-    ]
-
-    u = c.volt
-    vmk, ck, sk = vm[u.k], np.cos(va[u.k]), np.sin(va[u.k])
-    values += [np.where(u.imag, sk, ck), np.where(u.imag, vmk * ck, -vmk * sk)]
-
-    u = c.cur
-    for k, y in ((u.i, u.ymm), (u.j, u.ymf)):
-        gk, bk = y.real, y.imag
-        ck, sk = np.cos(va[k]), np.sin(va[k])
+    if len(f.rows):
+        vi, vj = vm[f.i], vm[f.j]
+        g1, b1 = f.ymm.real, f.ymm.imag
+        g2, b2 = f.ymf.real, f.ymf.imag
+        th = va[f.i] - va[f.j]
+        cth, sth = np.cos(th), np.sin(th)
+        dth = vi * vj * np.where(f.imag, g2 * cth + b2 * sth, -g2 * sth + b2 * cth)
         values += [
-            np.where(u.imag, gk * sk + bk * ck, gk * ck - bk * sk),
-            vm[k] * np.where(u.imag, gk * ck - bk * sk, -gk * sk - bk * ck),
+            dth,
+            -dth,
+            np.where(
+                f.imag,
+                -2.0 * vi * b1 + vj * (g2 * sth - b2 * cth),
+                2.0 * vi * g1 + vj * (g2 * cth + b2 * sth),
+            ),
+            vi * np.where(f.imag, g2 * sth - b2 * cth, g2 * cth + b2 * sth),
         ]
 
-    out = np.zeros(c.n_rows * 2 * n)
-    out[c.jac_at] = np.concatenate(values)
-    return out.reshape((c.n_rows, 2 * n), order="F")
+    u = c.volt
+    if len(u.rows):
+        vmk, ck, sk = vm[u.k], np.cos(va[u.k]), np.sin(va[u.k])
+        values += [np.where(u.imag, sk, ck), np.where(u.imag, vmk * ck, -vmk * sk)]
+
+    u = c.cur
+    if len(u.rows):
+        for k, y in ((u.i, u.ymm), (u.j, u.ymf)):
+            gk, bk = y.real, y.imag
+            ck, sk = np.cos(va[k]), np.sin(va[k])
+            values += [
+                np.where(u.imag, gk * sk + bk * ck, gk * ck - bk * sk),
+                vm[k] * np.where(u.imag, gk * ck - bk * sk, -gk * sk - bk * ck),
+            ]
+
+    values = np.concatenate(values) if values else np.zeros(0)
+    if not dense:
+        return values
+    out = np.zeros(c.n_rows * 2 * view.n_bus)
+    out[c.jac_at] = values
+    return out.reshape((c.n_rows, 2 * view.n_bus), order="F")
 
 
 def jacobian_rect(view: ModelView, specs) -> np.ndarray:

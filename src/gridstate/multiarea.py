@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import bdu
 from .caseio import ExperimentConfig
 from .errors import NumericalError, UnobservableError, ValidationError
 from .hybrid import (
@@ -58,7 +59,15 @@ from .measurement import (
 )
 from .netmodel import AreaPartition, PowerNetwork, boundary_measurement_ownership, single_area
 from .powerflow import StateVector
-from .wls import PolarModel, check_observable, gauss_newton, whitener, wls_estimate
+from .wls import (
+    JacobianPattern,
+    PatternNormal,
+    PolarModel,
+    check_observable,
+    gauss_newton,
+    whitener,
+    wls_estimate,
+)
 
 
 # deweighting of the reference PMU phasor when used as the traditional
@@ -265,8 +274,12 @@ class _CoordinatorModel:
     Physical rows are evaluated on the full network with every
     non-boundary bus pinned to its owning area's level-1 estimate, rotated
     by that area's offset u; the chain rule folds the pinned angles'
-    u-dependence into the u columns.  The index maps are built once;
-    :meth:`pinned` binds one trial's level-1 estimates.
+    u-dependence into the u columns.  Above ``bdu._LEAF`` unknowns the
+    physical rows' nonzero pattern (``pattern``) maps each full-view
+    column to its unknown: a boundary va or vm to its own, a pinned angle
+    to its area's u (area 1's dropped), a pinned magnitude nowhere.  The
+    index maps are built once; :meth:`pinned` binds one trial's level-1
+    estimates.
     """
 
     def __init__(self, net, part, specs, rows):
@@ -308,6 +321,14 @@ class _CoordinatorModel:
         self.pseudo_jac = np.zeros((len(col), self.n_state))
         self.pseudo_jac[np.arange(len(col)), self.pseudo_col] = 1.0
         self.pseudo_jac[u_rows, u_cols] = -1.0
+        self.pattern = None
+        if self.n_state > bdu._LEAF:
+            col_of = np.full(2 * self.n, -1)
+            col_of[self.bnd_pos] = np.arange(nb)
+            col_of[self.n + self.bnd_pos] = nb + np.arange(nb)
+            col_of[self.pin_pos] = np.where(self.pin_u > 0, 2 * nb + self.pin_u - 1, -1)
+            at = self.view.compile(self.physical).jac_at
+            self.pattern = JacobianPattern(at, len(self.physical), col_of, self.n_state)
 
     def pinned(self, locals_):
         """This model with the non-boundary buses pinned at the level-1
@@ -339,6 +360,23 @@ class _CoordinatorModel:
             [j_va[:, self.bnd_pos], j_vm[:, self.bnd_pos], j_va[:, self.pin_pos] @ self.pin_to_u]
         )
         return np.vstack([physical, self.pseudo_jac])
+
+    def jac_values(self, x):
+        """The physical rows' nonzero Jacobian values over the full view,
+        in ``CompiledSpecs.jac_at`` order."""
+        return jacobian_polar(self.view, self.unpack(x), self.physical, dense=False)
+
+    def pattern_normal(self, whiten) -> PatternNormal:
+        """:class:`PatternNormal` under ``whiten``, one trial's whitener
+        over [physical; pseudo] rows: the physical rows by the pattern,
+        the pseudo rows' constant Jacobian whitened (and its gain formed)
+        once per trial."""
+        m = len(self.physical)
+        unit = np.zeros(m + len(self.pseudo_col))
+        unit[:m] = 1.0
+        pseudo = np.zeros((len(unit), self.n_state))
+        pseudo[m:] = self.pseudo_jac
+        return PatternNormal(self.pattern, self.jac_values, whiten(unit)[:m], whiten(pseudo)[m:])
 
 
 def _assemble_coordinator(model: _CoordinatorModel, locals_, mset: MeasurementSet) -> CoordinatorProblem:
@@ -380,10 +418,14 @@ def _coordinator_init(model: _CoordinatorModel, prob: CoordinatorProblem):
 
 def _solve_coordinator(model, prob: CoordinatorProblem, x0, tol, k_limit):
     """Gauss-Newton over the block-diagonal weight of ``prob``, whitened
-    block by block.  Returns (x, inverse gain at x, iterations)."""
+    block by block; above ``bdu._LEAF`` unknowns the normal equations come
+    from the physical rows' pattern plus the pseudo rows' gain, formed
+    once (:meth:`_CoordinatorModel.pattern_normal`).  Returns (x, inverse
+    gain at x, iterations)."""
     whiten = whitener([prob.w_diag, *prob.w_blocks],
                       "coordinator: weight matrix not positive definite")
-    x, cov, iterations, converged, _, _ = gauss_newton(model, prob.z, whiten, x0, tol, k_limit)
+    normal = model.pattern_normal(whiten) if model.n_state > bdu._LEAF else None
+    x, cov, iterations, converged, _, _ = gauss_newton(model, prob.z, whiten, x0, tol, k_limit, normal)
     if not converged:
         raise NumericalError(f"coordinator: no convergence in {k_limit} iterations")
     return x, cov, iterations

@@ -43,7 +43,8 @@ class PolarModel:
             self.free_va = list(range(self.n_bus))
         self.n_state = len(self.free_va) + self.n_bus
         self._cols = np.concatenate([self.free_va, self.n_bus + np.arange(self.n_bus)])
-        self._pairs = None  # H's row-wise nonzero pairs, built by pattern_normal
+        self._pattern = None  # H's nonzero pattern, built by pattern_normal
+        self._start = None  # the last start and its linearization, see start
 
     def flat(self, va0: float = 0.0) -> np.ndarray:
         """Every free angle at ``va0``, every magnitude 1."""
@@ -72,41 +73,34 @@ class PolarModel:
         full = jacobian_polar(self.view, self.unpack(x), self.specs)
         return full[:, self._cols] if self.pin_angle else full
 
-    def pattern_normal(self, root):
-        """``normal`` for :func:`gauss_newton` with W^-1/2 = diag(``root``),
-        built from H's nonzero pattern: the gain sums w_r h_r h_r' over the
-        pairs of nonzeros that share a row, and the gradient H' W^-1 r over
-        the nonzeros, each by one bincount; no whitened copy of H is formed.
+    def jac_values(self, x) -> np.ndarray:
+        """H's nonzero values at x over [va (all); vm (all)], in
+        ``CompiledSpecs.jac_at`` order (see :class:`JacobianPattern`)."""
+        return jacobian_polar(self.view, self.unpack(x), self.specs, dense=False)
 
-        The pattern comes from the compiled specs' Jacobian places, with a
-        pinned angle's column dropped; it is built on the first call.
-        """
-        n, m = self.n_state, len(self.specs)
-        if self._pairs is None:
+    def pattern_normal(self, root) -> "PatternNormal":
+        """:class:`PatternNormal` with W^-1/2 = diag(``root``) over H's
+        nonzero pattern, a pinned angle's column dropped; the pattern is
+        built on the first call."""
+        if self._pattern is None:
             col_of = np.full(2 * self.n_bus, -1)
-            col_of[self._cols] = np.arange(n)
-            full_col, row = np.divmod(self.view.compile(self.specs).jac_at, m)
-            col = col_of[full_col]
-            row, col = row[col >= 0], col[col >= 0]
-            order = np.argsort(row, kind="stable")
-            row, col = row[order], col[order]
-            # every ordered pair (a, b) of nonzeros in one row, rows ascending
-            per_nz = np.bincount(row, minlength=m)[row]
-            a = np.repeat(np.arange(len(row)), per_nz)
-            first = np.searchsorted(row, row)  # each row's first nonzero
-            b = np.arange(len(a)) - np.repeat(np.cumsum(per_nz) - per_nz - first, per_nz)
-            self._pairs = (row, col, row + m * col, a, b, col[a] * n + col[b])
-        row, col, at, a, b, ab = self._pairs
-        root_row = root[row]
+            col_of[self._cols] = np.arange(self.n_state)
+            at = self.view.compile(self.specs).jac_at
+            self._pattern = JacobianPattern(at, len(self.specs), col_of, self.n_state)
+        return PatternNormal(self._pattern, self.jac_values, root)
 
-        def normal(h, r=None):
-            v = root_row * np.ravel(h, order="F")[at]
-            gain = np.bincount(ab, weights=v[a] * v[b], minlength=n * n).reshape(n, n)
-            if r is None:
-                return gain, None
-            return gain, np.bincount(col, weights=v * (root * r)[row], minlength=n)
-
-        return normal
+    def start(self, normal, x0, weights):
+        """:func:`linearize` at ``x0`` under ``normal``, remembered for the
+        last start only: reused while x0, the weight vector and the form
+        of the normal equations equal the last ones (every trial starts
+        flat at the same point), recomputed for anything else."""
+        memo = self._start
+        if not (memo and memo[0] is type(normal) and np.array_equal(memo[1], x0)
+                and np.array_equal(memo[2], weights)):
+            memo = (type(normal), np.array(x0, dtype=float), np.array(weights, dtype=float),
+                    linearize(self, normal, x0))
+            self._start = memo
+        return memo[3]
 
     def embed_cov(self, cov_est: np.ndarray) -> np.ndarray:
         """Estimate covariance embedded into the full [va(n); vm(n)] layout
@@ -163,26 +157,129 @@ def whitener(parts, error: str):
     return whiten
 
 
-def _dense_normal(whiten):
-    """``normal`` for :func:`gauss_newton` as dense products of the
-    whitened H: (H_w' H_w, H_w' r_w), or the gain alone without r, from
-    two whitened copies (H_w' H_w on one array takes another BLAS path)."""
+class JacobianPattern:
+    """Where the nonzeros of an m-row Jacobian land among a model's n
+    unknowns.
 
-    def normal(h, r=None):
-        if r is None:
-            return whiten(h).T @ whiten(h), None
-        h_w = whiten(h)
-        return h_w.T @ h_w, h_w.T @ whiten(r)
+    ``jac_at`` lists, in the order :func:`jacobian_polar` gives its values
+    with ``dense=False``, their flat Fortran-order places over N columns;
+    ``col_of`` sends each of the N columns to an unknown, or to -1 where
+    the model drops it.  Nonzeros that land on one (row, unknown) are
+    summed, which is the chain rule of a many-to-one column map.  Entries
+    are sorted by (row, unknown); ``a``, ``b`` list every ordered pair of
+    entries in one row and ``ab`` its place in the n x n gain.
+    """
 
-    return normal
+    def __init__(self, jac_at, m, col_of, n):
+        self.m, self.n = m, n
+        full_col, row = np.divmod(jac_at, m)
+        col = col_of[full_col]
+        kept = np.flatnonzero(col >= 0)
+        at, entry = np.unique(row[kept] * n + col[kept], return_inverse=True)
+        self.row, self.col = np.divmod(at, n)
+        if len(at) == len(kept):
+            self.take, self.merge = kept[np.argsort(entry)], None
+        else:
+            self.take, self.merge = kept, entry
+        row = self.row
+        per_nz = np.bincount(row, minlength=m)[row]
+        self.a = np.repeat(np.arange(len(row)), per_nz)
+        first = np.searchsorted(row, row)  # each row's first entry
+        self.b = np.arange(len(self.a)) - np.repeat(np.cumsum(per_nz) - per_nz - first, per_nz)
+        self.ab = self.col[self.a] * n + self.col[self.b]
+
+    def values(self, jac_values) -> np.ndarray:
+        """The entries' values from the Jacobian's nonzero values."""
+        v = jac_values[self.take]
+        return v if self.merge is None else np.bincount(self.merge, weights=v, minlength=len(self.row))
 
 
-def gauss_newton(model, z, whiten, x0, tol, k_limit, normal=None):
+class DenseNormal:
+    """Normal equations for :func:`gauss_newton` as dense products of the
+    whitened H = ``jac(x)``: a step's linearization is H_w, its gain
+    H_w' H_w and its gradient H_w' r_w."""
+
+    def __init__(self, jac, whiten):
+        self.jac, self.whiten = jac, whiten
+
+    def weigh(self, x):
+        return self.whiten(self.jac(x))
+
+    def gain(self, h_w):
+        return h_w.T @ h_w
+
+    def grad(self, h_w, r_w):
+        return h_w.T @ r_w
+
+    def gain_at(self, x):
+        """The gain alone, from two whitened copies (H_w' H_w on one
+        array takes another BLAS path)."""
+        h = self.jac(x)
+        return self.whiten(h).T @ self.whiten(h)
+
+
+class PatternNormal:
+    """Normal equations for :func:`gauss_newton` from H's nonzero values
+    on a :class:`JacobianPattern`, with W^-1/2 = diag(``root``) on its
+    rows: a step's linearization is the whitened entry values v, its gain
+    sums v_a v_b over the pairs of entries in one row and its gradient
+    H' W^-1 r over the entries, each by one bincount; no dense H is formed.
+
+    ``values(x)`` gives the nonzero values at x.  Rows below the
+    pattern's whose Jacobian is constant enter as ``fixed``, their
+    whitened Jacobian J_w: its gain J_w' J_w is formed here, once, and
+    every step adds it and J_w' r_w over those rows.
+    """
+
+    def __init__(self, pattern: JacobianPattern, values, root, fixed=None):
+        self.pattern, self.values = pattern, values
+        self.root_row = root[pattern.row]
+        self.fixed = fixed
+        if fixed is not None:
+            self.fixed_gain = fixed.T @ fixed
+
+    def weigh(self, x):
+        return self.root_row * self.pattern.values(self.values(x))
+
+    def gain(self, v):
+        p = self.pattern
+        gain = np.bincount(p.ab, weights=v[p.a] * v[p.b], minlength=p.n * p.n).reshape(p.n, p.n)
+        return gain if self.fixed is None else gain + self.fixed_gain
+
+    def grad(self, v, r_w):
+        p = self.pattern
+        g = np.bincount(p.col, weights=v * r_w[p.row], minlength=p.n)
+        return g if self.fixed is None else g + self.fixed.T @ r_w[p.m :]
+
+    def gain_at(self, x):
+        return self.gain(self.weigh(x))
+
+
+def _factor(gain):
+    """The Cholesky factor of a step's gain; UnobservableError when it is
+    singular."""
+    try:
+        return np.linalg.cholesky(gain)
+    except np.linalg.LinAlgError:
+        raise UnobservableError("gain matrix H' W^-1 H is singular: system unobservable") from None
+
+
+def linearize(model, normal, x):
+    """(h(x), ``normal``'s linearization at x, the gain, its Cholesky
+    factor): what a Gauss-Newton step at x needs besides its residual."""
+    h = model.h(x)
+    lin = normal.weigh(x)
+    gain = normal.gain(lin)
+    return h, lin, gain, _factor(gain)
+
+
+def gauss_newton(model, z, whiten, x0, tol, k_limit, normal=None, start=None):
     """Gauss-Newton WLS on ``model`` (``h(x)`` and ``jac(x)``) from x0,
     with W^-1/2 applied by ``whiten`` (see :func:`whitener`).
 
-    ``normal(H, r)`` forms a step's gain H' W^-1 H and gradient
-    H' W^-1 r, ``normal(H)`` the gain alone (default: :func:`_dense_normal`).
+    ``normal`` forms the steps' normal equations, gain H' W^-1 H and
+    gradient H' W^-1 r (default: :class:`DenseNormal` on ``model.jac``);
+    ``start`` is :func:`linearize` at x0 when the caller has it.
     Steps solve these normal equations; a full step that raises
     J(x) = ||W^-1/2 (z - h(x))||^2 falls back to Marquardt damping.
     Stops when max |dx| < tol.  Returns (x, covariance, iterations,
@@ -192,56 +289,56 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal=None):
     """
 
     def trial(xv):
-        """(J(xv), z - h(xv)); (inf, the error) when xv left the state
-        domain (e.g. vm <= 0)."""
+        """(J(xv), z - h(xv), W^-1/2 (z - h(xv))); (inf, the error, None)
+        when xv left the state domain (e.g. vm <= 0)."""
         try:
             r = z - model.h(xv)
         except ValidationError as exc:
-            return np.inf, exc
-        return float(np.sum(whiten(r) ** 2)), r
+            return np.inf, exc, None
+        r_w = whiten(r)
+        return float(np.sum(r_w**2)), r, r_w
 
-    normal = _dense_normal(whiten) if normal is None else normal
+    normal = DenseNormal(model.jac, whiten) if normal is None else normal
     x = np.array(x0, dtype=float)
-    r = z - model.h(x)
-    j_here = float(np.sum(whiten(r) ** 2))
+    h, lin, gain, c = linearize(model, normal, x) if start is None else start
+    r = z - h
+    r_w = whiten(r)
+    j_here = float(np.sum(r_w**2))
     converged = False
     iterations = 0
     for k in range(1, k_limit + 1):
-        gain, g = normal(model.jac(x), r)
-        try:
-            c = np.linalg.cholesky(gain)
-        except np.linalg.LinAlgError:
-            raise UnobservableError(
-                "gain matrix H' W^-1 H is singular: system unobservable"
-            ) from None
+        if k > 1:
+            lin = normal.weigh(x)
+            gain = normal.gain(lin)
+            c = _factor(gain)
+        g = normal.grad(lin, r_w)
         dx = tri_solve(c.T, tri_solve(c, g, True), False)
         # pure Gauss-Newton (Eq-9-style) step whenever it descends; under
         # weak redundancy the full step can overshoot the curved valley of
         # the P/Q-only objective, so fall back to Marquardt damping
-        j_next, r_next = trial(x + dx)
+        j_next, r_next, rw_next = trial(x + dx)
         if j_next > j_here:
             damp = np.diag(np.clip(np.diag(gain), 1e-8, None))
             mu = 1e-4
             for _ in range(24):
                 dx_mu = np.linalg.solve(gain + mu * damp, g)
-                j_mu, r_mu = trial(x + dx_mu)
+                j_mu, r_mu, rw_mu = trial(x + dx_mu)
                 if j_mu <= j_here:
-                    dx, j_next, r_next = dx_mu, j_mu, r_mu
+                    dx, j_next, r_next, rw_next = dx_mu, j_mu, r_mu, rw_mu
                     break
                 mu *= 8.0
         if isinstance(r_next, ValidationError):
             raise r_next  # the accepted step left the state domain
         # the accepted trial's residual is the next iterate's
         x = x + dx
-        j_here, r = j_next, r_next
+        j_here, r, r_w = j_next, r_next, rw_next
         iterations = k
         if np.max(np.abs(dx)) < tol:
             converged = True
             break
 
-    gain, _ = normal(model.jac(x))
     try:
-        cov = spd_inv(gain)
+        cov = spd_inv(normal.gain_at(x))
     except np.linalg.LinAlgError:
         raise UnobservableError("gain matrix singular at the solution") from None
     return x, cov, iterations, converged, j_here, r
@@ -260,6 +357,8 @@ def wls_estimate(
     Above ``bdu._LEAF`` unknowns the normal equations come from H's
     nonzero pattern (:meth:`PolarModel.pattern_normal`); at or below it
     they are dense products, so every such system rounds as it always did.
+    The start's linearization is the model's remembered one when x0 and
+    the sigmas repeat (:meth:`PolarModel.start`).
 
     Returns converged=False (never raises) when k_limit is reached; raises
     UnobservableError when the gain matrix is singular at an iterate.
@@ -268,13 +367,17 @@ def wls_estimate(
         raise ValidationError("tolerance must be positive and finite")
     if len(mset) != len(model.specs):
         raise ValidationError("measurement set does not match the model's specs")
+    x0 = model.flat() if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (model.n_state,) or not np.all(np.isfinite(x0)):
+        raise ValidationError(f"start must hold {model.n_state} finite values")
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
-    normal = None
     if model.n_state > bdu._LEAF:
         normal = model.pattern_normal(whiten(np.ones(len(mset))))
-    x0 = model.flat() if x0 is None else x0
+    else:
+        normal = DenseNormal(model.jac, whiten)
+    start = model.start(normal, x0, mset.sigmas)
     x, cov, iterations, converged, j, r = gauss_newton(
-        model, mset.z, whiten, x0, tol, k_limit, normal
+        model, mset.z, whiten, x0, tol, k_limit, normal, start
     )
     return EstimationResult(model.unpack(x), cov, iterations, converged, j, r, model)
 

@@ -461,3 +461,20 @@ def test_property_row_order_does_not_matter(spec, mu, data):
     shuffled = RobustProblem(p.z[perm], p.h[perm], p.r[perm],
                              UncertaintyStructure(u.s[perm], u.e_h, u.e_z))
     assert _close(bdu_solve(shuffled, "approx", mu).x, bdu_solve(p, "approx", mu).x, 1e-9)
+
+
+@pytest.mark.parametrize("case", ["null S", "no perturbation bound"])
+def test_strategy_and_mu_are_checked_before_the_reduced_path(case):
+    """With null S or E_h = E_z = 0 the solve reduces to weighted LS, but a
+    bad strategy, or a bad mu at approximate lambda, still raises."""
+    if case == "null S":
+        unc = null_uncertainty(3, 1)
+    else:
+        unc = UncertaintyStructure(np.ones((3, 1)), np.zeros((1, 1)), np.zeros(1))
+    p = RobustProblem(np.ones(3), np.ones((3, 1)), np.ones(3), unc)
+    with pytest.raises(ValidationError, match="unknown lambda strategy 'bogus'"):
+        bdu_solve(p, "bogus")
+    for mu in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
+            bdu_solve(p, "approx", mu=mu)
+    assert bdu_solve(p, "approx").strategy == bdu_solve(p, "exact", mu=np.nan).strategy == "reduced"

@@ -1,0 +1,134 @@
+"""The level-2 coordinator above the leaf: its normal equations from the
+physical rows' nonzero pattern plus the pseudo rows' per-trial gain
+(``_CoordinatorModel.pattern_normal``) against the dense whitened products,
+on IEEE-30 tiled three times (a coordinator of 80 unknowns)."""
+
+import numpy as np
+import pytest
+
+from gridstate import bdu, multiarea
+from gridstate.cli import prepare, synth_for_trial
+from gridstate.measurement import jacobian_polar
+from gridstate.multiarea import (
+    Structure,
+    _assemble_coordinator,
+    _coordinator_init,
+    _CoordinatorModel,
+    _solve_coordinator,
+    level1_run,
+)
+from gridstate.wls import whitener
+from tests.test_kernels import _count_calls, _tiled_workload
+
+
+@pytest.fixture(scope="module")
+def tiled3(tmp_path_factory):
+    """(coordinator problem, pinned model, start, experiment) of trial 0's
+    plain run on tiled-x3."""
+    folder = tmp_path_factory.mktemp("tiled3")
+    paths = {}
+    for role, text in _tiled_workload(3).items():
+        paths[role] = folder / f"input.{role}"
+        paths[role].write_text(text)
+    exp = prepare(str(paths["case"]), str(paths["partition"]), str(paths["plan"]), str(paths["config"]))
+    structure = Structure(exp.net, exp.part, exp.specs)
+    mset = synth_for_trial(exp, 0)
+    locals_ = level1_run(structure, mset, exp.cfg, robust=False)
+    prob = _assemble_coordinator(structure.coordinator, locals_, mset)
+    model = structure.coordinator.pinned(locals_)
+    assert model.n_state == 80 > bdu._LEAF and model.pattern is not None
+    return prob, model, _coordinator_init(model, prob), exp
+
+
+def _whiten(prob):
+    return whitener([prob.w_diag, *prob.w_blocks], "coordinator: weight matrix not positive definite")
+
+
+def _dense_normal(model, whiten, x, r):
+    """The dense form: the whitened m x n Jacobian (chain rule by
+    ``pin_to_u``), its gain and gradient."""
+    h_w = whiten(model.jac(x))
+    return h_w.T @ h_w, h_w.T @ whiten(r)
+
+
+def _states(model, x0, seed):
+    rng = np.random.default_rng(seed)
+    nb = model.n_bnd
+    for _ in range(4):
+        x = x0.copy()
+        x[:nb] += rng.uniform(-0.05, 0.05, nb)
+        x[nb : 2 * nb] *= rng.uniform(0.95, 1.05, nb)
+        x[2 * nb :] = rng.uniform(-0.1, 0.1, model.r - 1)
+        yield x
+
+
+def test_coordinator_pattern_normal_equations_equal_the_dense_products(tiled3):
+    prob, model, x0, _ = tiled3
+    whiten = _whiten(prob)
+    normal = model.pattern_normal(whiten)
+    for x in _states(model, x0, 5):
+        r = prob.z - model.h(x)
+        v = normal.weigh(x)
+        gain, g = normal.gain(v), normal.grad(v, whiten(r))
+        want_gain, want_g = _dense_normal(model, whiten, x, r)
+        assert np.array_equal(gain, gain.T)
+        assert np.abs(gain - want_gain).max() <= 1e-12 * np.abs(want_gain).max()
+        assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max()
+        assert np.array_equal(normal.gain_at(x), gain)
+
+
+def test_column_map_covers_every_physical_nonzero(tiled3):
+    """Scattered onto the unknowns, the pattern's merged values are the
+    dense physical rows: a boundary va/vm in its own column, a pinned
+    angle summed into its area's u, and nothing else dropped."""
+    prob, model, x0, _ = tiled3
+    pattern, m, nb = model.pattern, len(model.physical), model.n_bnd
+    at = model.view.compile(model.physical).jac_at
+    outside = np.ones(m * 2 * model.n, dtype=bool)
+    outside[at] = False
+    # the column map, written out: -1 for pinned magnitudes and area 1's
+    # pinned angles
+    unknown = {}
+    for j, b in enumerate(model.bnd_ids):
+        k = model.view.pos[b]
+        unknown[k], unknown[model.n + k] = j, nb + j
+    for area in model.part.areas:
+        for b in area.internal:
+            unknown[model.view.pos[b]] = 2 * nb + area.index - 2 if area.index >= 2 else -1
+            unknown[model.n + model.view.pos[b]] = -1
+    entries = set(zip(pattern.row.tolist(), pattern.col.tolist()))
+    assert pattern.merge is not None  # pinned angles of one row share a u column
+    for x in _states(model, x0, 9):
+        full = jacobian_polar(model.view, model.unpack(x), model.physical)
+        assert not np.any(np.ravel(full, order="F")[outside])
+        values = model.jac_values(x)
+        assert np.array_equal(values, np.ravel(full, order="F")[at])
+        for row, col in zip(*np.nonzero(full)):
+            assert unknown[col] < 0 or (row, unknown[col]) in entries
+        scattered = np.zeros((m, model.n_state))
+        scattered[pattern.row, pattern.col] = pattern.values(values)
+        want = model.jac(x)[:m]
+        assert np.abs(scattered - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_coordinator_solve_matches_the_dense_path(tiled3, monkeypatch):
+    prob, model, x0, exp = tiled3
+    dense_jac = _count_calls(monkeypatch, _CoordinatorModel, "jac")
+    pattern = _count_calls(monkeypatch, _CoordinatorModel, "pattern_normal")
+    x, cov, iters = _solve_coordinator(model, prob, x0, exp.cfg.epsilon, exp.cfg.k_limit)
+    # no dense physical Jacobian above the leaf
+    assert not dense_jac and len(pattern) == 1
+    monkeypatch.setattr(bdu, "_LEAF", 10**6)
+    x_d, cov_d, iters_d = _solve_coordinator(model, prob, x0, exp.cfg.epsilon, exp.cfg.k_limit)
+    assert dense_jac and len(pattern) == 1
+    assert iters == iters_d >= 2
+    assert np.abs(x - x_d).max() <= 1e-9
+    assert np.abs(cov - cov_d).max() <= 1e-9 * np.abs(cov_d).max()
+
+
+def test_one_physical_h_and_jacobian_per_iteration(tiled3, monkeypatch):
+    prob, model, x0, exp = tiled3
+    h_calls = _count_calls(monkeypatch, multiarea, "h_eval")
+    jac_calls = _count_calls(monkeypatch, multiarea, "jacobian_polar")
+    _, _, iters = _solve_coordinator(model, prob, x0, exp.cfg.epsilon, exp.cfg.k_limit)
+    assert len(h_calls) == len(jac_calls) == iters + 1

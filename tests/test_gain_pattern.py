@@ -9,7 +9,7 @@ import pytest
 from gridstate import bdu, wls
 from gridstate.cli import prepare, synth_for_trial
 from gridstate.errors import UnobservableError
-from gridstate.measurement import MeasurementSet
+from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _START_STEP, Structure
 from gridstate.netmodel import single_area
 from gridstate.wls import PolarModel, whitener, wls_estimate
@@ -59,24 +59,28 @@ def test_pattern_normal_equations_equal_the_dense_products(tiled2, layout):
     model, mset = _layouts(*tiled2[:2])[layout]
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
     normal = model.pattern_normal(whiten(np.ones(len(mset))))
-    _, _, at, *_ = model._pairs
-    assert len(np.unique(at)) == len(at)
+    pattern = model._pattern
+    at = pattern.row + len(mset) * pattern.col  # flat Fortran places in the model's H
+    assert pattern.merge is None and len(np.unique(at)) == len(at)
     outside = np.ones(len(mset) * model.n_state, dtype=bool)
     outside[at] = False
     rng = np.random.default_rng(17)
     for _ in range(4):
         x = _random_state(model, rng)
         h = model.jac(x)
-        # every nonzero jacobian_polar writes is in the pattern
+        # every nonzero jacobian_polar writes is in the pattern, and the
+        # pattern's values are H's there
         assert not np.any(np.ravel(h, order="F")[outside])
+        v = normal.weigh(x)
+        assert np.array_equal(v, normal.root_row * np.ravel(h, order="F")[at])
         r = mset.z - model.h(x)
-        gain, g = normal(h, r)
+        gain, g = normal.gain(v), normal.grad(v, whiten(r))
         h_w = whiten(h)
         want_gain, want_g = h_w.T @ h_w, h_w.T @ whiten(r)
         assert np.array_equal(gain, gain.T)
         assert np.abs(gain - want_gain).max() <= 1e-12 * np.abs(want_gain).max()
         assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max()
-        assert np.array_equal(normal(h)[0], gain)
+        assert np.array_equal(normal.gain_at(x), gain)
 
 
 def test_unobservable_bus_raises_above_the_leaf(tiled2, monkeypatch):
@@ -112,9 +116,13 @@ def test_marquardt_fallback_matches_the_dense_path(tiled2, monkeypatch):
     assert np.abs(res.covariance - dense.covariance).max() <= 1e-9 * np.abs(dense.covariance).max()
 
 
+def _fresh(model):
+    return PolarModel(model.view, model.specs, pin_angle=model.pin_angle)
+
+
 def test_one_h_and_one_jacobian_per_iteration_above_the_leaf(tiled2, monkeypatch):
     area, tse_set, va0 = tiled2
-    model = area.model
+    model = _fresh(area.model)  # no start remembered from another test
     h_calls = _count_calls(monkeypatch, wls, "h_eval")
     jac_calls = _count_calls(monkeypatch, wls, "jacobian_polar")
     res = wls_estimate(tse_set, model, x0=model.flat(va0))
@@ -123,3 +131,59 @@ def test_one_h_and_one_jacobian_per_iteration_above_the_leaf(tiled2, monkeypatch
     # the covariance's
     assert len(h_calls) == len(jac_calls) == res.iterations + 1
 
+
+def _same_estimate(a, b):
+    return (a.iterations == b.iterations and a.converged == b.converged and a.objective == b.objective
+            and np.array_equal(a.state.v1, b.state.v1) and np.array_equal(a.state.v2, b.state.v2)
+            and np.array_equal(a.covariance, b.covariance) and np.array_equal(a.residuals, b.residuals))
+
+
+@pytest.mark.parametrize("layout", ["anchored", "pinned"])
+def test_repeat_solve_reuses_the_start(tiled2, layout, monkeypatch):
+    """A second solve from the same start with the same sigmas evaluates
+    one h and one H fewer, and equals a fresh model's solve bit for bit."""
+    model, mset = _layouts(*tiled2[:2])[layout]
+    model, x0 = _fresh(model), model.flat(tiled2[2] if layout == "anchored" else 0.0)
+    counts = []
+    for _ in range(2):
+        h_calls = _count_calls(monkeypatch, wls, "h_eval")
+        jac_calls = _count_calls(monkeypatch, wls, "jacobian_polar")
+        counts.append((len(h_calls), len(jac_calls), wls_estimate(mset, model, x0=x0.copy())))
+        counts[-1] = (len(h_calls), len(jac_calls), counts[-1][2])
+        monkeypatch.undo()
+    (h1, j1, first), (h2, j2, again) = counts
+    assert (h2, j2) == (h1 - 1, j1 - 1)
+    assert _same_estimate(again, first)
+    assert _same_estimate(again, wls_estimate(mset, _fresh(model), x0=x0))
+
+
+def test_a_changed_start_sigma_or_spec_list_recomputes(tiled2, monkeypatch):
+    area, tse_set, va0 = tiled2
+    model = _fresh(area.model)
+    x0 = model.flat(va0)
+    base = wls_estimate(tse_set, model, x0=x0)
+    sigmas = tse_set.sigmas.copy()
+    sigmas[5] *= 1.5
+    cases = {
+        "sigma": (MeasurementSet(tse_set.specs, tse_set.z, sigmas), x0),
+        "start angle": (tse_set, model.flat(va0 + 0.1)),
+        "back": (tse_set, x0),
+    }
+    for name, (mset, start) in cases.items():
+        h_calls = _count_calls(monkeypatch, wls, "h_eval")
+        got = wls_estimate(mset, model, x0=start)
+        assert len(h_calls) >= got.iterations + 1, name
+        assert _same_estimate(got, wls_estimate(mset, _fresh(model), x0=start)), name
+        monkeypatch.undo()
+    assert _same_estimate(got, base)
+
+    # a mutated copy of the spec list on the same view: its own start, and
+    # the first model's remembered start still holds for its own specs
+    specs = list(model.specs)
+    specs.reverse()
+    mutated = PolarModel(model.view, specs, pin_angle=False)
+    flipped = MeasurementSet(tuple(specs), tse_set.z[::-1], tse_set.sigmas[::-1])
+    fresh_view = ModelView(model.view.net, model.view.bus_ids, model.view.ref_bus)
+    want = wls_estimate(flipped, PolarModel(fresh_view, specs, pin_angle=False), x0=x0)
+    assert _same_estimate(wls_estimate(flipped, mutated, x0=x0), want)
+    assert _same_estimate(wls_estimate(tse_set, model, x0=x0), base)

@@ -115,18 +115,22 @@ def test_every_ieee30_system_stays_at_the_leaf(monkeypatch, lambda_strategy):
     exact-lambda search sits on a knife edge that any re-rounding moves.
     The largest is the anchored central TSE with 60 unknowns: a leaf below
     60 would re-round it.  For the same reason no TSE takes its gain from
-    the Jacobian's pattern, and no model builds that pattern."""
+    the Jacobian's pattern, and no model builds that pattern; nor does any
+    coordinator (24 unknowns)."""
     exp = prepare(config="ieee30.cfg", overrides={"lambda_strategy": lambda_strategy})
     sizes = _record_sizes(monkeypatch)
     pattern = _count_calls(monkeypatch, wls.PolarModel, "pattern_normal")
+    coordinator = _count_calls(monkeypatch, multiarea._CoordinatorModel, "pattern_normal")
     for trial in range(2):
         for robust, central in MODES:
             run_trial(exp, trial, robust, central)
     assert max(sizes) == 60
     assert max(sizes) <= bdu._LEAF
-    assert not pattern
+    assert not pattern and not coordinator
     models = [a.model for _, structure in exp.structures.values() for a in structure.areas]
-    assert len(models) == 4 and all(m._pairs is None for m in models)
+    assert len(models) == 4 and all(m._pattern is None for m in models)
+    coordinators = [structure.coordinator for _, structure in exp.structures.values()]
+    assert [c.pattern for c in coordinators if c is not None] == [None]
 
 
 def _perfbench_module(name):

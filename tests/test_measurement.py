@@ -7,7 +7,11 @@ from hypothesis.extra.numpy import arrays
 from gridstate.errors import ValidationError
 from gridstate.measurement import (
     ALL_KINDS,
+    FLOW_KINDS,
+    INJECTION_KINDS,
+    PMU_CURRENT_KINDS,
     PMU_KINDS,
+    PMU_VOLTAGE_KINDS,
     Measurement,
     MeasurementSet,
     ModelView,
@@ -22,6 +26,7 @@ from gridstate.measurement import (
 from gridstate.netmodel import Branch, Bus, PowerNetwork
 from gridstate.powerflow import StateVector, flat_state
 from tests.conftest import synth_zero
+from tests.dense_jacobian import jacobian_polar_dense
 
 
 def _flat(view):
@@ -500,3 +505,32 @@ def test_compiled_model_matches_row_by_row_reference(net30, part30, specs30):
             np.testing.assert_allclose(
                 jacobian_polar(view, st, specs), jac_ref, rtol=1e-12, atol=1e-12
             )
+
+
+FAMILIES = {"injection": INJECTION_KINDS, "voltage": PMU_VOLTAGE_KINDS, "flow": FLOW_KINDS,
+            "current": PMU_CURRENT_KINDS}
+
+
+@settings(max_examples=30, deadline=None)
+@given(area=st.sampled_from([None, 1, 2, 3]), keep=st.sets(st.sampled_from(sorted(FAMILIES))),
+       data=st.data())
+def test_absent_families_change_no_value(net30, part30, specs30, area, keep, data):
+    """A spec list without some measurement families evaluates only the
+    families it has, with the same per-entry arithmetic: h is the full
+    list's rows bit for bit (the row-by-row reference rounds the flows'
+    and currents' complex products differently, so it is held to 1e-12),
+    and H and its nonzero values equal the dense reference bit for bit."""
+    view = _full_or_area_view(net30, part30, area)
+    every = _evaluable(view, specs30)
+    rows = [k for k, m in enumerate(every) if any(m.kind in FAMILIES[f] for f in keep)]
+    specs = [every[k] for k in rows]
+    vm, va = _generated_state(data, view)
+    state = StateVector("polar", view.bus_ids, vm, va)
+    h = h_eval(view, state, specs)
+    assert np.array_equal(h, h_eval(view, state, every)[rows])
+    h_ref, _ = _reference_h_and_jacobian(view, state, specs)
+    np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-12)
+    jac = jacobian_polar(view, state, specs)
+    assert np.array_equal(jac, jacobian_polar_dense(view, state, specs))
+    values = jacobian_polar(view, state, specs, dense=False)
+    assert np.array_equal(values, np.ravel(jac, order="F")[view.compile(specs).jac_at])

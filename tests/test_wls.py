@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+from gridstate import wls
 from gridstate.errors import NumericalError, UnobservableError, ValidationError
 from gridstate.measurement import Measurement, MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
 from gridstate.powerflow import StateVector
-from gridstate.wls import PolarModel, check_observable, whitener, wls_estimate
+from gridstate.wls import PolarModel, check_observable, linearize, whitener, wls_estimate
 from tests.conftest import synth_zero
+from tests.test_kernels import _count_calls
 from tests.oracles import objective
 
 
@@ -58,6 +60,9 @@ class _LinearModel:
 
     def jac(self, x):
         return self.a
+
+    def start(self, normal, x0, weights):
+        return linearize(self, normal, x0)  # no remembered start
 
     def unpack(self, x):
         n = self.n_state // 2
@@ -297,3 +302,44 @@ def test_whitener_rejects_a_clearly_negative_eigenvalue(layout, seed, at, k):
     parts.insert(min(at, len(parts)), (q * evals) @ q.T)
     with pytest.raises(NumericalError, match="weight block rejected"):
         whitener(parts, "weight block rejected")
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "all nan", "one inf"])
+def test_bad_start_is_rejected_before_any_work(net30, part30, specs30, truth30, monkeypatch, bad):
+    _, mset, model = _area_problem(net30, part30, specs30, truth30, 2)
+    x0 = model.flat()
+    x0 = {"short": x0[:-1], "long": np.append(x0, 1.0), "all nan": np.full_like(x0, np.nan),
+          "one inf": np.where(np.arange(len(x0)) == 3, np.inf, x0)}[bad]
+    calls = _count_calls(monkeypatch, wls, "h_eval")
+    with pytest.raises(ValidationError, match=f"start must hold {model.n_state} finite values"):
+        wls_estimate(mset, model, x0=x0)
+    assert not calls
+
+
+def _same_estimate(a, b):
+    return (a.iterations == b.iterations and a.converged == b.converged and a.objective == b.objective
+            and np.array_equal(a.state.v1, b.state.v1) and np.array_equal(a.state.v2, b.state.v2)
+            and np.array_equal(a.covariance, b.covariance) and np.array_equal(a.residuals, b.residuals))
+
+
+def test_repeat_solve_reuses_the_start_at_the_leaf(net30, part30, specs30, truth30, cfg30, monkeypatch):
+    """An IEEE-30 area TSE (dense normal equations): a repeat solve from
+    the same start and sigmas evaluates one h and one H fewer and equals a
+    fresh model's solve bit for bit; another sigma recomputes."""
+    _, mset, model = _area_problem(net30, part30, specs30, truth30, 1, np.random.default_rng(4), cfg30)
+    assert model.n_state <= 64
+    first = wls_estimate(mset, model)
+    h_calls = _count_calls(monkeypatch, wls, "h_eval")
+    jac_calls = _count_calls(monkeypatch, wls, "jacobian_polar")
+    again = wls_estimate(mset, model)
+    assert len(h_calls) == len(jac_calls) == again.iterations
+    assert _same_estimate(again, first)
+    fresh = PolarModel(model.view, model.specs, pin_angle=model.pin_angle)
+    assert _same_estimate(again, wls_estimate(mset, fresh))
+    sigmas = mset.sigmas.copy()
+    sigmas[0] *= 2.0
+    other = MeasurementSet(mset.specs, mset.z, sigmas)
+    del h_calls[:]
+    got = wls_estimate(other, model)
+    assert len(h_calls) == got.iterations + 1
+    assert _same_estimate(got, wls_estimate(other, PolarModel(model.view, model.specs, model.pin_angle)))
