@@ -15,8 +15,8 @@ at the practical lambda is the same update, re-weighted: under
 lambda is a regularized LS solution (El Ghaoui & Lebret, SIAM J. Matrix
 Anal. Appl. 18(4), 1997).  The exact-lambda step whitens the stack by
 :func:`gridstate.wls.whitener` (an eigh of that block) for bdu; its
-rounding also rests on the TSE gain's, which the Fortran-ordered pattern
-Jacobian of :mod:`gridstate.measurement` fixes.  An experiment's
+rounding also rests on the TSE gain's, which
+:class:`gridstate.wls.PatternNormal` forms.  An experiment's
 perturbation moves the PMU rows of H only (:func:`apply_perturbation`),
 which is what keeps the pseudo rows I.
 """

@@ -367,9 +367,10 @@ def jacobian_polar(view: ModelView, state: StateVector, specs, dense: bool = Tru
 
     Only the places the compiled specs record as structurally nonzero are
     evaluated, and only for the measurement families the specs hold.  H
-    is written in Fortran order: its layout picks the BLAS path of the
-    whitened gain H_w' H_w, and so its rounding.  With ``dense=False``
-    the nonzero values alone come back, in ``CompiledSpecs.jac_at`` order.
+    is written in Fortran order, the order of the flat places
+    ``CompiledSpecs.jac_at`` lists; no gain product reads a dense H, only
+    :func:`gridstate.wls.check_observable`'s rank test.  With
+    ``dense=False`` the nonzero values alone come back, in that order.
     """
     vm, va = view.polar(state, "jacobian_polar")
     c = view.compile(specs)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bdu
 from .caseio import ExperimentConfig
 from .errors import NumericalError, UnobservableError, ValidationError
 from .hybrid import (
@@ -263,7 +262,7 @@ class CoordinatorProblem:
 
 
 class _CoordinatorModel:
-    """h and Jacobian of the coordinator problem.
+    """h and normal equations of the coordinator problem.
 
     Unknowns x_c = [va(bnd, global frame); vm(bnd); u_2..u_r].  Rows: the
     physical rows (boundary SCADA, coordinator PMU rows) at positions
@@ -274,12 +273,12 @@ class _CoordinatorModel:
     Physical rows are evaluated on the full network with every
     non-boundary bus pinned to its owning area's level-1 estimate, rotated
     by that area's offset u; the chain rule folds the pinned angles'
-    u-dependence into the u columns.  Above ``bdu._LEAF`` unknowns the
-    physical rows' nonzero pattern (``pattern``) maps each full-view
-    column to its unknown: a boundary va or vm to its own, a pinned angle
-    to its area's u (area 1's dropped), a pinned magnitude nowhere.  The
-    index maps are built once; :meth:`pinned` binds one trial's level-1
-    estimates.
+    u-dependence into the u columns.  The physical rows' nonzero pattern
+    (``pattern``) maps each full-view column to its unknown: a boundary
+    va or vm to its own, a pinned angle to its area's u (area 1's
+    dropped), a pinned magnitude nowhere; the pseudo rows' Jacobian is
+    the constant ``pseudo_jac``.  The index maps are built once;
+    :meth:`pinned` binds one trial's level-1 estimates.
     """
 
     def __init__(self, net, part, specs, rows):
@@ -299,8 +298,6 @@ class _CoordinatorModel:
         self.n_int = [len(area.internal) for area in part.areas]
         self.pin_pos = np.array([self.view.pos[b] for a in part.areas for b in a.internal], dtype=int)
         self.pin_u = np.array([a.index - 1 for a in part.areas for _ in a.internal], dtype=int)
-        # d(pinned angle)/d(u_2..u_r)
-        self.pin_to_u = np.eye(self.r)[self.pin_u, 1:]
         # pseudo rows [va(buses) - u_ai; vm(buses)] are linear in x_c
         bnd_at = {b: j for j, b in enumerate(self.bnd_ids)}
         col, u_rows, u_cols = [], [], []
@@ -321,14 +318,12 @@ class _CoordinatorModel:
         self.pseudo_jac = np.zeros((len(col), self.n_state))
         self.pseudo_jac[np.arange(len(col)), self.pseudo_col] = 1.0
         self.pseudo_jac[u_rows, u_cols] = -1.0
-        self.pattern = None
-        if self.n_state > bdu._LEAF:
-            col_of = np.full(2 * self.n, -1)
-            col_of[self.bnd_pos] = np.arange(nb)
-            col_of[self.n + self.bnd_pos] = nb + np.arange(nb)
-            col_of[self.pin_pos] = np.where(self.pin_u > 0, 2 * nb + self.pin_u - 1, -1)
-            at = self.view.compile(self.physical).jac_at
-            self.pattern = JacobianPattern(at, len(self.physical), col_of, self.n_state)
+        col_of = np.full(2 * self.n, -1)
+        col_of[self.bnd_pos] = np.arange(nb)
+        col_of[self.n + self.bnd_pos] = nb + np.arange(nb)
+        col_of[self.pin_pos] = np.where(self.pin_u > 0, 2 * nb + self.pin_u - 1, -1)
+        at = self.view.compile(self.physical).jac_at
+        self.pattern = JacobianPattern(at, len(self.physical), col_of, self.n_state)
 
     def pinned(self, locals_):
         """This model with the non-boundary buses pinned at the level-1
@@ -353,14 +348,6 @@ class _CoordinatorModel:
         physical = h_eval(self.view, self.unpack(x), self.physical)
         return np.concatenate([physical, self.pseudo_jac @ x])
 
-    def jac(self, x):
-        jfull = jacobian_polar(self.view, self.unpack(x), self.physical)
-        j_va, j_vm = jfull[:, : self.n], jfull[:, self.n :]
-        physical = np.hstack(
-            [j_va[:, self.bnd_pos], j_vm[:, self.bnd_pos], j_va[:, self.pin_pos] @ self.pin_to_u]
-        )
-        return np.vstack([physical, self.pseudo_jac])
-
     def jac_values(self, x):
         """The physical rows' nonzero Jacobian values over the full view,
         in ``CompiledSpecs.jac_at`` order."""
@@ -372,7 +359,7 @@ class _CoordinatorModel:
         the pseudo rows' constant Jacobian whitened (and its gain formed)
         once per trial."""
         m = len(self.physical)
-        unit = np.zeros(m + len(self.pseudo_col))
+        unit = np.zeros(m + len(self.pseudo_jac))
         unit[:m] = 1.0
         pseudo = np.zeros((len(unit), self.n_state))
         pseudo[m:] = self.pseudo_jac
@@ -418,13 +405,13 @@ def _coordinator_init(model: _CoordinatorModel, prob: CoordinatorProblem):
 
 def _solve_coordinator(model, prob: CoordinatorProblem, x0, tol, k_limit):
     """Gauss-Newton over the block-diagonal weight of ``prob``, whitened
-    block by block; above ``bdu._LEAF`` unknowns the normal equations come
-    from the physical rows' pattern plus the pseudo rows' gain, formed
-    once (:meth:`_CoordinatorModel.pattern_normal`).  Returns (x, inverse
-    gain at x, iterations)."""
+    block by block; the normal equations come from the physical rows'
+    pattern plus the pseudo rows' gain, formed once
+    (:meth:`_CoordinatorModel.pattern_normal`).  Returns (x, inverse gain
+    at x, iterations)."""
     whiten = whitener([prob.w_diag, *prob.w_blocks],
                       "coordinator: weight matrix not positive definite")
-    normal = model.pattern_normal(whiten) if model.n_state > bdu._LEAF else None
+    normal = model.pattern_normal(whiten)
     x, cov, iterations, converged, _, _ = gauss_newton(model, prob.z, whiten, x0, tol, k_limit, normal)
     if not converged:
         raise NumericalError(f"coordinator: no convergence in {k_limit} iterations")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bdu
 from .bdu import spd_inv, tri_solve
 from .errors import NumericalError, UnobservableError, ValidationError
 from .measurement import MeasurementSet, ModelView, h_eval, jacobian_polar
@@ -33,7 +32,7 @@ class PolarModel:
         self.view = view
         self.specs = tuple(specs)
         self.pin_angle = bool(pin_angle)
-        view.compile(self.specs)
+        compiled = view.compile(self.specs)
         self.n_bus = view.n_bus
         if view.ref_bus not in view.pos:
             raise ValidationError(f"reference bus {view.ref_bus} is not in the view")
@@ -43,7 +42,10 @@ class PolarModel:
             self.free_va = list(range(self.n_bus))
         self.n_state = len(self.free_va) + self.n_bus
         self._cols = np.concatenate([self.free_va, self.n_bus + np.arange(self.n_bus)])
-        self._pattern = None  # H's nonzero pattern, built by pattern_normal
+        # H's nonzero pattern, a pinned angle's column dropped
+        col_of = np.full(2 * self.n_bus, -1)
+        col_of[self._cols] = np.arange(self.n_state)
+        self.pattern = JacobianPattern(compiled.jac_at, len(self.specs), col_of, self.n_state)
         self._start = None  # the last start and its linearization, see start
 
     def flat(self, va0: float = 0.0) -> np.ndarray:
@@ -68,8 +70,8 @@ class PolarModel:
         return h_eval(self.view, self.unpack(x), self.specs)
 
     def jac(self, x) -> np.ndarray:
-        """H over x, Fortran-ordered like :func:`jacobian_polar`'s (a column
-        selection keeps that order); copied only to drop a pinned angle."""
+        """Dense H over x (for :func:`check_observable`'s rank test); copied
+        only to drop a pinned angle."""
         full = jacobian_polar(self.view, self.unpack(x), self.specs)
         return full[:, self._cols] if self.pin_angle else full
 
@@ -78,29 +80,22 @@ class PolarModel:
         ``CompiledSpecs.jac_at`` order (see :class:`JacobianPattern`)."""
         return jacobian_polar(self.view, self.unpack(x), self.specs, dense=False)
 
-    def pattern_normal(self, root) -> "PatternNormal":
-        """:class:`PatternNormal` with W^-1/2 = diag(``root``) over H's
-        nonzero pattern, a pinned angle's column dropped; the pattern is
-        built on the first call."""
-        if self._pattern is None:
-            col_of = np.full(2 * self.n_bus, -1)
-            col_of[self._cols] = np.arange(self.n_state)
-            at = self.view.compile(self.specs).jac_at
-            self._pattern = JacobianPattern(at, len(self.specs), col_of, self.n_state)
-        return PatternNormal(self._pattern, self.jac_values, root)
+    def pattern_normal(self, whiten) -> "PatternNormal":
+        """:class:`PatternNormal` on H's nonzero pattern under ``whiten``,
+        a whitener of variances over the spec rows."""
+        return PatternNormal(self.pattern, self.jac_values, whiten(np.ones(len(self.specs))))
 
     def start(self, normal, x0, weights):
         """:func:`linearize` at ``x0`` under ``normal``, remembered for the
-        last start only: reused while x0, the weight vector and the form
-        of the normal equations equal the last ones (every trial starts
-        flat at the same point), recomputed for anything else."""
+        last start only: reused while x0 and the weight vector equal the
+        last ones (every trial starts flat at the same point), recomputed
+        for anything else."""
         memo = self._start
-        if not (memo and memo[0] is type(normal) and np.array_equal(memo[1], x0)
-                and np.array_equal(memo[2], weights)):
-            memo = (type(normal), np.array(x0, dtype=float), np.array(weights, dtype=float),
+        if not (memo and np.array_equal(memo[0], x0) and np.array_equal(memo[1], weights)):
+            memo = (np.array(x0, dtype=float), np.array(weights, dtype=float),
                     linearize(self, normal, x0))
             self._start = memo
-        return memo[3]
+        return memo[2]
 
     def embed_cov(self, cov_est: np.ndarray) -> np.ndarray:
         """Estimate covariance embedded into the full [va(n); vm(n)] layout
@@ -132,7 +127,7 @@ def whitener(parts, error: str):
     negative eigenvalues are clipped relative to the scale of the whole W;
     one below -1e-8 of that scale raises NumericalError(error).  The
     function keeps its argument's memory layout, on which the BLAS path
-    (and so the rounding) of the gain product H_w' H_w depends.
+    (and so the rounding) of a product of whitened matrices depends.
     """
     spectra = [(p, None) if p.ndim == 1 else np.linalg.eigh(0.5 * (p + p.T)) for p in parts]
     scale = max([1e-300] + [float(e.max(initial=0.0)) for e, _ in spectra])
@@ -166,21 +161,19 @@ class JacobianPattern:
     ``col_of`` sends each of the N columns to an unknown, or to -1 where
     the model drops it.  Nonzeros that land on one (row, unknown) are
     summed, which is the chain rule of a many-to-one column map.  Entries
-    are sorted by (row, unknown); ``a``, ``b`` list every ordered pair of
-    entries in one row and ``ab`` its place in the n x n gain.
+    are sorted by (row, unknown); ``entry`` sends each kept nonzero (at
+    ``take`` among the values) to its entry.  ``a``, ``b`` list every
+    ordered pair of entries in one row and ``ab`` its place in the n x n
+    gain.
     """
 
     def __init__(self, jac_at, m, col_of, n):
         self.m, self.n = m, n
         full_col, row = np.divmod(jac_at, m)
         col = col_of[full_col]
-        kept = np.flatnonzero(col >= 0)
-        at, entry = np.unique(row[kept] * n + col[kept], return_inverse=True)
+        kept = self.take = np.flatnonzero(col >= 0)
+        at, self.entry = np.unique(row[kept] * n + col[kept], return_inverse=True)
         self.row, self.col = np.divmod(at, n)
-        if len(at) == len(kept):
-            self.take, self.merge = kept[np.argsort(entry)], None
-        else:
-            self.take, self.merge = kept, entry
         row = self.row
         per_nz = np.bincount(row, minlength=m)[row]
         self.a = np.repeat(np.arange(len(row)), per_nz)
@@ -189,33 +182,9 @@ class JacobianPattern:
         self.ab = self.col[self.a] * n + self.col[self.b]
 
     def values(self, jac_values) -> np.ndarray:
-        """The entries' values from the Jacobian's nonzero values."""
-        v = jac_values[self.take]
-        return v if self.merge is None else np.bincount(self.merge, weights=v, minlength=len(self.row))
-
-
-class DenseNormal:
-    """Normal equations for :func:`gauss_newton` as dense products of the
-    whitened H = ``jac(x)``: a step's linearization is H_w, its gain
-    H_w' H_w and its gradient H_w' r_w."""
-
-    def __init__(self, jac, whiten):
-        self.jac, self.whiten = jac, whiten
-
-    def weigh(self, x):
-        return self.whiten(self.jac(x))
-
-    def gain(self, h_w):
-        return h_w.T @ h_w
-
-    def grad(self, h_w, r_w):
-        return h_w.T @ r_w
-
-    def gain_at(self, x):
-        """The gain alone, from two whitened copies (H_w' H_w on one
-        array takes another BLAS path)."""
-        h = self.jac(x)
-        return self.whiten(h).T @ self.whiten(h)
+        """The entries' values from the Jacobian's nonzero values: one
+        gather, a slot with one nonzero getting 0.0 + v = v exactly."""
+        return np.bincount(self.entry, weights=jac_values[self.take], minlength=len(self.row))
 
 
 class PatternNormal:
@@ -273,13 +242,14 @@ def linearize(model, normal, x):
     return h, lin, gain, _factor(gain)
 
 
-def gauss_newton(model, z, whiten, x0, tol, k_limit, normal=None, start=None):
-    """Gauss-Newton WLS on ``model`` (``h(x)`` and ``jac(x)``) from x0,
-    with W^-1/2 applied by ``whiten`` (see :func:`whitener`).
+def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
+    """Gauss-Newton WLS on ``model`` (``h(x)``) from x0, with W^-1/2
+    applied by ``whiten`` (see :func:`whitener`).
 
-    ``normal`` forms the steps' normal equations, gain H' W^-1 H and
-    gradient H' W^-1 r (default: :class:`DenseNormal` on ``model.jac``);
-    ``start`` is :func:`linearize` at x0 when the caller has it.
+    ``normal`` (a :class:`PatternNormal`: ``weigh``, ``gain``, ``grad``,
+    ``gain_at``) forms the steps' normal equations, gain H' W^-1 H and
+    gradient H' W^-1 r; ``start`` is :func:`linearize` at x0 when the
+    caller has it.
     Steps solve these normal equations; a full step that raises
     J(x) = ||W^-1/2 (z - h(x))||^2 falls back to Marquardt damping.
     Stops when max |dx| < tol.  Returns (x, covariance, iterations,
@@ -298,7 +268,6 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal=None, start=None):
         r_w = whiten(r)
         return float(np.sum(r_w**2)), r, r_w
 
-    normal = DenseNormal(model.jac, whiten) if normal is None else normal
     x = np.array(x0, dtype=float)
     h, lin, gain, c = linearize(model, normal, x) if start is None else start
     r = z - h
@@ -354,10 +323,8 @@ def wls_estimate(
     """Gauss-Newton WLS estimate for the given measurement set and model,
     from ``x0`` (default: the model's flat start).
 
-    Above ``bdu._LEAF`` unknowns the normal equations come from H's
-    nonzero pattern (:meth:`PolarModel.pattern_normal`); at or below it
-    they are dense products, so every such system rounds as it always did.
-    The start's linearization is the model's remembered one when x0 and
+    The normal equations come from H's nonzero pattern
+    (:meth:`PolarModel.pattern_normal`).  The start's linearization is the model's remembered one when x0 and
     the sigmas repeat (:meth:`PolarModel.start`).
 
     Returns converged=False (never raises) when k_limit is reached; raises
@@ -371,10 +338,7 @@ def wls_estimate(
     if x0.shape != (model.n_state,) or not np.all(np.isfinite(x0)):
         raise ValidationError(f"start must hold {model.n_state} finite values")
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
-    if model.n_state > bdu._LEAF:
-        normal = model.pattern_normal(whiten(np.ones(len(mset))))
-    else:
-        normal = DenseNormal(model.jac, whiten)
+    normal = model.pattern_normal(whiten)
     start = model.start(normal, x0, mset.sigmas)
     x, cov, iterations, converged, j, r = gauss_newton(
         model, mset.z, whiten, x0, tol, k_limit, normal, start

@@ -1,8 +1,9 @@
 """Reference quantities that only the tests read: G(lambda) at a given
 lambda, the practical lambda choice, ||S'RS|| and the WLS objective at a
-given state, each from the package's own pieces; and the min-max
-solution at a given lambda from its saddle (KKT) system and from QR on
-its stacked least-squares rows."""
+given state, each from the package's own pieces; the min-max solution at
+a given lambda from its saddle (KKT) system and from QR on its stacked
+least-squares rows; the WLS covariance from QR; the Gauss-Newton normal
+equations as dense products; and the coordinator's dense Jacobian."""
 
 import numpy as np
 
@@ -80,3 +81,47 @@ def objective(mset, model, state) -> float:
     """J(x) = (z - h(x))' W^-1 (z - h(x))."""
     r = mset.z - model.h(model.pack(state))
     return float(np.sum((r / mset.sigmas) ** 2))
+
+
+def qr_covariance(h_w) -> np.ndarray:
+    """(H_w' H_w)^-1 of a whitened H as R^-1 R^-T from H_w = QR, without
+    forming the normal matrix, so its error grows as cond(H_w), not as
+    the gain's cond(H_w)^2."""
+    r = np.linalg.qr(h_w, mode="r")
+    r_inv = np.linalg.solve(r, np.eye(len(r)))
+    return r_inv @ r_inv.T
+
+
+class DenseNormal:
+    """Normal equations for ``wls.gauss_newton`` as dense products of the
+    whitened H = ``jac(x)``: a step's linearization is H_w, its gain
+    H_w' H_w and its gradient H_w' r_w; the reference for the package's
+    pattern form (``wls.PatternNormal``)."""
+
+    def __init__(self, jac, whiten):
+        self.jac, self.whiten = jac, whiten
+
+    def weigh(self, x):
+        return self.whiten(self.jac(x))
+
+    def gain(self, h_w):
+        return h_w.T @ h_w
+
+    def grad(self, h_w, r_w):
+        return h_w.T @ r_w
+
+    def gain_at(self, x):
+        """The gain alone, from two whitened copies (H_w' H_w on one
+        array takes another BLAS path)."""
+        h = self.jac(x)
+        return self.whiten(h).T @ self.whiten(h)
+
+
+def coordinator_jac(model, x) -> np.ndarray:
+    """The coordinator's m x n Jacobian at x: its physical rows scattered
+    from the nonzero values on ``model.pattern`` (pinned angles summed
+    into their area's u column), then the constant pseudo rows."""
+    p = model.pattern
+    physical = np.zeros((p.m, model.n_state))
+    physical[p.row, p.col] = p.values(model.jac_values(x))
+    return np.vstack([physical, model.pseudo_jac])

@@ -1,7 +1,8 @@
-"""The level-2 coordinator above the leaf: its normal equations from the
-physical rows' nonzero pattern plus the pseudo rows' per-trial gain
-(``_CoordinatorModel.pattern_normal``) against the dense whitened products,
-on IEEE-30 tiled three times (a coordinator of 80 unknowns)."""
+"""The level-2 coordinator's normal equations from the physical rows'
+nonzero pattern plus the pseudo rows' per-trial gain
+(``_CoordinatorModel.pattern_normal``) against the dense whitened products
+of ``tests/oracles.py``, on IEEE-30 tiled three times (a coordinator of 80
+unknowns, above the kernels' leaf)."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from gridstate.multiarea import (
     _solve_coordinator,
     level1_run,
 )
-from gridstate.wls import whitener
+from gridstate.wls import gauss_newton, whitener
+from tests.oracles import DenseNormal, coordinator_jac
 from tests.test_kernels import _count_calls, _tiled_workload
 
 
@@ -44,11 +46,9 @@ def _whiten(prob):
     return whitener([prob.w_diag, *prob.w_blocks], "coordinator: weight matrix not positive definite")
 
 
-def _dense_normal(model, whiten, x, r):
-    """The dense form: the whitened m x n Jacobian (chain rule by
-    ``pin_to_u``), its gain and gradient."""
-    h_w = whiten(model.jac(x))
-    return h_w.T @ h_w, h_w.T @ whiten(r)
+def _dense_normal(model, whiten):
+    """The dense form: products of the whitened m x n Jacobian."""
+    return DenseNormal(lambda x: coordinator_jac(model, x), whiten)
 
 
 def _states(model, x0, seed):
@@ -65,12 +65,12 @@ def _states(model, x0, seed):
 def test_coordinator_pattern_normal_equations_equal_the_dense_products(tiled3):
     prob, model, x0, _ = tiled3
     whiten = _whiten(prob)
-    normal = model.pattern_normal(whiten)
+    normal, dense = model.pattern_normal(whiten), _dense_normal(model, whiten)
     for x in _states(model, x0, 5):
         r = prob.z - model.h(x)
-        v = normal.weigh(x)
+        v, h_w = normal.weigh(x), dense.weigh(x)
         gain, g = normal.gain(v), normal.grad(v, whiten(r))
-        want_gain, want_g = _dense_normal(model, whiten, x, r)
+        want_gain, want_g = dense.gain(h_w), dense.grad(h_w, whiten(r))
         assert np.array_equal(gain, gain.T)
         assert np.abs(gain - want_gain).max() <= 1e-12 * np.abs(want_gain).max()
         assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max()
@@ -79,8 +79,9 @@ def test_coordinator_pattern_normal_equations_equal_the_dense_products(tiled3):
 
 def test_column_map_covers_every_physical_nonzero(tiled3):
     """Scattered onto the unknowns, the pattern's merged values are the
-    dense physical rows: a boundary va/vm in its own column, a pinned
-    angle summed into its area's u, and nothing else dropped."""
+    dense physical rows summed by the column map written out here: a
+    boundary va/vm in its own column, a pinned angle summed into its
+    area's u, and nothing else dropped."""
     prob, model, x0, _ = tiled3
     pattern, m, nb = model.pattern, len(model.physical), model.n_bnd
     at = model.view.compile(model.physical).jac_at
@@ -97,7 +98,7 @@ def test_column_map_covers_every_physical_nonzero(tiled3):
             unknown[model.view.pos[b]] = 2 * nb + area.index - 2 if area.index >= 2 else -1
             unknown[model.n + model.view.pos[b]] = -1
     entries = set(zip(pattern.row.tolist(), pattern.col.tolist()))
-    assert pattern.merge is not None  # pinned angles of one row share a u column
+    assert len(pattern.row) < len(pattern.take)  # pinned angles of one row share a u column
     for x in _states(model, x0, 9):
         full = jacobian_polar(model.view, model.unpack(x), model.physical)
         assert not np.any(np.ravel(full, order="F")[outside])
@@ -107,21 +108,31 @@ def test_column_map_covers_every_physical_nonzero(tiled3):
             assert unknown[col] < 0 or (row, unknown[col]) in entries
         scattered = np.zeros((m, model.n_state))
         scattered[pattern.row, pattern.col] = pattern.values(values)
-        want = model.jac(x)[:m]
+        want = np.zeros((m, model.n_state))
+        for col, j in unknown.items():
+            if j >= 0:
+                want[:, j] += full[:, col]
         assert np.abs(scattered - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_coordinator_solve_matches_the_dense_path(tiled3, monkeypatch):
     prob, model, x0, exp = tiled3
-    dense_jac = _count_calls(monkeypatch, _CoordinatorModel, "jac")
+    dense = []
+    jacobian = multiarea.jacobian_polar
+
+    def recorded(*args, **kwargs):
+        dense.append(kwargs.get("dense", True))
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(multiarea, "jacobian_polar", recorded)
     pattern = _count_calls(monkeypatch, _CoordinatorModel, "pattern_normal")
     x, cov, iters = _solve_coordinator(model, prob, x0, exp.cfg.epsilon, exp.cfg.k_limit)
-    # no dense physical Jacobian above the leaf
-    assert not dense_jac and len(pattern) == 1
-    monkeypatch.setattr(bdu, "_LEAF", 10**6)
-    x_d, cov_d, iters_d = _solve_coordinator(model, prob, x0, exp.cfg.epsilon, exp.cfg.k_limit)
-    assert dense_jac and len(pattern) == 1
-    assert iters == iters_d >= 2
+    # no dense physical Jacobian
+    assert dense and not any(dense) and len(pattern) == 1
+    whiten = _whiten(prob)
+    x_d, cov_d, iters_d, converged, _, _ = gauss_newton(
+        model, prob.z, whiten, x0, exp.cfg.epsilon, exp.cfg.k_limit, _dense_normal(model, whiten))
+    assert converged and iters == iters_d >= 2
     assert np.abs(x - x_d).max() <= 1e-9
     assert np.abs(cov - cov_d).max() <= 1e-9 * np.abs(cov_d).max()
 

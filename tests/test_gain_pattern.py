@@ -1,7 +1,8 @@
-"""The traditional estimator above the leaf: its normal equations from the
-Jacobian's nonzero pattern (``PolarModel.pattern_normal``) against the dense
-whitened products, and the Gauss-Newton behaviour that must not change
-with them, on the central TSE of IEEE-30 tiled twice."""
+"""The traditional estimator's normal equations from the Jacobian's
+nonzero pattern (``PolarModel.pattern_normal``) against the dense whitened
+products of ``tests/oracles.py``, and the Gauss-Newton behaviour that must
+not change with them, on the central TSE of IEEE-30 tiled twice (above
+the kernels' leaf)."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from gridstate.errors import UnobservableError
 from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _START_STEP, Structure
 from gridstate.netmodel import single_area
-from gridstate.wls import PolarModel, whitener, wls_estimate
+from gridstate.wls import PolarModel, gauss_newton, whitener, wls_estimate
+from tests.oracles import DenseNormal
 from tests.test_kernels import _count_calls, _tiled_workload
 from tests.test_wls import _same_estimate
 
@@ -59,10 +61,10 @@ def _random_state(model, rng):
 def test_pattern_normal_equations_equal_the_dense_products(tiled2, layout):
     model, mset = _layouts(*tiled2[:2])[layout]
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
-    normal = model.pattern_normal(whiten(np.ones(len(mset))))
-    pattern = model._pattern
+    normal = model.pattern_normal(whiten)
+    pattern = model.pattern
     at = pattern.row + len(mset) * pattern.col  # flat Fortran places in the model's H
-    assert pattern.merge is None and len(np.unique(at)) == len(at)
+    assert len(pattern.row) == len(pattern.take) and len(np.unique(at)) == len(at)
     outside = np.ones(len(mset) * model.n_state, dtype=bool)
     outside[at] = False
     rng = np.random.default_rng(17)
@@ -110,11 +112,13 @@ def test_marquardt_fallback_matches_the_dense_path(tiled2, monkeypatch):
     calls = _count_calls(monkeypatch, wls, "h_eval")
     res = wls_estimate(tse_set, model, x0=x0)
     assert res.converged and len(calls) > res.iterations + 1
-    monkeypatch.setattr(bdu, "_LEAF", 10**6)
-    dense = wls_estimate(tse_set, model, x0=x0)
-    assert dense.iterations == res.iterations
-    assert np.abs(model.pack(res.state) - model.pack(dense.state)).max() <= 1e-9
-    assert np.abs(res.covariance - dense.covariance).max() <= 1e-9 * np.abs(dense.covariance).max()
+    whiten = whitener([tse_set.sigmas**2], "measurement variances are not positive")
+    # wls_estimate's default tolerance and iteration limit
+    x, cov, iterations, converged, _, _ = gauss_newton(
+        model, tse_set.z, whiten, x0, 1e-6, 20, DenseNormal(model.jac, whiten))
+    assert converged and iterations == res.iterations
+    assert np.abs(model.pack(res.state) - x).max() <= 1e-9
+    assert np.abs(res.covariance - cov).max() <= 1e-9 * np.abs(cov).max()
 
 
 def _fresh(model):

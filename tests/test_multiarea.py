@@ -1,4 +1,3 @@
-from copy import copy
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +12,7 @@ from gridstate.multiarea import (
     Structure,
     _assemble_coordinator,
     _coordinator_init,
+    _CoordinatorModel,
     _solve_coordinator,
     _split_rows,
     compute_errors,
@@ -26,6 +26,7 @@ from gridstate.netmodel import single_area
 from gridstate.powerflow import StateVector
 from gridstate.wls import PolarModel
 from tests.conftest import synth_zero
+from tests.oracles import coordinator_jac
 
 
 def _zero_cfg(cfg30):
@@ -294,11 +295,11 @@ def _dense_gauss_newton(model, prob, x0, tol, k_limit):
     x = np.array(x0, dtype=float)
     for k in range(1, k_limit + 1):
         r_w = np.linalg.solve(l_fac, prob.z - model.h(x))
-        j_w = np.linalg.solve(l_fac, model.jac(x))
+        j_w = np.linalg.solve(l_fac, coordinator_jac(model, x))
         dx = np.linalg.lstsq(j_w, r_w, rcond=None)[0]
         x = x + dx
         if np.max(np.abs(dx)) < tol:
-            j_w = np.linalg.solve(l_fac, model.jac(x))
+            j_w = np.linalg.solve(l_fac, coordinator_jac(model, x))
             return x, np.linalg.inv(j_w.T @ j_w), k
     raise AssertionError("dense oracle did not converge")
 
@@ -307,13 +308,17 @@ def _dense_gauss_newton(model, prob, x0, tol, k_limit):
 @pytest.mark.parametrize("seed", [4, 11])
 def test_coordinator_model_matches_loop_reference(net30, part30, specs30, truth30, view30,
                                                   cfg30, robust, seed):
+    """h, and the Jacobian scattered from the physical rows' pattern (its
+    column map folds the pinned angles into the u columns) plus the
+    pseudo rows, against per-bus loops on the 24-unknown coordinator."""
     prob, model, x0, locals_ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, seed,
                                             robust)
+    assert model.n_state == 24
     rng = np.random.default_rng(seed)
     for x in (x0, x0 + 1e-2 * rng.standard_normal(x0.shape)):
         h_ref, jac_ref = _loop_h_jac(model, locals_, x)
         assert np.abs(model.h(x) - h_ref).max() <= 1e-14
-        assert np.abs(model.jac(x) - jac_ref).max() <= 1e-12 * np.abs(jac_ref).max()
+        assert np.abs(coordinator_jac(model, x) - jac_ref).max() <= 1e-12 * np.abs(jac_ref).max()
 
 
 @pytest.mark.parametrize("robust", [True, False])
@@ -342,12 +347,13 @@ def test_coordinator_indefinite_weight_block(net30, part30, specs30, truth30, vi
 def test_coordinator_rank_deficient(net30, part30, specs30, truth30, view30, cfg30):
     # area 1's pseudo rows alone leave the other areas' offsets u and their
     # own boundary states free
-    prob, model, x0, _ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
+    prob, model, x0, locals_ = _coordinator(net30, part30, specs30, truth30, view30, cfg30, 4, True)
     n1 = prob.w_blocks[0].shape[0]
     p = len(prob.w_diag)
     only1 = CoordinatorProblem(prob.z[p : p + n1], np.zeros(0), prob.w_blocks[:1])
-    model1 = copy(model)
-    model1.physical, model1.pseudo_jac = (), model.pseudo_jac[:n1]
+    # a model with no physical rows, so its pattern is empty too
+    model1 = _CoordinatorModel(net30, part30, specs30, []).pinned(locals_)
+    model1.pseudo_jac = model.pseudo_jac[:n1]
     with pytest.raises(UnobservableError):
         _solve_coordinator(model1, only1, x0, cfg30.epsilon, cfg30.k_limit)
 

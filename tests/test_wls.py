@@ -12,7 +12,7 @@ from gridstate.powerflow import StateVector
 from gridstate.wls import PolarModel, check_observable, linearize, whitener, wls_estimate
 from tests.conftest import synth_zero
 from tests.test_kernels import _count_calls
-from tests.oracles import objective
+from tests.oracles import DenseNormal, objective
 
 
 def _area_problem(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None):
@@ -60,6 +60,9 @@ class _LinearModel:
 
     def jac(self, x):
         return self.a
+
+    def pattern_normal(self, whiten):
+        return DenseNormal(self.jac, whiten)  # no nonzero pattern
 
     def start(self, normal, x0, weights):
         return linearize(self, normal, x0)  # no remembered start
@@ -323,9 +326,10 @@ def _same_estimate(a, b):
 
 
 def test_repeat_solve_reuses_the_start_at_the_leaf(net30, part30, specs30, truth30, cfg30, monkeypatch):
-    """An IEEE-30 area TSE (dense normal equations): a repeat solve from
-    the same start and sigmas evaluates one h and one H fewer and equals a
-    fresh model's solve bit for bit; another sigma recomputes."""
+    """An IEEE-30 area TSE (at most the kernels' leaf of 64 unknowns): a
+    repeat solve from the same start and sigmas evaluates one h and one H
+    fewer and equals a fresh model's solve bit for bit; another sigma
+    recomputes."""
     _, mset, model = _area_problem(net30, part30, specs30, truth30, 1, np.random.default_rng(4), cfg30)
     assert model.n_state <= 64
     first = wls_estimate(mset, model)
