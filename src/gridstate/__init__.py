@@ -17,4 +17,4 @@ from .measurement import Measurement, MeasurementSet, ModelView, h_eval, synthes
 from .multiarea import GlobalResult, compute_errors, level1_run, level2_run, run_two_level  # noqa: F401
 from .netmodel import AreaPartition, Branch, Bus, PowerNetwork, build_ybus, partition  # noqa: F401
 from .powerflow import StateVector, mismatch, run_powerflow  # noqa: F401
-from .wls import EstimationResult, PolarModel, wls_estimate  # noqa: F401
+from .wls import EstimationResult, PolarBatch, PolarModel, wls_estimate  # noqa: F401

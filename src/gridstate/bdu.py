@@ -69,10 +69,13 @@ _LEAF = 64
 def tri_solve(t, b, lower: bool):
     """T^-1 b for a triangular T (``lower`` or upper) and a 1-D or 2-D b,
     by blocked substitution: above ``_LEAF`` the lower case is
-    y1 = T11^-1 b1, y2 = T22^-1 (b2 - T21 y1), the upper case mirrored."""
-    n = t.shape[0]
+    y1 = T11^-1 b1, y2 = T22^-1 (b2 - T21 y1), the upper case mirrored.
+    At or below ``_LEAF``, T may also be a stack of k such matrices and b
+    the k x n stack of their right-hand sides: one call, each solve
+    rounding as its own."""
+    n = t.shape[-1]
     if n <= _LEAF:
-        return np.linalg.solve(t, b)
+        return np.linalg.solve(t, b) if t.ndim == 2 else np.linalg.solve(t, b[..., None])[..., 0]
     k = n // 2
     if lower:
         y1 = tri_solve(t[:k, :k], b[:k], True)
@@ -89,8 +92,9 @@ def spd_inv(g):
     M = [[M11, 0], [-M22 L21 M11, M22]] (Mii = Lii^-1).  The Schur-complement
     form of G^-1 from an inverted leading block loses accuracy as
     cond(A) cond(S); this form keeps LAPACK's.  LinAlgError when G is not
-    positive definite (np.linalg.inv, the leaf, raises it on a singular G)."""
-    if g.shape[0] <= _LEAF:
+    positive definite (np.linalg.inv, the leaf, raises it on a singular G).
+    At or below ``_LEAF``, G may also be a stack of matrices."""
+    if g.shape[-1] <= _LEAF:
         return np.linalg.inv(g)
     m = _tri_inv(np.linalg.cholesky(g))
     return m.T @ m

@@ -201,6 +201,18 @@ _BRANCH_DTYPES = (np.intp, bool, np.intp, np.intp, complex, complex)
 _IMAG_KINDS = frozenset(("q_inj", "q_flow", "pmu_vi", "pmu_ii"))
 
 
+class _BlockRows:
+    """Ybus rows of stacked views as (rows, bus columns) blocks: ``@``
+    multiplies each block by its own view's voltages alone, so each
+    product rounds as the view's own ``inj_y @ v``."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks
+
+    def __matmul__(self, v):
+        return np.concatenate([y @ v[cols] for y, cols in self.blocks])
+
+
 class CompiledSpecs:
     """A spec list compiled against one view into flat index arrays.
 
@@ -234,18 +246,54 @@ class CompiledSpecs:
         self.volt = _BusRows(*_columns(volt, _BUS_DTYPES))
         self.flow = _BranchRows(*_columns(flow, _BRANCH_DTYPES))
         self.cur = _BranchRows(*_columns(cur, _BRANCH_DTYPES))
+        self.inj_pat = ybus_pattern(self.inj_y, self.inj_bus)
+        self._place(view.n_bus)
 
-        # the Jacobian's nonzeros: each injection row takes every Ybus
-        # pattern entry of its bus (``inj_entry``, real or imaginary part
-        # by ``inj_imag``); ``jac_at`` holds, in the order jacobian_polar
-        # lists its values, their flat Fortran-order places in [va | vm]
-        self.inj_pat = pat = ybus_pattern(self.inj_y, self.inj_bus)
+    @classmethod
+    def stack(cls, parts, n_bus) -> "CompiledSpecs":
+        """Compiled forms side by side, the k-th over ``n_bus[k]`` buses:
+        its rows, buses, injection buses and Ybus pattern entries follow
+        those of the forms before.  ``inj_y`` multiplies each form's Ybus
+        rows by its own buses' voltages, so every value rounds as in that
+        form's own evaluation."""
+        out = cls.__new__(cls)
+        bus = np.cumsum([0, *n_bus], dtype=np.intp)
+        row, inj, entry = (np.cumsum([0, *sizes[:-1]], dtype=np.intp) for sizes in (
+            [c.n_rows for c in parts], [len(c.inj_bus) for c in parts], [len(c.inj_pat.row) for c in parts]))
+
+        def cat(field, *shifts):
+            """``field``, a tuple of arrays, of every part side by side,
+            column i of the k-th part shifted by shifts[i][k] (None: as is)."""
+            tuples = [getattr(c, field) for c in parts]
+            return type(tuples[0])(*(
+                np.concatenate([v if d is None else v + d[k] for k, v in enumerate(col)])
+                for col, d in zip(zip(*tuples), shifts)))
+
+        out.n_rows = sum(c.n_rows for c in parts)
+        out.inj_bus = np.concatenate([c.inj_bus + b for c, b in zip(parts, bus)])
+        out.inj = cat("inj", row, None, inj)
+        out.inj_y = _BlockRows([(c.inj_y, slice(a, b))
+                                for c, a, b in zip(parts, bus, bus[1:]) if len(c.inj_bus)])
+        out.volt = cat("volt", row, None, bus)
+        out.flow = cat("flow", row, None, bus, bus, None, None)
+        out.cur = cat("cur", row, None, bus, bus, None, None)
+        out.inj_pat = cat("inj_pat", bus, bus, None, entry, None)
+        out._place(int(bus[-1]))
+        return out
+
+    def _place(self, n):
+        """The Jacobian's nonzeros over n buses: each injection row takes
+        every Ybus pattern entry of its bus (``inj_entry``, real or
+        imaginary part by ``inj_imag``); ``jac_at`` holds, in the order
+        jacobian_polar lists its values, their flat Fortran-order places
+        in [va | vm]."""
+        pat = self.inj_pat
         per_row = pat.count[self.inj.k]
         skip = np.repeat(np.cumsum(pat.count)[self.inj.k] - np.cumsum(per_row), per_row)
         self.inj_entry = skip + np.arange(len(skip), dtype=np.intp)
         self.inj_imag = np.repeat(self.inj.imag, per_row)
         inj_rows, inj_col = np.repeat(self.inj.rows, per_row), pat.col[self.inj_entry]
-        m, n = self.n_rows, view.n_bus
+        m = self.n_rows
         f, u, cu = self.flow, self.volt, self.cur
         places = (
             (inj_rows, inj_col), (inj_rows, n + inj_col),
@@ -321,21 +369,44 @@ class ModelView:
             self._compiled = (key, CompiledSpecs(self, key))
         return self._compiled[1]
 
-    def polar(self, state: StateVector, caller: str):
-        """(vm, va) of a polar state in this view's bus order."""
+    def polar(self, state: StateVector):
+        """(vm, va) of a polar state in this view's bus order: the pair
+        :func:`h_eval` and :func:`jacobian_polar` take."""
         if state.coord != "polar":
-            raise ValidationError(f"{caller} expects a polar state")
+            raise ValidationError("a model view expects a polar state")
         if state.bus_ids == self.bus_ids:
             return state.v1, state.v2
         order = [state.index(b) for b in self.bus_ids]
         return state.v1[order], state.v2[order]
 
 
-def h_eval(view: ModelView, state: StateVector, specs) -> np.ndarray:
-    """Evaluate the nonlinear measurement functions at a polar state.
+class StackedView:
+    """Views side by side, each with its own spec list, for one
+    :func:`h_eval` or :func:`jacobian_polar` call over all of them: the
+    k-th view's buses and rows follow those of the views before it
+    (:meth:`CompiledSpecs.stack`), and every value rounds as in the k-th
+    view's own evaluation."""
+
+    def __init__(self, views, spec_lists):
+        spec_lists = [tuple(specs) for specs in spec_lists]
+        self.specs = tuple(m for specs in spec_lists for m in specs)
+        self.n_bus = sum(view.n_bus for view in views)
+        parts = [view.compile(specs) for view, specs in zip(views, spec_lists)]
+        self._compiled = CompiledSpecs.stack(parts, [view.n_bus for view in views])
+
+    def compile(self, specs) -> CompiledSpecs:
+        if specs is not self.specs and tuple(specs) != self.specs:
+            raise ValidationError("specs do not match the stacked views' own")
+        return self._compiled
+
+
+def h_eval(view: ModelView, polar, specs) -> np.ndarray:
+    """Evaluate the nonlinear measurement functions at ``polar``, the
+    (vm, va) pair in the view's bus order (:meth:`ModelView.polar` of a
+    :class:`StateVector`).
 
     Only the measurement families the compiled specs hold are evaluated."""
-    vm, va = view.polar(state, "h_eval")
+    vm, va = polar
     c = view.compile(specs)
     v = vm * np.exp(1j * va)
     out = np.empty(c.n_rows)
@@ -362,8 +433,9 @@ def h_eval(view: ModelView, state: StateVector, specs) -> np.ndarray:
     return out
 
 
-def jacobian_polar(view: ModelView, state: StateVector, specs, dense: bool = True) -> np.ndarray:
-    """Analytic H = dh/dx for the polar layout [va (all); vm (all)].
+def jacobian_polar(view: ModelView, polar, specs, dense: bool = True) -> np.ndarray:
+    """Analytic H = dh/dx at ``polar`` (as :func:`h_eval`'s) for the polar
+    layout [va (all); vm (all)].
 
     Only the places the compiled specs record as structurally nonzero are
     evaluated, and only for the measurement families the specs hold.  H
@@ -372,7 +444,7 @@ def jacobian_polar(view: ModelView, state: StateVector, specs, dense: bool = Tru
     :func:`gridstate.wls.check_observable`'s rank test.  With
     ``dense=False`` the nonzero values alone come back, in that order.
     """
-    vm, va = view.polar(state, "jacobian_polar")
+    vm, va = polar
     c = view.compile(specs)
     values = []
 
@@ -458,7 +530,7 @@ def synthesize(view: ModelView, true_state: StateVector, specs, sigma_for, rng) 
     vector fill the set's value arrays.
     """
     specs = tuple(specs)
-    truth = h_eval(view, true_state, specs)
+    truth = h_eval(view, view.polar(true_state), specs)
     sig = {}
     for m in specs:
         if m.kind not in sig:

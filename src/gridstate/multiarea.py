@@ -1,8 +1,9 @@
 """Two-level multi-area estimation.
 
-Level 1 runs one robust hybrid estimator per area, independently and
-optionally in parallel, over each area's own [internal, boundary,
-external] state.  Level 2 is the central coordinator: it re-estimates all
+Level 1 runs one robust hybrid estimator per area, independently, over
+each area's own [internal, boundary, external] state: the areas'
+traditional estimators step in lockstep, each as if alone, and their
+hybrid stages run optionally in parallel.  Level 2 is the central coordinator: it re-estimates all
 boundary states plus the per-area reference offsets u from boundary
 measurements, PMU measurements, and the level-1 results treated as
 pseudo-measurements, then applies the same hybrid robust refinement.
@@ -61,6 +62,7 @@ from .powerflow import StateVector
 from .wls import (
     JacobianPattern,
     PatternNormal,
+    PolarBatch,
     PolarModel,
     check_observable,
     gauss_newton,
@@ -197,13 +199,26 @@ class _AreaStructure:
         self.observable = check_observable(self.model)
 
 
-def _estimate_area(a: _AreaStructure, mset: MeasurementSet, cfg: ExperimentConfig, robust, perturb):
+def _tse_inputs(structure: "Structure", mset: MeasurementSet):
+    """Per observable area (``structure.observable``) its traditional
+    estimator's measurement set, valued from ``mset``, and its start: flat
+    at the anchor's measured angle rounded to ``_START_STEP``."""
+    sets, starts = [], []
+    for a in structure.observable:
+        sets.append(MeasurementSet(a.model.specs, mset.z[a.tse_rows], mset.sigmas[a.tse_rows] * a.tse_scale))
+        va0 = _START_STEP * round(np.arctan2(*mset.z[a.anchor]) / _START_STEP) if a.anchor else 0.0
+        starts.append(a.model.flat(va0))
+    return sets, starts
+
+
+def _estimate_area(a: _AreaStructure, tse, mset: MeasurementSet, cfg: ExperimentConfig, robust, perturb):
+    """The hybrid stage of one area on its traditional estimate ``tse``
+    (or the error its traditional estimator failed with)."""
     index = a.area.index
     if not a.observable:
         raise UnobservableError(f"area {index}: SCADA measurement set does not observe the local state")
-    tse_set = MeasurementSet(a.model.specs, mset.z[a.tse_rows], mset.sigmas[a.tse_rows] * a.tse_scale)
-    va0 = _START_STEP * round(np.arctan2(*mset.z[a.anchor]) / _START_STEP) if a.anchor else 0.0
-    tse = wls_estimate(tse_set, a.model, tol=cfg.epsilon, k_limit=cfg.k_limit, x0=a.model.flat(va0))
+    if isinstance(tse, Exception):
+        raise tse
     if not tse.converged:
         raise NumericalError(f"area {index}: traditional estimator did not converge")
 
@@ -224,12 +239,23 @@ def level1_run(
     """Run every area's robust hybrid estimator on the values of ``mset``;
     areas never exchange data.
 
-    Results are gathered in area-index order regardless of completion
-    order.  Raises NumericalError listing every failing area.
+    The observable areas' traditional estimators run in lockstep, each as
+    if alone (one :func:`wls_estimate` call on ``structure.tse``); then
+    each area's hybrid stage runs, on threads with ``parallel``.  Results
+    are gathered in area-index order regardless of completion order.
+    Raises NumericalError listing every failing area.
     """
+    observable = structure.observable
+    try:
+        sets, starts = _tse_inputs(structure, mset)
+        tse = wls_estimate(sets, structure.tse, cfg.epsilon, cfg.k_limit, starts) if sets else []
+    except (NumericalError, ValidationError) as exc:
+        tse = [exc] * len(observable)
+    tse = dict(zip((a.area.index for a in observable), tse))
+
     def job(a):
         try:
-            return _estimate_area(a, mset, cfg, robust, perturb)
+            return _estimate_area(a, tse.get(a.area.index), mset, cfg, robust, perturb)
         except (NumericalError, ValidationError) as exc:
             return exc
 
@@ -325,15 +351,16 @@ class _CoordinatorModel:
         at = self.view.compile(self.physical).jac_at
         self.pattern = JacobianPattern(at, len(self.physical), col_of, self.n_state)
 
-    def pinned(self, locals_):
+    def pinned(self, locals_, angles):
         """This model with the non-boundary buses pinned at the level-1
-        estimates ``locals_`` (in area order)."""
+        estimates ``locals_`` (in area order), their angles ``angles``."""
         model = copy(self)
         model.pin_vm = np.concatenate([lr.state.v1[:k] for lr, k in zip(locals_, self.n_int)])
-        model.pin_va = np.concatenate([lr.state.v2[:k] for lr, k in zip(locals_, self.n_int)])
+        model.pin_va = np.concatenate([va[:k] for va, k in zip(angles, self.n_int)])
         return model
 
     def unpack(self, x):
+        """(vm, va) over the full view at x: the pair h_eval takes."""
         nb = self.n_bnd
         u = np.concatenate([[0.0], x[2 * nb :]])
         vm = np.empty(self.n)
@@ -342,10 +369,14 @@ class _CoordinatorModel:
         va[self.bnd_pos] = x[:nb]
         vm[self.pin_pos] = self.pin_vm
         va[self.pin_pos] = self.pin_va + u[self.pin_u]
-        return StateVector("polar", self.bus_ids, vm, va, ref_bus=self.part.global_ref)
+        return vm, va
 
     def h(self, x):
-        physical = h_eval(self.view, self.unpack(x), self.physical)
+        """h at x; ValidationError where a magnitude is not positive."""
+        vm, va = self.unpack(x)
+        if np.any(vm <= 0.0):
+            raise ValidationError("polar state requires positive magnitudes")
+        physical = h_eval(self.view, (vm, va), self.physical)
         return np.concatenate([physical, self.pseudo_jac @ x])
 
     def jac_values(self, x):
@@ -366,12 +397,15 @@ class _CoordinatorModel:
         return PatternNormal(self.pattern, self.jac_values, whiten(unit)[:m], whiten(pseudo)[m:])
 
 
-def _assemble_coordinator(model: _CoordinatorModel, locals_, mset: MeasurementSet) -> CoordinatorProblem:
+def _assemble_coordinator(model: _CoordinatorModel, locals_, angles, mset) -> CoordinatorProblem:
+    """The coordinator's values: the physical rows from ``mset``, the
+    pseudo rows from the level-1 results ``locals_`` with angles
+    ``angles``."""
     z_parts = [mset.z[model.rows]]
     w_blocks = []
     for ai, idx in zip(model.pseudo_areas, model.pseudo_idx):
         lr = locals_[ai - 1]
-        z_parts.append(np.concatenate([lr.state.v2, lr.state.v1])[idx])
+        z_parts.append(np.concatenate([angles[ai - 1], lr.state.v1])[idx])
         w_blocks.append(lr.cov[np.ix_(idx, idx)] + VARIANCE_FLOOR * np.eye(len(idx)))
     return CoordinatorProblem(np.concatenate(z_parts), mset.sigmas[model.rows] ** 2, tuple(w_blocks))
 
@@ -379,7 +413,9 @@ def _assemble_coordinator(model: _CoordinatorModel, locals_, mset: MeasurementSe
 @dataclass(frozen=True)
 class GlobalResult:
     """Final per-bus estimates: internal buses from level 1 (re-referenced
-    through u), boundary buses from the coordinator."""
+    through u), boundary buses from the coordinator.  ``locals`` holds the
+    level-1 results as level 1 returned them, their angles before level
+    2's whole-turn shift."""
 
     bus_ids: tuple[int, ...]
     vm: np.ndarray
@@ -418,6 +454,14 @@ def _solve_coordinator(model, prob: CoordinatorProblem, x0, tol, k_limit):
     return x, cov, iterations
 
 
+def _turned_angles(locals_):
+    """The level-1 angles, each area's taken within pi of area 1's first:
+    level-1 angles are known up to whole turns (areas start apart and the
+    hybrid step wraps)."""
+    ref = locals_[0].state.v2[0]
+    return [lr.state.v2 + 2.0 * np.pi * np.round((ref - lr.state.v2) / (2.0 * np.pi)) for lr in locals_]
+
+
 def level2_run(
     structure: "Structure",
     locals_: list[LocalResult],
@@ -429,19 +473,15 @@ def level2_run(
     """Central coordinator: nonlinear WLS over [boundary states; u], then
     the hybrid robust refinement of the boundary voltages."""
     s = structure
-    # level-1 angles are known up to whole turns (areas start apart and the
-    # hybrid step wraps): take each within pi of area 1's first
-    ref = locals_[0].state.v2[0]
-    turns = [2.0 * np.pi * np.round((ref - lr.state.v2) / (2.0 * np.pi)) for lr in locals_]
-    locals_ = [replace(lr, state=replace(lr.state, v2=lr.state.v2 + t)) for lr, t in zip(locals_, turns)]
+    angles = _turned_angles(locals_)
     u = np.zeros(s.part.area_count)
     iters = 0
     vm = np.empty(len(s.bus_ids))
     va = np.empty(len(s.bus_ids))
 
     if s.coordinator is not None:
-        prob = _assemble_coordinator(s.coordinator, locals_, mset)
-        model = s.coordinator.pinned(locals_)
+        prob = _assemble_coordinator(s.coordinator, locals_, angles, mset)
+        model = s.coordinator.pinned(locals_, angles)
         x0 = _coordinator_init(model, prob)
         x_hat, cov_c, iters = _solve_coordinator(model, prob, x0, cfg.epsilon, cfg.k_limit)
         nb = model.n_bnd
@@ -461,17 +501,18 @@ def level2_run(
 
     # the global estimate: internal from level 1 (+u), boundary from the
     # coordinator
-    for lr, out in zip(locals_, s.internal_out):
+    for lr, area_va, out in zip(locals_, angles, s.internal_out):
         vm[out] = lr.state.v1[: len(out)]
-        va[out] = lr.state.v2[: len(out)] + u[lr.area_index - 1]
+        va[out] = area_va[: len(out)] + u[lr.area_index - 1]
     return GlobalResult(s.bus_ids, vm, va, s.source, u, tuple(locals_), iters)
 
 
 class Structure:
     """The value-free part of a two-level run over one network, partition
     and spec tuple, run once per trial by :meth:`run`: each area's level 1,
-    the coordinator model (None without boundary buses) and its PMU block,
-    and the positions that assemble the global estimate."""
+    the lockstep batch of the observable areas' traditional estimators
+    (``tse``), the coordinator model (None without boundary buses) and its
+    PMU block, and the positions that assemble the global estimate."""
 
     def __init__(self, net: PowerNetwork, part: AreaPartition, specs):
         self.part = part
@@ -496,6 +537,9 @@ class Structure:
             _AreaStructure(net, part, a, self.specs, scada[a.index], pmu[a.index], a.index in read)
             for a in part.areas
         ]
+        # the observable areas' traditional estimators, solved in lockstep
+        self.observable = [a for a in self.areas if a.observable]
+        self.tse = PolarBatch([a.model for a in self.observable]) if self.observable else None
 
     def run(self, mset: MeasurementSet, cfg: ExperimentConfig, robust: bool = True,
             perturb=None, parallel: bool = False) -> GlobalResult:

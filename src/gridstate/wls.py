@@ -3,7 +3,10 @@
 This is the traditional (SCADA-only) estimator run at step 1 of the hybrid
 method: normal-equation steps dx = (H' W^-1 H)^-1 H' W^-1 (z - h(x)),
 stopping when max |dx| < epsilon, with the estimate covariance equal to
-the inverse gain matrix at the solution.
+the inverse gain matrix at the solution.  The areas of one level are
+independent problems of this form (Gomez-Exposito et al., "A taxonomy of
+multi-area state estimation methods", EPSR 81(4), 2011); a
+:class:`PolarBatch` steps them in lockstep, each as if alone.
 """
 
 from __future__ import annotations
@@ -12,13 +15,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bdu
 from .bdu import spd_inv, tri_solve
 from .errors import NumericalError, UnobservableError, ValidationError
-from .measurement import MeasurementSet, ModelView, h_eval, jacobian_polar
+from .measurement import MeasurementSet, ModelView, StackedView, h_eval, jacobian_polar
 from .powerflow import StateVector
 
 
-class PolarModel:
+_OUTSIDE = "polar state requires positive magnitudes"
+_VARIANCES = "measurement variances are not positive"
+
+
+class _Polar:
+    """h, H's nonzero values and the remembered Gauss-Newton start over
+    one layout of x = [va (free); vm (all)]: ``view`` and ``specs``, H's
+    ``pattern``, and where x holds the free angles (``_va``, at bus
+    positions ``free_va`` of the ``n_bus``) and the magnitudes (``_vm``)."""
+
+    def unpack(self, x):
+        """(vm, va) at x: the pair :func:`h_eval` takes."""
+        va = np.zeros(self.n_bus)
+        va[self.free_va] = x[self._va]
+        return x[self._vm], va
+
+    def jac_values(self, x) -> np.ndarray:
+        """H's nonzero values at x over [va (all); vm (all)], in
+        ``CompiledSpecs.jac_at`` order (see :class:`JacobianPattern`)."""
+        return jacobian_polar(self.view, self.unpack(x), self.specs, dense=False)
+
+    def pattern_normal(self, whiten) -> "PatternNormal":
+        """:class:`PatternNormal` on H's nonzero pattern under ``whiten``,
+        a whitener of variances over the spec rows."""
+        return PatternNormal(self.pattern, self.jac_values, whiten(np.ones(len(self.specs))))
+
+    def start(self, normal, x0, weights):
+        """:func:`linearize` at ``x0`` under ``normal``, remembered for the
+        last start only: reused while x0 and the weight vector equal the
+        last ones (every trial starts flat at the same point), recomputed
+        for anything else; a start with a singular gain is not kept."""
+        memo = self._start
+        if not (memo and np.array_equal(memo[0], x0) and np.array_equal(memo[1], weights)):
+            memo = (np.array(x0, dtype=float), np.array(weights, dtype=float),
+                    linearize(self, normal, x0))
+            if not any(isinstance(c, Exception) for c in memo[2][3]):
+                self._start = memo
+        return memo[2]
+
+
+class PolarModel(_Polar):
     """Packs/unpacks the estimation vector x = [va (free); vm (all)] for a
     model view and evaluates h and H on it.
 
@@ -37,10 +81,11 @@ class PolarModel:
         if view.ref_bus not in view.pos:
             raise ValidationError(f"reference bus {view.ref_bus} is not in the view")
         if pin_angle:
-            self.free_va = [k for k, bid in enumerate(view.bus_ids) if bid != view.ref_bus]
+            self.free_va = np.flatnonzero([bid != view.ref_bus for bid in view.bus_ids])
         else:
-            self.free_va = list(range(self.n_bus))
+            self.free_va = np.arange(self.n_bus)
         self.n_state = len(self.free_va) + self.n_bus
+        self._va, self._vm = slice(0, len(self.free_va)), slice(len(self.free_va), self.n_state)
         self._cols = np.concatenate([self.free_va, self.n_bus + np.arange(self.n_bus)])
         # H's nonzero pattern, a pinned angle's column dropped
         col_of = np.full(2 * self.n_bus, -1)
@@ -51,7 +96,7 @@ class PolarModel:
     def flat(self, va0: float = 0.0) -> np.ndarray:
         """Every free angle at ``va0``, every magnitude 1."""
         x = np.full(self.n_state, float(va0))
-        x[len(self.free_va) :] = 1.0
+        x[self._vm] = 1.0
         return x
 
     def pack(self, state: StateVector) -> np.ndarray:
@@ -60,42 +105,23 @@ class PolarModel:
         vm = state.v1[order]
         return np.concatenate([va[self.free_va], vm])
 
-    def unpack(self, x) -> StateVector:
-        va = np.zeros(self.n_bus)
-        va[self.free_va] = x[: len(self.free_va)]
-        vm = np.array(x[len(self.free_va) :])
-        return StateVector("polar", self.view.bus_ids, vm, va, ref_bus=self.view.ref_bus)
+    def state(self, x) -> StateVector:
+        """The polar state at x, on arrays of its own."""
+        vm, va = self.unpack(x)
+        return StateVector("polar", self.view.bus_ids, np.array(vm), va, ref_bus=self.view.ref_bus)
 
     def h(self, x) -> np.ndarray:
-        return h_eval(self.view, self.unpack(x), self.specs)
+        """h at x; ValidationError where a magnitude is not positive."""
+        vm, va = self.unpack(x)
+        if np.any(vm <= 0.0):
+            raise ValidationError(_OUTSIDE)
+        return h_eval(self.view, (vm, va), self.specs)
 
     def jac(self, x) -> np.ndarray:
         """Dense H over x (for :func:`check_observable`'s rank test); copied
         only to drop a pinned angle."""
         full = jacobian_polar(self.view, self.unpack(x), self.specs)
         return full[:, self._cols] if self.pin_angle else full
-
-    def jac_values(self, x) -> np.ndarray:
-        """H's nonzero values at x over [va (all); vm (all)], in
-        ``CompiledSpecs.jac_at`` order (see :class:`JacobianPattern`)."""
-        return jacobian_polar(self.view, self.unpack(x), self.specs, dense=False)
-
-    def pattern_normal(self, whiten) -> "PatternNormal":
-        """:class:`PatternNormal` on H's nonzero pattern under ``whiten``,
-        a whitener of variances over the spec rows."""
-        return PatternNormal(self.pattern, self.jac_values, whiten(np.ones(len(self.specs))))
-
-    def start(self, normal, x0, weights):
-        """:func:`linearize` at ``x0`` under ``normal``, remembered for the
-        last start only: reused while x0 and the weight vector equal the
-        last ones (every trial starts flat at the same point), recomputed
-        for anything else."""
-        memo = self._start
-        if not (memo and np.array_equal(memo[0], x0) and np.array_equal(memo[1], weights)):
-            memo = (np.array(x0, dtype=float), np.array(weights, dtype=float),
-                    linearize(self, normal, x0))
-            self._start = memo
-        return memo[2]
 
     def embed_cov(self, cov_est: np.ndarray) -> np.ndarray:
         """Estimate covariance embedded into the full [va(n); vm(n)] layout
@@ -104,6 +130,52 @@ class PolarModel:
         full = np.zeros((2 * n, 2 * n))
         full[np.ix_(self._cols, self._cols)] = cov_est
         return full
+
+
+class PolarBatch(_Polar):
+    """PolarModels that :func:`wls_estimate` solves in lockstep, each as if
+    alone.  x, the rows and the gains are the members' side by side
+    (``parts``: per member its rows and its unknowns); one h and one H
+    evaluation cover every member, over their views side by side (a
+    :class:`gridstate.measurement.StackedView`), and H's pattern has one
+    gain block per member.  A batch of one evaluates its member's own
+    view and pattern, with nothing stacked."""
+
+    def __init__(self, models):
+        self.members = tuple(models)
+        rows = np.cumsum([0] + [len(m.specs) for m in self.members])
+        unknowns = np.cumsum([0] + [m.n_state for m in self.members])
+        bus = np.cumsum([0] + [m.n_bus for m in self.members])
+        self.parts = tuple((slice(r0, r1), slice(u0, u1))
+                           for r0, r1, u0, u1 in zip(rows, rows[1:], unknowns, unknowns[1:]))
+        self.bus_starts, self.n_bus = bus[:-1], int(bus[-1])
+        self._start = None
+        if len(self.members) == 1:
+            (m,) = self.members
+            self.view, self.specs, self.pattern = m.view, m.specs, m.pattern
+            self.free_va, self._va, self._vm = m.free_va, m._va, m._vm
+            return
+        self.view = StackedView([m.view for m in self.members], [m.specs for m in self.members])
+        self.specs = self.view.specs
+        self.free_va = np.concatenate([m.free_va + b for m, b in zip(self.members, bus)])
+        self._va = np.concatenate([u + np.arange(len(m.free_va)) for m, u in zip(self.members, unknowns)])
+        self._vm = np.concatenate([u + np.arange(len(m.free_va), m.n_state)
+                                   for m, u in zip(self.members, unknowns)])
+        col_of = np.full(2 * self.n_bus, -1)
+        for m, b, u in zip(self.members, bus, unknowns):
+            va = m._cols < m.n_bus
+            col_of[np.where(va, b + m._cols, self.n_bus + b + m._cols - m.n_bus)] = u + np.arange(m.n_state)
+        jac_at = self.view.compile(self.specs).jac_at
+        self.pattern = JacobianPattern(jac_at, len(self.specs), col_of, [m.n_state for m in self.members])
+
+    def outside(self, x) -> np.ndarray:
+        """Per member, whether x leaves its state domain (a magnitude that
+        is not positive)."""
+        return np.logical_or.reduceat(x[self._vm] <= 0.0, self.bus_starts)
+
+    def h(self, x) -> np.ndarray:
+        """Every member's h at x, with no domain check (see :meth:`outside`)."""
+        return h_eval(self.view, self.unpack(x), self.specs)
 
 
 @dataclass(frozen=True)
@@ -140,8 +212,7 @@ def whitener(parts, error: str):
         roots.append((slice(at, at + len(evals)), root))
         at += len(evals)
     if all(root.ndim == 1 for _, root in roots):
-        root = np.concatenate([root for _, root in roots])
-        return lambda a: (root * a.T).T
+        return _scaled(np.concatenate([root for _, root in roots]))
 
     def whiten(a):
         out = np.empty_like(a)
@@ -150,6 +221,11 @@ def whitener(parts, error: str):
         return out
 
     return whiten
+
+
+def _scaled(root):
+    """W^-1/2 = diag(``root``) as a function over W's rows."""
+    return lambda a: (root * a.T).T
 
 
 class JacobianPattern:
@@ -164,10 +240,16 @@ class JacobianPattern:
     are sorted by (row, unknown); ``entry`` sends each kept nonzero (at
     ``take`` among the values) to its entry.  ``a``, ``b`` list every
     ordered pair of entries in one row and ``ab`` its place in the n x n
-    gain.
+    gain.  ``n`` may instead list the orders of consecutive blocks of
+    unknowns that no row couples (models side by side): the gain is then
+    block diagonal, and ``ab`` places each pair in its block, the blocks
+    stored one after another (``blocks``: each one's first place and
+    order).
     """
 
     def __init__(self, jac_at, m, col_of, n):
+        sizes = np.atleast_1d(np.asarray(n, dtype=np.intp))
+        n = int(sizes.sum())
         self.m, self.n = m, n
         full_col, row = np.divmod(jac_at, m)
         col = col_of[full_col]
@@ -179,7 +261,13 @@ class JacobianPattern:
         self.a = np.repeat(np.arange(len(row)), per_nz)
         first = np.searchsorted(row, row)  # each row's first entry
         self.b = np.arange(len(self.a)) - np.repeat(np.cumsum(per_nz) - per_nz - first, per_nz)
-        self.ab = self.col[self.a] * n + self.col[self.b]
+        stored = np.cumsum(sizes**2) - sizes**2
+        self.blocks = tuple(zip(stored.tolist(), sizes.tolist()))
+        self.gain_size = int(np.sum(sizes**2))
+        block = np.repeat(np.arange(len(sizes)), sizes)[self.col]
+        local = self.col - (np.cumsum(sizes) - sizes)[block]
+        block_a = block[self.a]
+        self.ab = stored[block_a] + local[self.a] * sizes[block_a] + local[self.b]
 
     def values(self, jac_values) -> np.ndarray:
         """The entries' values from the Jacobian's nonzero values: one
@@ -211,8 +299,12 @@ class PatternNormal:
         return self.root_row * self.pattern.values(self.values(x))
 
     def gain(self, v):
+        """The gain; with several pattern blocks, the list of its blocks."""
         p = self.pattern
-        gain = np.bincount(p.ab, weights=v[p.a] * v[p.b], minlength=p.n * p.n).reshape(p.n, p.n)
+        gain = np.bincount(p.ab, weights=v[p.a] * v[p.b], minlength=p.gain_size)
+        if len(p.blocks) > 1:
+            return [gain[at : at + k * k].reshape(k, k) for at, k in p.blocks]
+        gain = gain.reshape(p.n, p.n)
         return gain if self.fixed is None else gain + self.fixed_gain
 
     def grad(self, v, r_w):
@@ -224,27 +316,93 @@ class PatternNormal:
         return self.gain(self.weigh(x))
 
 
-def _factor(gain):
-    """The Cholesky factor of a step's gain; UnobservableError when it is
-    singular."""
-    try:
-        return np.linalg.cholesky(gain)
-    except np.linalg.LinAlgError:
-        raise UnobservableError("gain matrix H' W^-1 H is singular: system unobservable") from None
+_SINGULAR = "gain matrix H' W^-1 H is singular: system unobservable"
+
+
+def _groups(orders, members):
+    """``members`` in groups that share one kernel call: those whose
+    matrices have one order at or below ``bdu._LEAF`` together (numpy's
+    call on a stack rounds each matrix as its own call), each larger one
+    alone."""
+    groups = {}
+    for i in members:
+        groups.setdefault(orders[i] if orders[i] <= bdu._LEAF else -1 - i, []).append(i)
+    return list(groups.values())
+
+
+def _per_member(kernel, mats, groups, error):
+    """(``kernel`` of each grouped member's matrix in ``mats``, one call
+    per group of :func:`_groups`, as a list over all members;
+    {member: UnobservableError(``error``)} where the kernel rejects the
+    matrix with LinAlgError, the error also standing in the list)."""
+    out, errors = [None] * len(mats), {}
+    for group in groups:
+        try:
+            got = [kernel(mats[group[0]])] if len(group) == 1 else kernel(np.stack([mats[i] for i in group]))
+        except np.linalg.LinAlgError:
+            if len(group) == 1:
+                got = [UnobservableError(error)]
+                errors[group[0]] = got[0]
+            else:  # one call per member finds the ones rejected
+                alone, bad = _per_member(kernel, mats, [[i] for i in group], error)
+                got = [alone[i] for i in group]
+                errors.update(bad)
+        for i, value in zip(group, got):
+            out[i] = value
+    return out, errors
+
+
+def _steps(factors, g, parts, groups):
+    """Per grouped member its Gauss-Newton step, c'^-1 c^-1 g over its
+    unknowns with c its gain's Cholesky factor, one pair of triangular
+    solves per group; a list over all members."""
+    out = [None] * len(parts)
+    for group in groups:
+        if len(group) == 1:
+            (i,) = group
+            out[i] = tri_solve(factors[i].T, tri_solve(factors[i], g[parts[i][1]], True), False)
+            continue
+        c = np.stack([factors[i] for i in group])
+        g_k = np.stack([g[parts[i][1]] for i in group])
+        for i, step in zip(group, tri_solve(c.transpose(0, 2, 1), tri_solve(c, g_k, True), False)):
+            out[i] = step
+    return out
+
+
+def _damped(gain, g, mu):
+    """The Marquardt step (G + mu D)^-1 g, D = diag(G) floored at 1e-8."""
+    return np.linalg.solve(gain + mu * np.diag(np.clip(np.diag(gain), 1e-8, None)), g)
+
+
+def _blocks(gain):
+    """A normal's gain as the list of its members' gains."""
+    return [gain] if isinstance(gain, np.ndarray) else gain
 
 
 def linearize(model, normal, x):
-    """(h(x), ``normal``'s linearization at x, the gain, its Cholesky
-    factor): what a Gauss-Newton step at x needs besides its residual."""
+    """(h(x), ``normal``'s linearization at x, the members' gains, per
+    member its gain's Cholesky factor or the UnobservableError of a
+    singular gain): what a Gauss-Newton step at x needs besides its
+    residual."""
     h = model.h(x)
     lin = normal.weigh(x)
-    gain = normal.gain(lin)
-    return h, lin, gain, _factor(gain)
+    gains = _blocks(normal.gain(lin))
+    groups = _groups([len(gain) for gain in gains], range(len(gains)))
+    return h, lin, gains, _per_member(np.linalg.cholesky, gains, groups, _SINGULAR)[0]
 
 
 def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
-    """Gauss-Newton WLS on ``model`` (``h(x)``) from x0, with W^-1/2
-    applied by ``whiten`` (see :func:`whitener`).
+    """Gauss-Newton WLS on ``model`` from x0, with W^-1/2 applied by
+    ``whiten`` (see :func:`whitener`).
+
+    ``model`` is one model, whose ``h(x)`` raises ValidationError where x
+    leaves the state domain, or a :class:`PolarBatch`, whose members are
+    solved in lockstep, each as if alone: one h and one H evaluation per
+    step cover them all, and all that rounds per member is done per
+    member: J, the Cholesky factor and both triangular solves (one call
+    per group of equal order at or below the leaf), the domain check
+    (:meth:`PolarBatch.outside`), the Marquardt fallback and the
+    convergence test.  A member that fails stops there; the others go on.
 
     ``normal`` (a :class:`PatternNormal`: ``weigh``, ``gain``, ``grad``,
     ``gain_at``) forms the steps' normal equations, gain H' W^-1 H and
@@ -256,94 +414,183 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
     converged, J(x), z - h(x)) with the covariance equal to the inverse
     gain at the returned x; converged=False (no raise) when k_limit is
     reached.  Raises UnobservableError when the gain matrix is singular.
+    For a batch it returns a list instead, per member that tuple over its
+    own unknowns and rows, or the error it failed with.
     """
+    batch = isinstance(model, PolarBatch)
+    parts = model.parts if batch else ((slice(None), slice(None)),)
 
-    def trial(xv):
-        """(J(xv), z - h(xv), W^-1/2 (z - h(xv))); (inf, the error, None)
-        when xv left the state domain (e.g. vm <= 0)."""
-        try:
-            r = z - model.h(xv)
-        except ValidationError as exc:
-            return np.inf, exc, None
-        r_w = whiten(r)
-        return float(np.sum(r_w**2)), r, r_w
+    def trial(xt, members):
+        """(J per member of ``members``, z - h(xt), W^-1/2 (z - h(xt)),
+        {member: error}); a member whose part of xt leaves the state
+        domain gets J = inf and its error, and is evaluated at x."""
+        errors = {}
+        if batch:
+            outside = model.outside(xt)
+            if outside.any():
+                for i in members:
+                    if outside[i]:
+                        errors[i] = ValidationError(_OUTSIDE)
+                        xt[parts[i][1]] = x[parts[i][1]]
+            h_t = model.h(xt)
+        else:
+            try:
+                h_t = model.h(xt)
+            except ValidationError as exc:
+                return [np.inf], r.copy(), r_w.copy(), {0: exc}
+        r_t = z - h_t
+        rw_t = whiten(r_t)
+        sq = rw_t**2
+        j = [None] * len(parts)
+        for i in members:
+            j[i] = np.inf if i in errors else float(np.sum(sq[parts[i][0]]))
+        return j, r_t, rw_t, errors
 
     x = np.array(x0, dtype=float)
-    h, lin, gain, c = linearize(model, normal, x) if start is None else start
+    h, lin, gains, factors = linearize(model, normal, x) if start is None else start
+    failed = {i: c for i, c in enumerate(factors) if isinstance(c, Exception)}
     r = z - h
     r_w = whiten(r)
-    j_here = float(np.sum(r_w**2))
-    converged = False
-    iterations = 0
+    sq = r_w**2
+    j_here = [float(np.sum(sq[rows])) for rows, _ in parts]
+    iterations = [0] * len(parts)
+    converged = [False] * len(parts)
+    orders = [len(gain) for gain in gains]
+    live = [i for i in range(len(parts)) if i not in failed]
+    groups = _groups(orders, live)
     for k in range(1, k_limit + 1):
+        if not live:
+            break
         if k > 1:
             lin = normal.weigh(x)
-            gain = normal.gain(lin)
-            c = _factor(gain)
+            gains = _blocks(normal.gain(lin))
+            factors, errors = _per_member(np.linalg.cholesky, gains, groups, _SINGULAR)
+            if errors:
+                failed.update(errors)
+                live = [i for i in live if i not in errors]
+                groups = _groups(orders, live)
         g = normal.grad(lin, r_w)
-        dx = tri_solve(c.T, tri_solve(c, g, True), False)
+        dx = _steps(factors, g, parts, groups)
+        xt = x.copy()
+        for i in live:
+            xt[parts[i][1]] += dx[i]
+        j_next, r_next, rw_next, errors = trial(xt, live)
         # pure Gauss-Newton (Eq-9-style) step whenever it descends; under
         # weak redundancy the full step can overshoot the curved valley of
         # the P/Q-only objective, so fall back to Marquardt damping
-        j_next, r_next, rw_next = trial(x + dx)
-        if j_next > j_here:
-            damp = np.diag(np.clip(np.diag(gain), 1e-8, None))
-            mu = 1e-4
-            for _ in range(24):
-                dx_mu = np.linalg.solve(gain + mu * damp, g)
-                j_mu, r_mu, rw_mu = trial(x + dx_mu)
-                if j_mu <= j_here:
-                    dx, j_next, r_next, rw_next = dx_mu, j_mu, r_mu, rw_mu
-                    break
-                mu *= 8.0
-        if isinstance(r_next, ValidationError):
-            raise r_next  # the accepted step left the state domain
+        damped = [i for i in live if j_next[i] > j_here[i]]
+        mu = 1e-4
+        for _ in range(24 if damped else 0):
+            steps = {i: _damped(gains[i], g[parts[i][1]], mu) for i in damped}
+            xm = x.copy()
+            for i in damped:
+                xm[parts[i][1]] += steps[i]
+            j_mu, r_mu, rw_mu, errors_mu = trial(xm, damped)
+            for i in [i for i in damped if j_mu[i] <= j_here[i]]:
+                rows = parts[i][0]
+                dx[i], j_next[i] = steps[i], j_mu[i]
+                r_next[rows], rw_next[rows] = r_mu[rows], rw_mu[rows]
+                errors.pop(i, None)
+                if i in errors_mu:
+                    errors[i] = errors_mu[i]
+                damped.remove(i)
+            if not damped:
+                break
+            mu *= 8.0
+        # an accepted step that left the state domain stops its member;
         # the accepted trial's residual is the next iterate's
-        x = x + dx
-        j_here, r, r_w = j_next, r_next, rw_next
-        iterations = k
-        if np.max(np.abs(dx)) < tol:
-            converged = True
-            break
+        failed.update(errors)
+        still = []
+        for i in live:
+            if i in errors:
+                continue
+            x[parts[i][1]] += dx[i]
+            j_here[i] = j_next[i]
+            iterations[i] = k
+            converged[i] = bool(np.max(np.abs(dx[i])) < tol)
+            if not converged[i]:
+                still.append(i)
+        r, r_w = r_next, rw_next
+        if len(still) < len(live):
+            live, groups = still, _groups(orders, still)
 
-    try:
-        cov = spd_inv(normal.gain_at(x))
-    except np.linalg.LinAlgError:
-        raise UnobservableError("gain matrix singular at the solution") from None
-    return x, cov, iterations, converged, j_here, r
+    solved = [i for i in range(len(parts)) if i not in failed]
+    if solved:
+        covs, errors = _per_member(spd_inv, _blocks(normal.gain_at(x)), _groups(orders, solved),
+                                   "gain matrix singular at the solution")
+        failed.update(errors)
+    out = [failed.get(i) or (x[unknowns], covs[i], iterations[i], converged[i], j_here[i], r[rows])
+           for i, (rows, unknowns) in enumerate(parts)]
+    if batch:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
+
+
+def _start_point(mset: MeasurementSet, model: PolarModel, x0) -> np.ndarray:
+    if len(mset) != len(model.specs):
+        raise ValidationError("measurement set does not match the model's specs")
+    x0 = model.flat() if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (model.n_state,) or not np.all(np.isfinite(x0)):
+        raise ValidationError(f"start must hold {model.n_state} finite values")
+    return x0
 
 
 def wls_estimate(
-    mset: MeasurementSet,
-    model: PolarModel,
+    mset: MeasurementSet | list[MeasurementSet],
+    model: PolarModel | PolarBatch,
     tol: float = 1e-6,
     k_limit: int = 20,
-    x0: np.ndarray | None = None,
-) -> EstimationResult:
+    x0=None,
+) -> EstimationResult | list:
     """Gauss-Newton WLS estimate for the given measurement set and model,
     from ``x0`` (default: the model's flat start).
 
     The normal equations come from H's nonzero pattern
-    (:meth:`PolarModel.pattern_normal`).  The start's linearization is the model's remembered one when x0 and
-    the sigmas repeat (:meth:`PolarModel.start`).
+    (:meth:`PolarModel.pattern_normal`).  The start's linearization is the
+    model's remembered one when x0 and the sigmas repeat
+    (:meth:`PolarModel.start`).
+
+    A :class:`PolarBatch` solves its members in lockstep
+    (:func:`gauss_newton`): ``mset`` is then one set per member, ``x0``
+    None or one start (or None) per member, and the result a list holding
+    per member its EstimationResult or the error it failed with; a start
+    outside the state domain fails its member only.
 
     Returns converged=False (never raises) when k_limit is reached; raises
     UnobservableError when the gain matrix is singular at an iterate.
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError("tolerance must be positive and finite")
-    if len(mset) != len(model.specs):
-        raise ValidationError("measurement set does not match the model's specs")
-    x0 = model.flat() if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (model.n_state,) or not np.all(np.isfinite(x0)):
-        raise ValidationError(f"start must hold {model.n_state} finite values")
-    whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
+    if not isinstance(model, PolarBatch):
+        x0 = _start_point(mset, model, x0)
+        whiten = whitener([mset.sigmas**2], _VARIANCES)
+        normal = model.pattern_normal(whiten)
+        start = model.start(normal, x0, mset.sigmas)
+        x, cov, iterations, converged, j, r = gauss_newton(
+            model, mset.z, whiten, x0, tol, k_limit, normal, start
+        )
+        return EstimationResult(model.state(x), cov, iterations, converged, j, r, model)
+
+    sets = list(mset)
+    starts = [None] * len(sets) if x0 is None else list(x0)
+    if not len(sets) == len(starts) == len(model.members):
+        raise ValidationError("a batch takes one measurement set and one start per member")
+    starts = [_start_point(s, m, x) for s, m, x in zip(sets, model.members, starts)]
+    # a member starting outside the state domain fails there; the others
+    # evaluate it at its flat start
+    outside = [bool(np.any(x[m._vm] <= 0.0)) for m, x in zip(model.members, starts)]
+    x0 = np.concatenate([m.flat() if out else x for m, x, out in zip(model.members, starts, outside)])
+    sigmas = np.concatenate([s.sigmas for s in sets])
+    whiten = _scaled(np.concatenate([whitener([s.sigmas**2], _VARIANCES)(np.ones(len(s))) for s in sets]))
     normal = model.pattern_normal(whiten)
-    start = model.start(normal, x0, mset.sigmas)
-    x, cov, iterations, converged, j, r = gauss_newton(
-        model, mset.z, whiten, x0, tol, k_limit, normal, start
-    )
-    return EstimationResult(model.unpack(x), cov, iterations, converged, j, r, model)
+    h, lin, gains, factors = model.start(normal, x0, sigmas)
+    factors = [ValidationError(_OUTSIDE) if out else c for out, c in zip(outside, factors)]
+    out = gauss_newton(model, np.concatenate([s.z for s in sets]), whiten, x0, tol, k_limit, normal,
+                       (h, lin, gains, factors))
+    return [res if isinstance(res, Exception) else EstimationResult(m.state(res[0]), *res[1:], m)
+            for m, res in zip(model.members, out)]
 
 
 def check_observable(model: PolarModel) -> bool:

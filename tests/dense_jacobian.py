@@ -45,9 +45,10 @@ def scatter_pattern(pat, n, values):
     return out
 
 
-def jacobian_polar_dense(view, state, specs):
-    """Analytic H = dh/dx for the polar layout [va (all); vm (all)], C-ordered."""
-    vm, va = view.polar(state, "jacobian_polar")
+def jacobian_polar_dense(view, polar, specs):
+    """Analytic H = dh/dx at the (vm, va) pair ``polar`` for the polar
+    layout [va (all); vm (all)], C-ordered."""
+    vm, va = polar
     c = view.compile(specs)
     n = view.n_bus
     d_va = np.zeros((c.n_rows, n))

@@ -120,7 +120,7 @@ def test_c06_jacobian_correctness(net30, part30, specs30):
             vm = 1.0 + 0.05 * rng.standard_normal(n)
             va = 0.15 * rng.standard_normal(n)
             st = StateVector("polar", view.bus_ids, np.clip(vm, 0.8, None), va)
-            jac = jacobian_polar(view, st, meas)
+            jac = jacobian_polar(view, view.polar(st), meas)
             eps = 1e-6
             fd = np.empty_like(jac)
             for col in range(2 * n):
@@ -132,8 +132,8 @@ def test_c06_jacobian_correctness(net30, part30, specs30):
                 else:
                     up_vm[col - n] += eps
                     dn_vm[col - n] -= eps
-                hi = h_eval(view, StateVector("polar", view.bus_ids, up_vm, up_va), meas)
-                lo = h_eval(view, StateVector("polar", view.bus_ids, dn_vm, dn_va), meas)
+                hi = h_eval(view, (up_vm, up_va), meas)
+                lo = h_eval(view, (dn_vm, dn_va), meas)
                 fd[:, col] = (hi - lo) / (2 * eps)
             rel = np.abs(jac - fd).max() / max(1.0, np.abs(fd).max())
             worst = max(worst, rel)

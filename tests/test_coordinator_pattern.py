@@ -16,6 +16,7 @@ from gridstate.multiarea import (
     _coordinator_init,
     _CoordinatorModel,
     _solve_coordinator,
+    _turned_angles,
     level1_run,
 )
 from gridstate.wls import gauss_newton, whitener
@@ -36,8 +37,9 @@ def tiled3(tmp_path_factory):
     structure = Structure(exp.net, exp.part, exp.specs)
     mset = synth_for_trial(exp, 0)
     locals_ = level1_run(structure, mset, exp.cfg, robust=False)
-    prob = _assemble_coordinator(structure.coordinator, locals_, mset)
-    model = structure.coordinator.pinned(locals_)
+    angles = _turned_angles(locals_)
+    prob = _assemble_coordinator(structure.coordinator, locals_, angles, mset)
+    model = structure.coordinator.pinned(locals_, angles)
     assert model.n_state == 80 > bdu._LEAF and model.pattern is not None
     return prob, model, _coordinator_init(model, prob), exp
 

@@ -51,8 +51,8 @@ def _models(net30, part30, specs30):
 def test_pattern_jacobian_equals_dense_reference(net30, part30, specs30, case, data):
     view, specs, model = _models(net30, part30, specs30)[case]
     state = _state(data, view)
-    got = jacobian_polar(view, state, specs)
-    want = jacobian_polar_dense(view, state, specs)
+    got = jacobian_polar(view, view.polar(state), specs)
+    want = jacobian_polar_dense(view, view.polar(state), specs)
     assert got.flags.f_contiguous
     assert np.array_equal(got, want)
     if model is not None:

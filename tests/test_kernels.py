@@ -79,12 +79,12 @@ def test_spd_inv_raises_like_inv_on_an_exactly_singular_matrix(zero_at):
 
 def _record_sizes(monkeypatch):
     """Wrap every name the kernels are called by; returns the list of the
-    orders of the matrices they were given."""
+    orders of the matrices (or stacks of matrices) they were given."""
     sizes = []
 
     def wrap(fn):
         def recorded(a, *args):
-            sizes.append(a.shape[0])
+            sizes.append(a.shape[-1])
             return fn(a, *args)
 
         return recorded
@@ -117,11 +117,12 @@ def test_every_ieee30_system_stays_at_the_leaf(monkeypatch, lambda_strategy):
     The largest is the anchored central TSE with 60 unknowns: a leaf below
     60 would re-round it.  The leaf is the kernels' only: every TSE and
     every coordinator (24 unknowns) solve takes its normal equations from
-    the Jacobian's pattern, built once per model."""
+    the Jacobian's pattern, built once per model; a level's area TSEs run
+    as one lockstep batch whose pattern holds one gain block per area."""
     exp = prepare(config="ieee30.cfg", overrides={"lambda_strategy": lambda_strategy})
     sizes = _record_sizes(monkeypatch)
     tse = _count_calls(monkeypatch, multiarea, "wls_estimate")
-    pattern = _count_calls(monkeypatch, wls.PolarModel, "pattern_normal")
+    pattern = _count_calls(monkeypatch, wls.PolarBatch, "pattern_normal")
     coordinator = _count_calls(monkeypatch, multiarea._CoordinatorModel, "pattern_normal")
     solves = _count_calls(monkeypatch, multiarea, "_solve_coordinator")
     for trial in range(2):
@@ -129,10 +130,13 @@ def test_every_ieee30_system_stays_at_the_leaf(monkeypatch, lambda_strategy):
             run_trial(exp, trial, robust, central)
     assert max(sizes) == 60
     assert max(sizes) <= bdu._LEAF
-    assert len(tse) == 16 and len(pattern) == len(tse)  # 2 trials x (1 + 1 + 3 + 3) TSEs
+    assert len(tse) == 8 and len(pattern) == len(tse)  # 2 trials x 4 modes, one batch of 1 or 3 TSEs each
     assert len(solves) == 4 and len(coordinator) == len(solves)
     models = [a.model for _, structure in exp.structures.values() for a in structure.areas]
     assert len(models) == 4 and all(m.pattern is not None for m in models)
+    for _, structure in exp.structures.values():
+        blocks = [k for _, k in structure.tse.pattern.blocks]
+        assert blocks == [a.model.n_state for a in structure.areas]
     coordinators = [structure.coordinator for _, structure in exp.structures.values()]
     assert [c.pattern is not None for c in coordinators if c is not None] == [True]
 
@@ -189,7 +193,7 @@ def test_blocked_kernels_match_the_leaf_call_on_a_tiled_grid(monkeypatch, tmp_pa
     sizes = _record_sizes(monkeypatch)
     traced = {name: _count_calls(monkeypatch, owner, name)
               for owner, name in ((multiarea, "wls_estimate"), (wls, "h_eval"), (wls, "jacobian_polar"))}
-    pattern = _count_calls(monkeypatch, wls.PolarModel, "pattern_normal")
+    pattern = _count_calls(monkeypatch, wls.PolarBatch, "pattern_normal")
 
     def estimates(exp):
         out = []
@@ -200,20 +204,20 @@ def test_blocked_kernels_match_the_leaf_call_on_a_tiled_grid(monkeypatch, tmp_pa
 
     blocked = estimates(exp)
     assert max(sizes) > bdu._LEAF
-    assert len(pattern) == len(traced["wls_estimate"]) == 14  # 2 central TSEs, 2 x 6 area TSEs
+    assert len(pattern) == len(traced["wls_estimate"]) == 4  # 2 central TSEs, 2 batches of 6 area TSEs
     assert all(traced.values())
-    pattern_normal, leaf = wls.PolarModel.pattern_normal, bdu._LEAF
+    pattern_normal, leaf = wls.PolarBatch.pattern_normal, bdu._LEAF
 
-    def dense_above_the_leaf(model, whiten):
-        if model.n_state > leaf:
-            return DenseNormal(model.jac, whiten)
-        return pattern_normal(model, whiten)
+    def dense_above_the_leaf(batch, whiten):
+        if len(batch.members) == 1 and batch.members[0].n_state > leaf:
+            return DenseNormal(batch.members[0].jac, whiten)
+        return pattern_normal(batch, whiten)
 
-    monkeypatch.setattr(wls.PolarModel, "pattern_normal", dense_above_the_leaf)
+    monkeypatch.setattr(wls.PolarBatch, "pattern_normal", dense_above_the_leaf)
     monkeypatch.setattr(bdu, "_LEAF", 10**6)
     # a fresh experiment: the first one's models remember pattern-form starts
     fresh = prepare(str(paths["case"]), str(paths["partition"]), str(paths["plan"]), str(paths["config"]))
     del pattern[:]
     for got, want in zip(blocked, estimates(fresh)):
         assert np.max(np.abs(got - want)) <= 1e-9
-    assert len(pattern) == 12  # the area TSEs only
+    assert len(pattern) == 2  # the area batches only

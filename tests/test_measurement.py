@@ -45,14 +45,14 @@ def test_flat_state_values():
         Measurement(3, "pmu_vr", 0.0, 1.0, bus=1),
         Measurement(4, "pmu_vi", 0.0, 1.0, bus=2),
     )
-    vals = h_eval(view, _flat(view), specs)
+    vals = h_eval(view, view.polar(_flat(view)), specs)
     assert np.allclose(vals, [0.0, 0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_h_matches_powerflow_internals(net30, truth30, view30, specs30):
     # residuals of noise-free synthesis at the true state vanish
     mset = synth_zero(view30, truth30, specs30)
-    vals = h_eval(view30, truth30, specs30)
+    vals = h_eval(view30, view30.polar(truth30), specs30)
     assert np.abs(mset.z - vals).max() < 1e-12
     # and injection rows equal the scheduled injections at the solution
     for m, v in zip(specs30, vals):
@@ -73,7 +73,7 @@ def test_two_bus_flow_hand_computed():
         Measurement(0, "p_flow", 0.0, 1.0, branch=(1, 2), side="from"),
         Measurement(1, "q_flow", 0.0, 1.0, branch=(1, 2), side="to"),
     )
-    got = h_eval(view, st, specs)
+    got = h_eval(view, view.polar(st), specs)
     ys = 1.0 / complex(0.02, 0.2)
     v1 = 1.05 * np.exp(1j * np.radians(10.0))
     v2 = 0.98 * np.exp(1j * np.radians(-5.0))
@@ -99,7 +99,7 @@ def test_jacobian_matches_finite_differences(net30, part30, specs30):
             vm = 1.0 + 0.05 * rng.standard_normal(n)
             va = 0.1 * rng.standard_normal(n)
             st = StateVector("polar", view.bus_ids, np.abs(vm) + 0.5, va)
-            jac = jacobian_polar(view, st, owned)
+            jac = jacobian_polar(view, view.polar(st), owned)
             eps = 1e-6
             for col in range(2 * n):
                 dvm = st.v1.copy()
@@ -116,7 +116,7 @@ def test_jacobian_matches_finite_differences(net30, part30, specs30):
                     dvm2 = st.v1.copy()
                     dvm2[col - n] -= eps
                     dn = StateVector("polar", view.bus_ids, dvm2, dva)
-                fd = (h_eval(view, up, owned) - h_eval(view, dn, owned)) / (2 * eps)
+                fd = (h_eval(view, view.polar(up), owned) - h_eval(view, view.polar(dn), owned)) / (2 * eps)
                 scale = max(1.0, np.abs(fd).max())
                 assert np.abs(jac[:, col] - fd).max() < 1e-6 * scale
 
@@ -153,7 +153,7 @@ def test_untouched_bus_has_zero_column(net30, part30):
     view = ModelView.for_area(net30, part30, 1)
     specs = (Measurement(0, "p_flow", 0.0, 1.0, branch=(1, 2)),)
     st = flat_state(view.bus_ids)
-    jac = jacobian_polar(view, st, specs)
+    jac = jacobian_polar(view, view.polar(st), specs)
     n = view.n_bus
     col = view.pos[7]  # bus 7 not on branch 1-2
     assert np.all(jac[:, col] == 0.0) and np.all(jac[:, n + col] == 0.0)
@@ -166,7 +166,7 @@ def test_synthesis_reproducible_and_exact_at_zero_sigma(view30, truth30, specs30
     c = synthesize(view30, truth30, specs30, cfg30.sigma_for, np.random.default_rng(6))
     assert not np.array_equal(a.z, c.z)
     exact = synth_zero(view30, truth30, specs30)
-    assert np.abs(exact.z - h_eval(view30, truth30, specs30)).max() == 0.0
+    assert np.abs(exact.z - h_eval(view30, view30.polar(truth30), specs30)).max() == 0.0
 
 
 def test_plan_counts_match_paper_table(net30, part30, plan30, specs30):
@@ -269,7 +269,7 @@ def test_injection_needs_full_neighborhood(net30, part30, truth30):
     view = ModelView.for_area(net30, part30, 1)
     bad = (Measurement(0, "p_inj", 0.0, 1.0, bus=9),)  # external bus
     with pytest.raises(ValidationError):
-        h_eval(view, truth30.subset(view.bus_ids), bad)
+        h_eval(view, view.polar(truth30.subset(view.bus_ids)), bad)
 
 
 def test_wrap_angle():
@@ -307,7 +307,7 @@ def test_rows_follow_spec_permutation(net30, part30, specs30):
     for view in _all_views(net30, part30):
         owned = _evaluable(view, specs30)
         lists = [owned] + [[m for m in owned if m.kind == k] for k in ALL_KINDS]
-        st = _random_state(view, rng)
+        st = view.polar(_random_state(view, rng))
         for specs in lists:
             if not specs:
                 continue
@@ -356,12 +356,11 @@ def test_polar_jacobian_matches_central_differences_at_generated_states(net30, p
     n = view.n_bus
 
     def h(x):  # x over [va; vm]
-        return h_eval(view, StateVector("polar", view.bus_ids, x[n:], x[:n]), specs)
+        return h_eval(view, (x[n:], x[:n]), specs)
 
     fd = _central_differences(h, np.concatenate([va, vm]))
     scale = max(1.0, np.abs(fd).max())
-    st_ = StateVector("polar", view.bus_ids, vm, va)
-    assert np.abs(jacobian_polar(view, st_, specs) - fd).max() < 1e-6 * scale
+    assert np.abs(jacobian_polar(view, (vm, va), specs) - fd).max() < 1e-6 * scale
 
 
 @settings(max_examples=20, deadline=None)
@@ -374,7 +373,7 @@ def test_rect_jacobian_matches_central_differences_at_generated_states(net30, pa
 
     def h(x):  # x over [vr; vi]
         vr, vi = x[:n], x[n:]
-        return h_eval(view, StateVector("polar", view.bus_ids, np.hypot(vr, vi), np.arctan2(vi, vr)), specs)
+        return h_eval(view, (np.hypot(vr, vi), np.arctan2(vi, vr)), specs)
 
     fd = _central_differences(h, np.concatenate([vm * np.cos(va), vm * np.sin(va)]))
     assert np.abs(jacobian_rect(view, specs) - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
@@ -385,7 +384,7 @@ def test_alternating_spec_lists_match_fresh_views(net30, part30, specs30):
     owned = _evaluable(view, specs30)
     a = tuple(m for m in owned if not m.kind.startswith("pmu"))
     b = tuple(m for m in owned if m.kind.startswith("pmu"))
-    st = _random_state(view, np.random.default_rng(8))
+    st = view.polar(_random_state(view, np.random.default_rng(8)))
 
     def fresh():
         return ModelView(net30, view.bus_ids, view.ref_bus)
@@ -501,9 +500,9 @@ def test_compiled_model_matches_row_by_row_reference(net30, part30, specs30):
         for _ in range(3):
             st = _random_state(view, rng)
             h_ref, jac_ref = _reference_h_and_jacobian(view, st, specs)
-            np.testing.assert_allclose(h_eval(view, st, specs), h_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(h_eval(view, view.polar(st), specs), h_ref, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
-                jacobian_polar(view, st, specs), jac_ref, rtol=1e-12, atol=1e-12
+                jacobian_polar(view, view.polar(st), specs), jac_ref, rtol=1e-12, atol=1e-12
             )
 
 
@@ -526,11 +525,11 @@ def test_absent_families_change_no_value(net30, part30, specs30, area, keep, dat
     specs = [every[k] for k in rows]
     vm, va = _generated_state(data, view)
     state = StateVector("polar", view.bus_ids, vm, va)
-    h = h_eval(view, state, specs)
-    assert np.array_equal(h, h_eval(view, state, every)[rows])
+    h = h_eval(view, (vm, va), specs)
+    assert np.array_equal(h, h_eval(view, (vm, va), every)[rows])
     h_ref, _ = _reference_h_and_jacobian(view, state, specs)
     np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-12)
-    jac = jacobian_polar(view, state, specs)
-    assert np.array_equal(jac, jacobian_polar_dense(view, state, specs))
-    values = jacobian_polar(view, state, specs, dense=False)
+    jac = jacobian_polar(view, (vm, va), specs)
+    assert np.array_equal(jac, jacobian_polar_dense(view, (vm, va), specs))
+    values = jacobian_polar(view, (vm, va), specs, dense=False)
     assert np.array_equal(values, np.ravel(jac, order="F")[view.compile(specs).jac_at])

@@ -15,6 +15,7 @@ from gridstate.multiarea import (
     _CoordinatorModel,
     _solve_coordinator,
     _split_rows,
+    _turned_angles,
     compute_errors,
     coordinator_measurements,
     level1_run,
@@ -240,8 +241,9 @@ def _coordinator(net30, part30, specs30, truth30, view30, cfg, seed, robust):
     structure = Structure(net30, part30, specs30)
     perturb = make_delta_sampler(seed, 0)
     locals_ = level1_run(structure, mset, cfg, robust=robust, perturb=perturb)
-    prob = _assemble_coordinator(structure.coordinator, locals_, mset)
-    model = structure.coordinator.pinned(locals_)
+    angles = _turned_angles(locals_)
+    prob = _assemble_coordinator(structure.coordinator, locals_, angles, mset)
+    model = structure.coordinator.pinned(locals_, angles)
     return prob, model, _coordinator_init(model, prob), locals_
 
 
@@ -261,8 +263,7 @@ def _loop_h_jac(model, locals_, x):
         else:
             j = model.bnd_ids.index(bid)
             vm[k], va[k] = x[nb + j], x[j]
-    state = StateVector("polar", model.bus_ids, vm, va, ref_bus=model.part.global_ref)
-    jfull = jacobian_polar(model.view, state, model.physical)
+    jfull = jacobian_polar(model.view, (vm, va), model.physical)
     jp = np.zeros((jfull.shape[0], model.n_state))
     for k, bid in enumerate(model.bus_ids):
         if bid not in pinned:
@@ -271,7 +272,7 @@ def _loop_h_jac(model, locals_, x):
             jp[:, nb + j] = jfull[:, model.n + k]
         elif pinned[bid][0] >= 2:
             jp[:, 2 * nb + pinned[bid][0] - 2] += jfull[:, k]
-    h, jac = [h_eval(model.view, state, model.physical)], [jp]
+    h, jac = [h_eval(model.view, (vm, va), model.physical)], [jp]
     for ai in model.pseudo_areas:
         area = model.part.areas[ai - 1]
         pos = [model.bnd_ids.index(b) for b in area.boundary + area.external]
@@ -352,7 +353,7 @@ def test_coordinator_rank_deficient(net30, part30, specs30, truth30, view30, cfg
     p = len(prob.w_diag)
     only1 = CoordinatorProblem(prob.z[p : p + n1], np.zeros(0), prob.w_blocks[:1])
     # a model with no physical rows, so its pattern is empty too
-    model1 = _CoordinatorModel(net30, part30, specs30, []).pinned(locals_)
+    model1 = _CoordinatorModel(net30, part30, specs30, []).pinned(locals_, _turned_angles(locals_))
     model1.pseudo_jac = model.pseudo_jac[:n1]
     with pytest.raises(UnobservableError):
         _solve_coordinator(model1, only1, x0, cfg30.epsilon, cfg30.k_limit)

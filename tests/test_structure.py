@@ -121,7 +121,7 @@ def test_array_synthesis_matches_per_row_reference(view30, truth30, specs30, tab
     mset = synthesize(view30, truth30, specs, table.get, np.random.default_rng(seed))
 
     # the per-row construction: h + sigma * e, one Measurement per row
-    truth = h_eval(view30, truth30, specs)
+    truth = h_eval(view30, view30.polar(truth30), specs)
     noise = np.random.default_rng(seed).standard_normal(len(specs))
     ref = tuple(
         replace(m, value=float(h0 + table[m.kind] * e), sigma=table[m.kind] if table[m.kind] > 0.0 else 1.0)

@@ -67,7 +67,7 @@ class _LinearModel:
     def start(self, normal, x0, weights):
         return linearize(self, normal, x0)  # no remembered start
 
-    def unpack(self, x):
+    def state(self, x):
         n = self.n_state // 2
         return StateVector("polar", self.bus_ids, x[n:], x[:n])
 
