@@ -143,6 +143,8 @@ class PolarBatch(_Polar):
 
     def __init__(self, models):
         self.members = tuple(models)
+        if not self.members:
+            raise ValidationError("a batch needs at least one model")
         rows = np.cumsum([0] + [len(m.specs) for m in self.members])
         unknowns = np.cumsum([0] + [m.n_state for m in self.members])
         bus = np.cumsum([0] + [m.n_bus for m in self.members])
@@ -163,8 +165,9 @@ class PolarBatch(_Polar):
                                    for m, u in zip(self.members, unknowns)])
         col_of = np.full(2 * self.n_bus, -1)
         for m, b, u in zip(self.members, bus, unknowns):
-            va = m._cols < m.n_bus
-            col_of[np.where(va, b + m._cols, self.n_bus + b + m._cols - m.n_bus)] = u + np.arange(m.n_state)
+            # a member's va (vm) column k is the va (vm) column of its bus k, shifted by b
+            cols = np.where(m._cols < m.n_bus, b + m._cols, self.n_bus + b + m._cols - m.n_bus)
+            col_of[cols] = u + np.arange(m.n_state)
         jac_at = self.view.compile(self.specs).jac_at
         self.pattern = JacobianPattern(jac_at, len(self.specs), col_of, [m.n_state for m in self.members])
 
