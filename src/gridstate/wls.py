@@ -586,6 +586,7 @@ def wls_estimate(
     outside = [bool(np.any(x[m._vm] <= 0.0)) for m, x in zip(model.members, starts)]
     x0 = np.concatenate([m.flat() if out else x for m, x, out in zip(model.members, starts, outside)])
     sigmas = np.concatenate([s.sigmas for s in sets])
+    # each member's own 1/sigma: whitener clips against the scale of the W it is given
     whiten = _scaled(np.concatenate([whitener([s.sigmas**2], _VARIANCES)(np.ones(len(s))) for s in sets]))
     normal = model.pattern_normal(whiten)
     h, lin, gains, factors = model.start(normal, x0, sigmas)
