@@ -144,19 +144,25 @@ def test_a_singular_gain_fails_its_member_only(experiments):
     _agree(batched, _alone(exp, sets, starts, models))
 
 
-def test_iteration_limit_in_lockstep(experiments):
-    """At k_limit = 1 every member stops unconverged after one step, as it
-    does alone, and level 1 reports every area in area order with the
-    message it always gave."""
-    exp = experiments("ieee30", 0)
+@pytest.mark.parametrize("k_limit", [1, 4])
+def test_iteration_limit_in_lockstep(experiments, k_limit):
+    """At k_limit = 1 every member stops unconverged after one step; at 4
+    only area 1, which needs 5 here, does, and areas 2 and 3 converge.
+    Each member ends as it does alone, and level 1 reports the areas that
+    did not converge, in area order, with the message it always gave."""
+    exp = experiments("ieee30", 1)
     structure, mset, sets, starts = _level1(exp)
-    batched = wls_estimate(sets, structure.tse, exp.cfg.epsilon, 1, starts)
-    _agree(batched, _alone(exp, sets, starts, [a.model for a in structure.observable], k_limit=1))
-    assert all(r.iterations == 1 and not r.converged for r in batched)
+    full = wls_estimate(sets, structure.tse, exp.cfg.epsilon, exp.cfg.k_limit, starts)
+    assert [r.iterations for r in full] == [5, 4, 4]
+    batched = wls_estimate(sets, structure.tse, exp.cfg.epsilon, k_limit, starts)
+    _agree(batched, _alone(exp, sets, starts, [a.model for a in structure.observable], k_limit=k_limit))
+    stopped = [a.area.index for a, r in zip(structure.observable, batched) if not r.converged]
+    assert stopped == ([1, 2, 3] if k_limit == 1 else [1])
+    assert all(r.iterations == min(k_limit, f.iterations) for r, f in zip(batched, full))
     with pytest.raises(NumericalError) as err:
-        level1_run(structure, mset, replace(exp.cfg, k_limit=1))
+        level1_run(structure, mset, replace(exp.cfg, k_limit=k_limit))
     assert str(err.value) == "level 1 failed: " + "; ".join(
-        f"area {i}: traditional estimator did not converge" for i in (1, 2, 3))
+        f"area {i}: traditional estimator did not converge" for i in stopped)
 
 
 def test_level1_makes_one_tse_call(experiments, monkeypatch):
