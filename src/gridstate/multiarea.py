@@ -304,7 +304,8 @@ class _CoordinatorModel:
     va or vm to its own, a pinned angle to its area's u (area 1's
     dropped), a pinned magnitude nowhere; the pseudo rows' Jacobian is
     the constant ``pseudo_jac``.  The index maps are built once;
-    :meth:`pinned` binds one trial's level-1 estimates.
+    :meth:`pinned` binds one trial's level-1 estimates.  To
+    :func:`gauss_newton` it is a batch of one (``parts``).
     """
 
     def __init__(self, net, part, specs, rows):
@@ -318,6 +319,7 @@ class _CoordinatorModel:
         self.bnd_ids = part.boundary_buses()
         nb = self.n_bnd = len(self.bnd_ids)
         self.n_state = 2 * nb + (self.r - 1)
+        self.parts = ((slice(None), slice(None)),)
         self.bnd_pos = np.array([self.view.pos[b] for b in self.bnd_ids], dtype=int)
         # pinned (non-boundary) buses: view position and owning area; an
         # area's internal buses lead its level-1 layout
@@ -372,12 +374,15 @@ class _CoordinatorModel:
         return vm, va
 
     def h(self, x):
-        """h at x; ValidationError where a magnitude is not positive."""
-        vm, va = self.unpack(x)
-        if np.any(vm <= 0.0):
-            raise ValidationError("polar state requires positive magnitudes")
-        physical = h_eval(self.view, (vm, va), self.physical)
+        """h at x, with no domain check (see :meth:`outside`)."""
+        physical = h_eval(self.view, self.unpack(x), self.physical)
         return np.concatenate([physical, self.pseudo_jac @ x])
+
+    def outside(self, x):
+        """Whether x leaves the state domain (a boundary magnitude that is
+        not positive), as a batch of one; the pinned magnitudes are level
+        1's, positive as ``rect_to_polar`` gives them."""
+        return np.array([np.any(x[self.n_bnd : 2 * self.n_bnd] <= 0.0)])
 
     def jac_values(self, x):
         """The physical rows' nonzero Jacobian values over the full view,
@@ -444,11 +449,14 @@ def _solve_coordinator(model, prob: CoordinatorProblem, x0, tol, k_limit):
     block by block; the normal equations come from the physical rows'
     pattern plus the pseudo rows' gain, formed once
     (:meth:`_CoordinatorModel.pattern_normal`).  Returns (x, inverse gain
-    at x, iterations)."""
+    at x, iterations); raises the error the solve failed with."""
     whiten = whitener([prob.w_diag, *prob.w_blocks],
                       "coordinator: weight matrix not positive definite")
     normal = model.pattern_normal(whiten)
-    x, cov, iterations, converged, _, _ = gauss_newton(model, prob.z, whiten, x0, tol, k_limit, normal)
+    (out,) = gauss_newton(model, prob.z, whiten, x0, tol, k_limit, normal)
+    if isinstance(out, Exception):
+        raise out
+    x, cov, iterations, converged, _, _ = out
     if not converged:
         raise NumericalError(f"coordinator: no convergence in {k_limit} iterations")
     return x, cov, iterations

@@ -5,8 +5,10 @@ method: normal-equation steps dx = (H' W^-1 H)^-1 H' W^-1 (z - h(x)),
 stopping when max |dx| < epsilon, with the estimate covariance equal to
 the inverse gain matrix at the solution.  The areas of one level are
 independent problems of this form (Gomez-Exposito et al., "A taxonomy of
-multi-area state estimation methods", EPSR 81(4), 2011); a
-:class:`PolarBatch` steps them in lockstep, each as if alone.
+multi-area state estimation methods", EPSR 81(4), 2011), so every model
+:func:`gauss_newton` steps is a batch of members solved in lockstep, each
+as if alone: a :class:`PolarBatch` of a level's areas, a
+:class:`PolarModel` as a batch of one, the level-2 coordinator likewise.
 """
 
 from __future__ import annotations
@@ -27,16 +29,27 @@ _VARIANCES = "measurement variances are not positive"
 
 
 class _Polar:
-    """h, H's nonzero values and the remembered Gauss-Newton start over
-    one layout of x = [va (free); vm (all)]: ``view`` and ``specs``, H's
-    ``pattern``, and where x holds the free angles (``_va``, at bus
-    positions ``free_va`` of the ``n_bus``) and the magnitudes (``_vm``)."""
+    """h, H's nonzero values, the domain check and the remembered
+    Gauss-Newton start over one layout of x = [va (free); vm (all)] of a
+    batch of ``members``: ``view`` and ``specs``, H's ``pattern``, where x
+    holds the free angles (``_va``, at bus positions ``free_va`` of the
+    ``n_bus``) and the magnitudes (``_vm``), per member its rows and its
+    unknowns (``parts``) and its first bus (``bus_starts``)."""
 
     def unpack(self, x):
         """(vm, va) at x: the pair :func:`h_eval` takes."""
         va = np.zeros(self.n_bus)
         va[self.free_va] = x[self._va]
         return x[self._vm], va
+
+    def h(self, x) -> np.ndarray:
+        """Every member's h at x, with no domain check (see :meth:`outside`)."""
+        return h_eval(self.view, self.unpack(x), self.specs)
+
+    def outside(self, x) -> np.ndarray:
+        """Per member, whether x leaves its state domain (a magnitude that
+        is not positive)."""
+        return np.logical_or.reduceat(x[self._vm] <= 0.0, self.bus_starts)
 
     def jac_values(self, x) -> np.ndarray:
         """H's nonzero values at x over [va (all); vm (all)], in
@@ -64,7 +77,8 @@ class _Polar:
 
 class PolarModel(_Polar):
     """Packs/unpacks the estimation vector x = [va (free); vm (all)] for a
-    model view and evaluates h and H on it.
+    model view and evaluates h and H on it; a batch of one (``members``
+    is the model itself) with nothing stacked.
 
     With ``pin_angle`` (the default) the reference-bus angle is pinned at
     zero and removed from the unknowns.  When the reference bus
@@ -91,7 +105,14 @@ class PolarModel(_Polar):
         col_of = np.full(2 * self.n_bus, -1)
         col_of[self._cols] = np.arange(self.n_state)
         self.pattern = JacobianPattern(compiled.jac_at, len(self.specs), col_of, self.n_state)
+        self.bus_starts, self.parts = np.zeros(1, dtype=np.intp), ((slice(None), slice(None)),)
         self._start = None  # the last start and its linearization, see start
+
+    @property
+    def members(self):
+        """The model itself, as a batch of one; a property, since a stored
+        (self,) would be a reference cycle that outlives the model."""
+        return (self,)
 
     def flat(self, va0: float = 0.0) -> np.ndarray:
         """Every free angle at ``va0``, every magnitude 1."""
@@ -109,13 +130,6 @@ class PolarModel(_Polar):
         """The polar state at x, on arrays of its own."""
         vm, va = self.unpack(x)
         return StateVector("polar", self.view.bus_ids, np.array(vm), va, ref_bus=self.view.ref_bus)
-
-    def h(self, x) -> np.ndarray:
-        """h at x; ValidationError where a magnitude is not positive."""
-        vm, va = self.unpack(x)
-        if np.any(vm <= 0.0):
-            raise ValidationError(_OUTSIDE)
-        return h_eval(self.view, (vm, va), self.specs)
 
     def jac(self, x) -> np.ndarray:
         """Dense H over x (for :func:`check_observable`'s rank test); copied
@@ -170,15 +184,6 @@ class PolarBatch(_Polar):
             col_of[cols] = u + np.arange(m.n_state)
         jac_at = self.view.compile(self.specs).jac_at
         self.pattern = JacobianPattern(jac_at, len(self.specs), col_of, [m.n_state for m in self.members])
-
-    def outside(self, x) -> np.ndarray:
-        """Per member, whether x leaves its state domain (a magnitude that
-        is not positive)."""
-        return np.logical_or.reduceat(x[self._vm] <= 0.0, self.bus_starts)
-
-    def h(self, x) -> np.ndarray:
-        """Every member's h at x, with no domain check (see :meth:`outside`)."""
-        return h_eval(self.view, self.unpack(x), self.specs)
 
 
 @dataclass(frozen=True)
@@ -302,13 +307,12 @@ class PatternNormal:
         return self.root_row * self.pattern.values(self.values(x))
 
     def gain(self, v):
-        """The gain; with several pattern blocks, the list of its blocks."""
+        """The gain as the list of its diagonal blocks, one per member
+        (``fixed`` rows go with a pattern of one block)."""
         p = self.pattern
         gain = np.bincount(p.ab, weights=v[p.a] * v[p.b], minlength=p.gain_size)
-        if len(p.blocks) > 1:
-            return [gain[at : at + k * k].reshape(k, k) for at, k in p.blocks]
-        gain = gain.reshape(p.n, p.n)
-        return gain if self.fixed is None else gain + self.fixed_gain
+        blocks = [gain[at : at + k * k].reshape(k, k) for at, k in p.blocks]
+        return blocks if self.fixed is None else [blocks[0] + self.fixed_gain]
 
     def grad(self, v, r_w):
         p = self.pattern
@@ -377,11 +381,6 @@ def _damped(gain, g, mu):
     return np.linalg.solve(gain + mu * np.diag(np.clip(np.diag(gain), 1e-8, None)), g)
 
 
-def _blocks(gain):
-    """A normal's gain as the list of its members' gains."""
-    return [gain] if isinstance(gain, np.ndarray) else gain
-
-
 def linearize(model, normal, x):
     """(h(x), ``normal``'s linearization at x, the members' gains, per
     member its gain's Cholesky factor or the UnobservableError of a
@@ -389,7 +388,7 @@ def linearize(model, normal, x):
     residual."""
     h = model.h(x)
     lin = normal.weigh(x)
-    gains = _blocks(normal.gain(lin))
+    gains = normal.gain(lin)
     groups = _groups([len(gain) for gain in gains], range(len(gains)))
     return h, lin, gains, _per_member(np.linalg.cholesky, gains, groups, _SINGULAR)[0]
 
@@ -398,14 +397,17 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
     """Gauss-Newton WLS on ``model`` from x0, with W^-1/2 applied by
     ``whiten`` (see :func:`whitener`).
 
-    ``model`` is one model, whose ``h(x)`` raises ValidationError where x
-    leaves the state domain, or a :class:`PolarBatch`, whose members are
-    solved in lockstep, each as if alone: one h and one H evaluation per
-    step cover them all, and all that rounds per member is done per
-    member: J, the Cholesky factor and both triangular solves (one call
-    per group of equal order at or below the leaf), the domain check
-    (:meth:`PolarBatch.outside`), the Marquardt fallback and the
-    convergence test.  A member that fails stops there; the others go on.
+    ``model`` is a batch of members (a :class:`PolarBatch`; a
+    :class:`PolarModel` or the coordinator is a batch of one): ``parts``
+    lists per member its rows and its unknowns, ``h(x)`` evaluates every
+    member with no domain check and ``outside(x)`` tells per member
+    whether x leaves its state domain.  The members are solved in
+    lockstep, each as if alone: one h and one H evaluation per step cover
+    them all, and all that rounds per member is done per member: J, the
+    Cholesky factor and both triangular solves (one call per group of
+    equal order at or below the leaf), the domain check, the Marquardt
+    fallback and the convergence test.  A member that fails stops there;
+    the others go on.
 
     ``normal`` (a :class:`PatternNormal`: ``weigh``, ``gain``, ``grad``,
     ``gain_at``) forms the steps' normal equations, gain H' W^-1 H and
@@ -413,35 +415,27 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
     caller has it.
     Steps solve these normal equations; a full step that raises
     J(x) = ||W^-1/2 (z - h(x))||^2 falls back to Marquardt damping.
-    Stops when max |dx| < tol.  Returns (x, covariance, iterations,
-    converged, J(x), z - h(x)) with the covariance equal to the inverse
-    gain at the returned x; converged=False (no raise) when k_limit is
-    reached.  Raises UnobservableError when the gain matrix is singular.
-    For a batch it returns a list instead, per member that tuple over its
-    own unknowns and rows, or the error it failed with.
+    Stops when max |dx| < tol.  Returns a list holding per member
+    (x, covariance, iterations, converged, J(x), z - h(x)) over its own
+    unknowns and rows, the covariance equal to the inverse gain at the
+    returned x and converged=False when k_limit is reached, or the error
+    it failed with: UnobservableError where its gain matrix is singular,
+    ValidationError where an accepted step leaves its state domain.
     """
-    batch = isinstance(model, PolarBatch)
-    parts = model.parts if batch else ((slice(None), slice(None)),)
+    parts = model.parts
 
     def trial(xt, members):
         """(J per member of ``members``, z - h(xt), W^-1/2 (z - h(xt)),
         {member: error}); a member whose part of xt leaves the state
         domain gets J = inf and its error, and is evaluated at x."""
         errors = {}
-        if batch:
-            outside = model.outside(xt)
-            if outside.any():
-                for i in members:
-                    if outside[i]:
-                        errors[i] = ValidationError(_OUTSIDE)
-                        xt[parts[i][1]] = x[parts[i][1]]
-            h_t = model.h(xt)
-        else:
-            try:
-                h_t = model.h(xt)
-            except ValidationError as exc:
-                return [np.inf], r.copy(), r_w.copy(), {0: exc}
-        r_t = z - h_t
+        outside = model.outside(xt)
+        if outside.any():
+            for i in members:
+                if outside[i]:
+                    errors[i] = ValidationError(_OUTSIDE)
+                    xt[parts[i][1]] = x[parts[i][1]]
+        r_t = z - model.h(xt)
         rw_t = whiten(r_t)
         sq = rw_t**2
         j = [None] * len(parts)
@@ -466,7 +460,7 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
             break
         if k > 1:
             lin = normal.weigh(x)
-            gains = _blocks(normal.gain(lin))
+            gains = normal.gain(lin)
             factors, errors = _per_member(np.linalg.cholesky, gains, groups, _SINGULAR)
             if errors:
                 failed.update(errors)
@@ -519,16 +513,11 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
 
     solved = [i for i in range(len(parts)) if i not in failed]
     if solved:
-        covs, errors = _per_member(spd_inv, _blocks(normal.gain_at(x)), _groups(orders, solved),
+        covs, errors = _per_member(spd_inv, normal.gain_at(x), _groups(orders, solved),
                                    "gain matrix singular at the solution")
         failed.update(errors)
-    out = [failed.get(i) or (x[unknowns], covs[i], iterations[i], converged[i], j_here[i], r[rows])
-           for i, (rows, unknowns) in enumerate(parts)]
-    if batch:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+    return [failed.get(i) or (x[unknowns], covs[i], iterations[i], converged[i], j_here[i], r[rows])
+            for i, (rows, unknowns) in enumerate(parts)]
 
 
 def _start_point(mset: MeasurementSet, model: PolarModel, x0) -> np.ndarray:
@@ -547,43 +536,37 @@ def wls_estimate(
     k_limit: int = 20,
     x0=None,
 ) -> EstimationResult | list:
-    """Gauss-Newton WLS estimate for the given measurement set and model,
-    from ``x0`` (default: the model's flat start).
+    """Gauss-Newton WLS estimate of each member of ``model``
+    (:func:`gauss_newton`), from ``x0`` (default: the flat start).
 
     The normal equations come from H's nonzero pattern
     (:meth:`PolarModel.pattern_normal`).  The start's linearization is the
     model's remembered one when x0 and the sigmas repeat
     (:meth:`PolarModel.start`).
 
-    A :class:`PolarBatch` solves its members in lockstep
-    (:func:`gauss_newton`): ``mset`` is then one set per member, ``x0``
-    None or one start (or None) per member, and the result a list holding
-    per member its EstimationResult or the error it failed with; a start
-    outside the state domain fails its member only.
-
-    Returns converged=False (never raises) when k_limit is reached; raises
-    UnobservableError when the gain matrix is singular at an iterate.
+    With one MeasurementSet (a :class:`PolarModel`, a batch of one) it
+    returns the EstimationResult or raises the error the member failed
+    with.  With one set per member (a :class:`PolarBatch`), ``x0`` None or
+    one start (or None) per member, it returns a list holding per member
+    its EstimationResult or that error.  A start outside the state domain
+    fails its member (ValidationError); a gain matrix singular at an
+    iterate fails it with UnobservableError.  converged=False (no error)
+    when k_limit is reached; a k_limit that is not an integer of at least
+    1 raises ValidationError.
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError("tolerance must be positive and finite")
-    if not isinstance(model, PolarBatch):
-        x0 = _start_point(mset, model, x0)
-        whiten = whitener([mset.sigmas**2], _VARIANCES)
-        normal = model.pattern_normal(whiten)
-        start = model.start(normal, x0, mset.sigmas)
-        x, cov, iterations, converged, j, r = gauss_newton(
-            model, mset.z, whiten, x0, tol, k_limit, normal, start
-        )
-        return EstimationResult(model.state(x), cov, iterations, converged, j, r, model)
-
-    sets = list(mset)
-    starts = [None] * len(sets) if x0 is None else list(x0)
+    if isinstance(k_limit, bool) or not isinstance(k_limit, (int, np.integer)) or k_limit < 1:
+        raise ValidationError("iteration limit must be an integer of at least 1")
+    alone = isinstance(mset, MeasurementSet)
+    sets = [mset] if alone else list(mset)
+    starts = [x0] if alone else [None] * len(sets) if x0 is None else list(x0)
     if not len(sets) == len(starts) == len(model.members):
         raise ValidationError("a batch takes one measurement set and one start per member")
     starts = [_start_point(s, m, x) for s, m, x in zip(sets, model.members, starts)]
     # a member starting outside the state domain fails there; the others
     # evaluate it at its flat start
-    outside = [bool(np.any(x[m._vm] <= 0.0)) for m, x in zip(model.members, starts)]
+    outside = model.outside(np.concatenate(starts))
     x0 = np.concatenate([m.flat() if out else x for m, x, out in zip(model.members, starts, outside)])
     sigmas = np.concatenate([s.sigmas for s in sets])
     # each member's own 1/sigma: whitener clips against the scale of the W it is given
@@ -593,8 +576,11 @@ def wls_estimate(
     factors = [ValidationError(_OUTSIDE) if out else c for out, c in zip(outside, factors)]
     out = gauss_newton(model, np.concatenate([s.z for s in sets]), whiten, x0, tol, k_limit, normal,
                        (h, lin, gains, factors))
-    return [res if isinstance(res, Exception) else EstimationResult(m.state(res[0]), *res[1:], m)
-            for m, res in zip(model.members, out)]
+    out = [res if isinstance(res, Exception) else EstimationResult(m.state(res[0]), *res[1:], m)
+           for m, res in zip(model.members, out)]
+    if alone and isinstance(out[0], Exception):
+        raise out[0]
+    return out[0] if alone else out
 
 
 def check_observable(model: PolarModel) -> bool:

@@ -95,8 +95,9 @@ def qr_covariance(h_w) -> np.ndarray:
 class DenseNormal:
     """Normal equations for ``wls.gauss_newton`` as dense products of the
     whitened H = ``jac(x)``: a step's linearization is H_w, its gain
-    H_w' H_w and its gradient H_w' r_w; the reference for the package's
-    pattern form (``wls.PatternNormal``)."""
+    H_w' H_w (as a list of one block, the gain of a batch of one) and its
+    gradient H_w' r_w; the reference for the package's pattern form
+    (``wls.PatternNormal``)."""
 
     def __init__(self, jac, whiten):
         self.jac, self.whiten = jac, whiten
@@ -105,7 +106,7 @@ class DenseNormal:
         return self.whiten(self.jac(x))
 
     def gain(self, h_w):
-        return h_w.T @ h_w
+        return [h_w.T @ h_w]
 
     def grad(self, h_w, r_w):
         return h_w.T @ r_w
@@ -114,7 +115,7 @@ class DenseNormal:
         """The gain alone, from two whitened copies (H_w' H_w on one
         array takes another BLAS path)."""
         h = self.jac(x)
-        return self.whiten(h).T @ self.whiten(h)
+        return [self.whiten(h).T @ self.whiten(h)]
 
 
 def coordinator_jac(model, x) -> np.ndarray:

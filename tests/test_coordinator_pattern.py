@@ -9,6 +9,7 @@ import pytest
 
 from gridstate import bdu, multiarea
 from gridstate.cli import prepare, synth_for_trial
+from gridstate.errors import ValidationError
 from gridstate.measurement import jacobian_polar
 from gridstate.multiarea import (
     Structure,
@@ -71,12 +72,12 @@ def test_coordinator_pattern_normal_equations_equal_the_dense_products(tiled3):
     for x in _states(model, x0, 5):
         r = prob.z - model.h(x)
         v, h_w = normal.weigh(x), dense.weigh(x)
-        gain, g = normal.gain(v), normal.grad(v, whiten(r))
-        want_gain, want_g = dense.gain(h_w), dense.grad(h_w, whiten(r))
+        (gain,), g = normal.gain(v), normal.grad(v, whiten(r))
+        (want_gain,), want_g = dense.gain(h_w), dense.grad(h_w, whiten(r))
         assert np.array_equal(gain, gain.T)
         assert np.abs(gain - want_gain).max() <= 1e-12 * np.abs(want_gain).max()
         assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max()
-        assert np.array_equal(normal.gain_at(x), gain)
+        assert np.array_equal(normal.gain_at(x)[0], gain)
 
 
 def test_column_map_covers_every_physical_nonzero(tiled3):
@@ -132,7 +133,7 @@ def test_coordinator_solve_matches_the_dense_path(tiled3, monkeypatch):
     # no dense physical Jacobian
     assert dense and not any(dense) and len(pattern) == 1
     whiten = _whiten(prob)
-    x_d, cov_d, iters_d, converged, _, _ = gauss_newton(
+    ((x_d, cov_d, iters_d, converged, _, _),) = gauss_newton(
         model, prob.z, whiten, x0, exp.cfg.epsilon, exp.cfg.k_limit, _dense_normal(model, whiten))
     assert converged and iters == iters_d >= 2
     assert np.abs(x - x_d).max() <= 1e-9
@@ -145,3 +146,22 @@ def test_one_physical_h_and_jacobian_per_iteration(tiled3, monkeypatch):
     jac_calls = _count_calls(monkeypatch, multiarea, "jacobian_polar")
     _, _, iters = _solve_coordinator(model, prob, x0, exp.cfg.epsilon, exp.cfg.k_limit)
     assert len(h_calls) == len(jac_calls) == iters + 1
+
+
+def test_a_trial_point_outside_the_domain_fails_the_coordinator(tiled3, monkeypatch):
+    """Every trial point forced outside the state domain: the full step and
+    each of the 24 damped ones fail, and the solve raises the domain
+    error; the start is never checked."""
+    prob, model, x0, exp = tiled3
+    verdicts = []
+    outside = _CoordinatorModel.outside
+
+    def forced(coordinator, x):
+        verdicts.append((x.copy(), outside(coordinator, x)))
+        return np.array([True])
+
+    monkeypatch.setattr(_CoordinatorModel, "outside", forced)
+    with pytest.raises(ValidationError, match="^polar state requires positive magnitudes$"):
+        _solve_coordinator(model, prob, x0, exp.cfg.epsilon, exp.cfg.k_limit)
+    assert len(verdicts) == 25
+    assert not any(v.any() or np.array_equal(x, x0) for x, v in verdicts)

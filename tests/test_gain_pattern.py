@@ -77,13 +77,13 @@ def test_pattern_normal_equations_equal_the_dense_products(tiled2, layout):
         v = normal.weigh(x)
         assert np.array_equal(v, normal.root_row * np.ravel(h, order="F")[at])
         r = mset.z - model.h(x)
-        gain, g = normal.gain(v), normal.grad(v, whiten(r))
+        (gain,), g = normal.gain(v), normal.grad(v, whiten(r))
         h_w = whiten(h)
         want_gain, want_g = h_w.T @ h_w, h_w.T @ whiten(r)
         assert np.array_equal(gain, gain.T)
         assert np.abs(gain - want_gain).max() <= 1e-12 * np.abs(want_gain).max()
         assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max()
-        assert np.array_equal(normal.gain_at(x), gain)
+        assert np.array_equal(normal.gain_at(x)[0], gain)
 
 
 def test_unobservable_bus_raises_above_the_leaf(tiled2, monkeypatch):
@@ -114,7 +114,7 @@ def test_marquardt_fallback_matches_the_dense_path(tiled2, monkeypatch):
     assert res.converged and len(calls) > res.iterations + 1
     whiten = whitener([tse_set.sigmas**2], "measurement variances are not positive")
     # wls_estimate's default tolerance and iteration limit
-    x, cov, iterations, converged, _, _ = gauss_newton(
+    ((x, cov, iterations, converged, _, _),) = gauss_newton(
         model, tse_set.z, whiten, x0, 1e-6, 20, DenseNormal(model.jac, whiten))
     assert converged and iterations == res.iterations
     assert np.abs(model.pack(res.state) - x).max() <= 1e-9

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +44,8 @@ def test_noiseless_recovery_all_areas(net30, part30, specs30, truth30):
 
 
 class _LinearModel:
-    """Identity-observation linear model mimicking the PolarModel surface."""
+    """Identity-observation linear model mimicking the PolarModel surface:
+    a batch of one whose state domain is everywhere."""
 
     def __init__(self, a, c, bus_ids):
         self.a = a
@@ -49,6 +53,7 @@ class _LinearModel:
         self.bus_ids = bus_ids
         self.specs = tuple(range(a.shape[0]))
         self.n_state = a.shape[1]
+        self.members, self.parts = (self,), ((slice(None), slice(None)),)
 
     def flat(self):
         x = np.zeros(self.n_state)
@@ -57,6 +62,9 @@ class _LinearModel:
 
     def h(self, x):
         return self.a @ x + self.c
+
+    def outside(self, x):
+        return np.array([False])
 
     def jac(self, x):
         return self.a
@@ -205,6 +213,34 @@ def test_non_finite_tolerance_rejected(net30, part30, specs30, truth30, tol):
         wls_estimate(mset, model, tol=tol)
 
 
+@pytest.mark.parametrize("k_limit", [0, -1, 2.5, True])
+def test_iteration_limit_must_be_a_positive_integer(net30, part30, specs30, truth30, monkeypatch, k_limit):
+    _, mset, model = _area_problem(net30, part30, specs30, truth30, 1)
+    calls = _count_calls(monkeypatch, wls, "h_eval")
+    with pytest.raises(ValidationError, match="iteration limit must be an integer of at least 1"):
+        wls_estimate(mset, model, k_limit=k_limit)
+    with pytest.raises(ValidationError, match="iteration limit must be an integer of at least 1"):
+        wls_estimate([mset], wls.PolarBatch([model]), k_limit=k_limit)
+    assert not calls
+    assert wls_estimate(mset, model, k_limit=np.int64(1)).iterations == 1
+
+
+def test_solved_models_are_freed_without_the_cycle_collector(net30, part30, specs30, truth30):
+    """Neither a model (a batch of one) nor a batch refers to itself, so
+    the models of a structure rebuilt every trial go as soon as it does."""
+    _, mset, model = _area_problem(net30, part30, specs30, truth30, 1)
+    batch = wls.PolarBatch([model, PolarModel(model.view, model.specs, model.pin_angle)])
+    wls_estimate(mset, model)
+    wls_estimate([mset, mset], batch)
+    gone = [weakref.ref(model), weakref.ref(batch)]
+    gc.disable()
+    try:
+        del model, batch
+        assert [ref() for ref in gone] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_one_h_evaluation_per_iteration(net30, part30, specs30, truth30, cfg30, monkeypatch):
     # bundled experiment, trial 0 at seed 0, area 1 (as cli.synth_for_trial)
     from gridstate import wls
@@ -233,7 +269,7 @@ def test_one_h_evaluation_per_iteration(net30, part30, specs30, truth30, cfg30, 
 
 
 class _DomainModel(_LinearModel):
-    """Linear model whose h leaves the state domain anywhere but at x0."""
+    """Linear model whose state domain is x0 alone."""
 
     def __init__(self, a, c, bus_ids, x0):
         super().__init__(a, c, bus_ids)
@@ -242,10 +278,8 @@ class _DomainModel(_LinearModel):
     def flat(self):
         return self.x0.copy()
 
-    def h(self, x):
-        if not np.array_equal(x, self.x0):
-            raise ValidationError("polar state requires positive magnitudes")
-        return super().h(x)
+    def outside(self, x):
+        return np.array([not np.array_equal(x, self.x0)])
 
 
 def test_accepted_step_outside_domain_raises():
