@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, is_integer
 from .measurement import MeasurementPlan, PlanEntry
 from .netmodel import BUS_KINDS, AreaPartition, Branch, Bus, PowerNetwork, partition
 
@@ -188,6 +188,9 @@ class ExperimentConfig:
         for name in ("sigma_injection", "sigma_flow", "sigma_pmu"):
             if getattr(self, name) <= 0.0:
                 raise ValidationError(f"{name} must be positive")
+        for name in sorted(_INT_KEYS):
+            if not is_integer(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValidationError("trial count must be at least 1")
         if self.seed < 0:

@@ -1,8 +1,17 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the rule a count
+argument must pass before it is used.
 
 The CLI maps these onto stable exit codes: validation/usage errors -> 1,
 numerical failures -> 2, I/O failures -> 3.
 """
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool:
+    the rule a count, a seed or an iteration limit must pass."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class GridStateError(Exception):

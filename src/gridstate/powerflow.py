@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, is_integer
 from .netmodel import GENERATOR, SLACK, PowerNetwork, build_ybus
 
 
@@ -176,8 +176,8 @@ def run_powerflow(net: PowerNetwork, tol: float = 1e-8, max_iter: int = 20) -> P
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError("tolerance must be positive and finite")
-    if max_iter < 1:
-        raise ValidationError("iteration cap must be at least 1")
+    if not is_integer(max_iter) or max_iter < 1:
+        raise ValidationError("iteration cap must be an integer of at least 1")
 
     adm = build_ybus(net)
     bus_ids = adm.bus_ids

@@ -7,8 +7,9 @@ the inverse gain matrix at the solution.  The areas of one level are
 independent problems of this form (Gomez-Exposito et al., "A taxonomy of
 multi-area state estimation methods", EPSR 81(4), 2011), so every model
 :func:`gauss_newton` steps is a batch of members solved in lockstep, each
-as if alone: a :class:`PolarBatch` of a level's areas, a
-:class:`PolarModel` as a batch of one, the level-2 coordinator likewise.
+as if alone: a :class:`PolarBatch` of :class:`PolarModel` layouts (a
+level's areas, or one model alone), or the level-2 coordinator, a batch
+of one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import bdu
 from .bdu import spd_inv, tri_solve
-from .errors import NumericalError, UnobservableError, ValidationError
+from .errors import NumericalError, UnobservableError, ValidationError, is_integer
 from .measurement import MeasurementSet, ModelView, StackedView, h_eval, jacobian_polar
 from .powerflow import StateVector
 
@@ -29,12 +30,9 @@ _VARIANCES = "measurement variances are not positive"
 
 
 class _Polar:
-    """h, H's nonzero values, the domain check and the remembered
-    Gauss-Newton start over one layout of x = [va (free); vm (all)] of a
-    batch of ``members``: ``view`` and ``specs``, H's ``pattern``, where x
-    holds the free angles (``_va``, at bus positions ``free_va`` of the
-    ``n_bus``) and the magnitudes (``_vm``), per member its rows and its
-    unknowns (``parts``) and its first bus (``bus_starts``)."""
+    """A layout of x = [va (free); vm (all)]: x holds the free angles
+    (``_va``, at bus positions ``free_va`` of the ``n_bus``) and the
+    magnitudes (``_vm``)."""
 
     def unpack(self, x):
         """(vm, va) at x: the pair :func:`h_eval` takes."""
@@ -42,43 +40,12 @@ class _Polar:
         va[self.free_va] = x[self._va]
         return x[self._vm], va
 
-    def h(self, x) -> np.ndarray:
-        """Every member's h at x, with no domain check (see :meth:`outside`)."""
-        return h_eval(self.view, self.unpack(x), self.specs)
-
-    def outside(self, x) -> np.ndarray:
-        """Per member, whether x leaves its state domain (a magnitude that
-        is not positive)."""
-        return np.logical_or.reduceat(x[self._vm] <= 0.0, self.bus_starts)
-
-    def jac_values(self, x) -> np.ndarray:
-        """H's nonzero values at x over [va (all); vm (all)], in
-        ``CompiledSpecs.jac_at`` order (see :class:`JacobianPattern`)."""
-        return jacobian_polar(self.view, self.unpack(x), self.specs, dense=False)
-
-    def pattern_normal(self, whiten) -> "PatternNormal":
-        """:class:`PatternNormal` on H's nonzero pattern under ``whiten``,
-        a whitener of variances over the spec rows."""
-        return PatternNormal(self.pattern, self.jac_values, whiten(np.ones(len(self.specs))))
-
-    def start(self, normal, x0, weights):
-        """:func:`linearize` at ``x0`` under ``normal``, remembered for the
-        last start only: reused while x0 and the weight vector equal the
-        last ones (every trial starts flat at the same point), recomputed
-        for anything else; a start with a singular gain is not kept."""
-        memo = self._start
-        if not (memo and np.array_equal(memo[0], x0) and np.array_equal(memo[1], weights)):
-            memo = (np.array(x0, dtype=float), np.array(weights, dtype=float),
-                    linearize(self, normal, x0))
-            if not any(isinstance(c, Exception) for c in memo[2][3]):
-                self._start = memo
-        return memo[2]
-
 
 class PolarModel(_Polar):
-    """Packs/unpacks the estimation vector x = [va (free); vm (all)] for a
-    model view and evaluates h and H on it; a batch of one (``members``
-    is the model itself) with nothing stacked.
+    """One area's layout of the estimation vector x = [va (free); vm
+    (all)] over a model view and its specs: packs and unpacks x and gives
+    the dense H for :func:`check_observable`.  :func:`gauss_newton` steps
+    it as a member of a :class:`PolarBatch`.
 
     With ``pin_angle`` (the default) the reference-bus angle is pinned at
     zero and removed from the unknowns.  When the reference bus
@@ -90,7 +57,7 @@ class PolarModel(_Polar):
         self.view = view
         self.specs = tuple(specs)
         self.pin_angle = bool(pin_angle)
-        compiled = view.compile(self.specs)
+        view.compile(self.specs)  # rejects a row the view cannot evaluate
         self.n_bus = view.n_bus
         if view.ref_bus not in view.pos:
             raise ValidationError(f"reference bus {view.ref_bus} is not in the view")
@@ -101,18 +68,6 @@ class PolarModel(_Polar):
         self.n_state = len(self.free_va) + self.n_bus
         self._va, self._vm = slice(0, len(self.free_va)), slice(len(self.free_va), self.n_state)
         self._cols = np.concatenate([self.free_va, self.n_bus + np.arange(self.n_bus)])
-        # H's nonzero pattern, a pinned angle's column dropped
-        col_of = np.full(2 * self.n_bus, -1)
-        col_of[self._cols] = np.arange(self.n_state)
-        self.pattern = JacobianPattern(compiled.jac_at, len(self.specs), col_of, self.n_state)
-        self.bus_starts, self.parts = np.zeros(1, dtype=np.intp), ((slice(None), slice(None)),)
-        self._start = None  # the last start and its linearization, see start
-
-    @property
-    def members(self):
-        """The model itself, as a batch of one; a property, since a stored
-        (self,) would be a reference cycle that outlives the model."""
-        return (self,)
 
     def flat(self, va0: float = 0.0) -> np.ndarray:
         """Every free angle at ``va0``, every magnitude 1."""
@@ -148,12 +103,13 @@ class PolarModel(_Polar):
 
 class PolarBatch(_Polar):
     """PolarModels that :func:`wls_estimate` solves in lockstep, each as if
-    alone.  x, the rows and the gains are the members' side by side
-    (``parts``: per member its rows and its unknowns); one h and one H
+    alone, one model included.  x, the rows and the gains are the
+    members' side by side (``parts``: per member its rows and its
+    unknowns; ``bus_starts``: per member its first bus); one h and one H
     evaluation cover every member, over their views side by side (a
-    :class:`gridstate.measurement.StackedView`), and H's pattern has one
-    gain block per member.  A batch of one evaluates its member's own
-    view and pattern, with nothing stacked."""
+    :class:`gridstate.measurement.StackedView`), and H's nonzero
+    ``pattern`` has one gain block per member.  The batch remembers its
+    last Gauss-Newton start (:meth:`start`)."""
 
     def __init__(self, models):
         self.members = tuple(models)
@@ -165,12 +121,7 @@ class PolarBatch(_Polar):
         self.parts = tuple((slice(r0, r1), slice(u0, u1))
                            for r0, r1, u0, u1 in zip(rows, rows[1:], unknowns, unknowns[1:]))
         self.bus_starts, self.n_bus = bus[:-1], int(bus[-1])
-        self._start = None
-        if len(self.members) == 1:
-            (m,) = self.members
-            self.view, self.specs, self.pattern = m.view, m.specs, m.pattern
-            self.free_va, self._va, self._vm = m.free_va, m._va, m._vm
-            return
+        self._start = None  # the last start and its linearization, see start
         self.view = StackedView([m.view for m in self.members], [m.specs for m in self.members])
         self.specs = self.view.specs
         self.free_va = np.concatenate([m.free_va + b for m, b in zip(self.members, bus)])
@@ -184,6 +135,38 @@ class PolarBatch(_Polar):
             col_of[cols] = u + np.arange(m.n_state)
         jac_at = self.view.compile(self.specs).jac_at
         self.pattern = JacobianPattern(jac_at, len(self.specs), col_of, [m.n_state for m in self.members])
+
+    def h(self, x) -> np.ndarray:
+        """Every member's h at x, with no domain check (see :meth:`outside`)."""
+        return h_eval(self.view, self.unpack(x), self.specs)
+
+    def outside(self, x) -> np.ndarray:
+        """Per member, whether x leaves its state domain (a magnitude that
+        is not positive)."""
+        return np.logical_or.reduceat(x[self._vm] <= 0.0, self.bus_starts)
+
+    def jac_values(self, x) -> np.ndarray:
+        """H's nonzero values at x over [va (all); vm (all)], in
+        ``CompiledSpecs.jac_at`` order (see :class:`JacobianPattern`)."""
+        return jacobian_polar(self.view, self.unpack(x), self.specs, dense=False)
+
+    def pattern_normal(self, whiten) -> "PatternNormal":
+        """:class:`PatternNormal` on H's nonzero pattern under ``whiten``,
+        a whitener of variances over the spec rows."""
+        return PatternNormal(self.pattern, self.jac_values, whiten(np.ones(len(self.specs))))
+
+    def start(self, normal, x0, weights):
+        """:func:`linearize` at ``x0`` under ``normal``, remembered for the
+        last start only: reused while x0 and the weight vector equal the
+        last ones (every trial starts flat at the same point), recomputed
+        for anything else; a start with a singular gain is not kept."""
+        memo = self._start
+        if not (memo and np.array_equal(memo[0], x0) and np.array_equal(memo[1], weights)):
+            memo = (np.array(x0, dtype=float), np.array(weights, dtype=float),
+                    linearize(self, normal, x0))
+            if not any(isinstance(c, Exception) for c in memo[2][3]):
+                self._start = memo
+        return memo[2]
 
 
 @dataclass(frozen=True)
@@ -397,8 +380,8 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
     """Gauss-Newton WLS on ``model`` from x0, with W^-1/2 applied by
     ``whiten`` (see :func:`whitener`).
 
-    ``model`` is a batch of members (a :class:`PolarBatch`; a
-    :class:`PolarModel` or the coordinator is a batch of one): ``parts``
+    ``model`` is a batch of members (a :class:`PolarBatch`; the
+    coordinator is a batch of one): ``parts``
     lists per member its rows and its unknowns, ``h(x)`` evaluates every
     member with no domain check and ``outside(x)`` tells per member
     whether x leaves its state domain.  The members are solved in
@@ -540,27 +523,31 @@ def wls_estimate(
     (:func:`gauss_newton`), from ``x0`` (default: the flat start).
 
     The normal equations come from H's nonzero pattern
-    (:meth:`PolarModel.pattern_normal`).  The start's linearization is the
-    model's remembered one when x0 and the sigmas repeat
-    (:meth:`PolarModel.start`).
+    (:meth:`PolarBatch.pattern_normal`).  The start's linearization is the
+    batch's remembered one when x0 and the sigmas repeat
+    (:meth:`PolarBatch.start`).
 
-    With one MeasurementSet (a :class:`PolarModel`, a batch of one) it
-    returns the EstimationResult or raises the error the member failed
-    with.  With one set per member (a :class:`PolarBatch`), ``x0`` None or
-    one start (or None) per member, it returns a list holding per member
-    its EstimationResult or that error.  A start outside the state domain
-    fails its member (ValidationError); a gain matrix singular at an
-    iterate fails it with UnobservableError.  converged=False (no error)
-    when k_limit is reached; a k_limit that is not an integer of at least
-    1 raises ValidationError.
+    With one MeasurementSet and a :class:`PolarModel` it steps a batch of
+    that model alone, so nothing is remembered across such calls, and
+    returns the EstimationResult or raises the error the model failed
+    with.  With one set per member of a :class:`PolarBatch`, ``x0`` None
+    or one start (or None) per member, it returns a list holding per
+    member its EstimationResult or that error.  A start outside the state
+    domain fails its member (ValidationError); a gain matrix singular at
+    an iterate fails it with UnobservableError.  converged=False (no
+    error) when k_limit is reached; a k_limit that is not an integer of
+    at least 1 raises ValidationError.
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError("tolerance must be positive and finite")
-    if isinstance(k_limit, bool) or not isinstance(k_limit, (int, np.integer)) or k_limit < 1:
+    if not is_integer(k_limit) or k_limit < 1:
         raise ValidationError("iteration limit must be an integer of at least 1")
     alone = isinstance(mset, MeasurementSet)
-    sets = [mset] if alone else list(mset)
-    starts = [x0] if alone else [None] * len(sets) if x0 is None else list(x0)
+    if alone:
+        sets, starts, model = [mset], [x0], PolarBatch([model])
+    else:
+        sets = list(mset)
+        starts = [None] * len(sets) if x0 is None else list(x0)
     if not len(sets) == len(starts) == len(model.members):
         raise ValidationError("a batch takes one measurement set and one start per member")
     starts = [_start_point(s, m, x) for s, m, x in zip(sets, model.members, starts)]

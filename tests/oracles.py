@@ -9,6 +9,7 @@ import numpy as np
 
 from gridstate.bdu import RobustProblem, _Evaluator, _scaled_lambda
 from gridstate.errors import ValidationError
+from gridstate.measurement import h_eval
 
 
 def spectral_norm_strs(s, r) -> float:
@@ -77,9 +78,14 @@ def lsq_solution(p: RobustProblem, lam: float):
     return x, (dx_dz / p.r) @ dx_dz.T, np.linalg.cond(ra) ** 2
 
 
+def polar_h(model, x) -> np.ndarray:
+    """h at x of a ``wls.PolarModel``, on its own view."""
+    return h_eval(model.view, model.unpack(x), model.specs)
+
+
 def objective(mset, model, state) -> float:
     """J(x) = (z - h(x))' W^-1 (z - h(x))."""
-    r = mset.z - model.h(model.pack(state))
+    r = mset.z - polar_h(model, model.pack(state))
     return float(np.sum((r / mset.sigmas) ** 2))
 
 

@@ -2,6 +2,7 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gridstate import caseio
@@ -16,6 +17,7 @@ from gridstate.caseio import (
     render_case,
     write_results,
 )
+from gridstate.cli import prepare
 from gridstate.errors import ParseError, ValidationError
 from gridstate.measurement import redundancy
 
@@ -132,6 +134,21 @@ def test_config_rejects_negative_seed():
     with pytest.raises(ValidationError, match="seed must be nonnegative"):
         parse_config("seed = -1\n")
     assert ExperimentConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("key", sorted(caseio._INT_KEYS))
+def test_config_rejects_a_count_that_is_not_an_integer(key):
+    """A fractional or bool trial count, seed or iteration limit is a
+    usage error here, not a TypeError or a per-area NumericalError later
+    in the run; numpy's integers pass."""
+    from gridstate.cli import prepare
+
+    for value in (2.5, 2.0, True):
+        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+            prepare(config="ieee30.cfg", overrides={key: value})
+    assert getattr(ExperimentConfig(**{key: np.int64(2)}), key) == 2
 
 
 def test_low_redundancy_warning(net30, part30):

@@ -1,5 +1,5 @@
 """The traditional estimator's normal equations from the Jacobian's
-nonzero pattern (``PolarModel.pattern_normal``) against the dense whitened
+nonzero pattern (``PolarBatch.pattern_normal``) against the dense whitened
 products of ``tests/oracles.py``, and the Gauss-Newton behaviour that must
 not change with them, on the central TSE of IEEE-30 tiled twice (above
 the kernels' leaf)."""
@@ -13,7 +13,7 @@ from gridstate.errors import UnobservableError
 from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _START_STEP, Structure
 from gridstate.netmodel import single_area
-from gridstate.wls import PolarModel, gauss_newton, whitener, wls_estimate
+from gridstate.wls import PolarBatch, PolarModel, gauss_newton, whitener, wls_estimate
 from tests.oracles import DenseNormal
 from tests.test_kernels import _count_calls, _tiled_workload
 from tests.test_wls import _same_estimate
@@ -60,9 +60,10 @@ def _random_state(model, rng):
 @pytest.mark.parametrize("layout", ["anchored", "pinned"])
 def test_pattern_normal_equations_equal_the_dense_products(tiled2, layout):
     model, mset = _layouts(*tiled2[:2])[layout]
+    batch = PolarBatch([model])
     whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
-    normal = model.pattern_normal(whiten)
-    pattern = model.pattern
+    normal = batch.pattern_normal(whiten)
+    pattern = batch.pattern
     at = pattern.row + len(mset) * pattern.col  # flat Fortran places in the model's H
     assert len(pattern.row) == len(pattern.take) and len(np.unique(at)) == len(at)
     outside = np.ones(len(mset) * model.n_state, dtype=bool)
@@ -76,7 +77,7 @@ def test_pattern_normal_equations_equal_the_dense_products(tiled2, layout):
         assert not np.any(np.ravel(h, order="F")[outside])
         v = normal.weigh(x)
         assert np.array_equal(v, normal.root_row * np.ravel(h, order="F")[at])
-        r = mset.z - model.h(x)
+        r = mset.z - batch.h(x)
         (gain,), g = normal.gain(v), normal.grad(v, whiten(r))
         h_w = whiten(h)
         want_gain, want_g = h_w.T @ h_w, h_w.T @ whiten(r)
@@ -96,7 +97,7 @@ def test_unobservable_bus_raises_above_the_leaf(tiled2, monkeypatch):
     specs = tuple(model.specs[i] for i in keep)
     blind = PolarModel(model.view, specs, pin_angle=False)
     assert blind.n_state > bdu._LEAF and not wls.check_observable(blind)
-    calls = _count_calls(monkeypatch, PolarModel, "pattern_normal")
+    calls = _count_calls(monkeypatch, PolarBatch, "pattern_normal")
     with pytest.raises(UnobservableError):
         wls_estimate(MeasurementSet(specs, tse_set.z[keep], tse_set.sigmas[keep]), blind)
     assert len(calls) == 1
@@ -115,19 +116,15 @@ def test_marquardt_fallback_matches_the_dense_path(tiled2, monkeypatch):
     whiten = whitener([tse_set.sigmas**2], "measurement variances are not positive")
     # wls_estimate's default tolerance and iteration limit
     ((x, cov, iterations, converged, _, _),) = gauss_newton(
-        model, tse_set.z, whiten, x0, 1e-6, 20, DenseNormal(model.jac, whiten))
+        PolarBatch([model]), tse_set.z, whiten, x0, 1e-6, 20, DenseNormal(model.jac, whiten))
     assert converged and iterations == res.iterations
     assert np.abs(model.pack(res.state) - x).max() <= 1e-9
     assert np.abs(res.covariance - cov).max() <= 1e-9 * np.abs(cov).max()
 
 
-def _fresh(model):
-    return PolarModel(model.view, model.specs, pin_angle=model.pin_angle)
-
-
 def test_one_h_and_one_jacobian_per_iteration_above_the_leaf(tiled2, monkeypatch):
     area, tse_set, va0 = tiled2
-    model = _fresh(area.model)  # no start remembered from another test
+    model = area.model
     h_calls = _count_calls(monkeypatch, wls, "h_eval")
     jac_calls = _count_calls(monkeypatch, wls, "jacobian_polar")
     res = wls_estimate(tse_set, model, x0=model.flat(va0))
@@ -139,28 +136,30 @@ def test_one_h_and_one_jacobian_per_iteration_above_the_leaf(tiled2, monkeypatch
 
 @pytest.mark.parametrize("layout", ["anchored", "pinned"])
 def test_repeat_solve_reuses_the_start(tiled2, layout, monkeypatch):
-    """A second solve from the same start with the same sigmas evaluates
-    one h and one H fewer, and equals a fresh model's solve bit for bit."""
+    """A batch's second solve from the same start with the same sigmas
+    evaluates one h and one H fewer, and equals the single-set call's
+    solve (a fresh batch) bit for bit."""
     model, mset = _layouts(*tiled2[:2])[layout]
-    model, x0 = _fresh(model), model.flat(tiled2[2] if layout == "anchored" else 0.0)
+    batch, x0 = PolarBatch([model]), model.flat(tiled2[2] if layout == "anchored" else 0.0)
     counts, results = [], []
     for _ in range(2):
         h_calls = _count_calls(monkeypatch, wls, "h_eval")
         jac_calls = _count_calls(monkeypatch, wls, "jacobian_polar")
-        results.append(wls_estimate(mset, model, x0=x0.copy()))
+        results.extend(wls_estimate([mset], batch, x0=[x0.copy()]))
         counts.append((len(h_calls), len(jac_calls)))
         monkeypatch.undo()
     first, again = results
     assert counts[1] == (counts[0][0] - 1, counts[0][1] - 1)
     assert _same_estimate(again, first)
-    assert _same_estimate(again, wls_estimate(mset, _fresh(model), x0=x0))
+    assert _same_estimate(again, wls_estimate(mset, model, x0=x0))
 
 
 def test_a_changed_start_sigma_or_spec_list_recomputes(tiled2, monkeypatch):
     area, tse_set, va0 = tiled2
-    model = _fresh(area.model)
+    model = area.model
+    batch = PolarBatch([model])
     x0 = model.flat(va0)
-    base = wls_estimate(tse_set, model, x0=x0)
+    (base,) = wls_estimate([tse_set], batch, x0=[x0])
     sigmas = tse_set.sigmas.copy()
     sigmas[5] *= 1.5
     cases = {
@@ -170,19 +169,20 @@ def test_a_changed_start_sigma_or_spec_list_recomputes(tiled2, monkeypatch):
     }
     for name, (mset, start) in cases.items():
         h_calls = _count_calls(monkeypatch, wls, "h_eval")
-        got = wls_estimate(mset, model, x0=start)
+        (got,) = wls_estimate([mset], batch, x0=[start])
         assert len(h_calls) >= got.iterations + 1, name
-        assert _same_estimate(got, wls_estimate(mset, _fresh(model), x0=start)), name
+        assert _same_estimate(got, wls_estimate(mset, model, x0=start)), name
         monkeypatch.undo()
     assert _same_estimate(got, base)
 
-    # a mutated copy of the spec list on the same view: its own start, and
-    # the first model's remembered start still holds for its own specs
+    # a mutated copy of the spec list on the same view: its own batch and
+    # start, and the first batch's remembered start still holds for its
+    # own specs
     specs = list(model.specs)
     specs.reverse()
-    mutated = PolarModel(model.view, specs, pin_angle=False)
+    mutated = PolarBatch([PolarModel(model.view, specs, pin_angle=False)])
     flipped = MeasurementSet(tuple(specs), tse_set.z[::-1], tse_set.sigmas[::-1])
     fresh_view = ModelView(model.view.net, model.view.bus_ids, model.view.ref_bus)
     want = wls_estimate(flipped, PolarModel(fresh_view, specs, pin_angle=False), x0=x0)
-    assert _same_estimate(wls_estimate(flipped, mutated, x0=x0), want)
-    assert _same_estimate(wls_estimate(tse_set, model, x0=x0), base)
+    assert _same_estimate(wls_estimate([flipped], mutated, x0=[x0])[0], want)
+    assert _same_estimate(wls_estimate([tse_set], batch, x0=[x0])[0], base)

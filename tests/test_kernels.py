@@ -118,7 +118,8 @@ def test_every_ieee30_system_stays_at_the_leaf(monkeypatch, lambda_strategy):
     60 would re-round it.  The leaf is the kernels' only: every TSE and
     every coordinator (24 unknowns) solve takes its normal equations from
     the Jacobian's pattern, built once per model; a level's area TSEs run
-    as one lockstep batch whose pattern holds one gain block per area."""
+    as one lockstep batch, the owner of their pattern, which holds one
+    gain block per area."""
     exp = prepare(config="ieee30.cfg", overrides={"lambda_strategy": lambda_strategy})
     sizes = _record_sizes(monkeypatch)
     tse = _count_calls(monkeypatch, multiarea, "wls_estimate")
@@ -133,7 +134,7 @@ def test_every_ieee30_system_stays_at_the_leaf(monkeypatch, lambda_strategy):
     assert len(tse) == 8 and len(pattern) == len(tse)  # 2 trials x 4 modes, one batch of 1 or 3 TSEs each
     assert len(solves) == 4 and len(coordinator) == len(solves)
     models = [a.model for _, structure in exp.structures.values() for a in structure.areas]
-    assert len(models) == 4 and all(m.pattern is not None for m in models)
+    assert len(models) == 4 and all(s.tse.pattern is not None for _, s in exp.structures.values())
     for _, structure in exp.structures.values():
         blocks = [k for _, k in structure.tse.pattern.blocks]
         assert blocks == [a.model.n_state for a in structure.areas]

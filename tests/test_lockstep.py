@@ -11,8 +11,11 @@ import pytest
 from gridstate import wls
 from gridstate.cli import prepare, synth_for_trial
 from gridstate.errors import NumericalError, UnobservableError, ValidationError
+from gridstate.measurement import h_eval, jacobian_polar
 from gridstate.multiarea import Structure, _tse_inputs, level1_run
-from gridstate.wls import PolarBatch, PolarModel, wls_estimate
+from gridstate.netmodel import single_area
+from gridstate.wls import (JacobianPattern, PatternNormal, PolarBatch, PolarModel, gauss_newton, whitener,
+                           wls_estimate)
 from tests.test_kernels import _count_calls, _tiled_workload
 from tests.test_wls import _same_estimate
 
@@ -187,3 +190,53 @@ def test_level1_makes_one_tse_call(experiments, monkeypatch):
     # (no damping here) and one H per step after the first plus the
     # covariances'
     assert counts == [(1, steps + 1, steps + 1), (1, steps, steps)]
+
+
+class _OwnView:
+    """A PolarModel stepped on its own view and its own pattern, nothing
+    stacked: what its batch of one must equal bit for bit."""
+
+    def __init__(self, model):
+        self.model = model
+        self.parts = ((slice(None), slice(None)),)
+        col_of = np.full(2 * model.n_bus, -1)
+        col_of[model._cols] = np.arange(model.n_state)
+        jac_at = model.view.compile(model.specs).jac_at
+        self.pattern = JacobianPattern(jac_at, len(model.specs), col_of, model.n_state)
+
+    def h(self, x):
+        return h_eval(self.model.view, self.model.unpack(x), self.model.specs)
+
+    def outside(self, x):
+        return np.array([np.any(x[self.model._vm] <= 0.0)])
+
+    def jac_values(self, x):
+        return jacobian_polar(self.model.view, self.model.unpack(x), self.model.specs, dense=False)
+
+
+@pytest.mark.parametrize("grid, area", [("ieee30", "central"), ("ieee30", 2), ("tiled-x2", "central")])
+def test_a_batch_of_one_equals_its_member_on_its_own_view(experiments, grid, area):
+    """h, H's nonzero values and the gain of a batch of one, at its start
+    and at points near it, and its estimate, equal those of its member
+    evaluated on its own view."""
+    exp = experiments(grid, 0)
+    part = single_area(exp.net, exp.part.global_ref) if area == "central" else exp.part
+    structure = Structure(exp.net, part, exp.specs)
+    sets, starts = _tse_inputs(structure, synth_for_trial(exp, 0))
+    i = 0 if area == "central" else [a.area.index for a in structure.observable].index(area)
+    model, mset, x0 = structure.observable[i].model, sets[i], starts[i]
+    batch, own = PolarBatch([model]), _OwnView(model)
+    whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
+    normal = PatternNormal(own.pattern, own.jac_values, whiten(np.ones(len(mset))))
+    rng = np.random.default_rng(5)
+    for x in [x0] + [x0 + rng.uniform(-0.02, 0.02, len(x0)) for _ in range(2)]:
+        assert np.array_equal(batch.h(x), own.h(x))
+        assert np.array_equal(batch.jac_values(x), own.jac_values(x))
+        (gain,), (want,) = batch.pattern_normal(whiten).gain_at(x), normal.gain_at(x)
+        assert np.array_equal(gain, want)
+    (got,) = wls_estimate([mset], batch, exp.cfg.epsilon, exp.cfg.k_limit, [x0])
+    ((x, cov, iterations, converged, j, r),) = gauss_newton(
+        own, mset.z, whiten, x0, exp.cfg.epsilon, exp.cfg.k_limit, normal)
+    assert got.converged and (got.iterations, got.converged, got.objective) == (iterations, converged, j)
+    assert np.array_equal(model.pack(got.state), x)
+    assert np.array_equal(got.covariance, cov) and np.array_equal(got.residuals, r)

@@ -163,6 +163,12 @@ def test_tolerance_must_be_positive_and_finite(net30, tol):
 def test_argument_validation(net30):
     with pytest.raises(ValidationError):
         run_powerflow(net30, max_iter=0)
+    # range() would raise a bare TypeError on 2.5, and True would run one
+    # iteration reported as "did not converge in True iterations"
+    for max_iter in (2.5, True):
+        with pytest.raises(ValidationError, match="iteration cap must be an integer of at least 1"):
+            run_powerflow(net30, max_iter=max_iter)
+    assert run_powerflow(net30, max_iter=np.int64(10)).iterations > 0
     with pytest.raises(ValidationError):
         mismatch(net30, StateVector("rect", net30.bus_ids, np.ones(30), np.zeros(30)))
 

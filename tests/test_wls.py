@@ -12,10 +12,10 @@ from gridstate.errors import NumericalError, UnobservableError, ValidationError
 from gridstate.measurement import Measurement, MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
 from gridstate.powerflow import StateVector
-from gridstate.wls import PolarModel, check_observable, linearize, whitener, wls_estimate
+from gridstate.wls import PolarModel, check_observable, whitener, wls_estimate
 from tests.conftest import synth_zero
 from tests.test_kernels import _count_calls
-from tests.oracles import DenseNormal, objective
+from tests.oracles import DenseNormal, objective, polar_h
 
 
 def _area_problem(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None):
@@ -44,16 +44,16 @@ def test_noiseless_recovery_all_areas(net30, part30, specs30, truth30):
 
 
 class _LinearModel:
-    """Identity-observation linear model mimicking the PolarModel surface:
-    a batch of one whose state domain is everywhere."""
+    """Identity-observation linear model with the surface
+    ``wls.gauss_newton`` steps: a batch of one whose state domain is
+    everywhere."""
 
     def __init__(self, a, c, bus_ids):
         self.a = a
         self.c = c
         self.bus_ids = bus_ids
-        self.specs = tuple(range(a.shape[0]))
         self.n_state = a.shape[1]
-        self.members, self.parts = (self,), ((slice(None), slice(None)),)
+        self.parts = ((slice(None), slice(None)),)
 
     def flat(self):
         x = np.zeros(self.n_state)
@@ -68,12 +68,6 @@ class _LinearModel:
 
     def jac(self, x):
         return self.a
-
-    def pattern_normal(self, whiten):
-        return DenseNormal(self.jac, whiten)  # no nonzero pattern
-
-    def start(self, normal, x0, weights):
-        return linearize(self, normal, x0)  # no remembered start
 
     def state(self, x):
         n = self.n_state // 2
@@ -94,13 +88,16 @@ def test_linear_model_one_step_exact():
             for k in range(9)
         )
     )
-    res = wls_estimate(mset, model, tol=1e-10, k_limit=10)
+    whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
+    ((x, _, iterations, converged, _, _),) = wls.gauss_newton(
+        model, mset.z, whiten, model.flat(), 1e-10, 10, DenseNormal(model.jac, whiten))
     w_inv = np.diag(1.0 / sigmas**2)
     x_ls = np.linalg.solve(a.T @ w_inv @ a, a.T @ w_inv @ (z - c))
     # Gauss-Newton reaches the exact LS solution in one step, plus the
     # convergence-confirming step
-    assert res.converged and res.iterations == 2
-    got = np.concatenate([res.state.v2, res.state.v1])
+    assert converged and iterations == 2
+    state = model.state(x)
+    got = np.concatenate([state.v2, state.v1])
     assert np.abs(got - x_ls).max() < 1e-10
 
 
@@ -126,7 +123,7 @@ def test_objective_examples(net30, part30, specs30, truth30):
 
     # naive triple-loop oracle
     z = mset.z
-    h = model.h(model.pack(state))
+    h = polar_h(model, model.pack(state))
     w_inv = np.diag(1.0 / mset.sigmas**2)
     naive = 0.0
     for i in range(len(z)):
@@ -173,7 +170,7 @@ def test_first_order_condition(net30, part30, specs30, truth30, cfg30):
         x = model.pack(res.state)
         h = model.jac(x)
         w_inv = np.diag(1.0 / mset.sigmas**2)
-        grad = h.T @ w_inv @ (mset.z - model.h(x))
+        grad = h.T @ w_inv @ (mset.z - polar_h(model, x))
         scale = np.linalg.norm(h.T @ w_inv @ mset.z)
         assert np.linalg.norm(grad) < 1e-6 * scale
 
@@ -226,8 +223,8 @@ def test_iteration_limit_must_be_a_positive_integer(net30, part30, specs30, trut
 
 
 def test_solved_models_are_freed_without_the_cycle_collector(net30, part30, specs30, truth30):
-    """Neither a model (a batch of one) nor a batch refers to itself, so
-    the models of a structure rebuilt every trial go as soon as it does."""
+    """Neither a model nor a batch refers to itself, so the models of a
+    structure rebuilt every trial go as soon as it does."""
     _, mset, model = _area_problem(net30, part30, specs30, truth30, 1)
     batch = wls.PolarBatch([model, PolarModel(model.view, model.specs, model.pin_angle)])
     wls_estimate(mset, model)
@@ -289,8 +286,10 @@ def test_accepted_step_outside_domain_raises():
     mset = MeasurementSet(
         tuple(Measurement(k, "pmu_vr", float(rng.standard_normal()), 1.0, bus=1) for k in range(6))
     )
+    whiten = whitener([mset.sigmas**2], "measurement variances are not positive")
+    (out,) = wls.gauss_newton(model, mset.z, whiten, model.flat(), 1e-6, 20, DenseNormal(model.jac, whiten))
     with pytest.raises(ValidationError, match="positive magnitudes"):
-        wls_estimate(mset, model)
+        raise out
 
 
 def _weight_parts(layout, seed):
@@ -360,16 +359,17 @@ def _same_estimate(a, b):
 
 
 def test_repeat_solve_reuses_the_start_at_the_leaf(net30, part30, specs30, truth30, cfg30, monkeypatch):
-    """An IEEE-30 area TSE (at most the kernels' leaf of 64 unknowns): a
-    repeat solve from the same start and sigmas evaluates one h and one H
-    fewer and equals a fresh model's solve bit for bit; another sigma
-    recomputes."""
+    """An IEEE-30 area TSE (at most the kernels' leaf of 64 unknowns) in a
+    batch of its own: a repeat solve from the same start and sigmas
+    evaluates one h and one H fewer and equals a fresh model's solve bit
+    for bit; another sigma recomputes."""
     _, mset, model = _area_problem(net30, part30, specs30, truth30, 1, np.random.default_rng(4), cfg30)
     assert model.n_state <= 64
-    first = wls_estimate(mset, model)
+    batch = wls.PolarBatch([model])
+    (first,) = wls_estimate([mset], batch)
     h_calls = _count_calls(monkeypatch, wls, "h_eval")
     jac_calls = _count_calls(monkeypatch, wls, "jacobian_polar")
-    again = wls_estimate(mset, model)
+    (again,) = wls_estimate([mset], batch)
     assert len(h_calls) == len(jac_calls) == again.iterations
     assert _same_estimate(again, first)
     fresh = PolarModel(model.view, model.specs, pin_angle=model.pin_angle)
@@ -378,6 +378,6 @@ def test_repeat_solve_reuses_the_start_at_the_leaf(net30, part30, specs30, truth
     sigmas[0] *= 2.0
     other = MeasurementSet(mset.specs, mset.z, sigmas)
     del h_calls[:]
-    got = wls_estimate(other, model)
+    (got,) = wls_estimate([other], batch)
     assert len(h_calls) == got.iterations + 1
     assert _same_estimate(got, wls_estimate(other, PolarModel(model.view, model.specs, model.pin_angle)))
