@@ -74,6 +74,22 @@ def pmu_block(view: ModelView, specs, rows) -> PmuBlock:
     return PmuBlock(view, block_specs, np.array(order, dtype=np.intp), h, scale)
 
 
+def select_block(block: PmuBlock, at, specs) -> PmuBlock:
+    """The rows of ``block`` that a spec tuple ``specs`` keeps, as
+    :func:`pmu_block` gives them for it: ``at`` holds each block row's
+    position in ``specs``, -1 where absent.  H_PMU's rows are gathered
+    and its norm taken again, unless every row stays in its place."""
+    kept = np.flatnonzero(at >= 0)
+    rank = [_BLOCK_RANK[block.specs[i].kind] for i in kept]
+    order = kept[np.lexsort((at[kept], rank))]
+    if np.array_equal(order, np.arange(len(at))):
+        return replace(block, rows=at)
+    n = 2 * block.view.n_bus
+    h = np.vstack([block.h[:n], block.h[n + order]])
+    scale = float(np.linalg.norm(h[n:], 2)) if len(order) else 0.0
+    return PmuBlock(block.view, tuple(specs[k] for k in at[order]), at[order], h, scale)
+
+
 @dataclass(frozen=True)
 class HybridModel:
     """Stacked linear measurement model z = H x + e over rectangular states;

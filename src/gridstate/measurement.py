@@ -19,6 +19,7 @@ external] sub-model.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -281,6 +282,40 @@ class CompiledSpecs:
         out._place(int(bus[-1]))
         return out
 
+    def take(self, rows, y) -> "CompiledSpecs":
+        """The compiled form of this form's rows at the distinct positions
+        ``rows``, in that order, gathered from its arrays: array for array
+        what compiling those specs against its view, whose Ybus is ``y``,
+        gives.  This form itself when ``rows`` are all its rows in order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if np.array_equal(rows, np.arange(self.n_rows)):
+            return self
+        new = np.full(self.n_rows, -1, dtype=np.intp)
+        new[rows] = np.arange(len(rows))
+
+        def pick(family):
+            """The entries of ``family`` on taken rows, in their new row order."""
+            at = new[family.rows]
+            kept = np.flatnonzero(at >= 0)
+            kept = kept[np.argsort(at[kept])]
+            return type(family)(at[kept], *(col[kept] for col in family[1:]))
+
+        out = CompiledSpecs.__new__(CompiledSpecs)
+        out.n_rows = len(rows)
+        inj = pick(self.inj)
+        # the distinct buses numbered in order of first appearance, as __init__ does
+        bus, first, k = np.unique(self.inj_bus[inj.k], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order))
+        out.inj_bus = bus[order]
+        out.inj = inj._replace(k=number[k])
+        out.inj_y = y[out.inj_bus]
+        out.volt, out.flow, out.cur = pick(self.volt), pick(self.flow), pick(self.cur)
+        out.inj_pat = ybus_pattern(out.inj_y, out.inj_bus)
+        out._place(len(y))
+        return out
+
     def _place(self, n):
         """The Jacobian's nonzeros over n buses: each injection row takes
         every Ybus pattern entry of its bus (``inj_entry``, real or
@@ -368,6 +403,15 @@ class ModelView:
         if self._compiled is None or self._compiled[0] != key:
             self._compiled = (key, CompiledSpecs(self, key))
         return self._compiled[1]
+
+    def taken(self, specs, compiled: CompiledSpecs, rows) -> "ModelView":
+        """A copy of this view, sharing its network data, whose compiled
+        form of ``specs`` is gathered from ``compiled``: this view's form
+        of a list whose rows at positions ``rows`` are ``specs``
+        (:meth:`CompiledSpecs.take`)."""
+        view = copy(self)
+        view._compiled = (tuple(specs), compiled.take(rows, self.adm.y))
+        return view
 
     def polar(self, state: StateVector):
         """(vm, va) of a polar state in this view's bus order: the pair

@@ -17,9 +17,11 @@ every level-1 angle within pi of area 1's first, and the offsets u
 frame.
 
 A :class:`Structure` holds all that depends only on the network, the
-partition and the spec tuple (views, models, observability, row
+partition and a spec tuple (views, models, observability, row
 positions); :meth:`Structure.run` solves one trial from a measurement
-set's ``z`` and ``sigmas``.
+set's ``z`` and ``sigmas``.  A structure is built on a spec pool and runs
+any tuple of the pool's rows: a meter outage removes rows, so its trials
+select rows of one pool instead of building a structure each.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .hybrid import (
     hybrid_solve,
     hybrid_solve_robust,
     pmu_block,
+    select_block,
     stack_model,
     uncertainty_for_model,
 )
@@ -47,8 +50,8 @@ from .measurement import (
     FLOW_KINDS,
     INJECTION_KINDS,
     PMU_CURRENT_KINDS,
-    PMU_KINDS,
     PMU_VOLTAGE_KINDS,
+    CompiledSpecs,
     MeasurementSet,
     ModelView,
     h_eval,
@@ -57,7 +60,7 @@ from .measurement import (
     rect_to_polar,
     wrap_angle,
 )
-from .netmodel import AreaPartition, PowerNetwork, boundary_measurement_ownership, single_area
+from .netmodel import AreaPartition, PowerNetwork, owning_area, single_area
 from .powerflow import StateVector
 from .wls import (
     JacobianPattern,
@@ -105,13 +108,10 @@ def _pmu_ref_anchor(pmu: MeasurementSet, ref_bus: int):
 def _split_rows(part: AreaPartition, specs):
     """Per area, the positions in ``specs`` of the SCADA and the PMU rows
     it owns (metered side)."""
-    owned = boundary_measurement_ownership(part, specs)
-    scada, pmu = {}, {}
-    for area in part.areas:
-        wanted = set(owned[area.index])
-        rows = [k for k, m in enumerate(specs) if m.id in wanted]
-        scada[area.index] = [k for k in rows if specs[k].kind in SCADA_KINDS]
-        pmu[area.index] = [k for k in rows if specs[k].kind in PMU_KINDS]
+    scada = {a.index: [] for a in part.areas}
+    pmu = {a.index: [] for a in part.areas}
+    for k, m in enumerate(specs):
+        (scada if m.kind in SCADA_KINDS else pmu)[owning_area(part, m)].append(k)
     return scada, pmu
 
 
@@ -179,23 +179,63 @@ def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> H
     return hybrid_solve_robust(hmodel, s0, e, cfg.lambda_strategy, cfg.mu, cov=cov)
 
 
-class _AreaStructure:
-    """Level 1 of one area without values: the TSE model over its SCADA
-    rows plus the reference anchor (``tse_rows`` in the spec tuple, with
-    sigma factors ``tse_scale``), its observability verdict, the PMU
-    block of its hybrid stage, and whether level 2 reads its covariance
-    (``cov_read``)."""
+def _kept(at, start, stop):
+    """The positions ``start``..``stop - 1`` of pool rows that a spec tuple
+    keeps (``at``: each one's position in the tuple, -1 where absent), in
+    the tuple's order."""
+    kept = start + np.flatnonzero(at[start:stop] >= 0)
+    return kept[np.argsort(at[kept])]
+
+
+class _AreaPool:
+    """One area's rows of a spec pool, worked once: its view, the pool
+    positions of its SCADA rows and then of its anchor candidates (its
+    reference-bus PMU voltage rows) with their compiled form, the PMU
+    block of its hybrid stage, whether level 2 reads its covariance
+    (``cov_read``), and its level 1 over the whole pool (``whole``)."""
 
     def __init__(self, net, part, area, specs, scada_rows, pmu_rows, cov_read):
         self.area = area
         self.cov_read = cov_read
-        view = ModelView.for_area(net, part, area.index)
-        self.block = pmu_block(view, specs, pmu_rows)
-        anchor = _anchor_rows(specs, pmu_rows, area.ref_bus)
-        self.anchor = sorted(anchor, key=lambda k: specs[k].kind)  # (vi, vr): atan2's order
-        self.tse_rows = np.array(scada_rows + anchor, dtype=np.intp)
-        self.tse_scale = np.repeat([1.0, ANCHOR_SIGMA_FACTOR], [len(scada_rows), len(anchor)])
-        self.model = PolarModel(view, tuple(specs[k] for k in self.tse_rows), pin_angle=not anchor)
+        self.view = ModelView.for_area(net, part, area.index)
+        self.block = pmu_block(self.view, specs, pmu_rows)
+        candidates = [k for k in pmu_rows if specs[k].kind in PMU_VOLTAGE_KINDS and specs[k].bus == area.ref_bus]
+        self.rows = np.array(scada_rows + candidates, dtype=np.intp)
+        self.n_scada = len(scada_rows)
+        self.compiled = CompiledSpecs(self.view, [specs[k] for k in self.rows])
+        self.whole = _AreaStructure(self, specs, np.arange(len(specs)))
+
+
+class _AreaStructure:
+    """Level 1 of one area without values, for a spec tuple ``specs`` of
+    rows of ``pool``'s (``row_of``: each pool row's position in ``specs``,
+    -1 where absent): the TSE model over its SCADA rows plus the
+    reference anchor (``tse_rows`` in the spec tuple, with sigma factors
+    ``tse_scale``; ``take``, their positions among the pool's rows), its
+    observability verdict, the PMU block of its hybrid stage, and whether
+    level 2 reads its covariance (``cov_read``).  A tuple that keeps the
+    TSE rows of ``whole``, the area's level 1 over the whole pool, in
+    their order shares its model and verdict."""
+
+    def __init__(self, pool: _AreaPool, specs, row_of, whole=None):
+        self.area = pool.area
+        self.cov_read = pool.cov_read
+        self.block = select_block(pool.block, row_of[pool.block.rows], specs)
+        at = row_of[pool.rows]
+        scada = _kept(at, 0, pool.n_scada)
+        # the reference phasor anchors the TSE when both its rows are kept
+        anchor = _kept(at, pool.n_scada, len(at))
+        anchor = anchor if len(anchor) == 2 else anchor[:0]
+        self.take = np.concatenate([scada, anchor])
+        self.tse_rows = at[self.take]
+        self.anchor = sorted(at[anchor].tolist(), key=lambda k: specs[k].kind)  # (vi, vr): atan2's order
+        self.tse_scale = np.repeat([1.0, ANCHOR_SIGMA_FACTOR], [len(scada), len(anchor)])
+        if whole is not None and np.array_equal(self.take, whole.take):
+            self.model, self.observable = whole.model, whole.observable
+            return
+        tse_specs = tuple(specs[k] for k in self.tse_rows)
+        view = pool.view.taken(tse_specs, pool.compiled, self.take)
+        self.model = PolarModel(view, tse_specs, pin_angle=not self.anchor)
         self.observable = check_observable(self.model)
 
 
@@ -291,8 +331,9 @@ class _CoordinatorModel:
     """h and normal equations of the coordinator problem.
 
     Unknowns x_c = [va(bnd, global frame); vm(bnd); u_2..u_r].  Rows: the
-    physical rows (boundary SCADA, coordinator PMU rows) at positions
-    ``rows`` of the spec tuple, then per pseudo area (one with boundary or
+    physical rows (the ``n_zb`` boundary SCADA rows, then the coordinator
+    PMU rows) at positions ``rows`` of the spec tuple, then per pseudo
+    area (one with boundary or
     external buses) [va(bnd_i); vm(bnd_i); va(ext_i); vm(ext_i)], taken
     from its level-1 [va; vm] at positions ``pseudo_idx``.
 
@@ -304,6 +345,7 @@ class _CoordinatorModel:
     va or vm to its own, a pinned angle to its area's u (area 1's
     dropped), a pinned magnitude nowhere; the pseudo rows' Jacobian is
     the constant ``pseudo_jac``.  The index maps are built once;
+    :meth:`select` keeps the rows another spec tuple has, and
     :meth:`pinned` binds one trial's level-1 estimates.  To
     :func:`gauss_newton` it is a batch of one (``parts``).
     """
@@ -312,6 +354,7 @@ class _CoordinatorModel:
         self.part = part
         self.rows = np.array(rows, dtype=np.intp)
         self.physical = tuple(specs[k] for k in self.rows)
+        self.n_zb = sum(m.kind in SCADA_KINDS for m in self.physical)
         self.view = ModelView.full(net, ref_bus=part.global_ref)
         self.bus_ids = self.view.bus_ids
         self.n = len(self.bus_ids)
@@ -346,12 +389,31 @@ class _CoordinatorModel:
         self.pseudo_jac = np.zeros((len(col), self.n_state))
         self.pseudo_jac[np.arange(len(col)), self.pseudo_col] = 1.0
         self.pseudo_jac[u_rows, u_cols] = -1.0
-        col_of = np.full(2 * self.n, -1)
+        col_of = self.col_of = np.full(2 * self.n, -1)
         col_of[self.bnd_pos] = np.arange(nb)
         col_of[self.n + self.bnd_pos] = nb + np.arange(nb)
         col_of[self.pin_pos] = np.where(self.pin_u > 0, 2 * nb + self.pin_u - 1, -1)
         at = self.view.compile(self.physical).jac_at
         self.pattern = JacobianPattern(at, len(self.physical), col_of, self.n_state)
+
+    def select(self, specs, row_of):
+        """This model over the rows that the spec tuple ``specs`` keeps
+        (``row_of``: the position in ``specs`` of each row of the tuple
+        this model was built on, -1 where absent), as built on ``specs``:
+        each kind of row in its order there, the compiled form gathered
+        and the pattern formed again."""
+        at = row_of[self.rows]
+        take = np.concatenate([_kept(at, 0, self.n_zb), _kept(at, self.n_zb, len(at))])
+        model = copy(self)
+        model.rows = at[take]
+        if np.array_equal(take, np.arange(len(at))):  # the same rows in their order
+            return model
+        model.n_zb = int(np.count_nonzero(at[: self.n_zb] >= 0))
+        model.physical = tuple(specs[k] for k in model.rows)
+        model.view = self.view.taken(model.physical, self.view.compile(self.physical), take)
+        at = model.view.compile(model.physical).jac_at
+        model.pattern = JacobianPattern(at, len(model.physical), self.col_of, self.n_state)
+        return model
 
     def pinned(self, locals_, angles):
         """This model with the non-boundary buses pinned at the level-1
@@ -515,17 +577,62 @@ def level2_run(
     return GlobalResult(s.bus_ids, vm, va, s.source, u, tuple(locals_), iters)
 
 
+class _Pool:
+    """The per-row work of a spec pool, done once: each area's rows
+    (:class:`_AreaPool`), the coordinator model over the pool's rows
+    (None without boundary buses) and its PMU block."""
+
+    def __init__(self, net: PowerNetwork, part: AreaPartition, specs: tuple):
+        self.specs = specs
+        self.at = {id(m): k for k, m in enumerate(specs)}  # each spec object's position
+        self.coordinator = self.bnd_block = None
+        bnd_ids = part.boundary_buses()
+        if bnd_ids:
+            zb, zpmu = _coordinator_rows(net, part, specs)
+            self.coordinator = _CoordinatorModel(net, part, specs, zb + zpmu)
+            self.bnd_block = pmu_block(ModelView(net, bnd_ids, ref_bus=part.global_ref), specs, zpmu)
+        # the coordinator reads the level-1 covariance of its pseudo areas only
+        read = set(self.coordinator.pseudo_areas) if self.coordinator is not None else set()
+        scada, pmu = _split_rows(part, specs)
+        self.areas = [_AreaPool(net, part, a, specs, scada[a.index], pmu[a.index], a.index in read)
+                      for a in part.areas]
+
+    def row_of(self, specs):
+        """Each pool row's position in ``specs`` (-1 where absent), every
+        pool row serving one row of ``specs``; None when ``specs`` has a
+        row the pool lacks."""
+        row_of = np.full(len(self.specs), -1, dtype=np.intp)
+        at = [self.at.get(id(m), -1) for m in specs]
+        if -1 not in at:  # rows that are the pool's own spec objects, as an outage's are
+            row_of[at] = np.arange(len(specs))
+            if np.count_nonzero(row_of >= 0) == len(specs):
+                return row_of
+        # equal specs that are other objects, or a repeated row: match copy by copy
+        free = {}
+        for k, m in enumerate(self.specs):
+            free.setdefault(m, []).append(k)
+        row_of[:] = -1
+        for r, m in enumerate(specs):
+            if not free.get(m):
+                return None
+            row_of[free[m].pop(0)] = r
+        return row_of
+
+
 class Structure:
     """The value-free part of a two-level run over one network, partition
     and spec tuple, run once per trial by :meth:`run`: each area's level 1,
     the lockstep batch of the observable areas' traditional estimators
     (``tse``), the coordinator model (None without boundary buses) and its
-    PMU block, and the positions that assemble the global estimate."""
+    PMU block, and the positions that assemble the global estimate.
+
+    The tuple it is built on is its spec pool, whose per-row work (views
+    and their Ybus, compiled rows, index maps, PMU blocks) is done once;
+    a tuple of rows of the pool, in any order, is run on a structure
+    selected from it (:meth:`select`)."""
 
     def __init__(self, net: PowerNetwork, part: AreaPartition, specs):
         self.part = part
-        self.specs = tuple(specs)
-        scada, pmu = _split_rows(part, self.specs)
         self.bus_ids = tuple(sorted(b.id for b in net.buses))
         out = {b: k for k, b in enumerate(self.bus_ids)}
         bnd_ids = part.boundary_buses()
@@ -534,28 +641,52 @@ class Structure:
         source = dict.fromkeys(bnd_ids, "coordinator")
         source.update((b, f"area{a.index}") for a in part.areas for b in a.internal)
         self.source = tuple(source[b] for b in self.bus_ids)
-        self.coordinator = self.bnd_block = None
-        if bnd_ids:
-            zb, zpmu = _coordinator_rows(net, part, self.specs)
-            self.coordinator = _CoordinatorModel(net, part, self.specs, zb + zpmu)
-            self.bnd_block = pmu_block(ModelView(net, bnd_ids, ref_bus=part.global_ref), self.specs, zpmu)
-        # the coordinator reads the level-1 covariance of its pseudo areas only
-        read = set(self.coordinator.pseudo_areas) if self.coordinator is not None else set()
-        self.areas = [
-            _AreaStructure(net, part, a, self.specs, scada[a.index], pmu[a.index], a.index in read)
-            for a in part.areas
-        ]
+        pool = self._pool = _Pool(net, part, tuple(specs))
+        self._last = None  # the last structure select derived
+        self._set(pool.specs, pool.coordinator, pool.bnd_block, [a.whole for a in pool.areas])
+
+    def _set(self, specs, coordinator, bnd_block, areas):
+        """Hold the parts of the tuple ``specs``."""
+        self.specs, self.coordinator, self.bnd_block, self.areas = specs, coordinator, bnd_block, areas
         # the observable areas' traditional estimators, solved in lockstep
         self.observable = [a for a in self.areas if a.observable]
         self.tse = PolarBatch([a.model for a in self.observable]) if self.observable else None
 
+    def select(self, specs) -> "Structure | None":
+        """The structure of the tuple ``specs``, equal in every value to
+        one built on it: this structure for its own specs, else one that
+        shares the pool and gathers what depends on which rows are present
+        (the last one is kept for the next call); None when ``specs`` has
+        a row the pool lacks."""
+        specs = tuple(specs)
+        if specs is self.specs or specs == self.specs:
+            return self
+        last = self._last
+        if last is not None and (specs is last.specs or specs == last.specs):
+            return last
+        pool = self._pool
+        row_of = pool.row_of(specs)
+        if row_of is None:
+            return None
+        coordinator = bnd_block = None
+        if pool.coordinator is not None:
+            coordinator = pool.coordinator.select(specs, row_of)
+            bnd_block = select_block(pool.bnd_block, row_of[pool.bnd_block.rows], specs)
+        last = copy(self)
+        last._last = None
+        last._set(specs, coordinator, bnd_block, [_AreaStructure(a, specs, row_of, a.whole) for a in pool.areas])
+        self._last = last
+        return last
+
     def run(self, mset: MeasurementSet, cfg: ExperimentConfig, robust: bool = True,
             perturb=None, parallel: bool = False) -> GlobalResult:
-        """One trial on the values of ``mset``, a set over this structure's specs."""
-        if mset.specs is not self.specs and mset.specs != self.specs:
+        """One trial on the values of ``mset``, a set over rows of this
+        structure's pool (:meth:`select`)."""
+        structure = self.select(mset.specs)
+        if structure is None:
             raise ValidationError("measurement set does not match the structure's specs")
-        locals_ = level1_run(self, mset, cfg, robust, perturb, parallel)
-        return level2_run(self, locals_, mset, cfg, robust, perturb)
+        locals_ = level1_run(structure, mset, cfg, robust, perturb, parallel)
+        return level2_run(structure, locals_, mset, cfg, robust, perturb)
 
 
 def run_two_level(

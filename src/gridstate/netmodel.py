@@ -300,8 +300,14 @@ def boundary_measurement_ownership(part: AreaPartition, measurements) -> dict[in
     """
     owned: dict[int, list[int]] = {a.index: [] for a in part.areas}
     for m in measurements:
-        bus = m.metered_bus()
-        if bus not in part.assignment:
-            raise ValidationError(f"measurement {m.id} references unknown bus {bus}")
-        owned[part.assignment[bus]].append(m.id)
+        owned[owning_area(part, m)].append(m.id)
     return owned
+
+
+def owning_area(part: AreaPartition, m) -> int:
+    """The index of the area that owns measurement ``m``: the area of its
+    metered bus."""
+    bus = m.metered_bus()
+    if bus not in part.assignment:
+        raise ValidationError(f"measurement {m.id} references unknown bus {bus}")
+    return part.assignment[bus]

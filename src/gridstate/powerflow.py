@@ -69,11 +69,6 @@ class StateVector:
         return StateVector(self.coord, tuple(bus_ids), self.v1[idx].copy(), self.v2[idx].copy(), ref)
 
 
-def flat_state(bus_ids, ref_bus=None) -> StateVector:
-    n = len(bus_ids)
-    return StateVector("polar", tuple(bus_ids), np.ones(n), np.zeros(n), ref_bus)
-
-
 @dataclass(frozen=True)
 class PowerflowSolution:
     state: StateVector

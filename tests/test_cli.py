@@ -165,6 +165,17 @@ def test_compare_rejects_parallel_flag(capsys):
     assert "--parallel" in capsys.readouterr().err
 
 
+def test_compare_rejects_zero_trials_before_any_work(tmp_path, capsys):
+    # the config's own rule rejects the override, before any trial runs
+    out = tmp_path / "out"
+    argv = ["compare", "--config-a", "ieee30.cfg", "--config-b", "ieee30.cfg", "--trials", "0",
+            "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: trial count must be at least 1\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--bogus"],
     ["estimate", "--mode", "central-magic"],

@@ -24,9 +24,15 @@ from gridstate.measurement import (
     wrap_angle,
 )
 from gridstate.netmodel import Branch, Bus, PowerNetwork
-from gridstate.powerflow import StateVector, flat_state
+from gridstate.powerflow import StateVector
 from tests.conftest import synth_zero
 from tests.dense_jacobian import jacobian_polar_dense
+
+
+def flat_state(bus_ids):
+    """Every magnitude 1, every angle 0."""
+    n = len(bus_ids)
+    return StateVector("polar", tuple(bus_ids), np.ones(n), np.zeros(n))
 
 
 def _flat(view):

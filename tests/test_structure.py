@@ -1,6 +1,10 @@
 """The structure/solve split: one estimation structure per experiment and
-partition, measurement sets carried as value arrays."""
+partition, built on a spec pool whose sub-tuples it runs by selecting
+rows; measurement sets carried as value arrays."""
 
+import gc
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +15,21 @@ from hypothesis import strategies as st
 from gridstate import multiarea
 from gridstate.cli import make_delta_sampler, prepare, run_trial, synth_for_trial
 from gridstate.errors import NumericalError, ValidationError
-from gridstate.measurement import ALL_KINDS, FLOW_KINDS, MeasurementSet, h_eval, synthesize, wrap_angle
-from gridstate.multiarea import run_centralized, run_two_level
+from gridstate.hybrid import pmu_block, select_block
+from gridstate.measurement import (
+    ALL_KINDS,
+    FLOW_KINDS,
+    INJECTION_KINDS,
+    PMU_KINDS,
+    PMU_VOLTAGE_KINDS,
+    CompiledSpecs,
+    MeasurementSet,
+    ModelView,
+    h_eval,
+    synthesize,
+    wrap_angle,
+)
+from gridstate.multiarea import _coordinator_rows, run_centralized, run_two_level
 from gridstate.netmodel import boundary_measurement_ownership, single_area
 
 MODES = ("central-wls", "central-robust", "multiarea-wls", "multiarea-robust")
@@ -37,6 +54,9 @@ def _assert_same(a, b):
     assert np.array_equal(a.vm, b.vm) and np.array_equal(a.va, b.va)
     assert np.array_equal(a.u, b.u)
     assert [lr.tse_iterations for lr in a.locals] == [lr.tse_iterations for lr in b.locals]
+    for la, lb in zip(a.locals, b.locals):
+        assert np.array_equal(la.tse_state.v1, lb.tse_state.v1)
+        assert np.array_equal(la.tse_state.v2, lb.tse_state.v2)
     assert a.coordinator_iterations == b.coordinator_iterations
 
 
@@ -56,6 +76,9 @@ def test_held_structure_matches_fresh_runs(exp, mode):
 
 
 def test_changed_specs_replace_the_held_structure(exp):
+    """Specs that are rows of the held structure's pool keep it; specs
+    with a row the pool lacks replace it by one over the pool plus the
+    new rows."""
     for central in (False, True):
         run_trial(exp, 0, robust=False, central=central)
     held = {k: v[1] for k, v in exp.structures.items()}
@@ -64,10 +87,22 @@ def test_changed_specs_replace_the_held_structure(exp):
     for central in (False, True):
         for trial in (0, 1):
             _assert_same(run_trial(dropped, trial, True, central), _fresh(dropped, trial, central, True))
-    # the copy shares the holder: one structure per partition, now the new specs'
+    # the copy shares the holder, whose structures still cover the full specs
     assert dropped.structures is exp.structures and len(exp.structures) == 2
     for central, (_, structure) in exp.structures.items():
-        assert structure is not held[central] and structure.specs is dropped.specs
+        assert structure is held[central] and structure.specs is exp.specs
+
+    # held on the dropped specs, the full specs bring the pair back
+    exp.structures.clear()
+    for central in (False, True):
+        run_trial(dropped, 0, robust=False, central=central)
+    held = {k: v[1] for k, v in exp.structures.items()}
+    for central in (False, True):
+        for trial in (0, 1):
+            _assert_same(run_trial(exp, trial, True, central), _fresh(exp, trial, central, True))
+    pair = tuple(m for m in exp.specs if m not in dropped.specs)
+    for central, (_, structure) in exp.structures.items():
+        assert structure is not held[central] and structure.specs == dropped.specs + pair
 
 
 def test_prepare_builds_no_structure(monkeypatch):
@@ -107,6 +142,201 @@ def test_structure_rejects_a_set_over_other_specs(exp):
     structure = multiarea.Structure(exp.net, exp.part, exp.specs[:-2])
     with pytest.raises(ValidationError, match="does not match the structure's specs"):
         structure.run(mset, exp.cfg)
+
+
+def _groups(specs, keep):
+    """The ids of the rows of ``specs`` that ``keep`` accepts, grouped by
+    measured quantity (a FLOW or injection pair, a PMU phasor)."""
+    out = {}
+    for m in specs:
+        if keep(m):
+            quantity = m.kind[:5] if m.kind in PMU_KINDS else m.kind[2:]  # P and Q together
+            out.setdefault((quantity, m.bus, m.branch, m.side), []).append(m.id)
+    return [tuple(ids) for ids in out.values()]
+
+
+def _families(exp):
+    """Groups of rows to drop, per family: non-tie and tie FLOW pairs,
+    boundary injections, coordinator PMU phasors, and each area's
+    reference-bus voltage rows (one at a time: either one unpins it)."""
+    net, part, specs = exp.net, exp.part, exp.specs
+    bnd = set(part.boundary_buses())
+    zpmu = {specs[k].id for k in _coordinator_rows(net, part, specs)[1]}
+    refs = {a.ref_bus for a in part.areas}
+
+    def tie(m):
+        return m.kind in FLOW_KINDS and part.is_tie(net.branch(*m.branch))
+
+    return {
+        "flow": _groups(specs, lambda m: m.kind in FLOW_KINDS and not tie(m)),
+        "tie": _groups(specs, tie),
+        "boundary injection": _groups(specs, lambda m: m.kind in INJECTION_KINDS and m.bus in bnd),
+        "coordinator pmu": _groups(specs, lambda m: m.id in zpmu),
+        "anchor": [(m.id,) for m in specs if m.kind in PMU_VOLTAGE_KINDS and m.bus in refs],
+    }
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    """The bundled experiment with both structures held on its full specs."""
+    exp = prepare(config="ieee30.cfg")
+    for central in (False, True):
+        run_trial(exp, 0, robust=False, central=central)
+    return exp, _families(exp)
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), trial=st.integers(0, 3))
+def test_selected_rows_match_a_fresh_build(pooled, data, trial):
+    exp, families = pooled
+    assert all(len(groups) >= 2 for groups in families.values())
+    held = {central: structure for central, (_, structure) in exp.structures.items()}
+    drop = set()
+    for groups in families.values():
+        for ids in data.draw(st.lists(st.sampled_from(groups), max_size=2, unique=True)):
+            drop.update(ids)
+    dropped = replace(exp, specs=tuple(m for m in exp.specs if m.id not in drop))
+    for mode in MODES:
+        central, robust = mode.startswith("central"), mode.endswith("robust")
+        got = _outcome(run_trial, dropped, trial, robust, central)
+        want = _outcome(_fresh, dropped, trial, central, robust)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want
+        else:
+            _assert_same(got, want)
+        assert exp.structures[central][1] is held[central]
+
+
+def test_an_anchor_drop_pins_the_area_angle(pooled):
+    exp, _ = pooled
+    structure = exp.structures[False][1]
+    ref_vr = next(m for m in exp.specs if m.kind == "pmu_vr" and m.bus == exp.part.areas[0].ref_bus)
+    area = structure.select(tuple(m for m in exp.specs if m is not ref_vr)).areas[0]
+    assert not area.anchor and area.model.pin_angle
+    assert structure.areas[0].anchor and not structure.areas[0].model.pin_angle
+
+
+def test_pool_order_differs_from_the_trial_order(exp):
+    pairs = _families(exp)["flow"]
+    first, second = ({m for ids in pairs[k : k + 2] for m in ids} for k in (0, 2))
+    a = replace(exp, specs=tuple(m for m in exp.specs if m.id not in first))
+    b = replace(exp, specs=tuple(m for m in exp.specs if m.id not in second))
+    for central in (False, True):
+        run_trial(a, 0, robust=False, central=central)
+    for mode in MODES:
+        central, robust = mode.startswith("central"), mode.endswith("robust")
+        _assert_same(run_trial(b, 1, robust, central), _fresh(b, 1, central, robust))
+    for _, structure in exp.structures.values():
+        # the union: the first trial's rows, then the rows it lacked
+        assert structure.specs[: len(a.specs)] == a.specs and len(structure.specs) == len(exp.specs)
+        assert structure.specs != exp.specs and structure.select(b.specs) is not None
+
+
+def test_an_unobservable_selection_raises_as_a_fresh_build(exp):
+    run_trial(exp, 0, robust=True)
+    held = exp.structures[False][1]
+    owned = set(boundary_measurement_ownership(exp.part, exp.specs)[3])
+    blind = replace(exp, specs=tuple(m for m in exp.specs
+                                     if m.id not in owned or m.kind.startswith("pmu")))
+    with pytest.raises(NumericalError) as got:
+        run_trial(blind, 1, robust=True)
+    with pytest.raises(NumericalError) as want:
+        _fresh(blind, 1, False, True)
+    assert str(got.value) == str(want.value)
+    assert "area 3: SCADA measurement set does not observe the local state" in str(got.value)
+    assert exp.structures[False][1] is held
+
+
+def test_outage_trials_build_few_structures(monkeypatch):
+    built = []
+    init = multiarea.Structure.__init__
+
+    def spy(self, net, part, specs):
+        built.append(part.area_count == 1)
+        init(self, net, part, specs)
+
+    monkeypatch.setattr(multiarea.Structure, "__init__", spy)
+    exp = prepare(config="ieee30.cfg")
+    pairs = _families(exp)["flow"]
+    rng = np.random.default_rng(0)
+    for trial in range(20):
+        drop = {mid for k in rng.choice(len(pairs), 4, replace=False) for mid in pairs[k]}
+        outage = replace(exp, specs=tuple(m for m in exp.specs if m.id not in drop))
+        for central in (False, True):
+            _outcome(run_trial, outage, trial, False, central)
+    assert set(built) == {False, True} and max(Counter(built).values()) <= 3
+
+
+def test_only_the_last_selection_is_held(exp):
+    structure = multiarea.Structure(exp.net, exp.part, exp.specs)
+    pairs = _families(exp)["flow"]
+    a, b = (tuple(m for m in exp.specs if m.id not in ids) for ids in pairs[:2])
+    gc.disable()
+    try:
+        first = structure.select(a)
+        assert structure.select(a) is first and structure.select(exp.specs) is structure
+        gone = weakref.ref(first)
+        del first
+        second = structure.select(b)
+        # reference counting alone frees the replaced selection: no cycle holds it
+        assert gone() is None and structure.select(b) is second
+    finally:
+        gc.enable()
+
+
+def test_rows_match_by_value_and_copy_by_copy(exp):
+    kept = _drop_flow_pair(exp.specs, exp.part, exp.net)
+    copies = tuple(replace(m) for m in kept)  # equal specs, other objects
+    by_object = multiarea.Structure(exp.net, exp.part, exp.specs).select(kept)
+    by_value = multiarea.Structure(exp.net, exp.part, exp.specs).select(copies)
+    assert by_value.specs is copies
+    for a, b in zip(by_object.areas, by_value.areas):
+        assert np.array_equal(a.tse_rows, b.tse_rows) and a.model.specs == b.model.specs
+    # a row twice needs a pool that holds it twice
+    twice = kept + kept[:1]
+    assert multiarea.Structure(exp.net, exp.part, exp.specs).select(twice) is None
+    assert multiarea.Structure(exp.net, exp.part, exp.specs + exp.specs[:1]).select(twice) is not None
+
+
+def _same_arrays(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same_arrays(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), area=st.integers(1, 3))
+def test_gathered_forms_equal_built_ones(net30, part30, specs30, data, area):
+    view = ModelView.for_area(net30, part30, area)
+    inside = [m for m in specs30 if m.metered_bus() in view.injection_ok]
+    pool = CompiledSpecs(view, inside)
+    rows = data.draw(st.permutations(range(len(inside))).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda k: p[:k])))
+    taken = pool.take(rows, view.adm.y)
+    built = CompiledSpecs(view, [inside[k] for k in rows])
+    assert vars(taken).keys() == vars(built).keys()
+    for key, value in vars(built).items():
+        assert _same_arrays(getattr(taken, key), value), key
+
+    pmu = [k for k, m in enumerate(inside) if m.kind in PMU_KINDS]
+    block = pmu_block(view, inside, pmu)
+    kept = [k for k in rows if k in set(pmu)]
+    at = np.full(len(inside), -1)
+    at[list(rows)] = np.arange(len(rows))
+    specs = tuple(inside[k] for k in rows)
+    got = select_block(block, at[block.rows], specs)
+    want = pmu_block(view, specs, [at[k] for k in kept])
+    assert got.specs == want.specs and np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.h, want.h) and got.scale == want.scale
 
 
 _sigmas = st.one_of(st.just(0.0), st.floats(1e-6, 0.5))
