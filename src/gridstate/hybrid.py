@@ -61,10 +61,15 @@ class PmuBlock:
     scale: float
 
 
+def _block_order(specs, rows):
+    """The positions ``rows`` of ``specs`` by kind, each kind in the order given."""
+    return sorted(rows, key=lambda k: _BLOCK_RANK.get(specs[k].kind, len(_BLOCK_RANK)))
+
+
 def pmu_block(view: ModelView, specs, rows) -> PmuBlock:
     """The PMU rows at positions ``rows`` of ``specs`` as a :class:`PmuBlock`;
     ValidationError for a row that is not a PMU row."""
-    order = sorted(rows, key=lambda k: _BLOCK_RANK.get(specs[k].kind, len(_BLOCK_RANK)))
+    order = _block_order(specs, rows)
     block_specs = tuple(specs[k] for k in order)
     n = view.n_bus
     h, scale = np.eye(2 * n), 0.0
@@ -75,19 +80,13 @@ def pmu_block(view: ModelView, specs, rows) -> PmuBlock:
 
 
 def select_block(block: PmuBlock, at, specs) -> PmuBlock:
-    """The rows of ``block`` that a spec tuple ``specs`` keeps, as
-    :func:`pmu_block` gives them for it: ``at`` holds each block row's
-    position in ``specs``, -1 where absent.  H_PMU's rows are gathered
-    and its norm taken again, unless every row stays in its place."""
-    kept = np.flatnonzero(at >= 0)
-    rank = [_BLOCK_RANK[block.specs[i].kind] for i in kept]
-    order = kept[np.lexsort((at[kept], rank))]
-    if np.array_equal(order, np.arange(len(at))):
+    """The rows of ``block`` that a spec tuple ``specs`` keeps (``at``: each
+    block row's position in ``specs``, -1 where absent) as :func:`pmu_block`
+    builds them, or ``block`` at the new positions when all stay in order."""
+    kept = np.sort(at[at >= 0])
+    if len(kept) == len(at) and np.array_equal(_block_order(specs, kept), at):
         return replace(block, rows=at)
-    n = 2 * block.view.n_bus
-    h = np.vstack([block.h[:n], block.h[n + order]])
-    scale = float(np.linalg.norm(h[n:], 2)) if len(order) else 0.0
-    return PmuBlock(block.view, tuple(specs[k] for k in at[order]), at[order], h, scale)
+    return pmu_block(block.view, specs, kept)
 
 
 @dataclass(frozen=True)

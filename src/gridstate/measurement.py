@@ -19,7 +19,6 @@ external] sub-model.
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -282,40 +281,6 @@ class CompiledSpecs:
         out._place(int(bus[-1]))
         return out
 
-    def take(self, rows, y) -> "CompiledSpecs":
-        """The compiled form of this form's rows at the distinct positions
-        ``rows``, in that order, gathered from its arrays: array for array
-        what compiling those specs against its view, whose Ybus is ``y``,
-        gives.  This form itself when ``rows`` are all its rows in order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if np.array_equal(rows, np.arange(self.n_rows)):
-            return self
-        new = np.full(self.n_rows, -1, dtype=np.intp)
-        new[rows] = np.arange(len(rows))
-
-        def pick(family):
-            """The entries of ``family`` on taken rows, in their new row order."""
-            at = new[family.rows]
-            kept = np.flatnonzero(at >= 0)
-            kept = kept[np.argsort(at[kept])]
-            return type(family)(at[kept], *(col[kept] for col in family[1:]))
-
-        out = CompiledSpecs.__new__(CompiledSpecs)
-        out.n_rows = len(rows)
-        inj = pick(self.inj)
-        # the distinct buses numbered in order of first appearance, as __init__ does
-        bus, first, k = np.unique(self.inj_bus[inj.k], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty_like(order)
-        number[order] = np.arange(len(order))
-        out.inj_bus = bus[order]
-        out.inj = inj._replace(k=number[k])
-        out.inj_y = y[out.inj_bus]
-        out.volt, out.flow, out.cur = pick(self.volt), pick(self.flow), pick(self.cur)
-        out.inj_pat = ybus_pattern(out.inj_y, out.inj_bus)
-        out._place(len(y))
-        return out
-
     def _place(self, n):
         """The Jacobian's nonzeros over n buses: each injection row takes
         every Ybus pattern entry of its bus (``inj_entry``, real or
@@ -348,7 +313,8 @@ class ModelView:
     place injections are evaluated.
 
     A view keeps the compiled form of the last spec list it evaluated
-    (see :meth:`compile`), so repeated evaluation of one list compiles once.
+    (see :meth:`compile`), so repeated evaluation of one list compiles once;
+    its copies share each branch end's terminal data (:meth:`branch_ends`).
     """
 
     def __init__(self, net: PowerNetwork, bus_ids, ref_bus):
@@ -364,6 +330,7 @@ class ModelView:
             b for b in self.bus_ids if all(nb in inside for nb in adj[b])
         )
         self._compiled = None  # (spec tuple, CompiledSpecs)
+        self._ends = {}  # (branch, side) -> branch_ends
 
     @classmethod
     def full(cls, net: PowerNetwork, ref_bus=None) -> "ModelView":
@@ -385,12 +352,14 @@ class ModelView:
 
     def branch_ends(self, m: Measurement):
         """(metered index, far index, metered-end admittances) for m's branch."""
-        br = self.net.branch(*m.branch)
-        yff, yft, ytf, ytt = br.admittances()
-        i, j = self.require(br.f), self.require(br.t)
-        if m.side == "from":
-            return i, j, yff, yft
-        return j, i, ytt, ytf
+        key = (m.branch, m.side)
+        ends = self._ends.get(key)
+        if ends is None:
+            br = self.net.branch(*m.branch)
+            yff, yft, ytf, ytt = br.admittances()
+            i, j = self.require(br.f), self.require(br.t)
+            ends = self._ends[key] = (i, j, yff, yft) if m.side == "from" else (j, i, ytt, ytf)
+        return ends
 
     def compile(self, specs) -> CompiledSpecs:
         """Compiled form of ``specs``; raises ValidationError for a row the
@@ -403,15 +372,6 @@ class ModelView:
         if self._compiled is None or self._compiled[0] != key:
             self._compiled = (key, CompiledSpecs(self, key))
         return self._compiled[1]
-
-    def taken(self, specs, compiled: CompiledSpecs, rows) -> "ModelView":
-        """A copy of this view, sharing its network data, whose compiled
-        form of ``specs`` is gathered from ``compiled``: this view's form
-        of a list whose rows at positions ``rows`` are ``specs``
-        (:meth:`CompiledSpecs.take`)."""
-        view = copy(self)
-        view._compiled = (tuple(specs), compiled.take(rows, self.adm.y))
-        return view
 
     def polar(self, state: StateVector):
         """(vm, va) of a polar state in this view's bus order: the pair

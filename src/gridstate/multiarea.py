@@ -21,7 +21,8 @@ partition and a spec tuple (views, models, observability, row
 positions); :meth:`Structure.run` solves one trial from a measurement
 set's ``z`` and ``sigmas``.  A structure is built on a spec pool and runs
 any tuple of the pool's rows: a meter outage removes rows, so its trials
-select rows of one pool instead of building a structure each.
+select rows of one pool instead of building a structure each, sharing
+each part whose rows stay in order and building the others anew.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .measurement import (
     INJECTION_KINDS,
     PMU_CURRENT_KINDS,
     PMU_VOLTAGE_KINDS,
-    CompiledSpecs,
     MeasurementSet,
     ModelView,
     h_eval,
@@ -87,10 +87,8 @@ SCADA_KINDS = INJECTION_KINDS + FLOW_KINDS
 
 
 def _anchor_rows(specs, rows, ref_bus):
-    """The positions among ``rows`` of ``specs`` of the reference-bus PMU
-    voltage phasor, or [] when the reference carries no PMU."""
-    found = [k for k in rows if specs[k].kind in PMU_VOLTAGE_KINDS and specs[k].bus == ref_bus]
-    return found if len(found) == 2 else []
+    """The positions among ``rows`` of ``specs`` of PMU voltage rows at ``ref_bus``."""
+    return [k for k in rows if specs[k].kind in PMU_VOLTAGE_KINDS and specs[k].bus == ref_bus]
 
 
 def _pmu_ref_anchor(pmu: MeasurementSet, ref_bus: int):
@@ -102,6 +100,7 @@ def _pmu_ref_anchor(pmu: MeasurementSet, ref_bus: int):
     essentially all PMU precision to the hybrid stage.  With an anchor the
     reference angle is estimated, not pinned."""
     rows = _anchor_rows(pmu.specs, range(len(pmu)), ref_bus)
+    rows = rows if len(rows) == 2 else []
     return tuple(replace(pmu.items[k], sigma=pmu.items[k].sigma * ANCHOR_SIGMA_FACTOR) for k in rows)
 
 
@@ -190,19 +189,17 @@ def _kept(at, start, stop):
 class _AreaPool:
     """One area's rows of a spec pool, worked once: its view, the pool
     positions of its SCADA rows and then of its anchor candidates (its
-    reference-bus PMU voltage rows) with their compiled form, the PMU
-    block of its hybrid stage, whether level 2 reads its covariance
-    (``cov_read``), and its level 1 over the whole pool (``whole``)."""
+    reference-bus PMU voltage rows), the PMU block of its hybrid stage,
+    whether level 2 reads its covariance (``cov_read``), and its level 1
+    over the whole pool (``whole``)."""
 
     def __init__(self, net, part, area, specs, scada_rows, pmu_rows, cov_read):
         self.area = area
         self.cov_read = cov_read
         self.view = ModelView.for_area(net, part, area.index)
         self.block = pmu_block(self.view, specs, pmu_rows)
-        candidates = [k for k in pmu_rows if specs[k].kind in PMU_VOLTAGE_KINDS and specs[k].bus == area.ref_bus]
-        self.rows = np.array(scada_rows + candidates, dtype=np.intp)
+        self.rows = np.array(scada_rows + _anchor_rows(specs, pmu_rows, area.ref_bus), dtype=np.intp)
         self.n_scada = len(scada_rows)
-        self.compiled = CompiledSpecs(self.view, [specs[k] for k in self.rows])
         self.whole = _AreaStructure(self, specs, np.arange(len(specs)))
 
 
@@ -215,7 +212,8 @@ class _AreaStructure:
     observability verdict, the PMU block of its hybrid stage, and whether
     level 2 reads its covariance (``cov_read``).  A tuple that keeps the
     TSE rows of ``whole``, the area's level 1 over the whole pool, in
-    their order shares its model and verdict."""
+    their order shares its model and verdict; other rows get their own,
+    on a copy of the pool's view."""
 
     def __init__(self, pool: _AreaPool, specs, row_of, whole=None):
         self.area = pool.area
@@ -234,8 +232,7 @@ class _AreaStructure:
             self.model, self.observable = whole.model, whole.observable
             return
         tse_specs = tuple(specs[k] for k in self.tse_rows)
-        view = pool.view.taken(tse_specs, pool.compiled, self.take)
-        self.model = PolarModel(view, tse_specs, pin_angle=not self.anchor)
+        self.model = PolarModel(copy(pool.view), tse_specs, pin_angle=not self.anchor)
         self.observable = check_observable(self.model)
 
 
@@ -352,9 +349,6 @@ class _CoordinatorModel:
 
     def __init__(self, net, part, specs, rows):
         self.part = part
-        self.rows = np.array(rows, dtype=np.intp)
-        self.physical = tuple(specs[k] for k in self.rows)
-        self.n_zb = sum(m.kind in SCADA_KINDS for m in self.physical)
         self.view = ModelView.full(net, ref_bus=part.global_ref)
         self.bus_ids = self.view.bus_ids
         self.n = len(self.bus_ids)
@@ -393,26 +387,29 @@ class _CoordinatorModel:
         col_of[self.bnd_pos] = np.arange(nb)
         col_of[self.n + self.bnd_pos] = nb + np.arange(nb)
         col_of[self.pin_pos] = np.where(self.pin_u > 0, 2 * nb + self.pin_u - 1, -1)
+        self._hold(specs, rows)
+
+    def _hold(self, specs, rows):
+        """Hold the rows ``rows`` of ``specs`` as the physical rows, with their pattern."""
+        self.rows = np.array(rows, dtype=np.intp)
+        self.physical = tuple(specs[k] for k in self.rows)
+        self.n_zb = sum(m.kind in SCADA_KINDS for m in self.physical)
         at = self.view.compile(self.physical).jac_at
-        self.pattern = JacobianPattern(at, len(self.physical), col_of, self.n_state)
+        self.pattern = JacobianPattern(at, len(self.physical), self.col_of, self.n_state)
 
     def select(self, specs, row_of):
-        """This model over the rows that the spec tuple ``specs`` keeps
-        (``row_of``: the position in ``specs`` of each row of the tuple
-        this model was built on, -1 where absent), as built on ``specs``:
-        each kind of row in its order there, the compiled form gathered
-        and the pattern formed again."""
+        """This model over the rows it shares with ``specs`` (``row_of``:
+        the position in ``specs`` of each row of its own tuple, -1 where
+        absent), each kind in its order there as a build takes them; rows
+        that changed are compiled on a copy of its view."""
         at = row_of[self.rows]
-        take = np.concatenate([_kept(at, 0, self.n_zb), _kept(at, self.n_zb, len(at))])
+        rows = at[np.concatenate([_kept(at, 0, self.n_zb), _kept(at, self.n_zb, len(at))])]
         model = copy(self)
-        model.rows = at[take]
-        if np.array_equal(take, np.arange(len(at))):  # the same rows in their order
-            return model
-        model.n_zb = int(np.count_nonzero(at[: self.n_zb] >= 0))
-        model.physical = tuple(specs[k] for k in model.rows)
-        model.view = self.view.taken(model.physical, self.view.compile(self.physical), take)
-        at = model.view.compile(model.physical).jac_at
-        model.pattern = JacobianPattern(at, len(model.physical), self.col_of, self.n_state)
+        if np.array_equal(rows, at):  # the same rows in their order
+            model.rows = at
+        else:
+            model.view = copy(self.view)
+            model._hold(specs, rows)
         return model
 
     def pinned(self, locals_, angles):
@@ -655,9 +652,10 @@ class Structure:
     def select(self, specs) -> "Structure | None":
         """The structure of the tuple ``specs``, equal in every value to
         one built on it: this structure for its own specs, else one that
-        shares the pool and gathers what depends on which rows are present
-        (the last one is kept for the next call); None when ``specs`` has
-        a row the pool lacks."""
+        shares the pool (the last one is kept for the next call); None
+        when ``specs`` has a row the pool lacks.  A TSE, PMU block or
+        coordinator whose rows are unchanged is shared, at their new
+        positions; one whose rows changed is built as a build does."""
         specs = tuple(specs)
         if specs is self.specs or specs == self.specs:
             return self

@@ -536,13 +536,16 @@ def wls_estimate(
     domain fails its member (ValidationError); a gain matrix singular at
     an iterate fails it with UnobservableError.  converged=False (no
     error) when k_limit is reached; a k_limit that is not an integer of
-    at least 1 raises ValidationError.
+    at least 1, or a set and a model of different call forms, raises
+    ValidationError.
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError("tolerance must be positive and finite")
     if not is_integer(k_limit) or k_limit < 1:
         raise ValidationError("iteration limit must be an integer of at least 1")
     alone = isinstance(mset, MeasurementSet)
+    if not isinstance(model, PolarModel if alone else PolarBatch):
+        raise ValidationError("one measurement set takes a PolarModel, a list of sets a PolarBatch")
     if alone:
         sets, starts, model = [mset], [x0], PolarBatch([model])
     else:

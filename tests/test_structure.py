@@ -30,7 +30,7 @@ from gridstate.measurement import (
     wrap_angle,
 )
 from gridstate.multiarea import _coordinator_rows, run_centralized, run_two_level
-from gridstate.netmodel import boundary_measurement_ownership, single_area
+from gridstate.netmodel import Branch, boundary_measurement_ownership, single_area
 
 MODES = ("central-wls", "central-robust", "multiarea-wls", "multiarea-robust")
 
@@ -305,29 +305,19 @@ def test_rows_match_by_value_and_copy_by_copy(exp):
     assert multiarea.Structure(exp.net, exp.part, exp.specs + exp.specs[:1]).select(twice) is not None
 
 
-def _same_arrays(a, b):
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and np.array_equal(a, b)
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(_same_arrays(x, y) for x, y in zip(a, b))
-    return type(a) is type(b) and a == b
-
-
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), area=st.integers(1, 3))
-def test_gathered_forms_equal_built_ones(net30, part30, specs30, data, area):
+@given(data=st.data(), area=st.integers(1, 3), whole=st.booleans())
+def test_selected_blocks_equal_built_ones(net30, part30, specs30, data, area, whole):
+    """``select_block`` equals ``pmu_block`` on random ordered row subsets:
+    a block losing rows is built again, and with ``whole`` every PMU row
+    stays in its order, which shares the block's H."""
     view = ModelView.for_area(net30, part30, area)
     inside = [m for m in specs30 if m.metered_bus() in view.injection_ok]
-    pool = CompiledSpecs(view, inside)
+    pmu = [k for k, m in enumerate(inside) if m.kind in PMU_KINDS]
     rows = data.draw(st.permutations(range(len(inside))).flatmap(
         lambda p: st.integers(0, len(p)).map(lambda k: p[:k])))
-    taken = pool.take(rows, view.adm.y)
-    built = CompiledSpecs(view, [inside[k] for k in rows])
-    assert vars(taken).keys() == vars(built).keys()
-    for key, value in vars(built).items():
-        assert _same_arrays(getattr(taken, key), value), key
-
-    pmu = [k for k, m in enumerate(inside) if m.kind in PMU_KINDS]
+    if whole:  # the drawn non-PMU rows, then every PMU row in pool order
+        rows = [k for k in rows if k not in set(pmu)] + pmu
     block = pmu_block(view, inside, pmu)
     kept = [k for k in rows if k in set(pmu)]
     at = np.full(len(inside), -1)
@@ -337,6 +327,45 @@ def test_gathered_forms_equal_built_ones(net30, part30, specs30, data, area):
     want = pmu_block(view, specs, [at[k] for k in kept])
     assert got.specs == want.specs and np.array_equal(got.rows, want.rows)
     assert np.array_equal(got.h, want.h) and got.scale == want.scale
+    if whole:
+        assert got.h is block.h
+    elif len(kept) < len(pmu):
+        assert got.h is not block.h
+
+
+def test_selections_compute_no_branch_admittances(monkeypatch):
+    """Outage selections compile their changed rows on copies of the
+    pool's views, which keep every branch end's terminal data: no
+    branch's admittances are computed again after the pool build."""
+    exp = prepare(config="ieee30.cfg")
+    for central in (False, True):
+        run_trial(exp, 0, robust=False, central=central)
+    held = {central: structure for central, (_, structure) in exp.structures.items()}
+    calls = Counter()
+    admittances, compile_ = Branch.admittances, CompiledSpecs.__init__
+
+    def count_admittances(self):
+        calls["admittances"] += 1
+        return admittances(self)
+
+    def count_compiles(self, *args):
+        calls["compile"] += 1
+        compile_(self, *args)
+
+    monkeypatch.setattr(Branch, "admittances", count_admittances)
+    monkeypatch.setattr(CompiledSpecs, "__init__", count_compiles)
+    pairs = _families(exp)["flow"]
+    rng = np.random.default_rng(0)
+    for trial in range(20):
+        drop = {mid for k in rng.choice(len(pairs), 4, replace=False) for mid in pairs[k]}
+        outage = replace(exp, specs=tuple(m for m in exp.specs if m.id not in drop))
+        for central in (False, True):
+            _outcome(run_trial, outage, trial, False, central)
+            assert exp.structures[central][1] is held[central]
+    assert calls["compile"] > 0 and calls["admittances"] == 0
+    # a build computes them
+    multiarea.Structure(exp.net, exp.part, exp.specs)
+    assert calls["admittances"] > 0
 
 
 _sigmas = st.one_of(st.just(0.0), st.floats(1e-6, 0.5))

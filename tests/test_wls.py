@@ -222,6 +222,20 @@ def test_iteration_limit_must_be_a_positive_integer(net30, part30, specs30, trut
     assert wls_estimate(mset, model, k_limit=np.int64(1)).iterations == 1
 
 
+def test_call_forms_must_not_be_mixed(net30, part30, specs30, truth30, monkeypatch):
+    """A list of sets over a PolarModel, or one set over a PolarBatch, is
+    rejected before any work."""
+    _, mset, model = _area_problem(net30, part30, specs30, truth30, 1)
+    batch = wls.PolarBatch([model])
+    calls = [_count_calls(monkeypatch, wls, name) for name in ("h_eval", "StackedView")]
+    message = "one measurement set takes a PolarModel, a list of sets a PolarBatch"
+    with pytest.raises(ValidationError, match=message):
+        wls_estimate([mset], model)
+    with pytest.raises(ValidationError, match=message):
+        wls_estimate(mset, batch)
+    assert calls == [[], []]
+
+
 def test_solved_models_are_freed_without_the_cycle_collector(net30, part30, specs30, truth30):
     """Neither a model nor a batch refers to itself, so the models of a
     structure rebuilt every trial go as soon as it does."""
