@@ -37,7 +37,7 @@ from .bdu import (
     tri_solve,
 )
 from .errors import NumericalError, ValidationError
-from .measurement import MeasurementSet, ModelView, jacobian_rect, polar_to_rect
+from .measurement import MeasurementSet, ModelView, jacobian_rect, polar_to_rect, row_key
 from .powerflow import StateVector
 from .wls import EstimationResult, whitener
 
@@ -61,15 +61,12 @@ class PmuBlock:
     scale: float
 
 
-def _block_order(specs, rows):
-    """The positions ``rows`` of ``specs`` by kind, each kind in the order given."""
-    return sorted(rows, key=lambda k: _BLOCK_RANK.get(specs[k].kind, len(_BLOCK_RANK)))
-
-
 def pmu_block(view: ModelView, specs, rows) -> PmuBlock:
-    """The PMU rows at positions ``rows`` of ``specs`` as a :class:`PmuBlock`;
+    """The PMU rows at positions ``rows`` of ``specs`` as a :class:`PmuBlock`,
+    by kind in block layout, each kind in canonical order (:func:`row_key`);
     ValidationError for a row that is not a PMU row."""
-    order = _block_order(specs, rows)
+    order = sorted(rows, key=lambda k: (_BLOCK_RANK.get(specs[k].kind, len(_BLOCK_RANK)),
+                                        row_key(specs[k])))
     block_specs = tuple(specs[k] for k in order)
     n = view.n_bus
     h, scale = np.eye(2 * n), 0.0
@@ -81,12 +78,11 @@ def pmu_block(view: ModelView, specs, rows) -> PmuBlock:
 
 def select_block(block: PmuBlock, at, specs) -> PmuBlock:
     """The rows of ``block`` that a spec tuple ``specs`` keeps (``at``: each
-    block row's position in ``specs``, -1 where absent) as :func:`pmu_block`
-    builds them, or ``block`` at the new positions when all stay in order."""
-    kept = np.sort(at[at >= 0])
-    if len(kept) == len(at) and np.array_equal(_block_order(specs, kept), at):
+    block row's position in ``specs``, -1 where absent): ``block`` at the
+    new positions when every row is kept, else built by :func:`pmu_block`."""
+    if np.all(at >= 0):
         return replace(block, rows=at)
-    return pmu_block(block.view, specs, kept)
+    return pmu_block(block.view, specs, at[at >= 0])
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,18 @@ class Measurement:
         return self.bus
 
 
+def row_key(m: Measurement):
+    """A row's place in the canonical row order: by kind, bus, branch,
+    side and id."""
+    return (m.kind, m.bus, m.branch, m.side, m.id)
+
+
 class MeasurementSet:
-    """Ordered measurements; the order fixes the rows of z, W and H.
+    """Ordered measurements; the order fixes the rows of z, W and H of a
+    model built on the set itself.  Inside a
+    :class:`gridstate.multiarea.Structure` the canonical order
+    (:func:`row_key`) fixes them, and the set's order only where each row's
+    value is.
 
     The set keeps its specs and holds the values (finite, with positive
     finite sigmas) as the arrays ``z`` and ``sigmas``, taken from the specs

@@ -20,9 +20,12 @@ A :class:`Structure` holds all that depends only on the network, the
 partition and a spec tuple (views, models, observability, row
 positions); :meth:`Structure.run` solves one trial from a measurement
 set's ``z`` and ``sigmas``.  A structure is built on a spec pool and runs
-any tuple of the pool's rows: a meter outage removes rows, so its trials
-select rows of one pool instead of building a structure each, sharing
-each part whose rows stay in order and building the others anew.
+any tuple of the pool's rows, in any order: a meter outage removes rows,
+so its trials select rows of one pool instead of building a structure
+each, sharing each part whose rows are all present and building the
+others anew.  Parts hold their rows in canonical order
+(:func:`gridstate.measurement.row_key`), so the estimate does not depend
+on the order a measurement set lists its rows in.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .measurement import (
     jacobian_polar,
     polar_to_rect,
     rect_to_polar,
+    row_key,
     wrap_angle,
 )
 from .netmodel import AreaPartition, PowerNetwork, owning_area, single_area
@@ -106,16 +110,17 @@ def _pmu_ref_anchor(pmu: MeasurementSet, ref_bus: int):
 
 def _split_rows(part: AreaPartition, specs):
     """Per area, the positions in ``specs`` of the SCADA and the PMU rows
-    it owns (metered side)."""
+    it owns (metered side), each in canonical row order."""
     scada = {a.index: [] for a in part.areas}
     pmu = {a.index: [] for a in part.areas}
-    for k, m in enumerate(specs):
+    for k, m in sorted(enumerate(specs), key=lambda km: row_key(km[1])):
         (scada if m.kind in SCADA_KINDS else pmu)[owning_area(part, m)].append(k)
     return scada, pmu
 
 
 def split_measurements(part: AreaPartition, mset: MeasurementSet):
-    """Per-area SCADA and PMU subsets by ownership (metered side)."""
+    """Per-area SCADA and PMU subsets by ownership (metered side), their
+    rows in canonical order (:func:`row_key`)."""
     by_kind = _split_rows(part, mset.specs)
     return tuple({i: mset.take(rows) for i, rows in by_area.items()} for by_area in by_kind)
 
@@ -125,7 +130,7 @@ def _coordinator_rows(net: PowerNetwork, part: AreaPartition, specs):
     :func:`coordinator_measurements`)."""
     bnd = set(part.boundary_buses())
     zb, zpmu = [], []
-    for k, m in enumerate(specs):
+    for k, m in sorted(enumerate(specs), key=lambda km: row_key(km[1])):
         if m.kind in INJECTION_KINDS and m.bus in bnd:
             zb.append(k)
         elif m.kind in FLOW_KINDS and part.is_tie(net.branch(*m.branch)):
@@ -138,7 +143,8 @@ def _coordinator_rows(net: PowerNetwork, part: AreaPartition, specs):
 
 
 def coordinator_measurements(net: PowerNetwork, part: AreaPartition, mset: MeasurementSet):
-    """(z_b, z_PMU) for level 2.
+    """(z_b, z_PMU) for level 2, their rows in canonical order
+    (:func:`row_key`).
 
     z_b re-uses the raw boundary measurements: injections at boundary buses
     and flows on tie-lines.  z_PMU keeps PMU voltage rows at boundary buses
@@ -178,62 +184,49 @@ def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> H
     return hybrid_solve_robust(hmodel, s0, e, cfg.lambda_strategy, cfg.mu, cov=cov)
 
 
-def _kept(at, start, stop):
-    """The positions ``start``..``stop - 1`` of pool rows that a spec tuple
-    keeps (``at``: each one's position in the tuple, -1 where absent), in
-    the tuple's order."""
-    kept = start + np.flatnonzero(at[start:stop] >= 0)
-    return kept[np.argsort(at[kept])]
-
-
-class _AreaPool:
-    """One area's rows of a spec pool, worked once: its view, the pool
-    positions of its SCADA rows and then of its anchor candidates (its
-    reference-bus PMU voltage rows), the PMU block of its hybrid stage,
-    whether level 2 reads its covariance (``cov_read``), and its level 1
-    over the whole pool (``whole``)."""
-
-    def __init__(self, net, part, area, specs, scada_rows, pmu_rows, cov_read):
-        self.area = area
-        self.cov_read = cov_read
-        self.view = ModelView.for_area(net, part, area.index)
-        self.block = pmu_block(self.view, specs, pmu_rows)
-        self.rows = np.array(scada_rows + _anchor_rows(specs, pmu_rows, area.ref_bus), dtype=np.intp)
-        self.n_scada = len(scada_rows)
-        self.whole = _AreaStructure(self, specs, np.arange(len(specs)))
-
-
 class _AreaStructure:
-    """Level 1 of one area without values, for a spec tuple ``specs`` of
-    rows of ``pool``'s (``row_of``: each pool row's position in ``specs``,
-    -1 where absent): the TSE model over its SCADA rows plus the
-    reference anchor (``tse_rows`` in the spec tuple, with sigma factors
-    ``tse_scale``; ``take``, their positions among the pool's rows), its
-    observability verdict, the PMU block of its hybrid stage, and whether
-    level 2 reads its covariance (``cov_read``).  A tuple that keeps the
-    TSE rows of ``whole``, the area's level 1 over the whole pool, in
-    their order shares its model and verdict; other rows get their own,
-    on a copy of the pool's view."""
+    """Level 1 of one area without values, for a spec tuple ``specs``: the
+    PMU block of its hybrid stage, the TSE model over its SCADA rows plus
+    the reference anchor (``tse_rows`` in ``specs``, with sigma factors
+    ``tse_scale``), its observability verdict, and whether level 2 reads
+    its covariance (``cov_read``).  ``rows`` holds the TSE's candidate
+    rows: the SCADA rows, then the reference-bus PMU voltage rows, which
+    anchor the TSE when there are two of them."""
 
-    def __init__(self, pool: _AreaPool, specs, row_of, whole=None):
-        self.area = pool.area
-        self.cov_read = pool.cov_read
-        self.block = select_block(pool.block, row_of[pool.block.rows], specs)
-        at = row_of[pool.rows]
-        scada = _kept(at, 0, pool.n_scada)
-        # the reference phasor anchors the TSE when both its rows are kept
-        anchor = _kept(at, pool.n_scada, len(at))
-        anchor = anchor if len(anchor) == 2 else anchor[:0]
-        self.take = np.concatenate([scada, anchor])
-        self.tse_rows = at[self.take]
-        self.anchor = sorted(at[anchor].tolist(), key=lambda k: specs[k].kind)  # (vi, vr): atan2's order
-        self.tse_scale = np.repeat([1.0, ANCHOR_SIGMA_FACTOR], [len(scada), len(anchor)])
-        if whole is not None and np.array_equal(self.take, whole.take):
-            self.model, self.observable = whole.model, whole.observable
-            return
+    def __init__(self, view, area, specs, scada, pmu, cov_read):
+        self.view, self.area, self.cov_read = view, area, cov_read
+        self.block = pmu_block(view, specs, pmu)
+        self._place(np.array(scada + _anchor_rows(specs, pmu, area.ref_bus), dtype=np.intp), len(scada))
+        self._build(specs)
+
+    def _place(self, rows, n_scada):
+        """Hold the candidate rows ``rows`` (the first ``n_scada`` SCADA)
+        and the TSE positions they give."""
+        self.rows, self.n_scada = rows, n_scada
+        anchor = rows[n_scada:] if len(rows) - n_scada == 2 else rows[:0]
+        self.anchor = anchor.tolist()  # canonical order puts pmu_vi first: atan2 takes (vi, vr)
+        self.tse_rows = np.concatenate([rows[:n_scada], anchor])
+        self.tse_scale = np.repeat([1.0, ANCHOR_SIGMA_FACTOR], [n_scada, len(anchor)])
+
+    def _build(self, specs):
+        """Build the TSE model over ``tse_rows`` and its verdict."""
         tse_specs = tuple(specs[k] for k in self.tse_rows)
-        self.model = PolarModel(copy(pool.view), tse_specs, pin_angle=not self.anchor)
+        self.model = PolarModel(copy(self.view), tse_specs, pin_angle=not self.anchor)
         self.observable = check_observable(self.model)
+
+    def select(self, specs, row_of):
+        """This area for the tuple ``specs`` of rows of its own (``row_of``:
+        each of its tuple's rows' position in ``specs``, -1 where absent):
+        the block and the TSE are shared at their new positions when all
+        their rows are present, else built on the present ones."""
+        area = copy(self)
+        area.block = select_block(self.block, row_of[self.block.rows], specs)
+        at = row_of[self.rows]
+        present = at >= 0
+        area._place(at[present], int(np.count_nonzero(present[: self.n_scada])))
+        if not present.all():
+            area._build(specs)
+        return area
 
 
 def _tse_inputs(structure: "Structure", mset: MeasurementSet):
@@ -328,11 +321,11 @@ class _CoordinatorModel:
     """h and normal equations of the coordinator problem.
 
     Unknowns x_c = [va(bnd, global frame); vm(bnd); u_2..u_r].  Rows: the
-    physical rows (the ``n_zb`` boundary SCADA rows, then the coordinator
-    PMU rows) at positions ``rows`` of the spec tuple, then per pseudo
-    area (one with boundary or
-    external buses) [va(bnd_i); vm(bnd_i); va(ext_i); vm(ext_i)], taken
-    from its level-1 [va; vm] at positions ``pseudo_idx``.
+    physical rows (the boundary SCADA rows, then the coordinator PMU rows,
+    each in canonical order) at positions ``rows`` of the spec tuple, then
+    per pseudo area (one with boundary or external buses)
+    [va(bnd_i); vm(bnd_i); va(ext_i); vm(ext_i)], taken from its level-1
+    [va; vm] at positions ``pseudo_idx``.
 
     Physical rows are evaluated on the full network with every
     non-boundary bus pinned to its owning area's level-1 estimate, rotated
@@ -393,23 +386,21 @@ class _CoordinatorModel:
         """Hold the rows ``rows`` of ``specs`` as the physical rows, with their pattern."""
         self.rows = np.array(rows, dtype=np.intp)
         self.physical = tuple(specs[k] for k in self.rows)
-        self.n_zb = sum(m.kind in SCADA_KINDS for m in self.physical)
         at = self.view.compile(self.physical).jac_at
         self.pattern = JacobianPattern(at, len(self.physical), self.col_of, self.n_state)
 
     def select(self, specs, row_of):
-        """This model over the rows it shares with ``specs`` (``row_of``:
-        the position in ``specs`` of each row of its own tuple, -1 where
-        absent), each kind in its order there as a build takes them; rows
-        that changed are compiled on a copy of its view."""
+        """This model for the tuple ``specs`` of rows of its own (``row_of``:
+        each of its tuple's rows' position in ``specs``, -1 where absent):
+        shared at the new positions when all its rows are present, else
+        the present rows compiled on a copy of its view."""
         at = row_of[self.rows]
-        rows = at[np.concatenate([_kept(at, 0, self.n_zb), _kept(at, self.n_zb, len(at))])]
         model = copy(self)
-        if np.array_equal(rows, at):  # the same rows in their order
+        if np.all(at >= 0):
             model.rows = at
         else:
             model.view = copy(self.view)
-            model._hold(specs, rows)
+            model._hold(specs, at[at >= 0])
         return model
 
     def pinned(self, locals_, angles):
@@ -574,54 +565,14 @@ def level2_run(
     return GlobalResult(s.bus_ids, vm, va, s.source, u, tuple(locals_), iters)
 
 
-class _Pool:
-    """The per-row work of a spec pool, done once: each area's rows
-    (:class:`_AreaPool`), the coordinator model over the pool's rows
-    (None without boundary buses) and its PMU block."""
-
-    def __init__(self, net: PowerNetwork, part: AreaPartition, specs: tuple):
-        self.specs = specs
-        self.at = {id(m): k for k, m in enumerate(specs)}  # each spec object's position
-        self.coordinator = self.bnd_block = None
-        bnd_ids = part.boundary_buses()
-        if bnd_ids:
-            zb, zpmu = _coordinator_rows(net, part, specs)
-            self.coordinator = _CoordinatorModel(net, part, specs, zb + zpmu)
-            self.bnd_block = pmu_block(ModelView(net, bnd_ids, ref_bus=part.global_ref), specs, zpmu)
-        # the coordinator reads the level-1 covariance of its pseudo areas only
-        read = set(self.coordinator.pseudo_areas) if self.coordinator is not None else set()
-        scada, pmu = _split_rows(part, specs)
-        self.areas = [_AreaPool(net, part, a, specs, scada[a.index], pmu[a.index], a.index in read)
-                      for a in part.areas]
-
-    def row_of(self, specs):
-        """Each pool row's position in ``specs`` (-1 where absent), every
-        pool row serving one row of ``specs``; None when ``specs`` has a
-        row the pool lacks."""
-        row_of = np.full(len(self.specs), -1, dtype=np.intp)
-        at = [self.at.get(id(m), -1) for m in specs]
-        if -1 not in at:  # rows that are the pool's own spec objects, as an outage's are
-            row_of[at] = np.arange(len(specs))
-            if np.count_nonzero(row_of >= 0) == len(specs):
-                return row_of
-        # equal specs that are other objects, or a repeated row: match copy by copy
-        free = {}
-        for k, m in enumerate(self.specs):
-            free.setdefault(m, []).append(k)
-        row_of[:] = -1
-        for r, m in enumerate(specs):
-            if not free.get(m):
-                return None
-            row_of[free[m].pop(0)] = r
-        return row_of
-
-
 class Structure:
     """The value-free part of a two-level run over one network, partition
     and spec tuple, run once per trial by :meth:`run`: each area's level 1,
     the lockstep batch of the observable areas' traditional estimators
     (``tse``), the coordinator model (None without boundary buses) and its
-    PMU block, and the positions that assemble the global estimate.
+    PMU block, and the positions that assemble the global estimate.  Each
+    part holds its rows in canonical order (:func:`row_key`), whatever
+    the tuple's order.
 
     The tuple it is built on is its spec pool, whose per-row work (views
     and their Ybus, compiled rows, index maps, PMU blocks) is done once;
@@ -638,48 +589,80 @@ class Structure:
         source = dict.fromkeys(bnd_ids, "coordinator")
         source.update((b, f"area{a.index}") for a in part.areas for b in a.internal)
         self.source = tuple(source[b] for b in self.bus_ids)
-        pool = self._pool = _Pool(net, part, tuple(specs))
+        specs = tuple(specs)
         self._last = None  # the last structure select derived
-        self._set(pool.specs, pool.coordinator, pool.bnd_block, [a.whole for a in pool.areas])
+        coordinator = bnd_block = None
+        if bnd_ids:
+            zb, zpmu = _coordinator_rows(net, part, specs)
+            coordinator = _CoordinatorModel(net, part, specs, zb + zpmu)
+            bnd_block = pmu_block(ModelView(net, bnd_ids, ref_bus=part.global_ref), specs, zpmu)
+        # the coordinator reads the level-1 covariance of its pseudo areas only
+        read = set(coordinator.pseudo_areas) if coordinator is not None else set()
+        scada, pmu = _split_rows(part, specs)
+        areas = [_AreaStructure(ModelView.for_area(net, part, a.index), a, specs,
+                                scada[a.index], pmu[a.index], a.index in read) for a in part.areas]
+        self._set(specs, coordinator, bnd_block, areas)
 
     def _set(self, specs, coordinator, bnd_block, areas):
         """Hold the parts of the tuple ``specs``."""
         self.specs, self.coordinator, self.bnd_block, self.areas = specs, coordinator, bnd_block, areas
+        self._at = {id(m): k for k, m in enumerate(specs)}  # each spec object's position
         # the observable areas' traditional estimators, solved in lockstep
         self.observable = [a for a in self.areas if a.observable]
         self.tse = PolarBatch([a.model for a in self.observable]) if self.observable else None
 
+    def row_of(self, specs):
+        """Each row's position in ``specs`` (-1 where absent), every row
+        serving one row of ``specs``; None when ``specs`` has a row this
+        structure's tuple lacks."""
+        row_of = np.full(len(self.specs), -1, dtype=np.intp)
+        at = [self._at.get(id(m), -1) for m in specs]
+        if -1 not in at:  # rows that are this tuple's own spec objects, as an outage's are
+            row_of[at] = np.arange(len(specs))
+            if np.count_nonzero(row_of >= 0) == len(specs):
+                return row_of
+        # equal specs that are other objects, or a repeated row: match copy by copy
+        free = {}
+        for k, m in enumerate(self.specs):
+            free.setdefault(m, []).append(k)
+        row_of[:] = -1
+        for r, m in enumerate(specs):
+            if not free.get(m):
+                return None
+            row_of[free[m].pop(0)] = r
+        return row_of
+
     def select(self, specs) -> "Structure | None":
         """The structure of the tuple ``specs``, equal in every value to
-        one built on it: this structure for its own specs, else one that
-        shares the pool (the last one is kept for the next call); None
-        when ``specs`` has a row the pool lacks.  A TSE, PMU block or
-        coordinator whose rows are unchanged is shared, at their new
-        positions; one whose rows changed is built as a build does."""
+        one built on it: this structure for its own specs, else one
+        selected from its parts, which keeps no reference back (the last
+        one is kept for the next call); None when ``specs`` has a row this
+        structure's tuple lacks.  Each part (an area's TSE, a PMU block,
+        the coordinator) is this structure's at its new positions when all
+        its rows are present, and is built on the present rows otherwise."""
         specs = tuple(specs)
         if specs is self.specs or specs == self.specs:
             return self
         last = self._last
         if last is not None and (specs is last.specs or specs == last.specs):
             return last
-        pool = self._pool
-        row_of = pool.row_of(specs)
+        row_of = self.row_of(specs)
         if row_of is None:
             return None
         coordinator = bnd_block = None
-        if pool.coordinator is not None:
-            coordinator = pool.coordinator.select(specs, row_of)
-            bnd_block = select_block(pool.bnd_block, row_of[pool.bnd_block.rows], specs)
+        if self.coordinator is not None:
+            coordinator = self.coordinator.select(specs, row_of)
+            bnd_block = select_block(self.bnd_block, row_of[self.bnd_block.rows], specs)
         last = copy(self)
         last._last = None
-        last._set(specs, coordinator, bnd_block, [_AreaStructure(a, specs, row_of, a.whole) for a in pool.areas])
+        last._set(specs, coordinator, bnd_block, [a.select(specs, row_of) for a in self.areas])
         self._last = last
         return last
 
     def run(self, mset: MeasurementSet, cfg: ExperimentConfig, robust: bool = True,
             perturb=None, parallel: bool = False) -> GlobalResult:
         """One trial on the values of ``mset``, a set over rows of this
-        structure's pool (:meth:`select`)."""
+        structure's tuple (:meth:`select`)."""
         structure = self.select(mset.specs)
         if structure is None:
             raise ValidationError("measurement set does not match the structure's specs")

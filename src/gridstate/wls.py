@@ -397,7 +397,8 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
     gradient H' W^-1 r; ``start`` is :func:`linearize` at x0 when the
     caller has it.
     Steps solve these normal equations; a full step that raises
-    J(x) = ||W^-1/2 (z - h(x))||^2 falls back to Marquardt damping.
+    J(x) = ||W^-1/2 (z - h(x))||^2 by more than a relative 1e-12 falls
+    back to Marquardt damping.
     Stops when max |dx| < tol.  Returns a list holding per member
     (x, covariance, iterations, converged, J(x), z - h(x)) over its own
     unknowns and rows, the covariance equal to the inverse gain at the
@@ -457,8 +458,10 @@ def gauss_newton(model, z, whiten, x0, tol, k_limit, normal, start=None):
         j_next, r_next, rw_next, errors = trial(xt, live)
         # pure Gauss-Newton (Eq-9-style) step whenever it descends; under
         # weak redundancy the full step can overshoot the curved valley of
-        # the P/Q-only objective, so fall back to Marquardt damping
-        damped = [i for i in live if j_next[i] > j_here[i]]
+        # the P/Q-only objective, so fall back to Marquardt damping; a rise
+        # by rounding alone (near convergence) is no overshoot, and damping
+        # it would move the estimate by far more than rounding
+        damped = [i for i in live if j_next[i] > j_here[i] * (1 + 1e-12)]
         mu = 1e-4
         for _ in range(24 if damped else 0):
             steps = {i: _damped(gains[i], g[parts[i][1]], mu) for i in damped}

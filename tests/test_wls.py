@@ -279,6 +279,38 @@ def test_one_h_evaluation_per_iteration(net30, part30, specs30, truth30, cfg30, 
     assert len(calls) < 2 * res.iterations
 
 
+def test_a_rise_of_j_by_rounding_takes_no_marquardt_step(monkeypatch):
+    """Started at its least-squares solution, a linear model's Gauss-Newton
+    step is rounding, and so is any rise of J it brings: the full step is
+    taken with no Marquardt trial, so h runs twice (the start and the
+    step).  Some of these seeds do raise J by rounding."""
+    damped = _count_calls(monkeypatch, wls, "_damped")
+    rises = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((9, 4))
+        model = _LinearModel(a, rng.standard_normal(9), (1, 2))
+        sigmas = rng.uniform(0.5, 2.0, 9)
+        z = rng.standard_normal(9)
+        whiten = whitener([sigmas**2], "measurement variances are not positive")
+        x0 = np.linalg.lstsq(a / sigmas[:, None], (z - model.c) / sigmas, rcond=None)[0]
+        evaluated = []
+
+        def h(x, linear=model.h):
+            evaluated.append(linear(x))
+            return evaluated[-1]
+
+        model.h = h
+        ((_, _, iterations, converged, _, _),) = wls.gauss_newton(
+            model, z, whiten, x0, 1e-10, 10, DenseNormal(model.jac, whiten))
+        assert converged and iterations == 1
+        assert len(evaluated) == 2 and not damped
+        j_start, j_step = (float(np.sum(whiten(z - v) ** 2)) for v in evaluated)
+        assert j_step <= j_start * (1 + 1e-12)
+        rises += j_step > j_start
+    assert rises > 0
+
+
 class _DomainModel(_LinearModel):
     """Linear model whose state domain is x0 alone."""
 
