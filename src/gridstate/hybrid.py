@@ -4,21 +4,22 @@ linear model, then solve non-robustly (one-shot weighted LS) or robustly
 (min-max via :mod:`gridstate.bdu`).
 
 Row order of the stacked model: [V_R,TSE; V_I,TSE; V_R,PMU; V_I,PMU;
-I_R,PMU; I_I,PMU].  The state is rectangular, [vr (n); vi (n)].
+I_R,PMU; I_I,PMU].  The state is rectangular, [vr (n); vi (n)].  The
+pseudo rows of H are the identity (Zhou, Centeno, Thorp & Phadke, IEEE
+Trans. Power Syst. 21(4), 2006) and a perturbation moves H_PMU only
+(:func:`apply_perturbation`), so a model stores H_PMU alone.
 
-The plain step is in covariance form: the pseudo rows are I, so it is a
-linear update of the pseudo-state by the p PMU rows (a p x p Cholesky,
-no inverse root of the 2n x 2n pseudo block), and its covariance is
-skipped where nothing reads it (central runs, level 2).  The robust step
-at the practical lambda is the same update, re-weighted: under
-:func:`uncertainty_for_model`'s (s0, e) the min-max solution at a given
-lambda is a regularized LS solution (El Ghaoui & Lebret, SIAM J. Matrix
-Anal. Appl. 18(4), 1997).  The exact-lambda step whitens the stack by
-:func:`gridstate.wls.whitener` (an eigh of that block) for bdu; its
+The plain step is in covariance form, a linear update of the
+pseudo-state by the p PMU rows (a p x p Cholesky, no inverse root of the
+2n x 2n pseudo block), and its covariance is skipped where nothing reads
+it (central runs, level 2).  The robust step at the practical lambda is
+the same update, re-weighted: under :func:`uncertainty_for_model`'s
+(s0, e) the min-max solution at a given lambda is a regularized LS
+solution (El Ghaoui & Lebret, SIAM J. Matrix Anal. Appl. 18(4), 1997).
+Only the exact-lambda step stacks [I; H_PMU], which it whitens by
+:func:`gridstate.wls.whitener` (an eigh of the pseudo block) for bdu; its
 rounding also rests on the TSE gain's, which
-:class:`gridstate.wls.PatternNormal` forms.  An experiment's
-perturbation moves the PMU rows of H only (:func:`apply_perturbation`),
-which is what keeps the pseudo rows I.
+:class:`gridstate.wls.PatternNormal` forms.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ _BLOCK_RANK = {"pmu_vr": 0, "pmu_vi": 1, "pmu_ir": 2, "pmu_ii": 3}
 class PmuBlock:
     """The value-free rows of a hybrid model: PMU rows (``specs``, at
     positions ``rows`` of a spec tuple) in the [vr..., vi..., ir..., ii...]
-    block layout, the stacked H = [I; H_PMU] over ``view``, and the
-    spectral norm of H_PMU."""
+    block layout, their rows H_PMU (p x 2n) over ``view``, and its
+    spectral norm.  The pseudo rows above them are I and not stored."""
 
     view: ModelView
     specs: tuple
     rows: np.ndarray
-    h: np.ndarray
+    h_pmu: np.ndarray
     scale: float
 
 
@@ -68,12 +69,9 @@ def pmu_block(view: ModelView, specs, rows) -> PmuBlock:
     order = sorted(rows, key=lambda k: (_BLOCK_RANK.get(specs[k].kind, len(_BLOCK_RANK)),
                                         row_key(specs[k])))
     block_specs = tuple(specs[k] for k in order)
-    n = view.n_bus
-    h, scale = np.eye(2 * n), 0.0
-    if block_specs:
-        h = np.vstack([h, jacobian_rect(view, block_specs)])
-        scale = float(np.linalg.norm(h[2 * n :], 2))
-    return PmuBlock(view, block_specs, np.array(order, dtype=np.intp), h, scale)
+    h_pmu = jacobian_rect(view, block_specs)
+    scale = float(np.linalg.norm(h_pmu, 2)) if block_specs else 0.0
+    return PmuBlock(view, block_specs, np.array(order, dtype=np.intp), h_pmu, scale)
 
 
 def select_block(block: PmuBlock, at, specs) -> PmuBlock:
@@ -87,13 +85,13 @@ def select_block(block: PmuBlock, at, specs) -> PmuBlock:
 
 @dataclass(frozen=True)
 class HybridModel:
-    """Stacked linear measurement model z = H x + e over rectangular states;
-    the block-diagonal error covariance W is kept as its two blocks.
-    ``block`` holds the rows' structure; ``h`` is its H, perturbed or not."""
+    """Stacked linear model z = H x + e over rectangular states, H = [I; H_PMU],
+    with the block-diagonal error covariance W kept as its two blocks.  ``z``
+    holds all 2n + p rows; ``h_pmu`` is ``block``'s H_PMU, perturbed or not."""
 
     block: PmuBlock
     z: np.ndarray
-    h: np.ndarray
+    h_pmu: np.ndarray
     w_pseudo: np.ndarray  # 2n x 2n pseudo-state covariance, plus VARIANCE_FLOOR
     w_pmu: np.ndarray  # PMU variances sigma^2, one per PMU row
 
@@ -122,7 +120,7 @@ def stack_model(
         raise ValidationError("pseudo-state layout does not match the view")
     cov = cov_rect + VARIANCE_FLOOR * np.eye(len(cov_rect))
     z = np.concatenate([rect_state.v1, rect_state.v2, mset.z[block.rows]])
-    return HybridModel(block, z, block.h, cov, mset.sigmas[block.rows] ** 2)
+    return HybridModel(block, z, block.h_pmu, cov, mset.sigmas[block.rows] ** 2)
 
 
 def build_hybrid_model(
@@ -178,7 +176,7 @@ def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
     when S is not positive definite.
     """
     n = m.n_state
-    x, w, h = m.z[:n], m.w_pseudo, m.h[n:]
+    x, w, h = m.z[:n], m.w_pseudo, m.h_pmu
     wh = w @ h.T
     s = h @ wh
     s[np.diag_indices_from(s)] += m.w_pmu
@@ -205,7 +203,7 @@ def uncertainty_for_model(m: HybridModel, s0: float, e0: float) -> tuple[float, 
     """
     if s0 == 0.0 or len(m.w_pmu) == 0:
         return s0, 0.0
-    return s0, e0 * float(np.linalg.norm(m.h[m.n_state :], 2))
+    return s0, e0 * float(np.linalg.norm(m.h_pmu, 2))
 
 
 def hybrid_solve_robust(
@@ -220,19 +218,22 @@ def hybrid_solve_robust(
     :func:`uncertainty_for_model`, its covariance formed only with ``cov``
     (else None).  Uncertainty that is null or bounds no perturbation
     (s0 = 0, e = 0 or no PMU rows) leaves plain WLS: that is
-    :func:`hybrid_solve` itself, with ``robust`` None.  ValidationError
-    for a negative or non-finite s0 or e and an unknown ``lam_strategy``.
+    :func:`hybrid_solve` itself, with ``robust`` None.  ValidationError,
+    whichever path solves, for an unknown ``lam_strategy`` and for s0, e
+    or (at ``approx``) mu outside [0, inf).
 
     Approximate lambda is :func:`_approx_step`.  Exact lambda delegates
-    the min-max solve to bdu on the whitened problem (z, H, S scaled by
-    W^-1/2, unit weights): the min-max cost and its minimizer are
-    unchanged, the conditioning is not, and bdu's covariance is for unit
-    data covariance.
+    the min-max solve to bdu on the whitened problem (z, the stacked
+    H = [I; H_PMU] and S scaled by W^-1/2, unit weights): the min-max
+    cost and its minimizer are unchanged, the conditioning is not, and
+    bdu's covariance is for unit data covariance.
     """
     if not (0.0 <= s0 < np.inf and 0.0 <= e < np.inf):
         raise ValidationError("s0 and e must be finite and nonnegative")
     if lam_strategy not in ("approx", "exact"):
         raise ValidationError(f"unknown lambda strategy {lam_strategy!r}")
+    if lam_strategy == "approx":
+        _scaled_lambda(mu, 0.0)  # raises for a mu outside [0, inf)
     if s0 == 0.0 or e == 0.0 or len(m.w_pmu) == 0:
         return hybrid_solve(m, cov=cov)
     if lam_strategy == "approx":
@@ -242,7 +243,8 @@ def hybrid_solve_robust(
     unc = _uncertainty_arrays(m, s0, e)
     whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
     unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
-    p = RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)), unc_w)
+    h = np.vstack([np.eye(m.n_state), m.h_pmu])
+    p = RobustProblem(whiten(m.z), whiten(h), np.ones(len(m.z)), unc_w)
     sol = bdu_solve(p, lam_strategy, mu)
     return HybridResult(_as_state(m, sol.x), sol.cov if cov else None, sol)
 
@@ -275,7 +277,7 @@ def _approx_step(m: HybridModel, s0: float, e: float, mu: float, cov: bool) -> H
     n = m.n_state
     d = s0**2 / m.w_pmu
     lam = _scaled_lambda(mu, float(d.max()))
-    x, w, h = m.z[:n], m.w_pseudo, m.h[n:]
+    x, w, h = m.z[:n], m.w_pseudo, m.h_pmu
     a = (lam * e**2) * w
     a[np.diag_indices_from(a)] += 1.0
     ca = _cholesky(a)
@@ -301,8 +303,7 @@ def _approx_step(m: HybridModel, s0: float, e: float, mu: float, cov: bool) -> H
 
 
 def sample_delta(rng, q: int, p: int) -> np.ndarray:
-    """Uniform direction on the unit spectral-norm sphere of q x p matrices
-    (a Gaussian draw normalized to ||Delta|| = 1)."""
+    """A q x p Gaussian draw scaled to spectral norm 1 (not uniform on that sphere)."""
     a = rng.standard_normal((q, p))
     norm = np.linalg.svd(a, compute_uv=False)[0]
     return a / norm
@@ -312,9 +313,8 @@ def apply_perturbation(m: HybridModel, delta, s0: float, e0: float) -> HybridMod
     """The model under one draw Delta (p x 2n, p PMU rows) of the
     experiment's perturbation [dH dz] = S Delta [E_h E_z], with S = s0 on
     the PMU rows, E_h = e0 c I (c = ``block.scale``, the unperturbed
-    block's spectral norm) and E_z = 0: the PMU rows of H move by
-    (s0 Delta)(e0 c); the pseudo rows and z are untouched."""
-    n = m.n_state
-    if delta.shape != (len(m.w_pmu), n):
+    block's spectral norm) and E_z = 0: H_PMU moves by (s0 Delta)(e0 c);
+    the pseudo rows (I) and z are untouched."""
+    if delta.shape != m.h_pmu.shape:
         raise ValidationError("delta dimensions do not match the model's PMU block")
-    return replace(m, h=np.vstack([m.h[:n], m.h[n:] + (s0 * delta) * (e0 * m.block.scale)]))
+    return replace(m, h_pmu=m.h_pmu + (s0 * delta) * (e0 * m.block.scale))

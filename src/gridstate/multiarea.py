@@ -176,8 +176,7 @@ def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> H
     (:func:`apply_perturbation`), then solve plainly or robustly; either
     solve forms its covariance only with ``cov``."""
     if perturb is not None and len(hmodel.w_pmu):
-        delta = perturb(key, len(hmodel.w_pmu), hmodel.n_state)
-        hmodel = apply_perturbation(hmodel, delta, cfg.s0, cfg.e0)
+        hmodel = apply_perturbation(hmodel, perturb(key, *hmodel.h_pmu.shape), cfg.s0, cfg.e0)
     if not robust:
         return hybrid_solve(hmodel, cov=cov)
     s0, e = uncertainty_for_model(hmodel, cfg.s0, cfg.e0)

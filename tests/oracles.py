@@ -3,7 +3,8 @@ lambda, the practical lambda choice, ||S'RS|| and the WLS objective at a
 given state, each from the package's own pieces; the min-max solution at
 a given lambda from its saddle (KKT) system and from QR on its stacked
 least-squares rows; the WLS covariance from QR; the Gauss-Newton normal
-equations as dense products; and the coordinator's dense Jacobian."""
+equations as dense products; the coordinator's dense Jacobian; and a
+hybrid model's whole H."""
 
 import numpy as np
 
@@ -132,3 +133,8 @@ def coordinator_jac(model, x) -> np.ndarray:
     physical = np.zeros((p.m, model.n_state))
     physical[p.row, p.col] = p.values(model.jac_values(x))
     return np.vstack([physical, model.pseudo_jac])
+
+
+def stacked_h(m) -> np.ndarray:
+    """A hybrid model's whole H = [I; H_PMU], pseudo rows first."""
+    return np.vstack([np.eye(m.n_state), m.h_pmu])

@@ -22,13 +22,14 @@ from gridstate.hybrid import (
     hybrid_solve_robust,
     pmu_block,
     sample_delta,
+    select_block,
     uncertainty_for_model,
 )
 from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
 from gridstate.wls import PolarModel, whitener, wls_estimate
 from tests.conftest import synth_zero
-from tests.oracles import g_of_lambda, kkt_solution, lambda_approx, lsq_solution
+from tests.oracles import g_of_lambda, kkt_solution, lambda_approx, lsq_solution, stacked_h
 
 
 def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None):
@@ -84,16 +85,16 @@ def _dense_problem(m, s0, e):
     """The whitened robust problem of (s0, e) built through the dense whitener."""
     unc = _uncertainty_arrays(m, s0, e)
     w_isqrt = _dense_whitener(_dense_w(m))
-    return RobustProblem(w_isqrt @ m.z, w_isqrt @ m.h, np.ones(len(m.z)),
+    return RobustProblem(w_isqrt @ m.z, w_isqrt @ stacked_h(m), np.ones(len(m.z)),
                          UncertaintyStructure(w_isqrt @ unc.s, unc.e_h, unc.e_z))
 
 
 def _oracle_plain(m):
     """Dense WLS: x from lstsq on the dense-whitened stack, cov = inv(H' W^-1 H)."""
-    w = _dense_w(m)
+    w, h = _dense_w(m), stacked_h(m)
     w_isqrt = _dense_whitener(w)
-    x = np.linalg.lstsq(w_isqrt @ m.h, w_isqrt @ m.z, rcond=None)[0]
-    return x, np.linalg.inv(m.h.T @ np.linalg.inv(w) @ m.h)
+    x = np.linalg.lstsq(w_isqrt @ h, w_isqrt @ m.z, rcond=None)[0]
+    return x, np.linalg.inv(h.T @ np.linalg.inv(w) @ h)
 
 
 def _oracle_robust(m, s0, e, lam):
@@ -135,8 +136,8 @@ def _rect_truth(truth30, view):
 def test_no_pmu_degenerates_to_tse_passthrough(net30, part30, specs30, truth30):
     view, tse, _ = _level1_inputs(net30, part30, specs30, truth30, 1)
     m = _build(tse, MeasurementSet(()), view)
-    assert m.h.shape == (2 * view.n_bus, 2 * view.n_bus)
-    assert np.array_equal(m.h, np.eye(2 * view.n_bus))
+    assert stacked_h(m).shape == (2 * view.n_bus, 2 * view.n_bus)
+    assert np.array_equal(stacked_h(m), np.eye(2 * view.n_bus))
     # the covariance-form step passes x_p and W_p through exactly
     res = hybrid_solve(m)
     assert np.array_equal(_flat(res), m.z)
@@ -148,9 +149,9 @@ def test_pmu_voltage_selector_rows(net30, part30, specs30, truth30):
     m = _build(tse, pmu, view)
     n = view.n_bus
     k = view.pos[4]
-    vr_row = m.h[2 * n]
+    vr_row = stacked_h(m)[2 * n]
     assert vr_row[k] == 1.0 and np.count_nonzero(vr_row) == 1
-    vi_row = m.h[2 * n + 1]
+    vi_row = stacked_h(m)[2 * n + 1]
     assert vi_row[n + k] == 1.0 and np.count_nonzero(vi_row) == 1
 
 
@@ -180,14 +181,14 @@ def test_hybrid_equals_generic_quadratic_minimizer(net30, part30, specs30, truth
     res = hybrid_solve(m)
     x_hat = np.concatenate([res.state.v1, res.state.v2])
 
-    w_inv = np.linalg.inv(_dense_w(m))
+    w_inv, h = np.linalg.inv(_dense_w(m)), stacked_h(m)
 
     def j_fun(x):
-        r = m.z - m.h @ x
+        r = m.z - h @ x
         return r @ w_inv @ r
 
     def j_grad(x):
-        return -2.0 * m.h.T @ w_inv @ (m.z - m.h @ x)
+        return -2.0 * h.T @ w_inv @ (m.z - h @ x)
 
     out = minimize(j_fun, x_hat + 0.05, jac=j_grad, method="CG",
                    options={"gtol": 1e-14, "maxiter": 5000})
@@ -202,9 +203,10 @@ def test_h_is_exact_derivative_of_linear_stack(net30, part30, specs30, truth30):
     x0 = rng.standard_normal(m.n_state)
     dx = rng.standard_normal(m.n_state)
     # model is linear: finite difference equals H exactly
-    f0 = m.h @ x0
-    f1 = m.h @ (x0 + dx)
-    assert np.abs((f1 - f0) - m.h @ dx).max() < 1e-12
+    h = stacked_h(m)
+    f0 = h @ x0
+    f1 = h @ (x0 + dx)
+    assert np.abs((f1 - f0) - h @ dx).max() < 1e-12
 
 
 def test_adding_pmu_never_increases_cov_trace(net30, part30, specs30, truth30, cfg30):
@@ -283,26 +285,26 @@ def test_scalar_instance_embedded_as_one_bus_model():
     # S sits on a pseudo row, outside the experiment's (s0, e) form, so
     # bdu solves the model's problem directly
     hm = HybridModel(
-        block=PmuBlock(_View(1), (), np.zeros(0, dtype=int), np.eye(2), 0.0),
+        block=PmuBlock(_View(1), (), np.zeros(0, dtype=int), np.zeros((0, 2)), 0.0),
         z=np.array([1.0, 0.0]),
-        h=np.eye(2),
+        h_pmu=np.zeros((0, 2)),
         w_pseudo=np.eye(2),
         w_pmu=np.zeros(0),
     )
     unc = UncertaintyStructure(
         np.array([[1.0], [0.0]]), np.array([[0.5, 0.0]]), np.array([0.0])
     )
-    direct = bdu_solve(RobustProblem(hm.z, hm.h, np.diag(np.linalg.inv(_dense_w(hm))), unc), "exact")
+    direct = bdu_solve(RobustProblem(hm.z, stacked_h(hm), np.diag(np.linalg.inv(_dense_w(hm))), unc), "exact")
     assert abs(direct.x[0] - 1.0) < 1e-6 and abs(direct.x[1]) < 1e-9
 
 
 def _dense_perturbation(m, delta, s0, e0):
-    """The perturbed H as the dense products m.h + (S Delta) E_h, S = s0 on
+    """The perturbed H as the dense products H + (S Delta) E_h, S = s0 on
     the PMU rows (m x p) and E_h = e0 c I (2n x 2n)."""
     n, p = m.n_state, len(m.w_pmu)
     s = np.zeros((len(m.z), p))
     s[n + np.arange(p), np.arange(p)] = s0
-    return m.h + (s @ delta) @ (e0 * m.block.scale * np.eye(n))
+    return stacked_h(m) + (s @ delta) @ (e0 * m.block.scale * np.eye(n))
 
 
 def _level2_stack(net30, part30, specs30, truth30, cfg30, monkeypatch, seed):
@@ -329,8 +331,7 @@ def _assert_perturbation_matches_dense(m, rng):
     for s0, e0 in ((0.05, 0.05), (0.1, 0.03), (0.5, 0.0)):
         delta = sample_delta(rng, len(m.w_pmu), n)
         pert = apply_perturbation(m, delta, s0, e0)
-        assert np.array_equal(pert.h, _dense_perturbation(m, delta, s0, e0))
-        assert np.array_equal(pert.h[:n], m.h[:n])  # pseudo rows untouched
+        assert np.array_equal(stacked_h(pert), _dense_perturbation(m, delta, s0, e0))
         assert np.array_equal(pert.z, m.z)
         assert pert.block is m.block and pert.w_pmu is m.w_pmu and pert.w_pseudo is m.w_pseudo
 
@@ -354,13 +355,39 @@ def test_perturbation_shapes_and_guards(net30, part30, specs30, truth30, cfg30):
     delta = sample_delta(rng, len(m.w_pmu), m.n_state)
     assert abs(np.linalg.svd(delta, compute_uv=False)[0] - 1.0) < 1e-12
     pert = apply_perturbation(m, delta, 0.1, 0.1)
-    assert pert.h.shape == m.h.shape
+    assert pert.h_pmu.shape == m.h_pmu.shape
     assert np.abs(pert.z - m.z).max() == 0.0  # E_z = 0: measurements untouched
-    assert np.abs(pert.h - m.h)[: 2 * view.n_bus].max() == 0.0  # pseudo rows clean
-    assert np.abs(pert.h - m.h)[2 * view.n_bus :].max() > 0.0
+    assert np.abs(pert.h_pmu - m.h_pmu).max() > 0.0
     for bad in (delta[:, :-1], delta[:-1], delta.T):
         with pytest.raises(ValidationError, match="delta dimensions"):
             apply_perturbation(m, bad, 0.1, 0.1)
+
+
+def test_blocks_hold_the_pmu_rows_alone(net30, part30, specs30, truth30):
+    """A block's H is its p PMU rows over the view's 2n states, for an
+    area, the boundary, no rows and a selection that drops rows; a
+    perturbation keeps that shape and takes a Delta of no other."""
+    from gridstate.multiarea import Structure
+
+    view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1)
+    n2, p = 2 * view.n_bus, len(pmu)
+    block = pmu_block(view, pmu.specs, range(p))
+    assert p > 2 and block.h_pmu.shape == (p, n2)
+    bnd = Structure(net30, part30, specs30).bnd_block
+    assert len(bnd.rows) > 0 and bnd.h_pmu.shape == (len(bnd.rows), 2 * bnd.view.n_bus)
+    empty = pmu_block(view, (), [])
+    assert empty.h_pmu.shape == (0, n2) and empty.scale == 0.0
+    for k in (1, 2):
+        at = np.arange(p)
+        at[block.rows[:k]] = -1
+        assert select_block(block, at[block.rows], pmu.specs).h_pmu.shape == (p - k, n2)
+
+    m = _build(tse, pmu, view)
+    delta = sample_delta(np.random.default_rng(5), p, n2)
+    assert apply_perturbation(m, delta, 0.1, 0.1).h_pmu.shape == (p, n2)
+    for shape in ((p + n2, n2), (p, n2 + 1), (n2, p), (0, n2)):
+        with pytest.raises(ValidationError, match="delta dimensions"):
+            apply_perturbation(m, np.ones(shape), 0.1, 0.1)
 
 
 def test_build_requires_converged_tse(net30, part30, specs30, truth30, cfg30):
@@ -524,9 +551,8 @@ def _random_model(seed, n_bus, p):
     x_p = 1.0 + 0.1 * rng.standard_normal(n)
     truth = x_p + (q * np.sqrt(evals)) @ rng.standard_normal(n)
     z = np.concatenate([x_p, h_pmu @ truth + sigma * rng.standard_normal(p)])
-    h = np.vstack([np.eye(n), h_pmu])
-    block = PmuBlock(_View(n_bus), (), np.arange(p), h, float(np.linalg.norm(h_pmu, 2)))
-    return HybridModel(block, z, h, w, sigma**2)
+    block = PmuBlock(_View(n_bus), (), np.arange(p), h_pmu, float(np.linalg.norm(h_pmu, 2)))
+    return HybridModel(block, z, h_pmu, w, sigma**2)
 
 
 def _whitened(m, s0, e):
@@ -534,7 +560,7 @@ def _whitened(m, s0, e):
     W^-1/2 through the package's block whitener, unit weights."""
     unc = _uncertainty_arrays(m, s0, e)
     whiten = whitener([m.w_pseudo, m.w_pmu], "hybrid covariance is not positive definite")
-    return RobustProblem(whiten(m.z), whiten(m.h), np.ones(len(m.z)),
+    return RobustProblem(whiten(m.z), whiten(stacked_h(m)), np.ones(len(m.z)),
                          UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z))
 
 
@@ -619,7 +645,7 @@ def test_uncertainty_arrays_are_the_dense_triple(net30, part30, specs30, truth30
             s = np.zeros((len(m.z), p))
             for k in range(p):
                 s[n + k, k] = s0
-            c = float(np.linalg.norm(m.h[n:], 2))
+            c = float(np.linalg.norm(m.h_pmu, 2))
             e_h = e0 * c * np.eye(n)
             e_z = e_h @ m.z[:n]
             pair = uncertainty_for_model(m, s0, e0)
@@ -664,3 +690,18 @@ def test_approx_lambda_refuses_a_non_finite_or_negative_mu(mu):
         bdu_solve(_whitened(m, s0, e), "approx", mu)
     with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
         hybrid_solve_robust(m, s0, e, "approx", mu)
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
+def test_approx_lambda_checks_mu_also_where_the_step_is_plain_wls(mu):
+    # null uncertainty or no PMU rows: the step reduces to hybrid_solve,
+    # but mu is checked first, as bdu_solve checks it whichever path solves
+    from dataclasses import replace
+
+    m = _random_model(5, 4, 6)
+    bare = HybridModel(replace(m.block, rows=np.arange(0), h_pmu=m.h_pmu[:0]), m.z[: m.n_state],
+                       m.h_pmu[:0], m.w_pseudo, m.w_pmu[:0])
+    for model, s0, e in ((m, 0.0, 0.0), (m, 0.05, 0.0), (m, 0.0, 0.05), (bare, 0.05, 0.05)):
+        with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
+            hybrid_solve_robust(model, s0, e, "approx", mu)
+        assert hybrid_solve_robust(model, s0, e, "exact", mu).robust is None

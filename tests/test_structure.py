@@ -343,11 +343,11 @@ def test_selected_blocks_equal_built_ones(net30, part30, specs30, data, area, wh
     got = select_block(block, at[block.rows], specs)
     want = pmu_block(view, specs, [at[k] for k in kept])
     assert got.specs == want.specs and np.array_equal(got.rows, want.rows)
-    assert np.array_equal(got.h, want.h) and got.scale == want.scale
+    assert np.array_equal(got.h_pmu, want.h_pmu) and got.scale == want.scale
     if whole:
-        assert got.h is block.h
+        assert got.h_pmu is block.h_pmu
     elif len(kept) < len(pmu):
-        assert got.h is not block.h
+        assert got.h_pmu is not block.h_pmu
 
 
 def test_selections_compute_no_branch_admittances(monkeypatch):
@@ -477,8 +477,8 @@ def test_a_permuted_pool_tuple_shares_every_part(exp, monkeypatch):
     selected = structure.select(permuted)
     assert selected is not structure and not built["view"] and not built["compiled"]
     for got, pool in zip(selected.areas, structure.areas):
-        assert got.model is pool.model and got.block.h is pool.block.h
-    assert selected.bnd_block.h is structure.bnd_block.h
+        assert got.model is pool.model and got.block.h_pmu is pool.block.h_pmu
+    assert selected.bnd_block.h_pmu is structure.bnd_block.h_pmu
     assert selected.coordinator.pattern is structure.coordinator.pattern
     mset = synth_for_trial(exp, 0)
     order = [exp.specs.index(m) for m in permuted]
