@@ -9,7 +9,6 @@ from .bdu import (  # noqa: F401
     UncertaintyStructure,
     bdu_solve,
     min_g,
-    worst_case_objective,
 )
 from .caseio import ExperimentConfig, parse_case, parse_config, parse_plan  # noqa: F401
 from .hybrid import HybridModel, build_hybrid_model, hybrid_solve, hybrid_solve_robust  # noqa: F401

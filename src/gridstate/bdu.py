@@ -1,4 +1,5 @@
-"""Robust linear least squares under bounded structured data uncertainty.
+"""Robust linear least squares under bounded structured data uncertainty,
+at the exact lambda.
 
 Solves  min_x max_{||y|| <= phi(x)} (Hx - z + Sy)' R (Hx - z + Sy)  with
 phi(x) = ||E_h x - E_z||, the min-max problem induced by the perturbation
@@ -12,9 +13,14 @@ with lam minimizing
 
     G(lam) = lam ||E_h x(lam) - E_z||^2 + ||H x(lam) - z||^2_{R(lam)}
 
-over [||S'RS||, inf).  Norms on matrices are spectral.  G is evaluated at
+over [||S'RS||, inf) (El Ghaoui & Lebret, SIAM J. Matrix Anal. Appl.
+18(4), 1997; Chandrasekaran, Golub, Gu & Sayed, SIAM J. Matrix Anal.
+Appl. 19(1), 1998).  Norms on matrices are spectral.  G is evaluated at
 the left endpoint through a relative 1e-12 shift, which realizes the
-one-sided limit that the saddle point requires there.
+one-sided limit that the saddle point requires there.  The pipeline
+solves only problems that perturb something (the hybrid step routes null
+uncertainty to plain WLS); the module also holds the two dense kernels
+every triangular solve and TSE covariance go through.
 """
 
 from __future__ import annotations
@@ -44,20 +50,6 @@ class UncertaintyStructure:
     @property
     def q(self):
         return self.s.shape[1]
-
-    def is_null(self):
-        return self.q == 0 or not np.any(self.s)
-
-    def no_perturbation_bound(self):
-        return not np.any(self.e_h) and not np.any(self.e_z)
-
-    def phi(self, x) -> float:
-        """Radius of the admissible perturbation ball at x."""
-        return float(np.linalg.norm(self.e_h @ x - self.e_z))
-
-
-def null_uncertainty(m: int, n: int) -> UncertaintyStructure:
-    return UncertaintyStructure(np.zeros((m, 0)), np.zeros((n, n)), np.zeros(n))
 
 
 # Order at or below which the dense kernels are numpy's own LAPACK call
@@ -108,17 +100,6 @@ def _tri_inv(t):
     k = n // 2
     m11, m22 = _tri_inv(t[:k, :k]), _tri_inv(t[k:, k:])
     return np.block([[m11, np.zeros((k, n - k))], [-m22 @ (t[k:, :k] @ m11), m22]])
-
-
-def lsq(a, b):
-    """Least squares min ||A x - b|| via QR; (x, inv(A'A)) with a rank guard."""
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise NumericalError("least-squares matrix is rank deficient")
-    x = tri_solve(r, q.T @ b, False)
-    r_inv = tri_solve(r, np.eye(r.shape[0]), False)
-    return x, r_inv @ r_inv.T
 
 
 @dataclass(frozen=True)
@@ -268,66 +249,9 @@ def min_g(p: RobustProblem, evaluator: _Evaluator | None = None):
     return lam_hat
 
 
-def _scaled_lambda(mu: float, lam0: float) -> float:
-    if not 0.0 <= mu < np.inf:
-        raise ValidationError("mu must be finite and nonnegative")
-    return (1.0 + mu) * lam0
-
-
-def bdu_solve(p: RobustProblem, lam_strategy: str = "exact", mu: float = 1.0) -> RobustSolution:
-    """Solve the min-max problem; with null uncertainty this reduces exactly
-    to weighted LS, ``lsq`` on the sqrt(r)-scaled rows.  The strategy, and
-    mu at ``approx``, are checked first, whichever path solves."""
-    if lam_strategy not in ("exact", "approx"):
-        raise ValidationError(f"unknown lambda strategy {lam_strategy!r}")
-    if lam_strategy == "approx":
-        _scaled_lambda(mu, 0.0)  # raises for a mu outside [0, inf)
-    u = p.uncertainty
-    if u.is_null() or u.no_perturbation_bound():
-        root = np.sqrt(p.r)
-        a, b = p.h * root[:, None], p.z * root
-        x, cov = lsq(a, b)
-        res = a @ x - b
-        return RobustSolution(x, 0.0, float(res @ res), "reduced", cov)
-
+def bdu_solve(p: RobustProblem) -> RobustSolution:
+    """The min-max solution at the lambda :func:`min_g` finds, with G there
+    and the covariance of x for data of covariance R^-1; one evaluator
+    serves the search and the solution."""
     ev = _Evaluator(p)
-    lam = min_g(p, evaluator=ev) if lam_strategy == "exact" else _scaled_lambda(mu, ev.lam0)
-    return ev.solution(lam, lam_strategy)
-
-
-def worst_case_objective(x, p: RobustProblem, samples: int = 256, seed: int = 0) -> float:
-    """Sampled inner maximum of the robust cost at a fixed x.
-
-    Evaluates (Hx - z + Sy)' R (Hx - z + Sy) over boundary-directed draws
-    y = phi(x) d plus the analytic candidate directions (the linear-term
-    direction and the top curvature eigenvector), and returns the largest.
-    """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    u = p.uncertainty
-    v = p.h @ x - p.z
-    nominal = float((v * p.r) @ v)
-    if u.q == 0:
-        return nominal
-    phi = u.phi(x)
-    if phi == 0.0:
-        return nominal
-
-    dirs = []
-    lin = u.s.T @ (p.r * v)
-    if np.linalg.norm(lin) > 0.0:
-        dirs.append(lin / np.linalg.norm(lin))
-    strs = u.s.T @ (u.s * p.r[:, None])
-    _, vecs = np.linalg.eigh(0.5 * (strs + strs.T))
-    dirs.extend([vecs[:, -1], -vecs[:, -1]])
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((samples, u.q))
-    norms = np.linalg.norm(raw, axis=1)
-    dirs.extend(raw[k] / norms[k] for k in range(samples) if norms[k] > 0.0)
-
-    best = nominal
-    for d in dirs:
-        y = phi * d
-        t = v + u.s @ y
-        best = max(best, float((t * p.r) @ t))
-    return best
+    return ev.solution(min_g(p, evaluator=ev), "exact")

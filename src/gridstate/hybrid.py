@@ -28,15 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bdu import (
-    RobustProblem,
-    RobustSolution,
-    UncertaintyStructure,
-    _scaled_lambda,
-    bdu_solve,
-    spd_inv,
-    tri_solve,
-)
+from .bdu import RobustProblem, RobustSolution, UncertaintyStructure, bdu_solve, spd_inv, tri_solve
 from .errors import NumericalError, ValidationError
 from .measurement import MeasurementSet, ModelView, jacobian_rect, polar_to_rect, row_key
 from .powerflow import StateVector
@@ -220,13 +212,13 @@ def hybrid_solve_robust(
     (s0 = 0, e = 0 or no PMU rows) leaves plain WLS: that is
     :func:`hybrid_solve` itself, with ``robust`` None.  ValidationError,
     whichever path solves, for an unknown ``lam_strategy`` and for s0, e
-    or (at ``approx``) mu outside [0, inf).
+    or (at ``approx``) mu outside [0, inf); no other function checks them.
 
-    Approximate lambda is :func:`_approx_step`.  Exact lambda delegates
-    the min-max solve to bdu on the whitened problem (z, the stacked
-    H = [I; H_PMU] and S scaled by W^-1/2, unit weights): the min-max
-    cost and its minimizer are unchanged, the conditioning is not, and
-    bdu's covariance is for unit data covariance.
+    Approximate lambda is :func:`_approx_step`.  Exact lambda is
+    :func:`gridstate.bdu.bdu_solve` on the whitened problem (z, the
+    stacked H = [I; H_PMU] and S scaled by W^-1/2, unit weights): the
+    min-max cost and its minimizer are unchanged, the conditioning is
+    not, and bdu's covariance is for unit data covariance.
     """
     if not (0.0 <= s0 < np.inf and 0.0 <= e < np.inf):
         raise ValidationError("s0 and e must be finite and nonnegative")
@@ -245,8 +237,14 @@ def hybrid_solve_robust(
     unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
     h = np.vstack([np.eye(m.n_state), m.h_pmu])
     p = RobustProblem(whiten(m.z), whiten(h), np.ones(len(m.z)), unc_w)
-    sol = bdu_solve(p, lam_strategy, mu)
+    sol = bdu_solve(p)
     return HybridResult(_as_state(m, sol.x), sol.cov if cov else None, sol)
+
+
+def _scaled_lambda(mu: float, lam0: float) -> float:
+    if not 0.0 <= mu < np.inf:
+        raise ValidationError("mu must be finite and nonnegative")
+    return (1.0 + mu) * lam0
 
 
 def _uncertainty_arrays(m: HybridModel, s0: float, e: float) -> UncertaintyStructure:

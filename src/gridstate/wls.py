@@ -26,7 +26,6 @@ from .powerflow import StateVector
 
 
 _OUTSIDE = "polar state requires positive magnitudes"
-_VARIANCES = "measurement variances are not positive"
 
 
 class _Polar:
@@ -185,8 +184,7 @@ def whitener(parts, error: str):
 
     ``parts`` are W's diagonal blocks in row order: a 1-D part is a run of
     variances (scaled by 1/sigma), a 2-D part a dense block (whitened by
-    its symmetric inverse root, from its own eigh); a W of variances
-    only is whitened in one pass.  Rounding-level
+    its symmetric inverse root, from its own eigh).  Rounding-level
     negative eigenvalues are clipped relative to the scale of the whole W;
     one below -1e-8 of that scale raises NumericalError(error).  The
     function keeps its argument's memory layout, on which the BLAS path
@@ -202,8 +200,6 @@ def whitener(parts, error: str):
         root = 1.0 / root_evals if vecs is None else (vecs / root_evals) @ vecs.T
         roots.append((slice(at, at + len(evals)), root))
         at += len(evals)
-    if all(root.ndim == 1 for _, root in roots):
-        return _scaled(np.concatenate([root for _, root in roots]))
 
     def whiten(a):
         out = np.empty_like(a)
@@ -562,8 +558,7 @@ def wls_estimate(
     outside = model.outside(np.concatenate(starts))
     x0 = np.concatenate([m.flat() if out else x for m, x, out in zip(model.members, starts, outside)])
     sigmas = np.concatenate([s.sigmas for s in sets])
-    # each member's own 1/sigma: whitener clips against the scale of the W it is given
-    whiten = _scaled(np.concatenate([whitener([s.sigmas**2], _VARIANCES)(np.ones(len(s))) for s in sets]))
+    whiten = _scaled(1.0 / sigmas)
     normal = model.pattern_normal(whiten)
     h, lin, gains, factors = model.start(normal, x0, sigmas)
     factors = [ValidationError(_OUTSIDE) if out else c for out, c in zip(outside, factors)]

@@ -2,15 +2,94 @@
 lambda, the practical lambda choice, ||S'RS|| and the WLS objective at a
 given state, each from the package's own pieces; the min-max solution at
 a given lambda from its saddle (KKT) system and from QR on its stacked
-least-squares rows; the WLS covariance from QR; the Gauss-Newton normal
+least-squares rows; bdu's solve at the practical lambda and, without
+perturbation, its weighted LS by QR (``lsq``); the sampled worst case of
+the robust cost; the WLS covariance from QR; the Gauss-Newton normal
 equations as dense products; the coordinator's dense Jacobian; and a
 hybrid model's whole H."""
 
 import numpy as np
 
-from gridstate.bdu import RobustProblem, _Evaluator, _scaled_lambda
-from gridstate.errors import ValidationError
+from gridstate import bdu
+from gridstate.bdu import RobustProblem, RobustSolution, UncertaintyStructure, _Evaluator, tri_solve
+from gridstate.errors import NumericalError, ValidationError
+from gridstate.hybrid import _scaled_lambda
 from gridstate.measurement import h_eval
+
+
+def null_uncertainty(m: int, n: int) -> UncertaintyStructure:
+    return UncertaintyStructure(np.zeros((m, 0)), np.zeros((n, n)), np.zeros(n))
+
+
+def lsq(a, b):
+    """Least squares min ||A x - b|| via QR; (x, inv(A'A)) with a rank guard."""
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+        raise NumericalError("least-squares matrix is rank deficient")
+    x = tri_solve(r, q.T @ b, False)
+    r_inv = tri_solve(r, np.eye(r.shape[0]), False)
+    return x, r_inv @ r_inv.T
+
+
+def weighted_ls(p: RobustProblem) -> RobustSolution:
+    """The unperturbed solve: ``lsq`` on the sqrt(r)-scaled rows, with
+    lambda 0 and the weighted residual as the worst case."""
+    root = np.sqrt(p.r)
+    a, b = p.h * root[:, None], p.z * root
+    x, cov = lsq(a, b)
+    res = a @ x - b
+    return RobustSolution(x, 0.0, float(res @ res), "reduced", cov)
+
+
+def bdu_approx(p: RobustProblem, mu: float) -> RobustSolution:
+    """The min-max solution at lambda = (1 + mu) ||S'RS|| through bdu's
+    evaluator; :func:`weighted_ls` where S is null or E_h = E_z = 0 (no
+    perturbation)."""
+    u = p.uncertainty
+    if u.q == 0 or not np.any(u.s) or not (np.any(u.e_h) or np.any(u.e_z)):
+        return weighted_ls(p)
+    ev = bdu._Evaluator(p)
+    return ev.solution(_scaled_lambda(mu, ev.lam0), "approx")
+
+
+def worst_case_objective(x, p: RobustProblem, samples: int = 256, seed: int = 0) -> float:
+    """Sampled inner maximum of the robust cost at a fixed x.
+
+    Evaluates (Hx - z + Sy)' R (Hx - z + Sy) over boundary-directed draws
+    y = phi(x) d, phi(x) = ||E_h x - E_z||, plus the analytic candidate
+    directions (the linear-term direction and the top curvature
+    eigenvector), and returns the largest.
+    """
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
+    u = p.uncertainty
+    v = p.h @ x - p.z
+    nominal = float((v * p.r) @ v)
+    if u.q == 0:
+        return nominal
+    phi = float(np.linalg.norm(u.e_h @ x - u.e_z))
+    if phi == 0.0:
+        return nominal
+
+    dirs = []
+    lin = u.s.T @ (p.r * v)
+    if np.linalg.norm(lin) > 0.0:
+        dirs.append(lin / np.linalg.norm(lin))
+    strs = u.s.T @ (u.s * p.r[:, None])
+    _, vecs = np.linalg.eigh(0.5 * (strs + strs.T))
+    dirs.extend([vecs[:, -1], -vecs[:, -1]])
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((samples, u.q))
+    norms = np.linalg.norm(raw, axis=1)
+    dirs.extend(raw[k] / norms[k] for k in range(samples) if norms[k] > 0.0)
+
+    best = nominal
+    for d in dirs:
+        y = phi * d
+        t = v + u.s @ y
+        best = max(best, float((t * p.r) @ t))
+    return best
 
 
 def spectral_norm_strs(s, r) -> float:

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridstate.bdu import (
-    RobustProblem,
-    UncertaintyStructure,
-    _Evaluator,
-    bdu_solve,
+from gridstate.bdu import RobustProblem, UncertaintyStructure, _Evaluator, bdu_solve, min_g
+from gridstate.errors import ValidationError
+from tests.oracles import (
+    bdu_approx,
+    g_of_lambda,
+    lambda_approx,
     lsq,
-    min_g,
     null_uncertainty,
+    spectral_norm_strs,
+    weighted_ls,
     worst_case_objective,
 )
-from gridstate.errors import ValidationError
-from tests.oracles import g_of_lambda, lambda_approx, spectral_norm_strs
 
 
 def _random_problem(rng, m=None, n=None, q=None, s_scale=0.5, e_scale=0.4, ez_scale=0.2):
@@ -101,9 +101,9 @@ def test_reduction_to_weighted_ls():
             p = _random_problem(rng, s_scale=0.0)  # S = 0
         else:
             p = _random_problem(rng, e_scale=0.0, ez_scale=0.0)  # E = 0
-        sol = bdu_solve(p, "exact")
+        sol = weighted_ls(p)
         assert np.abs(sol.x - _weighted_ls(p)).max() < 1e-10
-        sol_a = bdu_solve(p, "approx", mu=2.0)
+        sol_a = bdu_approx(p, 2.0)
         assert np.abs(sol_a.x - _weighted_ls(p)).max() < 1e-10
 
 
@@ -114,7 +114,7 @@ def test_scalar_instance_matches_grid_oracle():
         np.array([1.0]),
         UncertaintyStructure(np.array([[1.0]]), np.array([[0.5]]), np.array([0.0])),
     )
-    sol = bdu_solve(p, "exact")
+    sol = bdu_solve(p)
     x_grid, val_grid = grid_minmax(p, np.array([1.0]))
     assert abs(sol.x[0] - x_grid[0]) < 1e-3
     assert abs(sol.worst_case - val_grid) < 1e-3
@@ -126,7 +126,7 @@ def test_saddle_correctness_desk_scale():
         n = int(rng.integers(1, 3))
         q = int(rng.integers(1, 3))
         p = _random_problem(rng, n=n, q=q)
-        sol = bdu_solve(p, "exact")
+        sol = bdu_solve(p)
         x_grid, val_grid = grid_minmax(p, _weighted_ls(p))
         assert np.abs(sol.x - x_grid).max() < 1e-3
         assert abs(sol.worst_case - val_grid) < 1e-3 * (1.0 + abs(val_grid))
@@ -258,7 +258,7 @@ def test_robust_worst_case_beats_ls():
     total = 120
     for k in range(total):
         p = _random_problem(rng, s_scale=1.0, e_scale=0.8, ez_scale=0.5)
-        x_r = bdu_solve(p, "exact").x
+        x_r = bdu_solve(p).x
         x_ls = _weighted_ls(p)
         wr = worst_case_objective(x_r, p, 256, seed=k)
         wl = worst_case_objective(x_ls, p, 256, seed=k)
@@ -282,13 +282,13 @@ def test_scaling_homogeneity():
     rng = np.random.default_rng(71)
     for _ in range(10):
         p = _random_problem(rng)
-        sol = bdu_solve(p, "exact")
+        sol = bdu_solve(p)
         c = 3.7
         p2 = RobustProblem(
             c * p.z, p.h, p.r,
             UncertaintyStructure(p.uncertainty.s, p.uncertainty.e_h, c * p.uncertainty.e_z),
         )
-        sol2 = bdu_solve(p2, "exact")
+        sol2 = bdu_solve(p2)
         assert np.abs(sol2.x - c * sol.x).max() < 1e-6 * (1.0 + np.abs(c * sol.x).max())
 
 
@@ -297,8 +297,7 @@ def test_lambda_at_least_bound_always():
     for _ in range(15):
         p = _random_problem(rng)
         lam0 = spectral_norm_strs(p.uncertainty.s, p.r)
-        for strat, mu in (("exact", 1.0), ("approx", 0.0), ("approx", 3.0)):
-            sol = bdu_solve(p, strat, mu)
+        for sol in (bdu_solve(p), bdu_approx(p, 0.0), bdu_approx(p, 3.0)):
             assert sol.lam >= lam0 - 1e-12
             scale = max(1.0, np.abs(sol.cov).max())
             assert np.abs(sol.cov - sol.cov.T).max() < 1e-12 * scale
@@ -311,8 +310,6 @@ def test_dimension_validation():
         RobustProblem(np.ones(4), np.ones((4, 2)), np.ones(3), null_uncertainty(4, 2))
     with pytest.raises(ValidationError):
         UncertaintyStructure(np.ones((4, 1)), np.ones((2, 2)), np.ones(3))
-    with pytest.raises(ValidationError):
-        bdu_solve(_random_problem(np.random.default_rng(0)), "magic")
 
 
 @pytest.mark.parametrize("r", [
@@ -354,10 +351,10 @@ def test_solution_covariance_matches_dense_sandwich():
         # approx lambda keeps off the domain edge, where both forms lose
         # digits to the 1e12 weight of the top eigen-direction
         for mu in (0.5, 3.0):
-            sol = bdu_solve(pw, "approx", mu)
+            sol = bdu_approx(pw, mu)
             ref = _dense_cov(p, r, sol.lam)
             assert np.abs(sol.cov - ref).max() <= 1e-9 * np.abs(ref).max()
-        reduced = bdu_solve(RobustProblem(pw.z, pw.h, pw.r, null_uncertainty(7, 3)))
+        reduced = weighted_ls(RobustProblem(pw.z, pw.h, pw.r, null_uncertainty(7, 3)))
         ref = np.linalg.inv(p.h.T @ r @ p.h)
         assert np.abs(reduced.cov - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -378,11 +375,11 @@ def test_exact_lambda_builds_one_evaluator(monkeypatch):
     monkeypatch.setattr(bdu, "_Evaluator", Counting)
     for p, lam in zip(problems, expected):
         built.clear()
-        sol = bdu_solve(p, "exact")
+        sol = bdu_solve(p)
         assert len(built) == 1
         assert sol.lam == lam  # sharing the evaluator leaves the search bit-identical
         built.clear()
-        sol = bdu_solve(p, "approx", 2.0)
+        sol = bdu_approx(p, 2.0)
         assert len(built) == 1
         assert sol.lam == pytest.approx(lambda_approx(2.0, p.uncertainty.s, p.r), rel=1e-12)
 
@@ -432,7 +429,7 @@ def test_property_unperturbed_problem_is_weighted_ls(spec, which, mu):
         assert np.abs(strs - strs[0, 0] * np.eye(spec["q"])).max() <= 1e-12 * strs[0, 0]
     root = np.sqrt(p.r)
     x_ls, cov_ls = lsq(p.h * root[:, None], p.z * root)
-    sol = bdu_solve(p, "approx", mu)
+    sol = bdu_approx(p, mu)
     assert np.abs(sol.x - x_ls).max() <= 1e-10 * max(1.0, np.abs(x_ls).max())
     assert np.abs(sol.cov - cov_ls).max() <= 1e-10 * max(1.0, np.abs(cov_ls).max())
 
@@ -445,7 +442,7 @@ def test_property_weights_equal_scaled_rows(spec, mu):
     root, u = np.sqrt(p.r), p.uncertainty
     scaled = RobustProblem(p.z * root, p.h * root[:, None], np.ones(len(p.z)),
                            UncertaintyStructure(u.s * root[:, None], u.e_h, u.e_z))
-    a, b = bdu_solve(p, "approx", mu), bdu_solve(scaled, "approx", mu)
+    a, b = bdu_approx(p, mu), bdu_approx(scaled, mu)
     assert a.lam == pytest.approx(b.lam, rel=1e-9)
     assert a.worst_case == pytest.approx(b.worst_case, rel=1e-9)
     assert _close(a.x, b.x, 1e-9)
@@ -460,21 +457,4 @@ def test_property_row_order_does_not_matter(spec, mu, data):
     u = p.uncertainty
     shuffled = RobustProblem(p.z[perm], p.h[perm], p.r[perm],
                              UncertaintyStructure(u.s[perm], u.e_h, u.e_z))
-    assert _close(bdu_solve(shuffled, "approx", mu).x, bdu_solve(p, "approx", mu).x, 1e-9)
-
-
-@pytest.mark.parametrize("case", ["null S", "no perturbation bound"])
-def test_strategy_and_mu_are_checked_before_the_reduced_path(case):
-    """With null S or E_h = E_z = 0 the solve reduces to weighted LS, but a
-    bad strategy, or a bad mu at approximate lambda, still raises."""
-    if case == "null S":
-        unc = null_uncertainty(3, 1)
-    else:
-        unc = UncertaintyStructure(np.ones((3, 1)), np.zeros((1, 1)), np.zeros(1))
-    p = RobustProblem(np.ones(3), np.ones((3, 1)), np.ones(3), unc)
-    with pytest.raises(ValidationError, match="unknown lambda strategy 'bogus'"):
-        bdu_solve(p, "bogus")
-    for mu in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
-            bdu_solve(p, "approx", mu=mu)
-    assert bdu_solve(p, "approx").strategy == bdu_solve(p, "exact", mu=np.nan).strategy == "reduced"
+    assert _close(bdu_approx(shuffled, mu).x, bdu_approx(p, mu).x, 1e-9)

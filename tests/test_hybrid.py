@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridstate.bdu import (
-    RobustProblem,
-    UncertaintyStructure,
-    bdu_solve,
-    min_g,
-    worst_case_objective,
-)
+from gridstate.bdu import RobustProblem, UncertaintyStructure, bdu_solve, min_g
 from gridstate.errors import NumericalError, ValidationError
 from gridstate.hybrid import (
     VARIANCE_FLOOR,
@@ -29,7 +23,15 @@ from gridstate.measurement import MeasurementSet, ModelView
 from gridstate.multiarea import _pmu_ref_anchor, split_measurements
 from gridstate.wls import PolarModel, whitener, wls_estimate
 from tests.conftest import synth_zero
-from tests.oracles import g_of_lambda, kkt_solution, lambda_approx, lsq_solution, stacked_h
+from tests.oracles import (
+    bdu_approx,
+    g_of_lambda,
+    kkt_solution,
+    lambda_approx,
+    lsq_solution,
+    stacked_h,
+    worst_case_objective,
+)
 
 
 def _level1_inputs(net30, part30, specs30, truth30, area_idx, rng=None, cfg=None):
@@ -294,7 +296,7 @@ def test_scalar_instance_embedded_as_one_bus_model():
     unc = UncertaintyStructure(
         np.array([[1.0], [0.0]]), np.array([[0.5, 0.0]]), np.array([0.0])
     )
-    direct = bdu_solve(RobustProblem(hm.z, stacked_h(hm), np.diag(np.linalg.inv(_dense_w(hm))), unc), "exact")
+    direct = bdu_solve(RobustProblem(hm.z, stacked_h(hm), np.diag(np.linalg.inv(_dense_w(hm))), unc))
     assert abs(direct.x[0] - 1.0) < 1e-6 and abs(direct.x[1]) < 1e-9
 
 
@@ -585,7 +587,7 @@ def test_property_structured_step_equals_bdu_solve(seed, n_bus, p, s0, e0, mu):
     assert np.abs(cov - cov_ls).max() <= 1e-8 * np.abs(cov_ls).max()
     # bdu solves the normal equations, whose forward error grows as
     # n eps cond(N): the floored zero mode puts cond(N) near 1e9 here
-    ref = bdu_solve(prob, "approx", mu)
+    ref = bdu_approx(prob, mu)
     bound = 4 * m.n_state * np.finfo(float).eps * cond
     assert np.abs(x - ref.x).max() <= max(1e-10, bound) * np.abs(ref.x).max()
     assert np.abs(cov - ref.cov).max() <= max(1e-8, bound) * np.abs(ref.cov).max()
@@ -661,7 +663,7 @@ def test_exact_step_is_bdu_solve_on_the_whitened_problem(net30, part30, specs30,
     for m in _robust_test_models(net30, part30, specs30, truth30, cfg30):
         s0, e = uncertainty_for_model(m, 0.05, 0.05)
         rob = hybrid_solve_robust(m, s0, e, "exact")
-        ref = bdu_solve(_whitened(m, s0, e), "exact")
+        ref = bdu_solve(_whitened(m, s0, e))
         assert rob.robust.strategy == "exact"
         assert np.array_equal(_flat(rob), ref.x)
         assert np.array_equal(rob.covariance, ref.cov)
@@ -687,15 +689,13 @@ def test_approx_lambda_refuses_a_non_finite_or_negative_mu(mu):
     m = _random_model(5, 4, 6)
     s0, e = uncertainty_for_model(m, 0.05, 0.05)
     with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
-        bdu_solve(_whitened(m, s0, e), "approx", mu)
-    with pytest.raises(ValidationError, match="mu must be finite and nonnegative"):
         hybrid_solve_robust(m, s0, e, "approx", mu)
 
 
 @pytest.mark.parametrize("mu", [np.nan, np.inf, -1.0])
 def test_approx_lambda_checks_mu_also_where_the_step_is_plain_wls(mu):
     # null uncertainty or no PMU rows: the step reduces to hybrid_solve,
-    # but mu is checked first, as bdu_solve checks it whichever path solves
+    # but mu is checked first, whichever path solves
     from dataclasses import replace
 
     m = _random_model(5, 4, 6)

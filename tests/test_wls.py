@@ -373,6 +373,19 @@ def test_whitener_is_inverse_root_of_block_diagonal_w(layout, seed):
     assert whiten(np.ascontiguousarray(a)).flags.c_contiguous
 
 
+@settings(max_examples=60, deadline=None)
+@given(sigmas=st.lists(st.tuples(st.floats(1e-3, 1e-2), st.booleans()), min_size=1, max_size=40))
+def test_whitener_of_variances_is_one_over_sigma_bit_for_bit(sigmas):
+    # sigmas over the bundled config's range (sigma_pmu to sigma_injection),
+    # some scaled as the TSE's reference-angle anchor rows are: wls_estimate
+    # weighs its rows by 1 / sigma, whose values the whitener of sigma^2 has
+    from gridstate.multiarea import ANCHOR_SIGMA_FACTOR
+
+    sigma = np.array([s * (ANCHOR_SIGMA_FACTOR if anchored else 1.0) for s, anchored in sigmas])
+    got = whitener([sigma**2], "measurement variances are not positive")(np.ones(len(sigma)))
+    assert np.array_equal(got, 1.0 / sigma)
+
+
 @settings(max_examples=30, deadline=None)
 @given(layout=_layouts, seed=st.integers(0, 2**32 - 1), at=st.integers(0, 5), k=st.integers(1, 4))
 def test_whitener_rejects_a_clearly_negative_eigenvalue(layout, seed, at, k):
