@@ -63,11 +63,16 @@ def tri_solve(t, b, lower: bool):
     by blocked substitution: above ``_LEAF`` the lower case is
     y1 = T11^-1 b1, y2 = T22^-1 (b2 - T21 y1), the upper case mirrored.
     At or below ``_LEAF``, T may also be a stack of k such matrices and b
-    the k x n stack of their right-hand sides: one call, each solve
-    rounding as its own."""
+    the stack of their right-hand sides (k x n, or k x n x m): one call,
+    each solve rounding as its own.  Above it, a stack is solved member by
+    member."""
     n = t.shape[-1]
+    if t.ndim > 2 and n > _LEAF:
+        return np.stack([tri_solve(tk, bk, lower) for tk, bk in zip(t, b)])
     if n <= _LEAF:
-        return np.linalg.solve(t, b) if t.ndim == 2 else np.linalg.solve(t, b[..., None])[..., 0]
+        if t.ndim > 2 and b.ndim < t.ndim:  # a stack of vectors
+            return np.linalg.solve(t, b[..., None])[..., 0]
+        return np.linalg.solve(t, b)
     k = n // 2
     if lower:
         y1 = tri_solve(t[:k, :k], b[:k], True)
@@ -85,9 +90,12 @@ def spd_inv(g):
     form of G^-1 from an inverted leading block loses accuracy as
     cond(A) cond(S); this form keeps LAPACK's.  LinAlgError when G is not
     positive definite (np.linalg.inv, the leaf, raises it on a singular G).
-    At or below ``_LEAF``, G may also be a stack of matrices."""
+    G may also be a stack of matrices: one call at or below ``_LEAF``,
+    member by member above it."""
     if g.shape[-1] <= _LEAF:
         return np.linalg.inv(g)
+    if g.ndim > 2:
+        return np.stack([spd_inv(gk) for gk in g])
     m = _tri_inv(np.linalg.cholesky(g))
     return m.T @ m
 

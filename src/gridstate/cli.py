@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run an estimation pipeline")
     common(est)
-    est.add_argument("--parallel", action="store_true", help="run level 1 areas concurrently")
+    est.add_argument("--parallel", action="store_true", help="run level 1's hybrid groups (areas of one shape) concurrently")
     est.add_argument("--config")
     est.add_argument("--mode", choices=caseio.MODES)
     est.set_defaults(func=cmd_estimate)

@@ -96,6 +96,62 @@ class HybridModel:
         return 2 * self.n_bus
 
 
+@dataclass(frozen=True)
+class HybridGroup:
+    """Hybrid models of one shape (p PMU rows over 2n states) as one batch:
+    their blocks and their arrays stacked on a leading axis (``z``
+    k x (2n + p), ``h_pmu`` k x p x 2n, ``w_pseudo`` k x 2n x 2n, ``w_pmu``
+    k x p).  A step on a group is one stacked numpy call per operation,
+    each member rounding as it would alone: every product keeps the
+    memory layout a model's own has (layout picks the BLAS path), and the
+    scalars a model computes in Python stay Python floats."""
+
+    blocks: tuple[PmuBlock, ...]
+    z: np.ndarray
+    h_pmu: np.ndarray
+    w_pseudo: np.ndarray
+    w_pmu: np.ndarray
+
+    @classmethod
+    def of(cls, m: HybridModel) -> "HybridGroup":
+        """The group of one of ``m``, over views of its arrays."""
+        return cls((m.block,), m.z[None], m.h_pmu[None], m.w_pseudo[None], m.w_pmu[None])
+
+    @property
+    def p(self):
+        return self.h_pmu.shape[1]
+
+    @property
+    def n_state(self):
+        return self.w_pseudo.shape[-1]
+
+    def models(self) -> list[HybridModel]:
+        return [HybridModel(b, *arrays)
+                for b, *arrays in zip(self.blocks, self.z, self.h_pmu, self.w_pseudo, self.w_pmu)]
+
+
+def _t(a):
+    """Each matrix of a stack transposed, as a view."""
+    return a.transpose(0, 2, 1)
+
+
+def _mv(a, v):
+    """Each matrix of a stack times its vector."""
+    return (a @ v[..., None])[..., 0]
+
+
+def stack_group(blocks, vr, vi, cov_rect, mset: MeasurementSet) -> HybridGroup:
+    """:func:`stack_model` of each member as one batch: per member, its
+    rectangular pseudo-state (a row of ``vr`` and of ``vi``, its
+    covariance in ``cov_rect``) over the PMU rows of its block in
+    ``blocks``, valued from ``mset``."""
+    rows = np.array([b.rows for b in blocks], dtype=np.intp)
+    cov = cov_rect + VARIANCE_FLOOR * np.eye(cov_rect.shape[-1])
+    z = np.concatenate([vr, vi, mset.z[rows]], axis=1)
+    h_pmu = np.array([b.h_pmu for b in blocks])
+    return HybridGroup(tuple(blocks), z, h_pmu, cov, mset.sigmas[rows] ** 2)
+
+
 def stack_model(
     block: PmuBlock,
     rect_state: StateVector,
@@ -110,9 +166,8 @@ def stack_model(
     """
     if rect_state.bus_ids != block.view.bus_ids:
         raise ValidationError("pseudo-state layout does not match the view")
-    cov = cov_rect + VARIANCE_FLOOR * np.eye(len(cov_rect))
-    z = np.concatenate([rect_state.v1, rect_state.v2, mset.z[block.rows]])
-    return HybridModel(block, z, block.h_pmu, cov, mset.sigmas[block.rows] ** 2)
+    (m,) = stack_group((block,), rect_state.v1[None], rect_state.v2[None], cov_rect[None], mset).models()
+    return m
 
 
 def build_hybrid_model(
@@ -143,10 +198,14 @@ class HybridResult:
     robust: RobustSolution | None = None
 
 
-def _as_state(m: HybridModel, x) -> StateVector:
-    n = m.n_bus
-    view = m.block.view
-    return StateVector("rect", view.bus_ids, np.array(x[:n]), np.array(x[n:]), ref_bus=view.ref_bus)
+def _results(g: HybridGroup, x, cov, robust=None) -> list[HybridResult]:
+    """Per member its HybridResult: its row of the states ``x``, its
+    matrix of the stack ``cov`` (or None) and its RobustSolution in
+    ``robust`` (or None)."""
+    n = g.n_state // 2
+    return [HybridResult(StateVector("rect", b.view.bus_ids, x[k, :n], x[k, n:], ref_bus=b.view.ref_bus),
+                         None if cov is None else cov[k], None if robust is None else robust[k])
+            for k, b in enumerate(g.blocks)]
 
 
 def _cholesky(a):
@@ -154,6 +213,12 @@ def _cholesky(a):
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NumericalError("hybrid covariance is not positive definite") from None
+
+
+def _add_diag(a, d):
+    """Add each row of ``d`` to the diagonal of its matrix of the stack ``a``, in place."""
+    i = np.arange(a.shape[-1])
+    a[:, i, i] += d
 
 
 def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
@@ -165,19 +230,31 @@ def hybrid_solve(m: HybridModel, cov: bool = True) -> HybridResult:
 
     by a Cholesky of S.  The covariance W_p - K H_p W_p is formed only
     with ``cov`` (else None); x does not depend on it.  NumericalError
-    when S is not positive definite.
+    when S is not positive definite.  :func:`solve_group` on the group of
+    one of ``m``.
     """
-    n = m.n_state
-    x, w, h = m.z[:n], m.w_pseudo, m.h_pmu
-    wh = w @ h.T
+    (res,) = solve_group(HybridGroup.of(m), cov)
+    return res
+
+
+def solve_group(g: HybridGroup, cov: bool = True) -> list[HybridResult]:
+    """:func:`hybrid_solve` of every member of ``g``, as one batch."""
+    n = g.n_state
+    x, w, h = g.z[:, :n], g.w_pseudo, g.h_pmu
+    wh = w @ _t(h)
     s = h @ wh
-    s[np.diag_indices_from(s)] += m.w_pmu
+    _add_diag(s, g.w_pmu)
     c = _cholesky(s)
-    x = x + wh @ tri_solve(c.T, tri_solve(c, m.z[n:] - h @ x, True), False)
+    x = x + _mv(wh, tri_solve(_t(c), tri_solve(c, g.z[:, n:] - _mv(h, x), True), False))
     if not cov:
-        return HybridResult(_as_state(m, x), None)
-    b = tri_solve(c, wh.T, True)  # L^-1 H_p W_p
-    return HybridResult(_as_state(m, x), w - b.T @ b)
+        return _results(g, x, None)
+    b = tri_solve(c, _t(wh), True)  # L^-1 H_p W_p
+    return _results(g, x, w - _t(b) @ b)
+
+
+def _spectral_norms(h):
+    """The spectral norm of each matrix of the stack ``h``."""
+    return np.linalg.svd(h, compute_uv=False).max(axis=-1)
 
 
 def uncertainty_for_model(m: HybridModel, s0: float, e0: float) -> tuple[float, float]:
@@ -195,7 +272,7 @@ def uncertainty_for_model(m: HybridModel, s0: float, e0: float) -> tuple[float, 
     """
     if s0 == 0.0 or len(m.w_pmu) == 0:
         return s0, 0.0
-    return s0, e0 * float(np.linalg.norm(m.h_pmu, 2))
+    return s0, e0 * float(_spectral_norms(m.h_pmu[None])[0])
 
 
 def hybrid_solve_robust(
@@ -214,11 +291,12 @@ def hybrid_solve_robust(
     whichever path solves, for an unknown ``lam_strategy`` and for s0, e
     or (at ``approx``) mu outside [0, inf); no other function checks them.
 
-    Approximate lambda is :func:`_approx_step`.  Exact lambda is
-    :func:`gridstate.bdu.bdu_solve` on the whitened problem (z, the
-    stacked H = [I; H_PMU] and S scaled by W^-1/2, unit weights): the
-    min-max cost and its minimizer are unchanged, the conditioning is
-    not, and bdu's covariance is for unit data covariance.
+    Approximate lambda is :func:`_approx_step` on the group of one of
+    ``m``.  Exact lambda is :func:`gridstate.bdu.bdu_solve` on the
+    whitened problem (z, the stacked H = [I; H_PMU] and S scaled by
+    W^-1/2, unit weights): the min-max cost and its minimizer are
+    unchanged, the conditioning is not, and bdu's covariance is for unit
+    data covariance.
     """
     if not (0.0 <= s0 < np.inf and 0.0 <= e < np.inf):
         raise ValidationError("s0 and e must be finite and nonnegative")
@@ -229,7 +307,8 @@ def hybrid_solve_robust(
     if s0 == 0.0 or e == 0.0 or len(m.w_pmu) == 0:
         return hybrid_solve(m, cov=cov)
     if lam_strategy == "approx":
-        return _approx_step(m, s0, e, mu, cov)
+        (res,) = _approx_step(HybridGroup.of(m), s0, [e], mu, cov)
+        return res
     # W spans many decades (the floored reference-angle mode), so the
     # solve runs on whitened data
     unc = _uncertainty_arrays(m, s0, e)
@@ -238,7 +317,23 @@ def hybrid_solve_robust(
     h = np.vstack([np.eye(m.n_state), m.h_pmu])
     p = RobustProblem(whiten(m.z), whiten(h), np.ones(len(m.z)), unc_w)
     sol = bdu_solve(p)
-    return HybridResult(_as_state(m, sol.x), sol.cov if cov else None, sol)
+    (res,) = _results(HybridGroup.of(m), sol.x[None], sol.cov[None] if cov else None, [sol])
+    return res
+
+
+def approx_group(g: HybridGroup, s0: float, e0: float, mu: float, cov: bool = True) -> list[HybridResult]:
+    """:func:`hybrid_solve_robust` at approximate lambda of every member of
+    ``g``, each under its own (s0, e) of :func:`uncertainty_for_model`, as
+    one batch; member by member where not every member takes the
+    same step (an e or a parameter outside [0, inf), or null uncertainty
+    for some members only)."""
+    e = [e0 * c for c in _spectral_norms(g.h_pmu).tolist()] if s0 != 0.0 and g.p else [0.0] * len(g.blocks)
+    if 0.0 <= s0 < np.inf and 0.0 <= mu < np.inf:
+        if all(ek == 0.0 for ek in e):
+            return solve_group(g, cov)
+        if all(0.0 < ek < np.inf for ek in e):
+            return _approx_step(g, s0, e, mu, cov)
+    return [hybrid_solve_robust(m, s0, ek, "approx", mu, cov) for m, ek in zip(g.models(), e)]
 
 
 def _scaled_lambda(mu: float, lam0: float) -> float:
@@ -257,10 +352,11 @@ def _uncertainty_arrays(m: HybridModel, s0: float, e: float) -> UncertaintyStruc
     return UncertaintyStructure(s, e_h, e_h @ m.z[:n])
 
 
-def _approx_step(m: HybridModel, s0: float, e: float, mu: float, cov: bool) -> HybridResult:
+def _approx_step(g: HybridGroup, s0: float, e, mu: float, cov: bool) -> list[HybridResult]:
     """The min-max step at lambda = (1 + mu) max d_i, d_i = s0^2 / sigma_i^2,
-    as :func:`hybrid_solve`'s update with a shrunk prior and re-weighted
-    PMU rows:
+    of each member of ``g`` (its e in the list ``e``), as
+    :func:`hybrid_solve`'s update with a shrunk prior and re-weighted PMU
+    rows:
 
         P = (W_p^-1 + lam e^2 I)^-1 = (I + lam e^2 W_p)^-1 W_p,
         M = H_p P H_p' + diag(sigma^2 (lam - d) / lam),
@@ -270,34 +366,39 @@ def _approx_step(m: HybridModel, s0: float, e: float, mu: float, cov: bool) -> H
     the update takes exactly.  The covariance holds E_z constant, as bdu's
     does: (I - K H_p) P W_p^-1 P (I - K H_p)' + K diag(sigma^2) K', with
     P W_p^-1 P = A^-1 W_p A^-1, A = I + lam e^2 W_p.  NumericalError when
-    A or M is not positive definite.
+    an A or M is not positive definite.
     """
-    n = m.n_state
-    d = s0**2 / m.w_pmu
-    lam = _scaled_lambda(mu, float(d.max()))
-    x, w, h = m.z[:n], m.w_pseudo, m.h_pmu
-    a = (lam * e**2) * w
-    a[np.diag_indices_from(a)] += 1.0
+    n = g.n_state
+    d = s0**2 / g.w_pmu
+    lam = [_scaled_lambda(mu, float(dk.max())) for dk in d]
+    x, w, h = g.z[:, :n], g.w_pseudo, g.h_pmu
+    # lam e^2 per member in Python floats, as one model computes it
+    a = np.array([lk * ek**2 for lk, ek in zip(lam, e)])[:, None, None] * w
+    _add_diag(a, 1.0)
     ca = _cholesky(a)
 
-    ph = tri_solve(ca.T, tri_solve(ca, w @ h.T, True), False)  # P H_p'
+    ph = tri_solve(_t(ca), tri_solve(ca, w @ _t(h), True), False)  # P H_p'
     # H_p P H_p' is symmetric only up to ph's rounding, which is relative to
     # its largest entries; M's smallest eigenvalues (rows near variance 0)
     # need the symmetric part, not the lower triangle alone
     inn = h @ ph
-    inn = 0.5 * (inn + inn.T)
-    inn[np.diag_indices_from(inn)] += m.w_pmu * ((lam - d) / lam)
+    inn = 0.5 * (inn + _t(inn))
+    lam_k = np.array(lam)[:, None]
+    _add_diag(inn, g.w_pmu * ((lam_k - d) / lam_k))
     c = _cholesky(inn)  # M = C C'
-    v = tri_solve(c, m.z[n:] - h @ x, True)
-    x = x + ph @ tri_solve(c.T, v, False)
+    v = tri_solve(c, g.z[:, n:] - _mv(h, x), True)
+    x = x + _mv(ph, tri_solve(_t(c), v, False))
     covariance = None
     if cov:
-        k = tri_solve(c.T, tri_solve(c, ph.T, True), False).T
+        kt = tri_solve(_t(c), tri_solve(c, _t(ph), True), False)  # K'
+        k = _t(kt)
         ikh = np.eye(n) - k @ h
         a_inv = spd_inv(a)
-        covariance = ikh @ (a_inv @ w @ a_inv) @ ikh.T + (k * m.w_pmu) @ k.T
-    sol = RobustSolution(x, lam, float(v @ v), "approx", covariance)
-    return HybridResult(_as_state(m, x), covariance, sol)
+        # K diag(sigma^2) in K's own (column-major) layout
+        covariance = ikh @ (a_inv @ w @ a_inv) @ _t(ikh) + _t(kt * g.w_pmu[:, :, None]) @ kt
+    sols = [RobustSolution(xk, lk, float(vk @ vk), "approx", None if covariance is None else covariance[k])
+            for k, (xk, lk, vk) in enumerate(zip(x, lam, v))]
+    return _results(g, x, covariance, sols)
 
 
 def sample_delta(rng, q: int, p: int) -> np.ndarray:
@@ -312,7 +413,15 @@ def apply_perturbation(m: HybridModel, delta, s0: float, e0: float) -> HybridMod
     experiment's perturbation [dH dz] = S Delta [E_h E_z], with S = s0 on
     the PMU rows, E_h = e0 c I (c = ``block.scale``, the unperturbed
     block's spectral norm) and E_z = 0: H_PMU moves by (s0 Delta)(e0 c);
-    the pseudo rows (I) and z are untouched."""
-    if delta.shape != m.h_pmu.shape:
+    the pseudo rows (I) and z are untouched.  :func:`perturb_group` on the
+    group of one of ``m``."""
+    return replace(m, h_pmu=perturb_group(HybridGroup.of(m), [delta], s0, e0).h_pmu[0])
+
+
+def perturb_group(g: HybridGroup, deltas, s0: float, e0: float) -> HybridGroup:
+    """:func:`apply_perturbation` of every member of ``g``, each by its own
+    draw in ``deltas``, as one batch."""
+    if any(np.shape(delta) != g.h_pmu.shape[1:] for delta in deltas):
         raise ValidationError("delta dimensions do not match the model's PMU block")
-    return replace(m, h_pmu=m.h_pmu + (s0 * delta) * (e0 * m.block.scale))
+    scale = e0 * np.array([b.scale for b in g.blocks])
+    return replace(g, h_pmu=g.h_pmu + (s0 * np.array(deltas)) * scale[:, None, None])

@@ -560,16 +560,45 @@ def synthesize(view: ModelView, true_state: StateVector, specs, sigma_for, rng) 
 
 def _transport(cov, j11, j12, j21, j22):
     """J C J^T for J = [[diag(j11), diag(j12)], [diag(j21), diag(j22)]]:
-    each output block is a row- and column-scaled sum of C's blocks."""
-    n = len(j11)
-    jc = np.vstack([j11[:, None] * cov[:n] + j12[:, None] * cov[n:],
-                    j21[:, None] * cov[:n] + j22[:, None] * cov[n:]])
-    return np.hstack([jc[:, :n] * j11 + jc[:, n:] * j12, jc[:, :n] * j21 + jc[:, n:] * j22])
+    each output block is a row- and column-scaled sum of C's blocks.
+    Leading axes of C and the j's index a stack of such products."""
+    n = j11.shape[-1]
+    c1, c2 = cov[..., :n, :], cov[..., n:, :]
+    jc = np.concatenate([j11[..., None] * c1 + j12[..., None] * c2,
+                         j21[..., None] * c1 + j22[..., None] * c2], axis=-2)
+    j11, j12, j21, j22 = (j[..., None, :] for j in (j11, j12, j21, j22))
+    r1, r2 = jc[..., :n], jc[..., n:]
+    return np.concatenate([r1 * j11 + r2 * j12, r1 * j21 + r2 * j22], axis=-1)
+
+
+def to_rect(vm, va, cov=None):
+    """(vr, vi, C_rect) of the polar arrays (vm, va), C_rect = J C J^T the
+    first-order transport of ``cov`` over [va; vm] (None without it).
+    Leading axes index a stack of states, each converted as if alone."""
+    c, s = np.cos(va), np.sin(va)
+    vr, vi = vm * c, vm * s
+    # d(vr, vi)/d(va, vm)
+    return vr, vi, None if cov is None else _transport(cov, -vm * s, c, vm * c, s)
+
+
+def to_polar(vr, vi, cov=None):
+    """(vm, va, C_polar) of the rectangular arrays (vr, vi), angles in
+    (-pi, pi] and ``cov`` over [vr; vi] transported to [va; vm] (None
+    without it); ValidationError at a zero phasor.  Leading axes index a
+    stack, as in :func:`to_rect`."""
+    vm = np.hypot(vr, vi)
+    if np.any(vm <= 0.0):
+        raise ValidationError("cannot convert zero phasor to polar")
+    va = np.arctan2(vi, vr)
+    if cov is None:
+        return vm, va, None
+    # d(va, vm)/d(vr, vi)
+    return vm, va, _transport(cov, -vi / vm**2, vr / vm**2, vr / vm, vi / vm)
 
 
 def polar_to_rect(state: StateVector, cov=None):
     """(V, theta) -> (V cos theta, V sin theta); covariance transported by
-    first-order propagation C_rect = J C_polar J^T.
+    first-order propagation C_rect = J C_polar J^T (:func:`to_rect`).
 
     ``cov``, when given, must be over the full [va; vm] layout (use
     :meth:`gridstate.wls.PolarModel.embed_cov` for pinned-reference
@@ -577,32 +606,17 @@ def polar_to_rect(state: StateVector, cov=None):
     """
     if state.coord != "polar":
         raise ValidationError("polar_to_rect expects a polar state")
-    vm, va = state.v1, state.v2
-    rect = StateVector(
-        "rect", state.bus_ids, vm * np.cos(va), vm * np.sin(va), ref_bus=state.ref_bus
-    )
-    if cov is None:
-        return rect, None
-    c, s = np.cos(va), np.sin(va)
-    # d(vr, vi)/d(va, vm)
-    return rect, _transport(cov, -vm * s, c, vm * c, s)
+    vr, vi, cov = to_rect(state.v1, state.v2, cov)
+    return StateVector("rect", state.bus_ids, vr, vi, ref_bus=state.ref_bus), cov
 
 
 def rect_to_polar(state: StateVector, cov=None):
-    """Inverse conversion; angles in (-pi, pi].  Covariance over [vr; vi]
-    comes back over the full [va; vm] layout."""
+    """Inverse conversion (:func:`to_polar`); angles in (-pi, pi].
+    Covariance over [vr; vi] comes back over the full [va; vm] layout."""
     if state.coord != "rect":
         raise ValidationError("rect_to_polar expects a rectangular state")
-    vr, vi = state.v1, state.v2
-    vm = np.hypot(vr, vi)
-    if np.any(vm <= 0.0):
-        raise ValidationError("cannot convert zero phasor to polar")
-    va = np.arctan2(vi, vr)
-    polar = StateVector("polar", state.bus_ids, vm, va, ref_bus=state.ref_bus)
-    if cov is None:
-        return polar, None
-    # d(va, vm)/d(vr, vi)
-    return polar, _transport(cov, -vi / vm**2, vr / vm**2, vr / vm, vi / vm)
+    vm, va, cov = to_polar(state.v1, state.v2, cov)
+    return StateVector("polar", state.bus_ids, vm, va, ref_bus=state.ref_bus), cov
 
 
 def wrap_angle(delta):

@@ -3,7 +3,9 @@
 Level 1 runs one robust hybrid estimator per area, independently, over
 each area's own [internal, boundary, external] state: the areas'
 traditional estimators step in lockstep, each as if alone, and their
-hybrid stages run optionally in parallel.  Level 2 is the central coordinator: it re-estimates all
+hybrid stages run as one stacked batch per group of areas of one shape
+(``Structure.groups``), each area as if alone, the groups optionally on
+threads.  Level 2 is the central coordinator: it re-estimates all
 boundary states plus the per-area reference offsets u from boundary
 measurements, PMU measurements, and the level-1 results treated as
 pseudo-measurements, then applies the same hybrid robust refinement.
@@ -38,15 +40,20 @@ import numpy as np
 
 from .caseio import ExperimentConfig
 from .errors import NumericalError, UnobservableError, ValidationError
-from .hybrid import (
+from .hybrid import (  # noqa: F401 - build_hybrid_model stays importable here for perfbench's tracer
     VARIANCE_FLOOR,
+    HybridGroup,
     HybridResult,
     apply_perturbation,
+    approx_group,
     build_hybrid_model,
     hybrid_solve,
     hybrid_solve_robust,
+    perturb_group,
     pmu_block,
     select_block,
+    solve_group,
+    stack_group,
     stack_model,
     uncertainty_for_model,
 )
@@ -62,6 +69,8 @@ from .measurement import (
     polar_to_rect,
     rect_to_polar,
     row_key,
+    to_polar,
+    to_rect,
     wrap_angle,
 )
 from .netmodel import AreaPartition, PowerNetwork, owning_area, single_area
@@ -170,17 +179,34 @@ class LocalResult:
     hybrid: HybridResult
 
 
-def _hybrid_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> HybridResult:
-    """The hybrid PMU step of both levels: when a sampler is given, draw
-    Delta = ``perturb(key, p, 2n)`` and move the model's p PMU rows by it
-    (:func:`apply_perturbation`), then solve plainly or robustly; either
-    solve forms its covariance only with ``cov``."""
+def _model_stage(hmodel, cfg: ExperimentConfig, robust, perturb, key, cov) -> HybridResult:
+    """:func:`_hybrid_stage` of one model, through the per-model steps."""
     if perturb is not None and len(hmodel.w_pmu):
         hmodel = apply_perturbation(hmodel, perturb(key, *hmodel.h_pmu.shape), cfg.s0, cfg.e0)
     if not robust:
         return hybrid_solve(hmodel, cov=cov)
     s0, e = uncertainty_for_model(hmodel, cfg.s0, cfg.e0)
     return hybrid_solve_robust(hmodel, s0, e, cfg.lambda_strategy, cfg.mu, cov=cov)
+
+
+def _hybrid_stage(group: HybridGroup, cfg: ExperimentConfig, robust, perturb, keys, cov) -> list[HybridResult]:
+    """The hybrid PMU step of both levels, on a group of models of one
+    shape (level 2's boundary refinement is a group of one): when a
+    sampler is given, each member draws Delta = ``perturb(key, p, 2n)``
+    with its own key in ``keys`` and its p PMU rows move by it
+    (:func:`apply_perturbation`); then each member is solved plainly or
+    robustly, as if alone, forming its covariance only with ``cov``.  A
+    group runs as stacked calls (:func:`perturb_group`,
+    :func:`solve_group`, :func:`approx_group`); a group of one, and each
+    member at exact lambda (bdu), runs through the per-model steps, which
+    are those calls on a group of one."""
+    if len(keys) == 1 or (robust and cfg.lambda_strategy != "approx"):
+        return [_model_stage(m, cfg, robust, perturb, key, cov) for m, key in zip(group.models(), keys)]
+    if perturb is not None and group.p:
+        group = perturb_group(group, [perturb(key, group.p, group.n_state) for key in keys], cfg.s0, cfg.e0)
+    if not robust:
+        return solve_group(group, cov)
+    return approx_group(group, cfg.s0, cfg.e0, cfg.mu, cov)
 
 
 class _AreaStructure:
@@ -240,9 +266,10 @@ def _tse_inputs(structure: "Structure", mset: MeasurementSet):
     return sets, starts
 
 
-def _estimate_area(a: _AreaStructure, tse, mset: MeasurementSet, cfg: ExperimentConfig, robust, perturb):
-    """The hybrid stage of one area on its traditional estimate ``tse``
-    (or the error its traditional estimator failed with)."""
+def _checked_tse(a: _AreaStructure, tse):
+    """The traditional estimate ``tse`` of area ``a`` (or the error its
+    traditional estimator failed with) when the hybrid stage can run on
+    it; else the error the area fails with."""
     index = a.area.index
     if not a.observable:
         raise UnobservableError(f"area {index}: SCADA measurement set does not observe the local state")
@@ -250,11 +277,52 @@ def _estimate_area(a: _AreaStructure, tse, mset: MeasurementSet, cfg: Experiment
         raise tse
     if not tse.converged:
         raise NumericalError(f"area {index}: traditional estimator did not converge")
+    return tse
 
-    hmodel = build_hybrid_model(tse, a.block, mset)
-    hres = _hybrid_stage(hmodel, cfg, robust, perturb, (1, index), a.cov_read)
-    polar, cov_polar = rect_to_polar(hres.state, hres.covariance)
-    return LocalResult(index, polar, cov_polar, tse.state, tse.iterations, hres)
+
+def _estimate_areas(areas, tses, mset: MeasurementSet, cfg: ExperimentConfig, robust, perturb):
+    """The hybrid stage of areas of one group on their converged
+    traditional estimates ``tses``, as one batch: the estimates and their
+    covariances (embedded by :meth:`PolarModel.embed_cov`) transported to
+    rectangular coordinates, the models stacked (:func:`stack_group`),
+    :func:`_hybrid_stage`, and the hybrid estimates transported back."""
+    vm, va = (np.array(v) for v in zip(*((t.state.v1, t.state.v2) for t in tses)))
+    vr, vi, cov_rect = to_rect(vm, va, np.array([t.model.embed_cov(t.covariance) for t in tses]))
+    group = stack_group([a.block for a in areas], vr, vi, cov_rect, mset)
+    cov = areas[0].cov_read
+    hres = _hybrid_stage(group, cfg, robust, perturb, [(1, a.area.index) for a in areas], cov)
+    vr, vi = (np.array(v) for v in zip(*((h.state.v1, h.state.v2) for h in hres)))
+    vm, va, cov_polar = to_polar(vr, vi, np.array([h.covariance for h in hres]) if cov else None)
+    return [LocalResult(a.area.index, StateVector("polar", h.state.bus_ids, vm[j], va[j], ref_bus=h.state.ref_bus),
+                        cov_polar[j] if cov else None, t.state, t.iterations, h)
+            for j, (a, t, h) in enumerate(zip(areas, tses, hres))]
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the NumericalError or ValidationError it raised."""
+    try:
+        return fn(*args)
+    except (NumericalError, ValidationError) as exc:
+        return exc
+
+
+def _estimate_group(areas, tse: dict, mset: MeasurementSet, cfg: ExperimentConfig, robust, perturb):
+    """Per area of one group (:attr:`Structure.groups`) its LocalResult or
+    the error it failed with: each area's own checks, then the hybrid
+    stage of those that pass as one batch.  When the batch raises, each of
+    them runs again as a group of one, so each reports its own error."""
+    out = [_attempt(_checked_tse, a, tse.get(a.area.index)) for a in areas]
+    ready = [j for j, r in enumerate(out) if not isinstance(r, Exception)]
+
+    def stage(rows):
+        return _estimate_areas([areas[j] for j in rows], [out[j] for j in rows], mset, cfg, robust, perturb)
+
+    results = _attempt(stage, ready) if ready else []
+    if isinstance(results, Exception):
+        results = [_attempt(lambda j: stage([j])[0], j) for j in ready]
+    for j, r in zip(ready, results):
+        out[j] = r
+    return out
 
 
 def level1_run(
@@ -270,9 +338,11 @@ def level1_run(
 
     The observable areas' traditional estimators run in lockstep, each as
     if alone (one :func:`wls_estimate` call on ``structure.tse``); then
-    each area's hybrid stage runs, on threads with ``parallel``.  Results
-    are gathered in area-index order regardless of completion order.
-    Raises NumericalError listing every failing area.
+    the hybrid stages run as one stacked batch per group of areas of one
+    shape (``structure.groups``), each area as if alone, the groups on
+    threads with ``parallel``.  Results are gathered in area-index order
+    regardless of completion order.  Raises NumericalError listing every
+    failing area.
     """
     observable = structure.observable
     try:
@@ -282,17 +352,16 @@ def level1_run(
         tse = [exc] * len(observable)
     tse = dict(zip((a.area.index for a in observable), tse))
 
-    def job(a):
-        try:
-            return _estimate_area(a, tse.get(a.area.index), mset, cfg, robust, perturb)
-        except (NumericalError, ValidationError) as exc:
-            return exc
+    def job(areas):
+        return _estimate_group(areas, tse, mset, cfg, robust, perturb)
 
     if parallel:
-        with ThreadPoolExecutor(max_workers=len(structure.areas)) as pool:
-            out = list(pool.map(job, structure.areas))
+        with ThreadPoolExecutor(max_workers=len(structure.groups)) as pool:
+            done = list(pool.map(job, structure.groups))
     else:
-        out = [job(a) for a in structure.areas]
+        done = [job(areas) for areas in structure.groups]
+    by_area = {a.area.index: r for areas, results in zip(structure.groups, done) for a, r in zip(areas, results)}
+    out = [by_area[a.area.index] for a in structure.areas]
     failures = [str(r) for r in out if isinstance(r, Exception)]
     if failures:
         raise NumericalError("level 1 failed: " + "; ".join(failures))
@@ -551,7 +620,7 @@ def level2_run(
         )
         rect, cov_rect = polar_to_rect(bnd_state, cov_c[: 2 * nb, : 2 * nb])
         hmodel = stack_model(s.bnd_block, rect, cov_rect, mset)
-        hres = _hybrid_stage(hmodel, cfg, robust, perturb, (2, 0), cov=False)
+        (hres,) = _hybrid_stage(HybridGroup.of(hmodel), cfg, robust, perturb, [(2, 0)], cov=False)
         bnd_polar, _ = rect_to_polar(hres.state)
         vm[s.bnd_out] = bnd_polar.v1
         va[s.bnd_out] = bnd_polar.v2
@@ -609,6 +678,12 @@ class Structure:
         # the observable areas' traditional estimators, solved in lockstep
         self.observable = [a for a in self.areas if a.observable]
         self.tse = PolarBatch([a.model for a in self.observable]) if self.observable else None
+        # the areas whose hybrid stages batch: one PMU block shape (p, 2n)
+        # and one covariance rule
+        groups = {}
+        for a in self.areas:
+            groups.setdefault((*a.block.h_pmu.shape, a.cov_read), []).append(a)
+        self.groups = list(groups.values())
 
     def row_of(self, specs):
         """Each row's position in ``specs`` (-1 where absent), every row

@@ -222,3 +222,102 @@ def test_blocked_kernels_match_the_leaf_call_on_a_tiled_grid(monkeypatch, tmp_pa
     for got, want in zip(blocked, estimates(fresh)):
         assert np.max(np.abs(got - want)) <= 1e-9
     assert len(pattern) == 2  # the area batches only
+
+
+# the (p, 2n) shapes of the tiled-x4 hybrid groups
+GROUP_SHAPES = ((10, 24), (10, 36), (8, 26), (8, 28))
+
+
+def _members(stacked):
+    """The members of a stack, each copied to an array of its own."""
+    return [np.array(a) for a in stacked]
+
+
+@pytest.mark.parametrize("p, n2", GROUP_SHAPES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stacked_lapack_equals_per_matrix_calls(p, n2, k):
+    """Level 1's hybrid batch (``hybrid.HybridGroup``) relies on numpy's
+    stacked calls rounding each member as its own call does: Cholesky,
+    solve with matrix and vector right-hand sides, the spectral norm by
+    svd, and every product in the layouts the hybrid step gives it (a
+    transposed view, the symmetric product B'B, a matrix times a vector).
+    This is a property of the numpy/BLAS build, pinned here bit for bit."""
+    rng = np.random.default_rng(100 * p + 10 * n2 + k)
+    h = rng.standard_normal((k, p, n2))
+    w = np.array([_spd(rng, n2, 6.0) for _ in range(k)])
+    x = rng.standard_normal((k, n2 + p))[:, :n2]  # rows of a wider stack, as z's pseudo part
+    wh = w @ h.transpose(0, 2, 1)
+    s = h @ wh + np.eye(p)
+    for got, hk, wk in zip(wh, h, w):
+        assert np.array_equal(got, wk @ hk.T)
+    for got, hk, whk in zip(s, h, _members(wh)):
+        assert np.array_equal(got, hk @ whk + np.eye(p))
+    c = np.linalg.cholesky(s)
+    for got, sk in zip(c, _members(s)):
+        assert np.array_equal(got, np.linalg.cholesky(sk))
+    y = np.linalg.solve(c, (h @ x[..., None])[..., 0][..., None])[..., 0]
+    for got, ck, hk, xk in zip(y, c, h, x):
+        assert np.array_equal(got, np.linalg.solve(ck, hk @ np.array(xk)))
+    b = np.linalg.solve(c, wh.transpose(0, 2, 1))
+    for got, ck, whk in zip(b, _members(c), _members(wh)):
+        assert np.array_equal(got, np.linalg.solve(ck, whk.T))
+    syrk = b.transpose(0, 2, 1) @ b
+    for got, bk in zip(syrk, _members(b)):
+        assert np.array_equal(got, bk.T @ bk)
+    # K diag(sigma^2) K' with K the transpose of a solve's result
+    sig = rng.random((k, p))
+    kd = (b * sig[:, :, None]).transpose(0, 2, 1) @ b
+    for got, bk, sk in zip(kd, _members(b), sig):
+        assert np.array_equal(got, (bk.T * sk) @ bk)
+    norms = np.linalg.svd(h, compute_uv=False)[:, 0]
+    for got, hk in zip(norms, _members(h)):
+        assert got == np.linalg.norm(hk, 2)
+
+
+@pytest.mark.parametrize("n", [24, 36, 64])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_stacked_kernels_at_the_leaf_equal_their_members(n, k):
+    """``bdu.tri_solve`` and ``bdu.spd_inv`` on a stack at or below the
+    leaf are one numpy call that equals each member's own call; above it
+    the stack is solved member by member."""
+    rng = np.random.default_rng(n + k)
+    t = np.array([_triangular(rng, n, True) for _ in range(k)])
+    for rhs in (rng.standard_normal((k, n)), rng.standard_normal((k, n, 10))):
+        for tt, lower in ((t, True), (t.transpose(0, 2, 1), False)):
+            got = bdu.tri_solve(tt, rhs, lower)
+            for g, tk, bk in zip(got, tt, rhs):
+                assert np.array_equal(g, bdu.tri_solve(tk, bk, lower))
+    g = np.array([_spd(rng, n, 4.0) for _ in range(k)])
+    for got, gk in zip(bdu.spd_inv(g), g):
+        assert np.array_equal(got, bdu.spd_inv(gk))
+
+
+def test_stacked_kernels_above_the_leaf_take_the_halves():
+    rng = np.random.default_rng(3)
+    n = 2 * bdu._LEAF + 6
+    t = np.array([_triangular(rng, n, True) for _ in range(2)])
+    b = rng.standard_normal((2, n, 3))
+    for got, tk, bk in zip(bdu.tri_solve(t, b, True), t, b):
+        assert np.array_equal(got, bdu.tri_solve(tk, bk, True))
+    g = np.array([_spd(rng, n, 3.0) for _ in range(2)])
+    for got, gk in zip(bdu.spd_inv(g), g):
+        assert np.array_equal(got, bdu.spd_inv(gk))
+
+
+def test_stacked_elementwise_transports_equal_their_members():
+    """The polar/rectangular transports of a stack equal each member's
+    (``measurement.to_rect``/``to_polar`` against the per-state
+    conversions)."""
+    from gridstate.measurement import to_polar, to_rect
+
+    rng = np.random.default_rng(8)
+    k, n = 4, 13
+    vm, va = rng.uniform(0.9, 1.1, (k, n)), rng.uniform(-np.pi, np.pi, (k, n))
+    cov = np.array([_spd(rng, 2 * n, 3.0) for _ in range(k)])
+    vr, vi, c_rect = to_rect(vm, va, cov)
+    vm2, va2, c_polar = to_polar(vr, vi, c_rect)
+    for j in range(k):
+        want = to_rect(vm[j], va[j], cov[j])
+        assert all(np.array_equal(g, w) for g, w in zip((vr[j], vi[j], c_rect[j]), want))
+        want = to_polar(np.array(vr[j]), np.array(vi[j]), np.array(c_rect[j]))
+        assert all(np.array_equal(g, w) for g, w in zip((vm2[j], va2[j], c_polar[j]), want))

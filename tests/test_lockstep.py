@@ -1,18 +1,20 @@
 """Level 1 in lockstep: the observable areas' traditional estimators run as
-one ``wls.PolarBatch`` through one Gauss-Newton loop, and every member must
-come out as it would alone, bit for bit, including where a member damps
-its steps, leaves the state domain or fails."""
+one ``wls.PolarBatch`` through one Gauss-Newton loop, and their hybrid
+stages as one stacked batch per group of areas of one shape; every member
+must come out as it would alone, bit for bit, including where a member
+damps its steps, leaves the state domain or fails."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gridstate import wls
-from gridstate.cli import prepare, synth_for_trial
+from gridstate import hybrid, multiarea, wls
+from gridstate.cli import make_delta_sampler, prepare, synth_for_trial
 from gridstate.errors import NumericalError, UnobservableError, ValidationError
-from gridstate.measurement import h_eval, jacobian_polar
-from gridstate.multiarea import Structure, _tse_inputs, level1_run
+from gridstate.hybrid import build_hybrid_model
+from gridstate.measurement import h_eval, jacobian_polar, rect_to_polar
+from gridstate.multiarea import LocalResult, Structure, _split_rows, _tse_inputs, level1_run
 from gridstate.netmodel import single_area
 from gridstate.wls import (JacobianPattern, PatternNormal, PolarBatch, PolarModel, gauss_newton, whitener,
                            wls_estimate)
@@ -22,8 +24,9 @@ from tests.test_wls import _same_estimate
 
 @pytest.fixture(scope="module")
 def experiments(tmp_path_factory):
-    """experiments(grid, seed): the bundled IEEE-30 experiment or IEEE-30
-    tiled twice (6 areas) at a config seed."""
+    """experiments(grid, seed, **overrides): the bundled IEEE-30 experiment
+    or IEEE-30 tiled twice (6 areas) at a config seed and other config
+    overrides."""
     folder = tmp_path_factory.mktemp("lockstep")
     paths = {}
     for role, text in _tiled_workload(2).items():
@@ -31,10 +34,11 @@ def experiments(tmp_path_factory):
         with open(paths[role], "w") as fh:
             fh.write(text)
 
-    def make(grid, seed):
+    def make(grid, seed, **overrides):
+        overrides["seed"] = seed
         if grid == "ieee30":
-            return prepare(config="ieee30.cfg", overrides={"seed": seed})
-        return prepare(paths["case"], paths["partition"], paths["plan"], paths["config"], {"seed": seed})
+            return prepare(config="ieee30.cfg", overrides=overrides)
+        return prepare(paths["case"], paths["partition"], paths["plan"], paths["config"], overrides)
 
     return make
 
@@ -240,3 +244,124 @@ def test_a_batch_of_one_equals_its_member_on_its_own_view(experiments, grid, are
     assert got.converged and (got.iterations, got.converged, got.objective) == (iterations, converged, j)
     assert np.array_equal(model.pack(got.state), x)
     assert np.array_equal(got.covariance, cov) and np.array_equal(got.residuals, r)
+
+
+# ---------------------------------------------------------------------------
+# the hybrid stages: one stacked batch per group of areas of one shape
+
+
+def _hybrid_inputs(exp, trial=0):
+    """(structure, its measurement set, {area index: traditional estimate})."""
+    structure, mset, sets, starts = _level1(exp, trial)
+    tses = wls_estimate(sets, structure.tse, exp.cfg.epsilon, exp.cfg.k_limit, starts)
+    return structure, mset, {a.area.index: t for a, t in zip(structure.observable, tses)}
+
+
+def _same_local(got, want):
+    """Two LocalResults are equal bit for bit: states, covariances, TSE
+    iterations and the robust solution."""
+    assert (got.area_index, got.tse_iterations) == (want.area_index, want.tse_iterations)
+    for a, b in ((got.state, want.state), (got.tse_state, want.tse_state), (got.hybrid.state, want.hybrid.state)):
+        assert np.array_equal(a.v1, b.v1) and np.array_equal(a.v2, b.v2)
+    for a, b in ((got.cov, want.cov), (got.hybrid.covariance, want.hybrid.covariance)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    r, s = got.hybrid.robust, want.hybrid.robust
+    assert (r is None) == (s is None)
+    if r is not None:
+        assert (r.lam, r.worst_case, r.strategy) == (s.lam, s.worst_case, s.strategy)
+        assert np.array_equal(r.x, s.x)
+
+
+def _area_alone(a, tse, mset, cfg, robust, perturb):
+    """One area's hybrid stage through the per-model steps alone:
+    build_hybrid_model, the per-model stage and rect_to_polar."""
+    hmodel = build_hybrid_model(tse, a.block, mset)
+    hres = multiarea._model_stage(hmodel, cfg, robust, perturb, (1, a.area.index), a.cov_read)
+    polar, cov = rect_to_polar(hres.state, hres.covariance)
+    return LocalResult(a.area.index, polar, cov, tse.state, tse.iterations, hres)
+
+
+@pytest.mark.parametrize("grid", ["ieee30", "tiled-x2"])
+@pytest.mark.parametrize("step", ["plain", "approx", "exact"])
+@pytest.mark.parametrize("sampled", [False, True])
+def test_every_area_of_the_hybrid_batch_equals_itself_alone(experiments, grid, step, sampled):
+    """Each area's LocalResult from level 1 (tiled-x2: three groups of two
+    areas; IEEE-30: three groups of one) equals, bit for bit, the same
+    area run as a group of one and through the per-model steps: plain, at
+    approximate and at exact lambda, with and without the perturbation
+    draw."""
+    exp = experiments(grid, 1, lambda_strategy="exact" if step == "exact" else "approx")
+    structure, mset, tses = _hybrid_inputs(exp)
+    assert [len(g) for g in structure.groups] == ([1, 1, 1] if grid == "ieee30" else [2, 2, 2])
+    robust = step != "plain"
+    perturb = make_delta_sampler(exp.cfg.seed, 0) if sampled else None
+    batched = level1_run(structure, mset, exp.cfg, robust, perturb)
+    for lr, a in zip(batched, structure.areas):
+        tse = tses[a.area.index]
+        (one,) = multiarea._estimate_areas([a], [tse], mset, exp.cfg, robust, perturb)
+        _same_local(lr, one)
+        _same_local(lr, _area_alone(a, tse, mset, exp.cfg, robust, perturb))
+        assert lr.hybrid.robust is None or lr.hybrid.robust.strategy == step
+
+
+def test_parallel_groups_and_group_peers(experiments):
+    """With ``parallel`` the thread pool maps the groups, and level 1
+    equals the serial run bit for bit.  Corrupting the SCADA values of
+    area 1 moves its estimate and leaves its group peer (area 4) and every
+    other area bit-identical."""
+    exp = experiments("tiled-x2", 0)
+    structure, mset, _ = _hybrid_inputs(exp)
+    assert [a.area.index for a in structure.groups[0]] == [1, 4]
+    perturb = make_delta_sampler(exp.cfg.seed, 0)
+    base = level1_run(structure, mset, exp.cfg, True, perturb)
+    for got, want in zip(level1_run(structure, mset, exp.cfg, True, perturb, parallel=True), base):
+        _same_local(got, want)
+    z = mset.z.copy()
+    z[_split_rows(exp.part, mset.specs)[0][1]] += 0.05
+    alt = level1_run(structure, mset.with_values(z), exp.cfg, True, perturb)
+    assert not np.array_equal(alt[0].state.v1, base[0].state.v1)
+    for got, want in zip(alt[1:], base[1:]):
+        _same_local(got, want)
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_a_failing_member_fails_alone(experiments, monkeypatch, robust):
+    """Area 4's TSE covariance made negative definite: its hybrid step's
+    matrix (S, or A at approximate lambda) is not positive definite, so
+    its group's stacked Cholesky raises and the group runs again member
+    by member.  Level 1 reports that one failure, with the message it
+    has always given, and the group peer (area 1) equals its result in
+    a run where nothing fails."""
+    exp = experiments("tiled-x2", 0)
+    structure, mset, tses = _hybrid_inputs(exp)
+    perturb = make_delta_sampler(exp.cfg.seed, 0)
+    base = level1_run(structure, mset, exp.cfg, robust, perturb)
+    bad = dict(tses)
+    bad[4] = replace(tses[4], covariance=-1e4 * tses[4].covariance)
+    got = multiarea._estimate_group(structure.groups[0], bad, mset, exp.cfg, robust, perturb)
+    _same_local(got[0], base[0])
+    assert isinstance(got[1], NumericalError) and str(got[1]) == "hybrid covariance is not positive definite"
+    monkeypatch.setattr(multiarea, "wls_estimate", lambda *args: [bad[a.area.index] for a in structure.observable])
+    with pytest.raises(NumericalError) as err:
+        level1_run(structure, mset, exp.cfg, robust, perturb)
+    assert str(err.value) == "level 1 failed: hybrid covariance is not positive definite"
+
+
+def test_one_stacked_cholesky_per_group(experiments, monkeypatch):
+    """Level 1 factors each hybrid matrix once per group, as a stack of the
+    group's members, not once per area: on tiled-x2 (three groups of two)
+    S alone in a plain run, A and M at approximate lambda."""
+    exp = experiments("tiled-x2", 0)
+    structure, mset, _ = _hybrid_inputs(exp)
+    sizes = []
+    original = hybrid._cholesky
+
+    def recorded(a):
+        sizes.append(a.shape[0])
+        return original(a)
+
+    monkeypatch.setattr(hybrid, "_cholesky", recorded)
+    for robust, factors in ((False, 1), (True, 2)):
+        del sizes[:]
+        level1_run(structure, mset, exp.cfg, robust, make_delta_sampler(exp.cfg.seed, 0))
+        assert sizes == [2] * 3 * factors
