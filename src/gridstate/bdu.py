@@ -186,10 +186,13 @@ class _Evaluator:
     def g(self, lam: float) -> float:
         return self._g(*self._solve(lam))
 
-    def solution(self, lam: float, strategy: str) -> RobustSolution:
-        """x(lam), G(lam) and the covariance of x for data of covariance
-        R^-1, from one solve of the normal equations."""
-        lam_eff, w, sol = self._solve(lam, with_cov=True)
+    def solution(self, lam: float, strategy: str, cov: bool = True) -> RobustSolution:
+        """x(lam), G(lam) and, with ``cov``, the covariance of x for data of
+        covariance R^-1 (else None), from one solve of the normal
+        equations; without ``cov`` it solves for x alone."""
+        lam_eff, w, sol = self._solve(lam, with_cov=cov)
+        if not cov:
+            return RobustSolution(sol, float(lam), self._g(lam_eff, w, sol), strategy, None)
         x, pr = sol[:, 0], sol[:, 1:]
         return RobustSolution(x, float(lam), self._g(lam_eff, w, x), strategy, (pr * self.p.r) @ pr.T)
 
@@ -257,9 +260,9 @@ def min_g(p: RobustProblem, evaluator: _Evaluator | None = None):
     return lam_hat
 
 
-def bdu_solve(p: RobustProblem) -> RobustSolution:
+def bdu_solve(p: RobustProblem, cov: bool = True) -> RobustSolution:
     """The min-max solution at the lambda :func:`min_g` finds, with G there
-    and the covariance of x for data of covariance R^-1; one evaluator
-    serves the search and the solution."""
+    and, with ``cov``, the covariance of x for data of covariance R^-1
+    (else None); one evaluator serves the search and the solution."""
     ev = _Evaluator(p)
-    return ev.solution(min_g(p, evaluator=ev), "exact")
+    return ev.solution(min_g(p, evaluator=ev), "exact", cov)

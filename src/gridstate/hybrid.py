@@ -316,7 +316,7 @@ def hybrid_solve_robust(
     unc_w = UncertaintyStructure(whiten(unc.s), unc.e_h, unc.e_z)
     h = np.vstack([np.eye(m.n_state), m.h_pmu])
     p = RobustProblem(whiten(m.z), whiten(h), np.ones(len(m.z)), unc_w)
-    sol = bdu_solve(p)
+    sol = bdu_solve(p, cov)
     (res,) = _results(HybridGroup.of(m), sol.x[None], sol.cov[None] if cov else None, [sol])
     return res
 
