@@ -499,37 +499,6 @@ def test_skipping_the_covariance_leaves_the_estimate_bit_identical(net30, part30
     assert np.array_equal(skipped.va, computed.va)
 
 
-def test_exact_lambda_without_covariance_solves_for_x_alone(net30, part30, specs30, truth30, cfg30, monkeypatch):
-    """At exact lambda, cov=False solves bdu's normal equations for x
-    alone: no [x | P] solve and no P R P'.  The search is the same, so
-    lambda is equal; x and G move only by the rounding of a one-column
-    solve against the wider one, amplified by the normal matrix's
-    condition (5.8e-14 relative in x here)."""
-    from gridstate import bdu
-
-    rng = np.random.default_rng(45)
-    view, tse, pmu = _level1_inputs(net30, part30, specs30, truth30, 1, rng, cfg30)
-    m = _build(tse, pmu, view)
-    s0, e = uncertainty_for_model(m, 0.05, 0.05)
-    wide = []
-    solve = bdu._Evaluator._solve
-
-    def recorded(ev, lam, with_cov=False):
-        wide.append(with_cov)
-        return solve(ev, lam, with_cov)
-
-    monkeypatch.setattr(bdu._Evaluator, "_solve", recorded)
-    full = hybrid_solve_robust(m, s0, e, "exact", 100.0, cov=True)
-    assert wide[-1] and not any(wide[:-1])
-    del wide[:]
-    bare = hybrid_solve_robust(m, s0, e, "exact", 100.0, cov=False)
-    assert wide and not any(wide)
-    assert bare.covariance is None and bare.robust.cov is None and full.robust.cov is not None
-    assert bare.robust.lam == full.robust.lam
-    assert np.max(np.abs(bare.robust.x - full.robust.x)) <= 1e-12 * np.max(np.abs(full.robust.x))
-    assert bare.robust.worst_case == pytest.approx(full.robust.worst_case, rel=1e-10)
-
-
 def _robust_models(monkeypatch, central, trials):
     """(model, s0, e) of every robust hybrid stage of the bundled
     experiment (seed 0, s0 = e0 = 0.05) over ``trials``."""
